@@ -3,8 +3,9 @@ finite-dimensional associative algebras over Q and GF(p)."""
 
 from .algebra import (LieSubalgebra, RadicalData, StructureAlgebra,
                       WMDecomposition, center, der_into, derivation_algebra,
-                      inner_derivations, jacobson_radical, jj2_basis,
-                      lie_series, load_algebra, lowey_length, wm_complement)
+                      inner_derivations, is_nilpotent, is_solvable,
+                      jacobson_radical, jj2_basis, load_algebra, lowey_length,
+                      wm_complement)
 from .certify import (Certificate, CertifyConfig, certify, reductive_shape,
                       verify_invariant_pair, semisimple_block_sizes,
                       torus_shape_check)

@@ -1,10 +1,11 @@
 """Structure-constant algebras: axioms, center, Jacobson radical and its
 filtration, Wedderburn-Malcev complements for split basic algebras, and the
-derivation Lie algebra with its series.
+derivation Lie algebra with its nilpotency and solvability.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import lcm
 
@@ -117,25 +118,6 @@ class StructureAlgebra:
                         out[k] = f.add(out[k], f.mul(ab, c))
         return out
 
-    def power(self, x, e: int) -> list:
-        result = list(self.one)
-        base = [self.field.coerce(v) for v in x]
-        while e:
-            if e & 1:
-                result = self.multiply(result, base)
-            base = self.multiply(base, base)
-            e >>= 1
-        return result
-
-    def left_multiplication(self, x) -> Matrix:
-        """Matrix of a -> x*a in the algebra basis."""
-        cols = []
-        f = self.field
-        for j in range(self.dim):
-            ej = [f.one if t == j else f.zero for t in range(self.dim)]
-            cols.append(self.multiply(x, ej))
-        return Matrix.from_columns(f, cols)
-
     def subspace_product(self, u: Subspace, v: Subspace) -> Subspace:
         vecs = [self.multiply(a, b) for a in u.basis for b in v.basis]
         return Subspace.from_vectors(self.field, self.dim, vecs)
@@ -230,8 +212,6 @@ def dickson_radical(algebra: StructureAlgebra) -> Subspace:
 def nilpotent_scan_radical(algebra: StructureAlgebra, bound: int = DEFAULT_SCAN_BOUND) -> Subspace:
     """Span of all nilpotent elements of a commutative GF(p) algebra,
     found by exhaustive enumeration (guarded by ``bound``)."""
-    import itertools
-
     f = algebra.field
     assert isinstance(f, PrimeField)
     p, d = f.p, algebra.dim
@@ -502,7 +482,6 @@ class LieSubalgebra:
     field: Field
     n: int
     space: Subspace
-    ambient: str = "matrices"
 
     @property
     def dim(self) -> int:
@@ -513,13 +492,9 @@ class LieSubalgebra:
         return [Matrix(self.field, [row[i * n:(i + 1) * n] for i in range(n)])
                 for row in self.space.basis]
 
-    def contains_matrix(self, m: Matrix) -> bool:
-        return self.space.contains(m.flatten())
-
     def is_bracket_closed(self) -> bool:
-        mats = self.basis_matrices()
-        return all(self.contains_matrix(mat_bracket(a, b))
-                   for i, a in enumerate(mats) for b in mats[i + 1:])
+        return all(self.space.contains(mat_bracket(a, b).flatten())
+                   for a, b in itertools.combinations(self.basis_matrices(), 2))
 
 
 def derivation_algebra(algebra: StructureAlgebra) -> LieSubalgebra:
@@ -563,7 +538,7 @@ def derivation_algebra(algebra: StructureAlgebra) -> LieSubalgebra:
         space = Subspace.full(algebra.field, d * d)
     else:
         space = kernel(Matrix(algebra.field, [list(r) for r in rows]))
-    return LieSubalgebra(algebra.field, d, space, ambient="derivations")
+    return LieSubalgebra(algebra.field, d, space)
 
 
 def inner_derivations(algebra: StructureAlgebra) -> LieSubalgebra:
@@ -577,8 +552,7 @@ def inner_derivations(algebra: StructureAlgebra) -> LieSubalgebra:
             for j in range(d):
                 flat.append(f.sub(algebra.table[i][j][t], algebra.table[j][i][t]))
         vecs.append(flat)
-    return LieSubalgebra(f, d, Subspace.from_vectors(f, d * d, vecs),
-                         ambient="derivations")
+    return LieSubalgebra(f, d, Subspace.from_vectors(f, d * d, vecs))
 
 
 def der_into(algebra: StructureAlgebra, rad: RadicalData, target: Subspace,
@@ -598,7 +572,7 @@ def der_into(algebra: StructureAlgebra, rad: RadicalData, target: Subspace,
             if any(not f.is_zero(x) for x in row):
                 rows.append(row)
     if not rows:
-        return LieSubalgebra(f, d, der.space, ambient="derivations")
+        return LieSubalgebra(f, d, der.space)
     coeff_kernel = kernel(Matrix(f, rows))
     vecs = []
     for w in coeff_kernel.basis:
@@ -608,47 +582,66 @@ def der_into(algebra: StructureAlgebra, rad: RadicalData, target: Subspace,
                 mf = m.flatten()
                 flat = [f.add(x, f.mul(c, y)) for x, y in zip(flat, mf)]
         vecs.append(flat)
-    return LieSubalgebra(f, d, Subspace.from_vectors(f, d * d, vecs),
-                         ambient="derivations")
+    return LieSubalgebra(f, d, Subspace.from_vectors(f, d * d, vecs))
 
 
-@dataclass
-class LieSeries:
-    derived_series: list
-    lower_central_series: list
-    is_solvable: bool
-    is_nilpotent: bool
+def _structure_constants(lie: LieSubalgebra) -> list:
+    """c[i][j]: the nonzero (l, c_ij^l) with [B_i, B_j] = sum_l c_ij^l B_l.
+
+    The canonical RREF basis B_l of lie.space is 1 at its pivot p_l, where
+    every other B is 0; so, lie.space being bracket-closed, c_ij^l is the
+    entry of [B_i, B_j] at p_l.  Only those entries are computed.  Der(A) is
+    closed since the commutator of derivations is a derivation, and
+    forms._bracket_closure closes its span under brackets by construction.
+    """
+    f, n, basis = lie.field, lie.n, lie.space.basis
+    rows = [[[(k, b[r * n + k]) for k in range(n) if b[r * n + k]]
+             for r in range(n)] for b in basis]         # rows[i][r]: (k, B_i[r][k])
+    cols = [[{k: b[k * n + c] for k in range(n) if b[k * n + c]}
+             for c in range(n)] for b in basis]         # cols[i][c]: {k: B_i[k][c]}
+    pivots = [divmod(next(p for p, x in enumerate(b) if x), n) for b in basis]
+    c = [[[] for _ in basis] for _ in basis]
+    for i, j in itertools.combinations(range(len(basis)), 2):
+        for l, (r, col) in enumerate(pivots):
+            ci, cj = cols[i][col], cols[j][col]
+            s = f.coerce(sum(a * cj[k] for k, a in rows[i][r] if k in cj)
+                         - sum(a * ci[k] for k, a in rows[j][r] if k in ci))
+            if s:
+                c[i][j].append((l, s))
+                c[j][i].append((l, f.neg(s)))
+    return c
 
 
-def _bracket_span(field: Field, n: int, left: list[Matrix], right: list[Matrix]) -> Subspace:
-    vecs = [mat_bracket(a, b).flatten() for a in left for b in right]
-    return Subspace.from_vectors(field, n * n, vecs)
-
-
-def lie_series(lie: LieSubalgebra, max_steps: int = 64) -> LieSeries:
-    """Derived and lower-central series via repeated bracket spans."""
-    f, n = lie.field, lie.n
-
-    def mats(space: Subspace) -> list[Matrix]:
-        return LieSubalgebra(f, n, space).basis_matrices()
-
-    derived = [lie.space]
-    while derived[-1].dim > 0:
-        nxt = _bracket_span(f, n, mats(derived[-1]), mats(derived[-1]))
-        if nxt.dim == derived[-1].dim:
+def _series_limit(lie: LieSubalgebra, derived: bool) -> Subspace:
+    """Last term of the derived (or lower central) series of a bracket-closed
+    lie, in the coordinates of its basis: 0, or the first term equal to its
+    predecessor.  Each term is an ideal containing the next, so equal
+    dimensions mean the series is constant from there on."""
+    f, m = lie.field, lie.dim
+    c = _structure_constants(lie)
+    units = Subspace.full(f, m).basis
+    term = units
+    while term:
+        brackets = []
+        for x, y in (itertools.combinations(term, 2) if derived
+                     else itertools.product(units, term)):
+            v = [0] * m                  # unreduced: from_vectors coerces
+            for i, j in itertools.product(*([k for k, a in enumerate(z) if a] for z in (x, y))):
+                for l, s in c[i][j]:
+                    v[l] += x[i] * y[j] * s
+            brackets.append(v)
+        nxt = Subspace.from_vectors(f, m, brackets).basis
+        if len(nxt) == len(term):
             break
-        derived.append(nxt)
-        if len(derived) > max_steps:
-            break
-    lower = [lie.space]
-    base = lie.basis_matrices()
-    while lower[-1].dim > 0:
-        nxt = _bracket_span(f, n, base, mats(lower[-1]))
-        if nxt.dim == lower[-1].dim:
-            break
-        lower.append(nxt)
-        if len(lower) > max_steps:
-            break
-    return LieSeries(derived, lower,
-                     is_solvable=derived[-1].dim == 0,
-                     is_nilpotent=lower[-1].dim == 0)
+        term = nxt
+    return Subspace(f, m, term)
+
+
+def is_nilpotent(lie: LieSubalgebra) -> bool:
+    """Whether the lower central series of the bracket-closed lie reaches 0."""
+    return _series_limit(lie, derived=False).dim == 0
+
+
+def is_solvable(lie: LieSubalgebra) -> bool:
+    """Whether the derived series of the bracket-closed lie reaches 0."""
+    return _series_limit(lie, derived=True).dim == 0

@@ -12,10 +12,10 @@ from dataclasses import dataclass, field as dc_field
 from math import isqrt
 
 from .algebra import (RadicalData, StructureAlgebra, _QuotientAlgebra,
-                      center, der_into, derivation_algebra, jacobson_radical,
-                      lie_series, wm_complement)
-from .errors import (AlgcertError, DegreeOutOfRange, NotHomogeneous,
-                     NotSplitBasic, UnsupportedRadicalComputation)
+                      center, der_into, derivation_algebra, is_nilpotent,
+                      jacobson_radical, wm_complement)
+from .errors import (AlgcertError, DegreeOutOfRange, InternalInconsistency,
+                     NotHomogeneous, NotSplitBasic, UnsupportedRadicalComputation)
 from .fields import Field, scalar_to_json
 from .forms import (FlagSearchResult, IsotropyEvidence, NonsingularityEvidence,
                     flag_search, im_phi_lie, isotropy, nonsingularity,
@@ -444,6 +444,8 @@ def _build_context_from_algebra(algebra: StructureAlgebra,
     if ctx.split_local and ctx.commutative and ctx.rad.jj2_dim >= 1:
         try:
             ctx.pres = presentation_from_algebra(algebra, ctx.rad)
+        except InternalInconsistency:
+            raise
         except AlgcertError as exc:
             ctx.unknown("presentation", str(exc))
     if ctx.pres is not None:
@@ -461,7 +463,7 @@ def _attach_derivations(ctx: _Context, algebra: StructureAlgebra,
     ctx.dim_der = der.dim
     if ctx.rad is not None:
         ctx.dim_ker_phi = der_into(algebra, ctx.rad, ctx.rad.square, der=der).dim
-    ctx.der_nilpotent = lie_series(der).is_nilpotent
+    ctx.der_nilpotent = is_nilpotent(der)
 
 
 def _build_context_from_presentation(pres: Presentation,
@@ -690,8 +692,9 @@ def _w_element_candidates(ctx: _Context):
 def _check_rank_bounds(verdicts: list):
     lowers = [v.evidence["bound"] for v in verdicts if v.flag == "RANK_LOWER_BOUND"]
     uppers = [v.evidence["bound"] for v in verdicts if v.flag == "RANK_UPPER_BOUND"]
-    if lowers and uppers:
-        assert max(lowers) <= min(uppers), "rank bounds crossed"
+    if lowers and uppers and max(lowers) > min(uppers):
+        raise InternalInconsistency(
+            f"rank bounds crossed: lower {max(lowers)} > upper {min(uppers)}")
 
 
 # -- entry points -------------------------------------------------------------------

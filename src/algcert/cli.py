@@ -2,7 +2,8 @@
 certificates as canonical JSON or plain text.
 
 Exit codes: 0 success, 2 malformed input (schema, scalars, axioms),
-3 unsupported computation for the given input.
+3 unsupported computation for the given input, 4 internal inconsistency
+(a computed result contradicted itself; no certificate is printed).
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ import sys
 
 from .algebra import StructureAlgebra, der_into, derivation_algebra, jacobson_radical
 from .certify import CertifyConfig, certify, verify_invariant_pair
-from .errors import (AlgcertError, BadScalar, DegreeOutOfRange, NonAssociative,
-                     NotAdmissible, NotCommutative, NotLocal, NotSplit,
-                     NotSplitBasic, NotUnital, OutOfRangeVariable,
-                     PolySyntaxError, SchemaError, SearchSpaceTooLarge,
+from .errors import (AlgcertError, BadScalar, DegreeOutOfRange,
+                     InternalInconsistency, NonAssociative, NotAdmissible,
+                     NotCommutative, NotLocal, NotSplit, NotSplitBasic,
+                     NotUnital, OutOfRangeVariable, PolySyntaxError,
+                     SchemaError, SearchSpaceTooLarge,
                      UnsupportedRadicalComputation)
 from .fields import Field, PrimeField, field_from_json, parse_field_flag
 from .oracle import enumerate_automorphisms, induced_jj2_matrices
@@ -262,6 +264,9 @@ def main(argv=None) -> int:
     except _UNSUPPORTED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InternalInconsistency as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except AlgcertError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -130,6 +130,10 @@ class SearchSpaceTooLarge(AlgcertError):
         self.bound = bound
 
 
+class InternalInconsistency(AlgcertError):
+    """A computed result contradicts a guarantee of its own computation."""
+
+
 # -- cli ---------------------------------------------------------------------
 
 class SchemaError(AlgcertError):

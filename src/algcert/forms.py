@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .algebra import LieSubalgebra, lie_series
+from .algebra import LieSubalgebra, is_solvable
 from .errors import (CharTwo, NotDegreeTwo, NotGraded, NotHomogeneous,
                      NotStable, SearchSpaceTooLarge, ZeroPolynomial)
 from .fields import Field, PrimeField
@@ -499,11 +499,8 @@ def _bracket_closure(field: Field, n: int, ops: list[Matrix]) -> Subspace:
     span = Subspace.from_vectors(field, n * n, [m.flatten() for m in ops])
     while True:
         mats = LieSubalgebra(field, n, span).basis_matrices()
-        grown = span
-        for i, a in enumerate(mats):
-            for b in mats[i + 1:]:
-                grown = grown.sum(Subspace.from_vectors(
-                    field, n * n, [mat_bracket(a, b).flatten()]))
+        grown = Subspace.from_vectors(field, n * n, span.basis + [
+            mat_bracket(a, b).flatten() for a, b in itertools.combinations(mats, 2)])
         if grown.dim == span.dim:
             return span
         span = grown
@@ -523,7 +520,7 @@ def flag_search(operators: list[Matrix], field: Field,
         dim_w = operators[0].nrows
     if operators:
         closure = _bracket_closure(field, dim_w, operators)
-        if not lie_series(LieSubalgebra(field, dim_w, closure)).is_solvable:
+        if not is_solvable(LieSubalgebra(field, dim_w, closure)):
             return FlagSearchResult("NOT_SOLVABLE")
     flag: list[list] = []
     reps = Matrix.identity(field, dim_w).rows

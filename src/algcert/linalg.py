@@ -215,13 +215,6 @@ class Matrix:
         c = f.coerce(c)
         return Matrix(f, [[f.mul(c, a) for a in r] for r in self.rows])
 
-    def trace(self):
-        f = self.field
-        s = f.zero
-        for i in range(min(self.nrows, self.ncols)):
-            s = f.add(s, self.rows[i][i])
-        return s
-
     def flatten(self) -> list:
         return [x for row in self.rows for x in row]
 

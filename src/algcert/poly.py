@@ -17,10 +17,6 @@ from .fields import Field, PrimeField
 from .linalg import Matrix, invert
 
 
-def monomial_degree(m: tuple) -> int:
-    return sum(m)
-
-
 def grlex_key(m: tuple):
     return (sum(m), tuple(-e for e in m))
 
@@ -300,8 +296,11 @@ class TruncatedRing:
         self.trunc_degree = trunc_degree
         monos = []
         for d in range(trunc_degree):
-            level = [m for m in itertools.product(range(d + 1), repeat=n_vars)
-                     if sum(m) == d]
+            # stars and bars: n-1 bar positions among d+n-1 slots give the
+            # C(n+d-1, d) exponent tuples of degree d, each exactly once
+            slots = d + n_vars - 1
+            level = [tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
+                     for bars in itertools.combinations(range(slots), n_vars - 1)]
             level.sort(key=grlex_key)
             monos.extend(level)
         self.monomials = monos

@@ -16,8 +16,8 @@ import warnings
 from dataclasses import dataclass
 
 from .algebra import StructureAlgebra, RadicalData, _QuotientAlgebra, _try_split
-from .errors import (NotAdmissible, NotCommutative, NotLocal, NotSplit,
-                     LoweyMismatch)
+from .errors import (InternalInconsistency, NotAdmissible, NotCommutative,
+                     NotLocal, NotSplit, LoweyMismatch)
 from .fields import Field
 from .linalg import Matrix, Subspace, invert, kernel, quotient_basis
 from .poly import Poly, TruncatedRing, monomial_gcd_factor, s_index
@@ -232,7 +232,8 @@ def normal_form(pres: Presentation) -> NormalForm:
             gens.append(pres.row_poly(vec))
         span = _saturate(ring, f, gens)
     if span != pres.ideal:
-        raise AssertionError("normal-form generators failed to reconstruct the ideal")
+        raise InternalInconsistency(
+            "normal-form generators failed to reconstruct the ideal")
     is_mono = all(g.is_monomial() for g in gens)
     return NormalForm(gens, is_mono, _property_star(gens))
 

@@ -1,16 +1,20 @@
+import json
 import warnings
 from fractions import Fraction
 
 import pytest
 
-from algcert.algebra import (LieSubalgebra, center, der_into,
+from algcert.algebra import (LieSubalgebra, _series_limit,
+                             _structure_constants, center, der_into,
                              derivation_algebra, inner_derivations,
-                             jacobson_radical, jj2_basis, lie_series,
-                             load_algebra, wm_complement)
+                             is_nilpotent, is_solvable, jacobson_radical,
+                             jj2_basis, load_algebra, wm_complement)
+from algcert.cli import main
 from algcert.errors import (LoweyMismatch, NonAssociative, NotSplitBasic,
                             NotUnital, UnsupportedRadicalComputation)
 from algcert.fields import GF, QQ
-from algcert.linalg import Subspace
+from algcert.forms import _bracket_closure
+from algcert.linalg import Matrix, Subspace, invert, mat_bracket
 from algcert.constructions import (componentwise_algebra, direct_sum,
                                    matrix_algebra,
                                    truncated_polynomial_algebra,
@@ -251,11 +255,38 @@ class TestDerivations:
                 assert sub.space.contains(mat_bracket(dm, sm).flatten())
 
 
+def _dense_series(lie, derived):
+    """Reference: the derived or lower central series of lie as bracket spans
+    of n x n matrices, until it reaches 0 or repeats a dimension."""
+    f, n = lie.field, lie.n
+    base = lie.basis_matrices()
+    terms = [lie.space]
+    while terms[-1].dim:
+        cur = LieSubalgebra(f, n, terms[-1]).basis_matrices()
+        left = cur if derived else base
+        nxt = Subspace.from_vectors(
+            f, n * n, [mat_bracket(a, b).flatten() for a in left for b in cur])
+        if nxt.dim == terms[-1].dim:
+            break
+        terms.append(nxt)
+    return terms
+
+
+def _random_closed(rng, field, n, shape):
+    """Bracket closure of two random n x n matrices; shape restricts their
+    support to the strict upper triangle, the upper triangle, or nothing."""
+    lowest = {"strict": 1, "upper": 0, "full": -n}[shape]
+    ops = [Matrix(field, [[rng.randint(-2, 2) if c - r >= lowest else 0
+                           for c in range(n)] for r in range(n)])
+           for _ in range(2)]
+    return LieSubalgebra(field, n, _bracket_closure(field, n, ops))
+
+
 class TestLieSeries:
     def test_abelian(self):
         diag = Subspace.from_vectors(QQ, 4, [[1, 0, 0, 0], [0, 0, 0, 1]])
-        series = lie_series(LieSubalgebra(QQ, 2, diag))
-        assert series.is_solvable and series.is_nilpotent
+        lie = LieSubalgebra(QQ, 2, diag)
+        assert is_solvable(lie) and is_nilpotent(lie)
 
     def test_strictly_upper_triangular_nilpotent(self):
         vecs = []
@@ -263,14 +294,85 @@ class TestLieSeries:
             m = [[0] * 3 for _ in range(3)]
             m[r][c] = 1
             vecs.append([x for row in m for x in row])
-        series = lie_series(LieSubalgebra(QQ, 3, Subspace.from_vectors(QQ, 9, vecs)))
-        assert series.is_nilpotent and series.is_solvable
+        lie = LieSubalgebra(QQ, 3, Subspace.from_vectors(QQ, 9, vecs))
+        assert is_nilpotent(lie) and is_solvable(lie)
 
     def test_gl2_not_solvable(self):
-        series = lie_series(LieSubalgebra(QQ, 2, Subspace.full(QQ, 4)))
-        assert not series.is_solvable
+        gl2 = LieSubalgebra(QQ, 2, Subspace.full(QQ, 4))
+        assert not is_solvable(gl2)
+        assert not is_nilpotent(gl2)
         # derived series stabilizes at sl2
-        assert series.derived_series[-1].dim == 3
+        assert _series_limit(gl2, derived=True).dim == 3
+        assert _dense_series(gl2, derived=True)[-1].dim == 3
+
+    @pytest.mark.parametrize("field", [QQ, GF5])
+    def test_heisenberg_nilpotent_not_abelian(self, field):
+        # the Heisenberg algebra in a non-triangular 3 x 3 realisation:
+        # e_01, e_02, e_12 conjugated by an invertible matrix
+        t = Matrix(field, [[1, 2, 0], [0, 1, 1], [1, 0, 1]])
+        t_inv = invert(t)
+        vecs = []
+        for (r, c) in [(0, 1), (0, 2), (1, 2)]:
+            e = Matrix(field, [[1 if (i, j) == (r, c) else 0 for j in range(3)]
+                               for i in range(3)])
+            vecs.append(t.mul(e).mul(t_inv).flatten())
+        lie = LieSubalgebra(field, 3, Subspace.from_vectors(field, 9, vecs))
+        assert lie.dim == 3 and lie.is_bracket_closed()
+        assert is_nilpotent(lie) and is_solvable(lie)
+        assert [s.dim for s in _dense_series(lie, derived=False)] == [3, 1, 0]
+
+    def test_der_dual_numbers_nilpotent(self):
+        # Der(k[x]/(x^2)) = span{x d/dx}
+        der = derivation_algebra(qx_mod(2))
+        assert der.dim == 1
+        assert is_nilpotent(der) and is_solvable(der)
+
+    def test_der_dual_numbers_fires_r_nilp(self, tmp_path, capsys):
+        path = tmp_path / "dual.json"
+        path.write_text(json.dumps({
+            "kind": "structure_constants", "field": {"type": "Q"}, "dim": 2,
+            "one": [1, 0], "table": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]}))
+        assert main(["analyze", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert {"flag": "RATIONAL", "rule": "R-NILP",
+                "evidence": {"dim_der": 1, "lie_nilpotent": True}} \
+            in payload["verdicts"]
+
+
+def _lie_cases(rng, field):
+    for alg in (qx_mod(3, field), qx_mod(4, field),
+                truncated_polynomial_algebra(field, 2, 3),
+                upper_triangular_algebra(field, 2), upper_triangular_algebra(field, 3),
+                matrix_algebra(field, 2), componentwise_algebra(field, 2),
+                direct_sum(componentwise_algebra(field, 1), qx_mod(2, field))):
+        yield derivation_algebra(alg)
+    for n in (2, 3):
+        for shape in ("strict", "upper", "full"):
+            for _ in range(2):
+                yield _random_closed(rng, field, n, shape)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_lie_decisions_match_dense_reference(rng, field):
+    seen = set()
+    for lie in _lie_cases(rng, field):
+        mats = lie.basis_matrices()
+        consts = _structure_constants(lie)
+        for i, a in enumerate(mats):
+            for j, b in enumerate(mats):
+                total = Matrix.zeros(field, lie.n, lie.n)
+                for l, v in consts[i][j]:
+                    total = total.add(mats[l].scale(v))
+                assert total == mat_bracket(a, b)
+        derived = _dense_series(lie, derived=True)
+        lower = _dense_series(lie, derived=False)
+        assert is_solvable(lie) == (derived[-1].dim == 0)
+        assert is_nilpotent(lie) == (lower[-1].dim == 0)
+        assert _series_limit(lie, derived=True).dim == derived[-1].dim
+        assert _series_limit(lie, derived=False).dim == lower[-1].dim
+        seen.add((is_solvable(lie), is_nilpotent(lie)))
+    # every branch is exercised: nilpotent, solvable only, neither
+    assert seen == {(True, True), (True, False), (False, False)}
 
 
 class TestPresentedAgreement:

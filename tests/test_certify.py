@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import algcert
 from algcert.algebra import jacobson_radical
 from algcert.certify import (certify, reductive_shape,
                              verify_invariant_pair, semisimple_block_sizes,
@@ -308,3 +314,22 @@ class TestBruteForceAgreement:
         keys = {tuple(x for row in b.rows for x in row) for b in act.matrices}
         for c in (1, 2):
             assert (c, 0, 0, c) in keys
+
+
+def test_crossed_rank_bounds_raise_under_optimize():
+    code = (
+        "from algcert.certify import Verdict, _check_rank_bounds\n"
+        "from algcert.errors import InternalInconsistency\n"
+        "print(__debug__)\n"
+        "try:\n"
+        "    _check_rank_bounds([Verdict('RANK_LOWER_BOUND', 'R-ISO', {'bound': 3}),\n"
+        "                        Verdict('RANK_UPPER_BOUND', 'R-RANKUB', {'bound': 2})])\n"
+        "except InternalInconsistency as exc:\n"
+        "    print(exc)\n")
+    src = str(Path(algcert.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-O", "-c", code],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["False",
+                                       "rank bounds crossed: lower 3 > upper 2"]

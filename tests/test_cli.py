@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from algcert import cli, presentation
 from algcert.cli import main
+from algcert.errors import InternalInconsistency
+from algcert.linalg import Subspace
 
 
 def _write(tmp_path, name, payload):
@@ -230,3 +233,35 @@ def test_bad_generator_syntax_exits_2(tmp_path):
         "generators": ["X1^ +"],
     })
     assert main(["analyze", path]) == 2
+
+
+def test_normal_form_inconsistency_exits_4(tmp_path, monkeypatch, capsys):
+    # keep only X1^2+X2^2 of the l=4 ideal slice: normal_form's generators
+    # then span more than the slice and its reconstruction check fails
+    path = _write(tmp_path, "pres.json", {
+        "kind": "presentation", "field": {"type": "Q"}, "n_vars": 2,
+        "trunc_degree": 4, "generators": ["X1^2+X2^2"]})
+    real = cli.presentation_from_ideal
+
+    def truncated_ideal(*args):
+        pres = real(*args)
+        pres.ideal = Subspace(pres.field, pres.ring.dim, pres.ideal.basis[:1])
+        return pres
+
+    monkeypatch.setattr(cli, "presentation_from_ideal", truncated_ideal)
+    assert main(["present", path]) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "failed to reconstruct the ideal" in out.err
+
+
+def test_inconsistency_inside_analyze_is_not_degraded(gf3_cubic, monkeypatch,
+                                                      capsys):
+    # analyze builds a presentation of GF(3)[x]/x^3 and would record any
+    # other error there as an unknown invariant
+    def broken(pres):
+        raise InternalInconsistency("normal form check failed")
+
+    monkeypatch.setattr(presentation, "normal_form", broken)
+    assert main(["analyze", gf3_cubic]) == 4
+    assert capsys.readouterr().out == ""

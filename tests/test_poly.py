@@ -1,5 +1,8 @@
+import itertools
 import random
+import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -8,7 +11,7 @@ from algcert.errors import (BadScalar, NotInvertible, NotSHomogeneous,
 from algcert.fields import GF, QQ
 from algcert.linalg import Matrix
 from algcert.poly import (LinearChange, Poly, TruncatedRing,
-                          apply_linear_change, homogeneous_components,
+                          apply_linear_change, grlex_key, homogeneous_components,
                           monomial_gcd_factor, parse_poly, partial_derivative,
                           s_index)
 from conftest import pp, random_poly
@@ -141,6 +144,25 @@ class TestOps:
         assert TruncatedRing(2, 3).dim == 6
         assert TruncatedRing(3, 4).dim == 20
         assert TruncatedRing(4, 18).dim == 5985
+
+    def test_truncated_ring_monomials_match_filtered_enumeration(self):
+        # reference: filter all (d+1)^n tuples of each degree, sort by grlex
+        for n in range(1, 5):
+            for l in range(1, 6):
+                want = []
+                for d in range(l):
+                    want.extend(sorted(
+                        (m for m in itertools.product(range(d + 1), repeat=n)
+                         if sum(m) == d), key=grlex_key))
+                ring = TruncatedRing(n, l)
+                assert ring.monomials == want
+                assert ring.index == {m: i for i, m in enumerate(want)}
+
+    def test_truncated_ring_many_variables(self):
+        start = time.perf_counter()
+        ring = TruncatedRing(14, 3)
+        assert time.perf_counter() - start < 1.0
+        assert ring.dim == len(ring.monomials) == comb(16, 14)
 
     def test_monomial_gcd_factor_reference_example(self):
         f = pp("X1^2*X2^3*X3^4*X4^8 + X1^2*X2^3*X3^12", 4)
