@@ -9,10 +9,10 @@ import itertools
 from dataclasses import dataclass
 from math import lcm
 
-from .errors import (AmbientMismatch, NonAssociative, NotSplitBasic, NotUnital,
-                     UnsupportedRadicalComputation)
+from .errors import (AmbientMismatch, InternalInconsistency, NonAssociative,
+                     NotSplitBasic, NotUnital, UnsupportedRadicalComputation)
 from .fields import Field, PrimeField, QQ
-from .linalg import (Matrix, Subspace, kernel, mat_bracket,
+from .linalg import (Matrix, Subspace, invert, kernel, mat_bracket,
                      quotient_basis, solve)
 from .roots import minimal_polynomial, roots_in_field
 
@@ -40,8 +40,12 @@ class StructureAlgebra:
             raise AmbientMismatch("identity vector has wrong length")
         self.known_radical = known_radical
         self._int_table, self._int_den = self._scaled_int_table()
+        # nonzero (k, c) of each cell: scaled integers for the associativity
+        # check, field entries for multiply
         self._sparse = [[[(k, c) for k, c in enumerate(cell) if c]
                          for cell in row] for row in self._int_table]
+        self._cells = [[[(k, c) for k, c in enumerate(cell) if c]
+                        for cell in row] for row in self.table]
         self._verify_unital()
         self._verify_associative()
         self.commutative = all(
@@ -58,22 +62,23 @@ class StructureAlgebra:
             for cell in row:
                 for x in cell:
                     den = lcm(den, x.denominator)
-        ints = [[[int(x * den) for x in cell] for cell in row] for row in self.table]
+        ints = [[[x.numerator * (den // x.denominator) for x in cell] for cell in row]
+                for row in self.table]
         return ints, den
 
     def _verify_unital(self):
         f = self.field
+        one = [(i, c) for i, c in enumerate(self.one) if c]
         for j in range(self.dim):
             left = [f.zero] * self.dim
             right = [f.zero] * self.dim
-            for i, c in enumerate(self.one):
-                if f.is_zero(c):
-                    continue
-                for k in range(self.dim):
-                    left[k] = f.add(left[k], f.mul(c, self.table[i][j][k]))
-                    right[k] = f.add(right[k], f.mul(c, self.table[j][i][k]))
+            for i, c in one:
+                for k, t in self._cells[i][j]:
+                    left[k] += c * t
+                for k, t in self._cells[j][i]:
+                    right[k] += c * t
             want = [f.one if k == j else f.zero for k in range(self.dim)]
-            if left != want or right != want:
+            if list(map(f.coerce, left)) != want or list(map(f.coerce, right)) != want:
                 raise NotUnital(f"declared identity fails on basis element {j}")
 
     def _verify_associative(self):
@@ -102,25 +107,33 @@ class StructureAlgebra:
 
     def multiply(self, x, y) -> list:
         f = self.field
-        x = [f.coerce(v) for v in x]
-        y = [f.coerce(v) for v in y]
-        out = [f.zero] * self.dim
-        for i, a in enumerate(x):
-            if f.is_zero(a):
-                continue
-            row = self.table[i]
-            for j, b in enumerate(y):
-                if f.is_zero(b):
-                    continue
-                ab = f.mul(a, b)
-                for k, c in enumerate(row[j]):
-                    if not f.is_zero(c):
-                        out[k] = f.add(out[k], f.mul(ab, c))
-        return out
+        ys = [(j, b) for j, b in enumerate(map(f.coerce, y)) if b]
+        out = [f.zero] * self.dim       # unreduced over GF(p) until the end
+        for i, a in enumerate(map(f.coerce, x)):
+            if a:
+                row = self._cells[i]
+                for j, b in ys:
+                    ab = a * b
+                    for k, c in row[j]:
+                        out[k] += ab * c
+        return [f.coerce(v) for v in out]
 
     def subspace_product(self, u: Subspace, v: Subspace) -> Subspace:
         vecs = [self.multiply(a, b) for a in u.basis for b in v.basis]
         return Subspace.from_vectors(self.field, self.dim, vecs)
+
+    def product_span(self, left, space: Subspace, right=None) -> Subspace:
+        """span{left v right : v in space}; without ``right``, span{left v}."""
+        vecs = [self.multiply(left, v) for v in space.basis]
+        if right is not None:
+            vecs = [self.multiply(v, right) for v in vecs]
+        return Subspace.from_vectors(self.field, self.dim, vecs)
+
+    def mult_operator(self, z) -> Matrix:
+        """Matrix of y -> z y."""
+        f = self.field
+        return Matrix.from_columns(
+            f, [self.multiply(z, e) for e in Matrix.identity(f, self.dim).rows])
 
     def is_zero_vector(self, x) -> bool:
         f = self.field
@@ -132,6 +145,72 @@ class StructureAlgebra:
 
 def load_algebra(table, one, field: Field, known_radical: Subspace | None = None) -> StructureAlgebra:
     return StructureAlgebra(field, table, one, known_radical=known_radical)
+
+
+# -- induced algebras: quotients, subalgebras, corners -------------------------
+
+class Coordinates:
+    """Coordinates along ``reps`` for the direct sum k^d = span(reps) + span(rest).
+
+    ``project`` keeps a vector's coefficients on ``reps`` and drops its part
+    in span(rest); ``lift`` maps coefficients back to sum x_i reps_i, so
+    project(lift(x)) = x.  With rest a basis of an ideal J this is A -> A/J;
+    with reps a basis of a subalgebra, that subalgebra's own coordinates.
+    """
+
+    def __init__(self, field: Field, reps, rest):
+        self.field = field
+        self.reps = [list(r) for r in reps]
+        self.dim = len(self.reps)
+        stacked = Matrix(field, self.reps + [list(r) for r in rest])
+        self._ambient_dim = stacked.ncols
+        binv = invert(stacked.transpose()) if stacked.nrows == stacked.ncols else None
+        if binv is None:
+            raise InternalInconsistency("coordinate vectors are not a basis")
+        # row i of the inverse yields coefficient i; keep the reps' rows, sparse
+        self._rows = [[(k, c) for k, c in enumerate(row) if c]
+                      for row in binv.rows[:self.dim]]
+
+    @classmethod
+    def quotient(cls, j: Subspace) -> Coordinates:
+        """k^d / j through its canonical coset representatives."""
+        full = Subspace.full(j.field, j.ambient_dim)
+        return cls(j.field, quotient_basis(j, full), j.basis)
+
+    @classmethod
+    def subspace(cls, s: Subspace) -> Coordinates:
+        """s in the coordinates of its canonical basis."""
+        full = Subspace.full(s.field, s.ambient_dim)
+        return cls(s.field, s.basis, quotient_basis(s, full))
+
+    def project(self, v) -> list:
+        f = self.field
+        return [f.coerce(sum(c * v[k] for k, c in row if v[k])) for row in self._rows]
+
+    def lift(self, x) -> list:
+        f = self.field
+        out = [f.zero] * self._ambient_dim
+        for c, rep in zip(x, self.reps):
+            if not f.is_zero(c):
+                out = [f.add(a, f.mul(c, b)) for a, b in zip(out, rep)]
+        return out
+
+
+def induced_algebra(multiply, coords: Coordinates, one,
+                    known_radical: Subspace | None = None) -> StructureAlgebra:
+    """The algebra on span(coords.reps) with x * y = project(lift(x) lift(y)).
+
+    ``multiply`` is the ambient product and ``one`` the unit in ambient
+    coordinates: the quotient's unit for A/J, the subalgebra's own unit (an
+    idempotent of A) for a subalgebra or a corner eAe.
+    """
+    reps = coords.reps
+    table = [[coords.project(multiply(a, b)) for b in reps] for a in reps]
+    try:
+        return StructureAlgebra(coords.field, table, coords.project(one),
+                                known_radical=known_radical)
+    except (NotUnital, NonAssociative) as exc:
+        raise InternalInconsistency(f"induced algebra: {exc}") from exc
 
 
 def center(algebra: StructureAlgebra) -> Subspace:
@@ -213,7 +292,8 @@ def nilpotent_scan_radical(algebra: StructureAlgebra, bound: int = DEFAULT_SCAN_
     """Span of all nilpotent elements of a commutative GF(p) algebra,
     found by exhaustive enumeration (guarded by ``bound``)."""
     f = algebra.field
-    assert isinstance(f, PrimeField)
+    if not isinstance(f, PrimeField):
+        raise UnsupportedRadicalComputation("the nilpotent scan needs a GF(p) algebra")
     p, d = f.p, algebra.dim
     total = p**d
     if total > bound:
@@ -280,57 +360,6 @@ class WMDecomposition:
     idempotents: list
 
 
-class _QuotientAlgebra:
-    """A/J with multiplication through chosen coset representatives."""
-
-    def __init__(self, algebra: StructureAlgebra, j: Subspace):
-        self.algebra = algebra
-        f = algebra.field
-        full = Subspace.full(f, algebra.dim)
-        self.reps = quotient_basis(j, full)
-        self.dim = len(self.reps)
-        rows = list(j.basis) + self.reps
-        from .linalg import invert
-        binv = invert(Matrix(f, rows).transpose())
-        assert binv is not None
-        self._binv = binv
-        self.unit = self.project(algebra.one)
-
-    def project(self, v) -> list:
-        coords = self._binv.matvec(v)
-        return coords[self.algebra.dim - self.dim:]
-
-    def lift(self, vbar) -> list:
-        f = self.algebra.field
-        out = [f.zero] * self.algebra.dim
-        for c, rep in zip(vbar, self.reps):
-            if not f.is_zero(c):
-                out = [f.add(x, f.mul(c, y)) for x, y in zip(out, rep)]
-        return out
-
-    def multiply(self, xbar, ybar) -> list:
-        prod = self.algebra.multiply(self.lift(xbar), self.lift(ybar))
-        return self.project(prod)
-
-    def mult_operator(self, zbar) -> Matrix:
-        f = self.algebra.field
-        cols = []
-        for j in range(self.dim):
-            ej = [f.one if t == j else f.zero for t in range(self.dim)]
-            cols.append(self.multiply(zbar, ej))
-        return Matrix.from_columns(f, cols)
-
-    def is_commutative(self) -> bool:
-        f = self.algebra.field
-        for i in range(self.dim):
-            ei = [f.one if t == i else f.zero for t in range(self.dim)]
-            for j in range(i + 1, self.dim):
-                ej = [f.one if t == j else f.zero for t in range(self.dim)]
-                if self.multiply(ei, ej) != self.multiply(ej, ei):
-                    return False
-        return True
-
-
 def _poly_divide(coeffs: list, root, fld: Field) -> list:
     """Deflate one factor (t - root) via synthetic division (ascending coeffs)."""
     out = [fld.zero] * (len(coeffs) - 1)
@@ -341,20 +370,19 @@ def _poly_divide(coeffs: list, root, fld: Field) -> list:
     return out
 
 
-def _split_components(quot: _QuotientAlgebra):
-    """Decompose a commutative semisimple A/J into one-dimensional
+def _split_components(alg: StructureAlgebra):
+    """Decompose a commutative semisimple algebra into one-dimensional
     components; raises NotSplitBasic when a component is a proper field
     extension of the base field."""
-    f = quot.algebra.field
-    n = quot.dim
-    components = [(quot.unit, Subspace.full(f, n))]
+    f = alg.field
+    components = [(alg.one, Subspace.full(f, alg.dim))]
     done = []
     while components:
         unit, space = components.pop()
         if space.dim == 1:
             done.append((unit, space))
             continue
-        parts = _try_split(quot, unit, space)
+        parts = _try_split(alg, unit, space)
         if parts is None:
             raise NotSplitBasic(
                 f"a {space.dim}-dimensional block of A/J has no eigenbasis over {f!r}")
@@ -362,22 +390,22 @@ def _split_components(quot: _QuotientAlgebra):
     return done
 
 
-def _try_split(quot: _QuotientAlgebra, unit, space: Subspace):
-    f = quot.algebra.field
+def _try_split(alg: StructureAlgebra, unit, space: Subspace):
+    f = alg.field
     for z in space.basis:
         # minimal polynomial of z on the component: powers unit, z, z^2, ...
         def powers():
             cur = list(unit)
             while True:
                 yield cur
-                cur = quot.multiply(cur, z)
+                cur = alg.multiply(cur, z)
         mp = minimal_polynomial(powers(), f)
         if len(mp) <= 2:
             continue  # z is a scalar multiple of the component unit
         roots = roots_in_field(mp, f)
         if not roots:
             continue
-        mz = quot.mult_operator(z)
+        mz = alg.mult_operator(z)
         parts = []
         remaining = mp
         for lam in roots:
@@ -402,11 +430,12 @@ def _try_split(quot: _QuotientAlgebra, unit, space: Subspace):
         # split the unit across the direct sum to get each part's identity
         stacked = [row for p in parts for row in p.basis]
         coeffs = solve(Matrix(f, stacked).transpose(), unit)
-        assert coeffs is not None
+        if coeffs is None:
+            raise InternalInconsistency("a component unit is not in the sum of its parts")
         out = []
         offset = 0
         for p in parts:
-            u = [f.zero] * quot.dim
+            u = [f.zero] * alg.dim
             for c, row in zip(coeffs[offset:offset + p.dim], p.basis):
                 if not f.is_zero(c):
                     u = [f.add(x, f.mul(c, y)) for x, y in zip(u, row)]
@@ -435,8 +464,9 @@ def wm_complement(algebra: StructureAlgebra, rad: RadicalData) -> WMDecompositio
     """
     f = algebra.field
     j = rad.radical
-    quot = _QuotientAlgebra(algebra, j)
-    if not quot.is_commutative():
+    coords = Coordinates.quotient(j)
+    quot = induced_algebra(algebra.multiply, coords, algebra.one)
+    if not quot.commutative:
         raise NotSplitBasic("A/J is not commutative")
     pieces = _split_components(quot)
     prims = sorted((u for u, _ in pieces), key=lambda u: [str(c) for c in u])
@@ -444,7 +474,7 @@ def wm_complement(algebra: StructureAlgebra, rad: RadicalData) -> WMDecompositio
     esum = [f.zero] * algebra.dim
     max_steps = 2 * max(1, rad.lowey_length).bit_length() + 4
     for fbar in prims:
-        g = quot.lift(fbar)
+        g = coords.lift(fbar)
         # u = (1 - E) g (1 - E) keeps u orthogonal to every lifted idempotent
         eg = algebra.multiply(esum, g)
         ge = algebra.multiply(g, esum)
@@ -460,7 +490,7 @@ def wm_complement(algebra: StructureAlgebra, rad: RadicalData) -> WMDecompositio
                  for a, b in zip(uu, uuu)]
         else:
             raise NotSplitBasic("Newton idempotent lifting failed to converge")
-        if quot.project(u) != fbar:
+        if coords.project(u) != fbar:
             raise NotSplitBasic("lifted idempotent drifted from its coset")
         lifted.append(u)
         esum = [f.add(a, b) for a, b in zip(esum, u)]

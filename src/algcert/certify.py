@@ -2,7 +2,8 @@
 verdict flags, each tied to one applicability-guarded rule with the concrete
 numbers it used.  Rules whose guards fail are skipped (logged at debug
 level); failed sub-computations degrade to UNKNOWN entries instead of
-aborting, and properties no rule could decide are listed as unknown.
+aborting, and properties no rule could decide are listed as unknown.  An
+InternalInconsistency is not an input failure and always propagates.
 """
 
 from __future__ import annotations
@@ -11,16 +12,17 @@ import logging
 from dataclasses import dataclass, field as dc_field
 from math import isqrt
 
-from .algebra import (RadicalData, StructureAlgebra, _QuotientAlgebra,
-                      center, der_into, derivation_algebra, is_nilpotent,
-                      jacobson_radical, wm_complement)
+from .algebra import (Coordinates, RadicalData, StructureAlgebra,
+                      _split_components, center, der_into, derivation_algebra,
+                      induced_algebra, is_nilpotent, jacobson_radical,
+                      wm_complement)
 from .errors import (AlgcertError, DegreeOutOfRange, InternalInconsistency,
                      NotHomogeneous, NotSplitBasic, UnsupportedRadicalComputation)
 from .fields import Field, scalar_to_json
 from .forms import (FlagSearchResult, IsotropyEvidence, NonsingularityEvidence,
                     flag_search, im_phi_lie, isotropy, nonsingularity,
                     quadratic_from_poly, restricted_action, sim_lie, stab_lie)
-from .linalg import Matrix, Subspace, invert, kernel, quotient_basis
+from .linalg import Matrix, Subspace, kernel
 from .poly import Poly
 from .presentation import (MinimalDegreeSubspace, NormalForm, Presentation,
                            is_graded_presentation, is_monomial_ideal,
@@ -93,70 +95,20 @@ class Certificate:
 
 # -- splitness of semisimple quotients ------------------------------------------
 
-class SubalgebraView:
-    """Coordinates inside a multiplicatively closed subspace with a unit."""
-
-    def __init__(self, algebra: StructureAlgebra, space: Subspace, unit):
-        self.algebra = algebra
-        self.field = algebra.field
-        self.space = space
-        self.dim = space.dim
-        f = self.field
-        rest = quotient_basis(space, Subspace.full(f, algebra.dim))
-        stacked = Matrix(f, list(space.basis) + rest).transpose()
-        binv = invert(stacked)
-        assert binv is not None
-        self._binv = binv
-        self.unit = self.project(unit)
-
-    def project(self, v) -> list:
-        coords = self._binv.matvec(v)
-        return coords[:self.dim]
-
-    def lift(self, vbar) -> list:
-        f = self.field
-        out = [f.zero] * self.algebra.dim
-        for c, row in zip(vbar, self.space.basis):
-            if not f.is_zero(c):
-                out = [f.add(x, f.mul(c, y)) for x, y in zip(out, row)]
-        return out
-
-    def multiply(self, xbar, ybar) -> list:
-        return self.project(self.algebra.multiply(self.lift(xbar), self.lift(ybar)))
-
-    def mult_operator(self, zbar) -> Matrix:
-        f = self.field
-        cols = []
-        for j in range(self.dim):
-            ej = [f.one if t == j else f.zero for t in range(self.dim)]
-            cols.append(self.multiply(zbar, ej))
-        return Matrix.from_columns(f, cols)
-
-    def is_commutative(self) -> bool:
-        f = self.field
-        for i in range(self.dim):
-            ei = [f.one if t == i else f.zero for t in range(self.dim)]
-            for j in range(i + 1, self.dim):
-                ej = [f.one if t == j else f.zero for t in range(self.dim)]
-                if self.multiply(ei, ej) != self.multiply(ej, ei):
-                    return False
-        return True
-
-
-def _element_min_poly(view, b) -> list:
+def _element_min_poly(alg: StructureAlgebra, b) -> list:
     def powers():
-        cur = list(view.unit)
+        cur = list(alg.one)
         while True:
             yield cur
-            cur = view.multiply(cur, b)
-    return minimal_polynomial(powers(), view.field)
+            cur = alg.multiply(cur, b)
+    return minimal_polynomial(powers(), alg.field)
 
 
-def _idempotents_from_element(view, b) -> list:
+def _idempotents_from_element(alg: StructureAlgebra, b) -> list:
     """Lagrange idempotents of an element whose minimal polynomial splits
     into distinct linear factors; empty list otherwise."""
-    f = view.field
-    mp = _element_min_poly(view, b)
+    f = alg.field
+    mp = _element_min_poly(alg, b)
     deg = len(mp) - 1
     if deg < 2:
         return []
@@ -165,41 +117,33 @@ def _idempotents_from_element(view, b) -> list:
         return []
     out = []
     for lam in roots:
-        e = list(view.unit)
+        e = list(alg.one)
         scale = f.one
         for mu in roots:
             if mu == lam:
                 continue
-            shifted = [f.sub(x, f.mul(mu, u)) for x, u in zip(b, view.unit)]
-            e = view.multiply(e, shifted)
+            shifted = [f.sub(x, f.mul(mu, u)) for x, u in zip(b, alg.one)]
+            e = alg.multiply(e, shifted)
             scale = f.mul(scale, f.sub(lam, mu))
         inv = f.inv(scale)
         out.append([f.mul(inv, x) for x in e])
     return out
 
 
-def _corner_has_rank_one(algebra: StructureAlgebra, space: Subspace, unit) -> bool:
-    """True when the unital subalgebra on ``space`` contains a primitive
-    idempotent with a one-dimensional corner (certifying a split block)."""
-    view = SubalgebraView(algebra, space, unit)
-    if view.dim == 1:
+def _corner_has_rank_one(alg: StructureAlgebra) -> bool:
+    """True when the algebra contains a primitive idempotent with a
+    one-dimensional corner (certifying a split block)."""
+    if alg.dim == 1:
         return True
-    f = view.field
-    for i in range(view.dim):
-        b = [f.one if t == i else f.zero for t in range(view.dim)]
-        for e in _idempotents_from_element(view, b):
-            e_full = view.lift(e)
-            corner_vecs = []
-            for row in space.basis:
-                v = algebra.multiply(e_full, algebra.multiply(row, e_full))
-                if not algebra.is_zero_vector(v):
-                    corner_vecs.append(v)
-            corner = Subspace.from_vectors(f, algebra.dim, corner_vecs)
+    full = Subspace.full(alg.field, alg.dim)
+    for b in full.basis:
+        for e in _idempotents_from_element(alg, b):
+            corner = alg.product_span(e, full, e)
             if corner.dim == 1:
                 return True
-            if 1 < corner.dim < view.dim:
-                if _corner_has_rank_one(algebra, corner, e_full):
-                    return True
+            if 1 < corner.dim < alg.dim and _corner_has_rank_one(
+                    induced_algebra(alg.multiply, Coordinates.subspace(corner), e)):
+                return True
     return False
 
 
@@ -209,29 +153,22 @@ def semisimple_block_sizes(algebra: StructureAlgebra) -> list | None:
     Returns the sorted block sizes [n_1..n_m] with sum n_i^2 = dim, or None
     when splitness could not be established over the base field.
     """
-    from .algebra import _split_components
-
-    f = algebra.field
-    z = center(algebra)
-    zview = SubalgebraView(algebra, z, algebra.one)
+    full = Subspace.full(algebra.field, algebra.dim)
+    zcoords = Coordinates.subspace(center(algebra))
     try:
-        pieces = _split_components(zview)
+        pieces = _split_components(
+            induced_algebra(algebra.multiply, zcoords, algebra.one))
     except NotSplitBasic:
         return None
     sizes = []
     for ubar, _ in pieces:
-        zi = zview.lift(ubar)
-        comp_vecs = []
-        for j in range(algebra.dim):
-            ej = [f.one if t == j else f.zero for t in range(algebra.dim)]
-            v = algebra.multiply(zi, ej)
-            if not algebra.is_zero_vector(v):
-                comp_vecs.append(v)
-        comp = Subspace.from_vectors(f, algebra.dim, comp_vecs)
+        zi = zcoords.lift(ubar)
+        comp = algebra.product_span(zi, full)
         m = isqrt(comp.dim)
         if m * m != comp.dim:
             return None
-        if not _corner_has_rank_one(algebra, comp, zi):
+        if not _corner_has_rank_one(
+                induced_algebra(algebra.multiply, Coordinates.subspace(comp), zi)):
             return None
         sizes.append(m)
     return sorted(sizes)
@@ -239,18 +176,9 @@ def semisimple_block_sizes(algebra: StructureAlgebra) -> list | None:
 
 def quotient_structure(algebra: StructureAlgebra, rad: RadicalData) -> StructureAlgebra:
     """A/J as a structure-constant algebra."""
-    quot = _QuotientAlgebra(algebra, rad.radical)
-    f = algebra.field
-    table = []
-    for i in range(quot.dim):
-        ei = [f.one if t == i else f.zero for t in range(quot.dim)]
-        row = []
-        for j in range(quot.dim):
-            ej = [f.one if t == j else f.zero for t in range(quot.dim)]
-            row.append(quot.multiply(ei, ej))
-        table.append(row)
-    return StructureAlgebra(f, table, quot.unit,
-                            known_radical=Subspace.zero(f, quot.dim))
+    coords = Coordinates.quotient(rad.radical)
+    return induced_algebra(algebra.multiply, coords, algebra.one,
+                           known_radical=Subspace.zero(algebra.field, coords.dim))
 
 
 # -- shape reports ----------------------------------------------------------------
@@ -277,18 +205,12 @@ def torus_shape_check(algebra: StructureAlgebra,
         wm = wm_complement(algebra, rad)
     except NotSplitBasic:
         return None
-    f = algebra.field
+    full = Subspace.full(algebra.field, algebra.dim)
     dims = []
     rank = 0
     ok = True
     for e in wm.idempotents:
-        comp_vecs = []
-        for j in range(algebra.dim):
-            ej = [f.one if t == j else f.zero for t in range(algebra.dim)]
-            v = algebra.multiply(e, ej)
-            if not algebra.is_zero_vector(v):
-                comp_vecs.append(v)
-        comp = Subspace.from_vectors(f, algebra.dim, comp_vecs)
+        comp = algebra.product_span(e, full)
         dims.append(comp.dim)
         if comp.dim == 1:
             continue
@@ -318,17 +240,11 @@ def reductive_shape(algebra: StructureAlgebra, rad: RadicalData) -> ReductiveSha
         wm = wm_complement(algebra, rad)
     except NotSplitBasic:
         return None
-    f = algebra.field
     factors = []
     sandwich = {}
     for i, ei in enumerate(wm.idempotents):
         for j, ej in enumerate(wm.idempotents):
-            vecs = []
-            for r in rad.radical.basis:
-                v = algebra.multiply(ei, algebra.multiply(r, ej))
-                if not algebra.is_zero_vector(v):
-                    vecs.append(v)
-            lam = Subspace.from_vectors(f, algebra.dim, vecs).dim
+            lam = algebra.product_span(ei, rad.radical, ej).dim
             if lam > 0:
                 sandwich[f"e{i + 1}.J.e{j + 1}"] = lam
                 factors.append(lam)
@@ -399,7 +315,7 @@ def _nonsingular_side_condition(ctx: _Context, poly: Poly,
     try:
         ev = nonsingularity(poly, height_bound=config.height_bound,
                             primes=config.primes, max_enum=config.max_enum)
-    except (NotHomogeneous, AlgcertError) as exc:
+    except AlgcertError as exc:
         evidence["nonsingularity"] = f"not evaluated: {exc}"
         ctx.side_cache[key] = (False, evidence)
         return False, evidence
@@ -444,8 +360,6 @@ def _build_context_from_algebra(algebra: StructureAlgebra,
     if ctx.split_local and ctx.commutative and ctx.rad.jj2_dim >= 1:
         try:
             ctx.pres = presentation_from_algebra(algebra, ctx.rad)
-        except InternalInconsistency:
-            raise
         except AlgcertError as exc:
             ctx.unknown("presentation", str(exc))
     if ctx.pres is not None:
@@ -792,7 +706,7 @@ def verify_invariant_pair(q: Poly, f: Poly, lowey: int,
 
     Builds <X>^l + <f>, verifies the linear-stabilizer chain the single
     generator is expected to satisfy, and reports the dimensions; it never
-    asserts anything about R-triviality itself.
+    claims anything about R-triviality itself.
     """
     config = config or CertifyConfig()
     from .presentation import presentation_from_ideal

@@ -168,7 +168,7 @@ def _der_report(algebra: StructureAlgebra, cfg: CertifyConfig) -> dict:
     return out
 
 
-def _as_algebra(obj, cfg: CertifyConfig) -> StructureAlgebra:
+def _as_algebra(obj) -> StructureAlgebra:
     if isinstance(obj, StructureAlgebra):
         return obj
     return quotient_algebra(obj)
@@ -189,7 +189,7 @@ def _run(args) -> int:
             return 3
         return 0
     if args.command == "radical":
-        _emit(_radical_report(_as_algebra(obj, cfg), cfg), args.format)
+        _emit(_radical_report(_as_algebra(obj), cfg), args.format)
         return 0
     if args.command == "present":
         if isinstance(obj, StructureAlgebra):
@@ -200,10 +200,10 @@ def _run(args) -> int:
         _emit(_present_report(pres), args.format)
         return 0
     if args.command == "der":
-        _emit(_der_report(_as_algebra(obj, cfg), cfg), args.format)
+        _emit(_der_report(_as_algebra(obj), cfg), args.format)
         return 0
     if args.command == "oracle-aut":
-        algebra = _as_algebra(obj, cfg)
+        algebra = _as_algebra(obj)
         if not isinstance(algebra.field, PrimeField):
             raise UnsupportedRadicalComputation("oracle-aut needs a GF(p) input")
         try:

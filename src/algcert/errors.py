@@ -2,7 +2,7 @@
 
 
 class AlgcertError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for the package's errors, except InternalInconsistency."""
 
 
 # -- linear algebra ----------------------------------------------------------
@@ -130,8 +130,13 @@ class SearchSpaceTooLarge(AlgcertError):
         self.bound = bound
 
 
-class InternalInconsistency(AlgcertError):
-    """A computed result contradicts a guarantee of its own computation."""
+class InternalInconsistency(Exception):
+    """A computed result contradicts a guarantee of its own computation.
+
+    Deliberately not an AlgcertError: the handlers that turn a failed
+    sub-computation into an unknown entry catch AlgcertError, and a fault in
+    algcert itself must never be absorbed that way.
+    """
 
 
 # -- cli ---------------------------------------------------------------------

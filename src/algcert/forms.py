@@ -10,11 +10,11 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .algebra import LieSubalgebra, is_solvable
+from .algebra import Coordinates, LieSubalgebra, is_solvable
 from .errors import (CharTwo, NotDegreeTwo, NotGraded, NotHomogeneous,
                      NotStable, SearchSpaceTooLarge, ZeroPolynomial)
 from .fields import Field, PrimeField
-from .linalg import Matrix, Subspace, invert, kernel, mat_bracket, rref, solve
+from .linalg import Matrix, Subspace, kernel, mat_bracket, rref
 from .poly import Poly, partial_derivative
 from .presentation import MinimalDegreeSubspace, Presentation
 from .roots import minimal_polynomial, operator_power_sequence, roots_in_field
@@ -479,18 +479,17 @@ def restricted_action(lie: LieSubalgebra, w: MinimalDegreeSubspace,
     Raises NotStable when some delta_M image leaves W.
     """
     f = lie.field
-    basis_polys = w.polys
+    # a vector of W has its coordinates on the canonical basis at the pivots
+    pivots = [next(i for i, x in enumerate(row) if x) for row in w.space.basis]
     ops = []
     for m in lie.basis_matrices():
         cols = []
-        for wp in basis_polys:
+        for wp in w.polys:
             img = delta_action(m, wp)
             vec = [img.coefficient(mono) for mono in w.monomials]
             if not w.space.contains(vec):
                 raise NotStable("subspace is not stable under the action")
-            coords = solve(Matrix(f, list(w.space.basis)).transpose(), vec)
-            assert coords is not None
-            cols.append(coords)
+            cols.append([vec[p] for p in pivots])
         ops.append(Matrix.from_columns(f, cols))
     return ops
 
@@ -548,21 +547,12 @@ def flag_search(operators: list[Matrix], field: Field,
         flag.append(_combine(field, v, reps))
         if cur == 1:
             break
-        line = Subspace.from_vectors(field, cur, [v])
-        comp = [list(r) for r in _complement_rows(field, line, cur)]
-        stacked = Matrix(field, [v] + comp).transpose()
-        binv = invert(stacked)
-        assert binv is not None
-        new_ops = []
-        for op in ops:
-            cols = []
-            for w in comp:
-                img = op.matvec(w)
-                coords = binv.matvec(img)
-                cols.append(coords[1:])
-            new_ops.append(Matrix.from_columns(field, cols))
-        reps = [_combine(field, w, reps) for w in comp]
-        ops = new_ops
+        # continue on the quotient by the line through v
+        coords = Coordinates.quotient(Subspace.from_vectors(field, cur, [v]))
+        ops = [Matrix.from_columns(field, [coords.project(op.matvec(w))
+                                           for w in coords.reps])
+               for op in ops]
+        reps = [_combine(field, w, reps) for w in coords.reps]
         cur -= 1
     return FlagSearchResult("FULL_FLAG", flag)
 
@@ -573,8 +563,3 @@ def _combine(field: Field, coords, reps) -> list:
         if not field.is_zero(c):
             out = [field.add(x, field.mul(c, y)) for x, y in zip(out, rep)]
     return out
-
-
-def _complement_rows(field: Field, line: Subspace, n: int) -> list:
-    from .linalg import quotient_basis
-    return quotient_basis(line, Subspace.full(field, n))

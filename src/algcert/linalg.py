@@ -408,6 +408,8 @@ def quotient_basis(u: Subspace, v: Subspace) -> list:
     current = list(u.basis)
     out = []
     for row in v.basis:
+        if len(current) == v.dim:
+            break
         cand, _ = rref_rows(current + [list(row)], u.ambient_dim, f)
         if len(cand) > len(current):
             out.append(list(row))

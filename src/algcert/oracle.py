@@ -7,12 +7,16 @@ Deliberately naive; a candidate-count guard is the only optimization.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 
-from .algebra import RadicalData, StructureAlgebra, jacobson_radical
-from .errors import SearchSpaceTooLarge, UnsupportedRadicalComputation
+from .algebra import Coordinates, RadicalData, StructureAlgebra, jacobson_radical
+from .errors import (InternalInconsistency, SearchSpaceTooLarge,
+                     UnsupportedRadicalComputation)
 from .fields import PrimeField
-from .linalg import Matrix, Subspace, invert, quotient_basis
+from .linalg import (Matrix, Subspace, invert, kernel, quotient_basis, rref,
+                     rref_mod_rows)
+from .poly import TruncatedRing
 
 DEFAULT_MAX_ENUM = 10**7
 
@@ -72,14 +76,14 @@ def _enumerate_local_commutative(algebra: StructureAlgebra, rad: RadicalData,
                                  max_enum: int) -> list:
     f = algebra.field
     p, d = f.p, algebra.dim
-    gens = quotient_basis(rad.square, rad.radical)
+    jj2 = _jj2_coordinates(algebra, rad)
+    gens = jj2.reps
     n = len(gens)
     jdim = rad.radical.dim
     count = p**(n * jdim)
     if count > max_enum:
         raise SearchSpaceTooLarge(count, max_enum)
     # monomial basis of the algebra: pivots of the evaluation map
-    from .poly import TruncatedRing
     ring = TruncatedRing(n, rad.lowey_length)
     images = {}
     cols = []
@@ -92,25 +96,19 @@ def _enumerate_local_commutative(algebra: StructureAlgebra, rad: RadicalData,
             img = algebra.multiply(images[parent], gens[i])
         images[m] = img
         cols.append(img)
-    from .linalg import kernel, rref, rref_mod_rows
     ev = Matrix.from_columns(f, cols)
     _, rank, pivots = rref(ev)
-    assert rank == d
+    if rank != d:
+        raise InternalInconsistency("lifts of a J/J^2 basis do not generate the algebra")
     basis_monos = [ring.monomials[c] for c in pivots]
-    basis_vecs = [cols[c] for c in pivots]
-    binv = invert(Matrix.from_columns(f, basis_vecs))
-    assert binv is not None
+    binv = invert(Matrix.from_columns(f, [cols[c] for c in pivots]))
+    if binv is None:
+        raise InternalInconsistency("pivot monomials are not a basis")
     relations = [[(pos, c) for pos, c in enumerate(row) if c]
                  for row in kernel(ev).basis]
     jbasis = rad.radical.basis
     # J/J^2 coordinates of every radical basis vector, for the linear block
-    sq = rad.square
-    lift_space = [list(v) for v in gens]
-    jj2_coords = []
-    for row in jbasis:
-        residual = sq.reduce(row)
-        coords = _express(f, residual, lift_space, d)
-        jj2_coords.append(coords)
+    jj2_coords = [jj2.project(row) for row in jbasis]
     out = []
     for assign in itertools.product(range(p), repeat=n * jdim):
         block = []
@@ -144,12 +142,12 @@ def _enumerate_local_commutative(algebra: StructureAlgebra, rad: RadicalData,
     return out
 
 
-def _express(f, vec, basis_rows, dim):
-    m = Matrix.from_columns(f, basis_rows)
-    from .linalg import solve
-    coords = solve(m, vec)
-    assert coords is not None
-    return [int(c) for c in coords]
+def _jj2_coordinates(algebra: StructureAlgebra, rad: RadicalData) -> Coordinates:
+    """Coordinates along lifts of a J/J^2 basis, modulo J^2 and a complement of J."""
+    f = algebra.field
+    lifts = quotient_basis(rad.square, rad.radical)
+    return Coordinates(f, lifts, list(rad.square.basis) + quotient_basis(
+        rad.radical, Subspace.full(f, algebra.dim)))
 
 
 def _poly_value(algebra, ys, relation, ring, cache):
@@ -183,9 +181,9 @@ def _enumerate_general(algebra: StructureAlgebra, max_enum: int) -> list:
     count = p**(d * free)
     if count > max_enum:
         raise SearchSpaceTooLarge(count, max_enum)
-    base = Matrix.from_columns(f, [algebra.one] + comp)
-    binv = invert(base)
-    assert binv is not None
+    binv = invert(Matrix.from_columns(f, [algebra.one] + comp))
+    if binv is None:
+        raise InternalInconsistency("identity and its complement are not a basis")
     out = []
     for assign in itertools.product(range(p), repeat=d * free):
         img_cols = [list(algebra.one)]
@@ -203,19 +201,17 @@ def _verify_group(algebra: StructureAlgebra, group: EnumeratedGroup) -> None:
     """Sanity checks: identity and inverses always, composition closure in
     full for small groups and on a seeded sample of pairs beyond that
     (closure is implied by exhaustiveness; the check guards against bugs)."""
-    import random
-
     p, d = algebra.field.p, algebra.dim
     mats = [tuple(tuple(int(x) for x in row) for row in m.rows)
             for m in group.elements]
     keys = set(mats)
     eye = tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-    assert eye in keys, "identity missing"
+    if eye not in keys:
+        raise InternalInconsistency("automorphism group: identity missing")
     for m in group.elements:
         inv = invert(m)
-        assert inv is not None
-        assert tuple(tuple(int(x) for x in row) for row in inv.rows) in keys, \
-            "inverse missing"
+        if inv is None or tuple(tuple(int(x) for x in row) for row in inv.rows) not in keys:
+            raise InternalInconsistency("automorphism group: inverse missing")
     order = len(mats)
     if order * order <= 40000:
         pairs = ((a, b) for a in mats for b in mats)
@@ -227,7 +223,8 @@ def _verify_group(algebra: StructureAlgebra, group: EnumeratedGroup) -> None:
             tuple(sum(a[i][k] * b[k][j] for k in range(d)) % p
                   for j in range(d))
             for i in range(d))
-        assert prod in keys, "not closed under composition"
+        if prod not in keys:
+            raise InternalInconsistency("automorphism group: not closed under composition")
 
 
 @dataclass
@@ -241,24 +238,12 @@ def induced_jj2_matrices(group: EnumeratedGroup, algebra: StructureAlgebra,
                          rad: RadicalData) -> InducedAction:
     """The J/J^2 block of every enumerated automorphism."""
     f = algebra.field
-    lifts = quotient_basis(rad.square, rad.radical)
-    n = len(lifts)
-    partial = Subspace.from_vectors(f, algebra.dim,
-                                    list(rad.square.basis) + lifts)
-    rest = quotient_basis(partial, Subspace.full(f, algebra.dim))
-    stacked = Matrix(f, list(rad.square.basis) + lifts + rest).transpose()
-    binv = invert(stacked)
-    assert binv is not None
-    lo, hi = rad.square.dim, rad.square.dim + n
+    coords = _jj2_coordinates(algebra, rad)
 
     def block(m: Matrix) -> Matrix:
-        cols = []
-        for x in lifts:
-            coords = binv.matvec(m.matvec(x))
-            cols.append(coords[lo:hi])
-        return Matrix.from_columns(f, cols)
+        return Matrix.from_columns(f, [coords.project(m.matvec(x)) for x in coords.reps])
 
-    eye = Matrix.identity(f, n)
+    eye = Matrix.identity(f, coords.dim)
     mats = [block(m) for m in group.elements]
     kernel_count = sum(1 for b in mats if b == eye)
     distinct = {tuple(x for row in b.rows for x in row) for b in mats}

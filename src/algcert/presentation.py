@@ -15,11 +15,12 @@ import itertools
 import warnings
 from dataclasses import dataclass
 
-from .algebra import StructureAlgebra, RadicalData, _QuotientAlgebra, _try_split
+from .algebra import (Coordinates, RadicalData, StructureAlgebra, _try_split,
+                      induced_algebra)
 from .errors import (InternalInconsistency, NotAdmissible, NotCommutative,
                      NotLocal, NotSplit, LoweyMismatch)
 from .fields import Field
-from .linalg import Matrix, Subspace, invert, kernel, quotient_basis
+from .linalg import Matrix, Subspace, kernel, quotient_basis, rref
 from .poly import Poly, TruncatedRing, monomial_gcd_factor, s_index
 
 
@@ -170,8 +171,9 @@ def presentation_from_algebra(algebra: StructureAlgebra, rad: RadicalData) -> Pr
         raise NotCommutative("presentations need a commutative algebra")
     codim = algebra.dim - rad.radical.dim
     if codim > 1:
-        quot = _QuotientAlgebra(algebra, rad.radical)
-        if _try_split(quot, quot.unit, Subspace.full(algebra.field, quot.dim)):
+        quot = induced_algebra(algebra.multiply, Coordinates.quotient(rad.radical),
+                               algebra.one)
+        if _try_split(quot, quot.one, Subspace.full(algebra.field, quot.dim)):
             raise NotLocal("A/J splits into several components")
         raise NotSplit("A/J is a proper extension of the base field")
     if rad.jj2_dim == 0:
@@ -192,7 +194,6 @@ def presentation_from_algebra(algebra: StructureAlgebra, rad: RadicalData) -> Pr
         images[m] = img
         cols.append(img)
     ev = Matrix.from_columns(algebra.field, cols)
-    from .linalg import rref
     _, rank, _ = rref(ev)
     if rank != algebra.dim:
         raise NotAdmissible("evaluation map is not surjective")
@@ -338,33 +339,16 @@ def quotient_algebra(pres: Presentation, attach_radical: bool = True) -> Structu
     """
     f = pres.field
     ring = pres.ring
-    full = Subspace.full(f, ring.dim)
-    reps = quotient_basis(pres.ideal, full)
-    d = len(reps)
-    stacked = Matrix(f, list(pres.ideal.basis) + reps).transpose()
-    binv = invert(stacked)
-    assert binv is not None
-
-    def project(vec) -> list:
-        coords = binv.matvec(vec)
-        return coords[pres.ideal.dim:]
+    coords = Coordinates.quotient(pres.ideal)
 
     def t_multiply(u, v) -> list:
         pu = ring.poly_from_vector(u, f)
         pv = ring.poly_from_vector(v, f)
         return ring.truncate(pu.mul(pv))
 
-    table = [[project(t_multiply(reps[i], reps[j])) for j in range(d)]
-             for i in range(d)]
-    one_vec = [f.zero] * ring.dim
-    one_vec[0] = f.one
-    one = project(one_vec)
+    units = Matrix.identity(f, ring.dim).rows   # units[0]: the constant monomial
     known = None
     if attach_radical:
-        positive = []
-        for pos in range(1, ring.dim):
-            v = [f.zero] * ring.dim
-            v[pos] = f.one
-            positive.append(project(v))
-        known = Subspace.from_vectors(f, d, positive)
-    return StructureAlgebra(f, table, one, known_radical=known)
+        known = Subspace.from_vectors(f, coords.dim,
+                                      [coords.project(v) for v in units[1:]])
+    return induced_algebra(t_multiply, coords, units[0], known_radical=known)

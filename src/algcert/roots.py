@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+from .errors import InternalInconsistency
 from .fields import Field, PrimeField
 from .linalg import Matrix, rref_rows, solve
 
@@ -31,7 +32,8 @@ def minimal_polynomial(vectors, field: Field) -> list:
         if len(cand) == len(seen):
             m = Matrix.from_columns(field, collected)
             coeffs = solve(m, v)
-            assert coeffs is not None
+            if coeffs is None:
+                raise InternalInconsistency("a dependent power is not a combination of earlier ones")
             return [field.neg(c) for c in coeffs] + [field.one]
         seen = cand
         collected.append(v)

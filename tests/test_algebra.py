@@ -4,14 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from algcert.algebra import (LieSubalgebra, _series_limit,
+from algcert.algebra import (Coordinates, LieSubalgebra, _series_limit,
                              _structure_constants, center, der_into,
-                             derivation_algebra, inner_derivations,
-                             is_nilpotent, is_solvable, jacobson_radical,
-                             jj2_basis, load_algebra, wm_complement)
+                             derivation_algebra, induced_algebra,
+                             inner_derivations, is_nilpotent, is_solvable,
+                             jacobson_radical, jj2_basis, load_algebra,
+                             nilpotent_scan_radical, wm_complement)
 from algcert.cli import main
-from algcert.errors import (LoweyMismatch, NonAssociative, NotSplitBasic,
-                            NotUnital, UnsupportedRadicalComputation)
+from algcert.errors import (InternalInconsistency, LoweyMismatch,
+                            NonAssociative, NotSplitBasic, NotUnital,
+                            UnsupportedRadicalComputation)
 from algcert.fields import GF, QQ
 from algcert.forms import _bracket_closure
 from algcert.linalg import Matrix, Subspace, invert, mat_bracket
@@ -155,6 +157,71 @@ class TestRadical:
         assert radb.lowey_length == 2 and radb.jj2_dim == 2
         semi = componentwise_algebra(QQ, 2)
         assert jacobson_radical(semi).lowey_length == 1
+
+
+def _unit(field, d, i):
+    return [field.one if t == i else field.zero for t in range(d)]
+
+
+def _induced_cases(field):
+    """(name, A, basis indices of J, basis indices summing to an idempotent e).
+
+    J is given by basis indices, since the GF(p) radical of a non-commutative
+    algebra is not computed; e = E_11 + E_22 in the matrix algebras, 1 in the
+    local one."""
+    tri = [(r, c) for r in range(4) for c in range(r, 4)]
+    return [("matrix_3", matrix_algebra(field, 3), [], [0, 4]),
+            ("upper_4", upper_triangular_algebra(field, 4),
+             [i for i, (r, c) in enumerate(tri) if r < c], [0, 4]),
+            ("trunc_2_3", truncated_polynomial_algebra(field, 2, 3), range(1, 6), [0])]
+
+
+class TestCoordinates:
+    @pytest.mark.parametrize("field", [QQ, GF5], ids=["QQ", "GF5"])
+    def test_quotient_center_and_corner(self, field, rng):
+        for name, a, j_idx, e_idx in _induced_cases(field):
+            d = a.dim
+            full = Subspace.full(field, d)
+            j = Subspace.from_vectors(field, d, [_unit(field, d, i) for i in j_idx])
+            if field is QQ:
+                assert jacobson_radical(a).radical == j, name
+            e = [field.one if t in e_idx else field.zero for t in range(d)]
+            views = {"A/J": (Coordinates.quotient(j), a.one),
+                     "center": (Coordinates.subspace(center(a)), a.one),
+                     "eAe": (Coordinates.subspace(a.product_span(e, full, e)), e)}
+            for view, (coords, one) in views.items():
+                induced = induced_algebra(a.multiply, coords, one)
+                n = induced.dim
+                vecs = [_unit(field, n, i) for i in range(n)] + [
+                    [field.coerce(rng.randint(-3, 3)) for _ in range(n)]
+                    for _ in range(3)]
+                for x in vecs:
+                    assert coords.project(coords.lift(x)) == x, (name, view)
+                    for y in vecs:
+                        want = coords.project(a.multiply(coords.lift(x), coords.lift(y)))
+                        assert induced.multiply(x, y) == want, (name, view)
+            assert all(not any(Coordinates.quotient(j).project(v)) for v in j.basis)
+
+    def test_product_span_dimensions(self):
+        a = matrix_algebra(QQ, 3)
+        e = _unit(QQ, 9, 0)
+        full = Subspace.full(QQ, 9)
+        assert a.product_span(e, full, e).dim == 1         # E_11 A E_11
+        assert a.product_span(e, full).dim == 3            # E_11 A
+        assert a.product_span(a.one, full, e).dim == 3     # A E_11
+
+    @pytest.mark.parametrize("field", [QQ, GF5], ids=["QQ", "GF5"])
+    def test_dependent_vectors_raise(self, field):
+        u = [_unit(field, 3, i) for i in range(3)]
+        twice = [field.add(x, x) for x in u[0]]
+        with pytest.raises(InternalInconsistency):
+            Coordinates(field, [u[0], twice], [u[2]])
+        with pytest.raises(InternalInconsistency):
+            Coordinates(field, [u[0]], [u[1]])      # not spanning
+
+    def test_scan_needs_prime_field(self):
+        with pytest.raises(UnsupportedRadicalComputation):
+            nilpotent_scan_radical(qx_mod(2))
 
 
 class TestWMComplement:

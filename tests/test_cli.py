@@ -1,8 +1,9 @@
+import importlib
 import json
 
 import pytest
 
-from algcert import cli, presentation
+from algcert import cli
 from algcert.cli import main
 from algcert.errors import InternalInconsistency
 from algcert.linalg import Subspace
@@ -255,13 +256,22 @@ def test_normal_form_inconsistency_exits_4(tmp_path, monkeypatch, capsys):
     assert "failed to reconstruct the ideal" in out.err
 
 
-def test_inconsistency_inside_analyze_is_not_degraded(gf3_cubic, monkeypatch,
+@pytest.mark.parametrize("module, name, document", [
+    ("algcert.presentation", "normal_form", "gf3_cubic"),
+    ("algcert.certify", "semisimple_block_sizes", "gf3_cubic"),
+    ("algcert.certify", "isotropy", "quadric_presentation"),
+    ("algcert.certify", "flag_search", "quadric_presentation"),
+], ids=["normal_form", "semisimple_block_sizes", "isotropy", "flag_search"])
+def test_inconsistency_inside_analyze_is_not_degraded(module, name, document,
+                                                      request, monkeypatch,
                                                       capsys):
-    # analyze builds a presentation of GF(3)[x]/x^3 and would record any
-    # other error there as an unknown invariant
-    def broken(pres):
-        raise InternalInconsistency("normal form check failed")
+    # analyze records any other error raised at these points as an unknown
+    # invariant; an internal inconsistency must abort with exit 4 instead
+    def broken(*args, **kwargs):
+        raise InternalInconsistency(f"{name} check failed")
 
-    monkeypatch.setattr(presentation, "normal_form", broken)
-    assert main(["analyze", gf3_cubic]) == 4
-    assert capsys.readouterr().out == ""
+    monkeypatch.setattr(importlib.import_module(module), name, broken)
+    assert main(["analyze", request.getfixturevalue(document)]) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"{name} check failed" in out.err
