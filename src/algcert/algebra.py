@@ -12,8 +12,8 @@ from math import lcm
 from .errors import (AmbientMismatch, InternalInconsistency, NonAssociative,
                      NotSplitBasic, NotUnital, UnsupportedRadicalComputation)
 from .fields import Field, PrimeField, QQ
-from .linalg import (Matrix, Subspace, invert, kernel, mat_bracket,
-                     quotient_basis, solve)
+from .linalg import (Echelon, Matrix, Subspace, invert, kernel, kernel_rows,
+                     mat_bracket, quotient_basis, solve)
 from .roots import minimal_polynomial, roots_in_field
 
 DEFAULT_SCAN_BOUND = 10**7
@@ -39,7 +39,7 @@ class StructureAlgebra:
         if len(self.one) != d:
             raise AmbientMismatch("identity vector has wrong length")
         self.known_radical = known_radical
-        self._int_table, self._int_den = self._scaled_int_table()
+        self._int_table = self._scaled_int_table()
         # nonzero (k, c) of each cell: scaled integers for the associativity
         # check, field entries for multiply
         self._sparse = [[[(k, c) for k, c in enumerate(cell) if c]
@@ -56,15 +56,14 @@ class StructureAlgebra:
 
     def _scaled_int_table(self):
         if isinstance(self.field, PrimeField):
-            return [[[int(x) for x in cell] for cell in row] for row in self.table], 1
+            return [[[int(x) for x in cell] for cell in row] for row in self.table]
         den = 1
         for row in self.table:
             for cell in row:
                 for x in cell:
                     den = lcm(den, x.denominator)
-        ints = [[[x.numerator * (den // x.denominator) for x in cell] for cell in row]
+        return [[[x.numerator * (den // x.denominator) for x in cell] for cell in row]
                 for row in self.table]
-        return ints, den
 
     def _verify_unital(self):
         f = self.field
@@ -217,15 +216,9 @@ def center(algebra: StructureAlgebra) -> Subspace:
     """Z(A) as the kernel of x -> (x e_i - e_i x)_i."""
     d = algebra.dim
     tbl = algebra._int_table
-    rows = []
-    for i in range(d):
-        for k in range(d):
-            row = [tbl[j][i][k] - tbl[i][j][k] for j in range(d)]
-            if any(row):
-                rows.append(row)
-    if not rows:
-        return Subspace.full(algebra.field, d)
-    return kernel(Matrix(algebra.field, rows))
+    rows = [[tbl[j][i][k] - tbl[i][j][k] for j in range(d)]
+            for i in range(d) for k in range(d)]
+    return kernel_rows(rows, d, algebra.field)
 
 
 # -- radical -------------------------------------------------------------------
@@ -285,7 +278,7 @@ def dickson_radical(algebra: StructureAlgebra) -> Subspace:
                         s += v * lj[b][a]
             row.append(s)
         gram.append(row)
-    return kernel(Matrix(QQ, gram))
+    return kernel_rows(gram, d, QQ)
 
 
 def nilpotent_scan_radical(algebra: StructureAlgebra, bound: int = DEFAULT_SCAN_BOUND) -> Subspace:
@@ -300,12 +293,13 @@ def nilpotent_scan_radical(algebra: StructureAlgebra, bound: int = DEFAULT_SCAN_
         raise UnsupportedRadicalComputation(
             f"scan needs {total} elements, bound is {bound}")
     steps = max(1, (d - 1).bit_length())  # x^(2^steps) >= x^d
-    span = Subspace.zero(f, d)
+    span = Echelon(Subspace.zero(f, d))
+    nilpotents = []
     for vec in itertools.product(range(p), repeat=d):
         if not any(vec):
             continue
         v = list(vec)
-        if span.contains(v):
+        if not any(span.reduce(v)):
             continue
         y = v
         for _ in range(steps):
@@ -313,11 +307,12 @@ def nilpotent_scan_radical(algebra: StructureAlgebra, bound: int = DEFAULT_SCAN_
             if algebra.is_zero_vector(y):
                 break
         if algebra.is_zero_vector(y):
-            span = span.sum(Subspace.from_vectors(f, d, [v]))
+            span.add(v)
+            nilpotents.append(v)
             if span.dim == d - 1:
                 # cannot exceed codimension 1 in a unital algebra
                 break
-    return span
+    return Subspace.from_vectors(f, d, nilpotents)
 
 
 def jacobson_radical(algebra: StructureAlgebra, scan_bound: int = DEFAULT_SCAN_BOUND) -> RadicalData:
@@ -541,9 +536,7 @@ def derivation_algebra(algebra: StructureAlgebra) -> LieSubalgebra:
             cell = tbl[i][j]
             for t in range(d):
                 row = [0] * (d * d)
-                for k in range(d):
-                    if cell[k]:
-                        row[t * d + k] += cell[k]
+                row[t * d:(t + 1) * d] = cell
                 for a in range(d):
                     v = tbl[a][j][t]
                     if v:
@@ -552,23 +545,12 @@ def derivation_algebra(algebra: StructureAlgebra) -> LieSubalgebra:
                     v = tbl[i][b][t]
                     if v:
                         row[b * d + j] -= v
-                if any(row):
-                    rows.add(tuple(row))
-    one_int = algebra.one if isinstance(algebra.field, PrimeField) else \
-        [int(x * algebra._int_den) for x in algebra.one]
-    for t in range(d):
+                rows.add(tuple(row))
+    for t in range(d):                  # D(1) = 0, row t of D times one
         row = [0] * (d * d)
-        for b in range(d):
-            v = one_int[b] if isinstance(one_int[b], int) else int(one_int[b])
-            if v:
-                row[t * d + b] += v
-        if any(row):
-            rows.add(tuple(row))
-    if not rows:
-        space = Subspace.full(algebra.field, d * d)
-    else:
-        space = kernel(Matrix(algebra.field, [list(r) for r in rows]))
-    return LieSubalgebra(algebra.field, d, space)
+        row[t * d:(t + 1) * d] = algebra.one
+        rows.add(tuple(row))
+    return LieSubalgebra(algebra.field, d, kernel_rows(list(rows), d * d, algebra.field))
 
 
 def inner_derivations(algebra: StructureAlgebra) -> LieSubalgebra:
@@ -590,28 +572,16 @@ def der_into(algebra: StructureAlgebra, rad: RadicalData, target: Subspace,
     """{D in Der(A) : D(J) <= target}."""
     if der is None:
         der = derivation_algebra(algebra)
-    f = algebra.field
-    d = algebra.dim
-    basis_mats = der.basis_matrices()
+    f, d = algebra.field, algebra.dim
+    mats = der.basis_matrices()
     rows = []
     for v in rad.radical.basis:
-        images = [m.matvec(v) for m in basis_mats]
-        residuals = [target.reduce(img) for img in images]
-        for coord in range(d):
-            row = [res[coord] for res in residuals]
-            if any(not f.is_zero(x) for x in row):
-                rows.append(row)
-    if not rows:
-        return LieSubalgebra(f, d, der.space)
-    coeff_kernel = kernel(Matrix(f, rows))
+        residuals = [target.reduce(m.matvec(v)) for m in mats]
+        rows.extend(row for row in zip(*residuals) if any(row))
     vecs = []
-    for w in coeff_kernel.basis:
-        flat = [f.zero] * (d * d)
-        for c, m in zip(w, basis_mats):
-            if not f.is_zero(c):
-                mf = m.flatten()
-                flat = [f.add(x, f.mul(c, y)) for x, y in zip(flat, mf)]
-        vecs.append(flat)
+    for w in kernel_rows(rows, der.dim, f).basis:
+        terms = [(c, b) for c, b in zip(w, der.space.basis) if c]
+        vecs.append([sum(c * b[k] for c, b in terms) for k in range(d * d)])
     return LieSubalgebra(f, d, Subspace.from_vectors(f, d * d, vecs))
 
 
@@ -629,7 +599,7 @@ def _structure_constants(lie: LieSubalgebra) -> list:
              for r in range(n)] for b in basis]         # rows[i][r]: (k, B_i[r][k])
     cols = [[{k: b[k * n + c] for k in range(n) if b[k * n + c]}
              for c in range(n)] for b in basis]         # cols[i][c]: {k: B_i[k][c]}
-    pivots = [divmod(next(p for p, x in enumerate(b) if x), n) for b in basis]
+    pivots = [divmod(p, n) for p in lie.space.pivots]
     c = [[[] for _ in basis] for _ in basis]
     for i, j in itertools.combinations(range(len(basis)), 2):
         for l, (r, col) in enumerate(pivots):

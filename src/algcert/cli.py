@@ -101,12 +101,19 @@ def _load_invariant_pair(doc: dict, field: Field):
             "trunc_degree": trunc}
 
 
+def _prime_entry(text: str) -> int:
+    try:
+        return PrimeField(int(text)).p
+    except (ValueError, BadScalar) as exc:
+        raise BadScalar(f"--primes entry {text!r} is not a prime in [2, 2^31)") from exc
+
+
 def _config_from_args(args) -> CertifyConfig:
     cfg = CertifyConfig()
     if args.height_bound is not None:
         cfg.height_bound = args.height_bound
     if args.primes is not None:
-        cfg.primes = tuple(int(p) for p in args.primes.split(","))
+        cfg.primes = tuple(_prime_entry(p) for p in args.primes.split(","))
     if args.max_enum is not None:
         cfg.max_enum = args.max_enum
     return cfg

@@ -14,7 +14,7 @@ from .algebra import Coordinates, LieSubalgebra, is_solvable
 from .errors import (CharTwo, NotDegreeTwo, NotGraded, NotHomogeneous,
                      NotStable, SearchSpaceTooLarge, ZeroPolynomial)
 from .fields import Field, PrimeField
-from .linalg import Matrix, Subspace, kernel, mat_bracket, rref
+from .linalg import Matrix, Subspace, kernel, kernel_rows, mat_bracket, rref_rows
 from .poly import Poly, partial_derivative
 from .presentation import MinimalDegreeSubspace, Presentation
 from .roots import minimal_polynomial, operator_power_sequence, roots_in_field
@@ -223,8 +223,8 @@ def binary_form_resultant_rank(fx: Poly, fy: Poly, degree: int) -> tuple[int, in
         for i, c in enumerate(b):
             row[shift + i] = c
         rows.append(row)
-    _, rank, _ = rref(Matrix(fld, rows))
-    return rank, size
+    _, pivots = rref_rows(rows, size, fld)
+    return len(pivots), size
 
 
 def _diagonal_profile(f: Poly) -> list | None:
@@ -403,15 +403,9 @@ def stab_lie(f: Poly) -> LieSubalgebra:
     n = f.n_vars
     q = _delta_polys(f)
     monos = sorted({m for row in q for p in row for m in p.terms})
-    rows = []
-    for mono in monos:
-        row = [q[i][j].coefficient(mono) for i in range(n) for j in range(n)]
-        rows.append(row)
-    if not rows:
-        space = Subspace.full(fld, n * n)
-    else:
-        space = kernel(Matrix(fld, rows))
-    return LieSubalgebra(fld, n, space)
+    rows = [[q[i][j].coefficient(mono) for i in range(n) for j in range(n)]
+            for mono in monos]
+    return LieSubalgebra(fld, n, kernel_rows(rows, n * n, fld))
 
 
 def sim_lie(f: Poly) -> LieSubalgebra:
@@ -429,7 +423,7 @@ def sim_lie(f: Poly) -> LieSubalgebra:
         row = [q[i][j].coefficient(mono) for i in range(n) for j in range(n)]
         row.append(fld.neg(f.coefficient(mono)))
         rows.append(row)
-    sol = kernel(Matrix(fld, rows))
+    sol = kernel_rows(rows, n * n + 1, fld)
     vecs = [v[:n * n] for v in sol.basis]
     return LieSubalgebra(fld, n, Subspace.from_vectors(fld, n * n, vecs))
 
@@ -449,19 +443,15 @@ def im_phi_lie(pres: Presentation) -> LieSubalgebra:
             for j in range(n):
                 vec = pres.ring.truncate(q[i][j])
                 residual_vectors.append(pres.ideal.reduce(vec))
-    if not residual_vectors:
-        return LieSubalgebra(f, n, Subspace.full(f, n * n))
     rows = []
     per_gen = n * n
     for block_start in range(0, len(residual_vectors), per_gen):
         block = residual_vectors[block_start:block_start + per_gen]
         for coord in range(pres.ring.dim):
             row = [res[coord] for res in block]
-            if any(not f.is_zero(x) for x in row):
+            if any(row):
                 rows.append(row)
-    if not rows:
-        return LieSubalgebra(f, n, Subspace.full(f, n * n))
-    return LieSubalgebra(f, n, kernel(Matrix(f, rows)))
+    return LieSubalgebra(f, n, kernel_rows(rows, n * n, f))
 
 
 # -- flag search --------------------------------------------------------------------
@@ -480,7 +470,7 @@ def restricted_action(lie: LieSubalgebra, w: MinimalDegreeSubspace,
     """
     f = lie.field
     # a vector of W has its coordinates on the canonical basis at the pivots
-    pivots = [next(i for i, x in enumerate(row) if x) for row in w.space.basis]
+    pivots = w.space.pivots
     ops = []
     for m in lie.basis_matrices():
         cols = []

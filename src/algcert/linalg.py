@@ -1,10 +1,18 @@
-"""Exact dense linear algebra over Q and GF(p).
+"""Exact linear algebra over Q and GF(p) on one elimination core.
 
 Matrices are row-major lists of scalars (Fraction over Q, int residues over
-GF(p)).  Elimination over Q runs on integer-scaled rows with content
-stripping, so entries stay in Z until the final leading-one normalization;
-over GF(p) it is plain modular Gauss-Jordan.  Pivots are always the first
-nonzero entry in column order, which keeps every RREF deterministic.
+GF(p)).  Every full elimination is ``rref_rows``: one Gauss-Jordan loop on
+integer rows for both fields.  Rows go in as they are (ints, or over Q ints
+and Fractions, scaled to integers by their common denominator), so callers
+that build integer systems pass them straight in.  The field decides only how
+a row is kept (primitive over Z for Q, monic pivot mod p for GF(p)) and how
+the leading 1 is written at the end.  Pivots are always the first nonzero
+entry in column order, so every RREF is the unique canonical one.
+
+A ``Subspace`` keeps, next to its canonical basis, the pivot column and the
+nonzero entries of each basis row; reducing a vector reads only those.  An
+``Echelon`` grows such a basis one vector at a time, for scans that keep a
+vector when it is independent of the ones before it.
 """
 
 from __future__ import annotations
@@ -13,129 +21,70 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import AmbientMismatch, NotContained
-from .fields import Field, PrimeField
+from .fields import Field
 
 
-# -- integer-row kernels (internal) ------------------------------------------
+# -- the elimination core ----------------------------------------------------
 
-def _row_to_int(row) -> list[int]:
-    den = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            den = lcm(den, x.denominator)
-    ints = [int(x * den) if isinstance(x, Fraction) else int(x) * den for x in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+_QQ_ZERO = Fraction(0)
 
 
-def _strip_row(row: list[int]) -> None:
-    g = 0
-    for v in row:
-        g = gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        for i, v in enumerate(row):
-            row[i] = v // g
-    for v in row:
-        if v:
-            if v < 0:
-                for i, w in enumerate(row):
-                    row[i] = -w
-            break
+def _integer_row(row, p: int) -> list[int]:
+    """The row as the core works on it: residues mod p, or over Q the row
+    times the common denominator of its entries (ints or Fractions)."""
+    if p:
+        return [x % p for x in row]
+    den = lcm(*[x.denominator for x in row])
+    return [x.numerator * (den // x.denominator) for x in row]
 
 
-def rref_int_rows(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Gauss-Jordan over Z by cross-multiplication; returns (rows, pivots).
-
-    Output rows are primitive with positive leading entry, fully reduced
-    (each pivot column has a single nonzero entry), in pivot order.
-    """
-    work = [r for r in rows if any(r)]
-    pivots: list[int] = []
-    piv = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(piv, len(work)):
-            if work[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        work[piv], work[sel] = work[sel], work[piv]
-        prow = work[piv]
-        pval = prow[col]
-        for i in range(len(work)):
-            if i == piv:
-                continue
-            ri = work[i]
-            v = ri[col]
-            if not v:
-                continue
-            g = gcd(pval, v)
-            a, b = pval // g, v // g
-            for c in range(ncols):
-                ri[c] = a * ri[c] - b * prow[c]
-            _strip_row(ri)
-        _strip_row(prow)
-        pivots.append(col)
-        piv += 1
-        work = [work[i] for i in range(len(work)) if i < piv or any(work[i])]
-    return work[:piv], pivots
+def _normalise(row: list[int], col: int, p: int) -> list[int]:
+    """A pivot row with leading entry at col: monic mod p, primitive over Z."""
+    if p:
+        inv = pow(row[col], -1, p)
+        return [x * inv % p for x in row]
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
-def rref_mod_rows(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[int]], list[int]]:
-    """Gauss-Jordan mod p; rows come back with leading 1, fully reduced."""
-    work = [[v % p for v in r] for r in rows]
-    work = [r for r in work if any(r)]
-    pivots: list[int] = []
-    piv = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(piv, len(work)):
-            if work[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        work[piv], work[sel] = work[sel], work[piv]
-        prow = work[piv]
-        inv = pow(prow[col], -1, p)
-        for c in range(col, ncols):
-            prow[c] = prow[c] * inv % p
-        for i in range(len(work)):
-            if i == piv:
-                continue
-            ri = work[i]
-            f = ri[col]
-            if f:
-                for c in range(col, ncols):
-                    ri[c] = (ri[c] - f * prow[c]) % p
-        pivots.append(col)
-        piv += 1
-        work = [work[i] for i in range(len(work)) if i < piv or any(work[i])]
-    return work[:piv], pivots
+def _eliminate(row: list[int], prow: list[int], col: int, p: int) -> list[int]:
+    """row minus the multiple of the pivot row prow that clears column col."""
+    v = row[col]
+    if p:
+        # prow is monic and zero before col
+        return row[:col] + [(x - v * y) % p for x, y in zip(row[col:], prow[col:])]
+    g = gcd(prow[col], v)
+    a, b = prow[col] // g, v // g
+    return _normalise([a * x - b * y for x, y in zip(row, prow)], col, 0)
 
 
 def rref_rows(rows, ncols: int, field: Field):
-    """Field-dispatching RREF on raw rows; returns (canonical rows, pivots).
+    """Canonical RREF of raw rows; returns (canonical rows, pivot columns).
 
-    Canonical rows carry leading coefficient 1 in the field's scalar type.
+    Rows hold ints, or over Q ints and Fractions.  Gauss-Jordan with the
+    first nonzero entry in column order as pivot, on integer rows for both
+    fields; the canonical rows carry a leading 1 in the field's scalar type.
     """
-    if isinstance(field, PrimeField):
-        work, pivots = rref_mod_rows([list(r) for r in rows], ncols, field.p)
+    p = field.characteristic
+    work = [r for r in (_integer_row(r, p) for r in rows) if any(r)]
+    pivots: list[int] = []
+    for col in range(ncols):
+        k = len(pivots)
+        sel = next((i for i in range(k, len(work)) if work[i][col]), None)
+        if sel is None:
+            continue
+        prow = _normalise(work[sel], col, p)
+        work[sel] = work[k]
+        work[k] = prow
+        for i, row in enumerate(work):
+            if row[col] and i != k:
+                work[i] = _eliminate(row, prow, col, p)
+        pivots.append(col)
+        work[k + 1:] = [r for r in work[k + 1:] if any(r)]
+    if p:
         return work, pivots
-    ints = [_row_to_int(r) for r in rows]
-    work, pivots = rref_int_rows(ints, ncols)
-    out = []
-    for row, col in zip(work, pivots):
-        lead = row[col]
-        out.append([Fraction(v, lead) for v in row])
-    return out, pivots
+    return [[Fraction(x, row[col]) if x else _QQ_ZERO for x in row]
+            for row, col in zip(work, pivots)], pivots
 
 
 # -- matrices -----------------------------------------------------------------
@@ -256,18 +205,21 @@ def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
 
 def kernel(m: Matrix) -> "Subspace":
     """Exact right kernel {v : m v = 0}."""
-    rows, pivots = rref_rows(m.rows, m.ncols, m.field)
-    f = m.field
-    pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
+    return kernel_rows(m.rows, m.ncols, m.field)
+
+
+def kernel_rows(rows, ncols: int, field: Field) -> "Subspace":
+    """Exact right kernel of the matrix with these rows, taken as rref_rows
+    takes them; with no rows it is the whole space."""
+    rows, pivots = rref_rows(rows, ncols, field)
     basis = []
-    for fc in free:
-        v = [f.zero] * m.ncols
-        v[fc] = f.one
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        v = [field.zero] * ncols
+        v[fc] = field.one
         for row, pc in zip(rows, pivots):
-            v[pc] = f.neg(row[fc])
+            v[pc] = field.neg(row[fc])
         basis.append(v)
-    return Subspace.from_vectors(f, m.ncols, basis)
+    return Subspace.from_vectors(field, ncols, basis)
 
 
 def solve(m: Matrix, b) -> list | None:
@@ -302,15 +254,33 @@ def invert(m: Matrix) -> Matrix | None:
 
 # -- subspaces ----------------------------------------------------------------
 
-class Subspace:
-    """Row space in canonical RREF basis form."""
+def _reduce(field: Field, ambient_dim: int, pivots, terms, v) -> list:
+    """Residual of v against rows given by pivot and nonzero (column, entry)
+    pairs, each row 1 at its pivot and 0 at the pivots of the rows before it."""
+    v = [field.coerce(x) for x in v]
+    if len(v) != ambient_dim:
+        raise AmbientMismatch("vector length != ambient dimension")
+    p = field.characteristic
+    for pc, row in zip(pivots, terms):
+        c = v[pc] % p if p else v[pc]
+        if c:
+            for j, x in row:
+                v[j] -= c * x
+    return [x % p for x in v] if p else v
 
-    __slots__ = ("field", "ambient_dim", "basis")
+
+class Subspace:
+    """Row space in canonical RREF basis form, with the pivot column of each
+    basis row."""
+
+    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_terms")
 
     def __init__(self, field: Field, ambient_dim: int, canonical_rows):
         self.field = field
         self.ambient_dim = ambient_dim
         self.basis = canonical_rows
+        self._terms = [[(j, x) for j, x in enumerate(row) if x] for row in canonical_rows]
+        self.pivots = [terms[0][0] for terms in self._terms]
 
     @classmethod
     def from_vectors(cls, field: Field, ambient_dim: int, vectors) -> Subspace:
@@ -327,8 +297,7 @@ class Subspace:
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> Subspace:
-        return cls.from_vectors(field, ambient_dim,
-                                Matrix.identity(field, ambient_dim).rows)
+        return cls(field, ambient_dim, Matrix.identity(field, ambient_dim).rows)
 
     @property
     def dim(self) -> int:
@@ -340,20 +309,10 @@ class Subspace:
 
     def reduce(self, v) -> list:
         """Residual of v after elimination against the basis (0 iff contained)."""
-        f = self.field
-        v = [f.coerce(x) for x in v]
-        if len(v) != self.ambient_dim:
-            raise AmbientMismatch("vector length != ambient dimension")
-        for row in self.basis:
-            pc = next(i for i, x in enumerate(row) if not f.is_zero(x))
-            c = v[pc]
-            if not f.is_zero(c):
-                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
-        return v
+        return _reduce(self.field, self.ambient_dim, self.pivots, self._terms, v)
 
     def contains(self, v) -> bool:
-        f = self.field
-        return all(f.is_zero(x) for x in self.reduce(v))
+        return not any(self.reduce(v))
 
     def contains_space(self, other: Subspace) -> bool:
         self._check_compatible(other)
@@ -395,23 +354,55 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
+class Echelon:
+    """A basis grown one vector at a time, starting from a subspace's.
+
+    ``add`` keeps the residual of an independent vector scaled to a leading
+    1, so every row is 0 at the pivots of the rows before it and reducing in
+    insertion order clears all pivot columns.
+    """
+
+    __slots__ = ("field", "ambient_dim", "pivots", "_terms")
+
+    def __init__(self, space: Subspace):
+        self.field = space.field
+        self.ambient_dim = space.ambient_dim
+        self.pivots = list(space.pivots)
+        self._terms = list(space._terms)
+
+    @property
+    def dim(self) -> int:
+        return len(self.pivots)
+
+    def reduce(self, v) -> list:
+        """Residual of v against the rows so far (0 iff in their span)."""
+        return _reduce(self.field, self.ambient_dim, self.pivots, self._terms, v)
+
+    def add(self, v) -> bool:
+        """Add v when it is independent of the rows so far; say whether it was."""
+        f = self.field
+        terms = [(j, x) for j, x in enumerate(self.reduce(v)) if x]
+        if not terms:
+            return False
+        lead, inv = terms[0][0], f.inv(terms[0][1])
+        self.pivots.append(lead)
+        self._terms.append([(j, f.mul(inv, x)) for j, x in terms])
+        return True
+
+
 def quotient_basis(u: Subspace, v: Subspace) -> list:
     """Vectors of V extending a basis of U; length = dim V - dim U.
 
     Raises NotContained unless U <= V.  Deterministic: V's canonical basis
-    rows are scanned in order and kept when independent from U.
+    rows are scanned in order and kept when independent from U and the rows
+    kept before them.
     """
     u._check_compatible(v)
     if not v.contains_space(u):
         raise NotContained("first subspace is not contained in the second")
-    f = u.field
-    current = list(u.basis)
+    grown = Echelon(u)
     out = []
     for row in v.basis:
-        if len(current) == v.dim:
-            break
-        cand, _ = rref_rows(current + [list(row)], u.ambient_dim, f)
-        if len(cand) > len(current):
+        if grown.dim < v.dim and grown.add(row):
             out.append(list(row))
-            current = cand
     return out

@@ -15,7 +15,7 @@ from .errors import (InternalInconsistency, SearchSpaceTooLarge,
                      UnsupportedRadicalComputation)
 from .fields import PrimeField
 from .linalg import (Matrix, Subspace, invert, kernel, quotient_basis, rref,
-                     rref_mod_rows)
+                     rref_rows)
 from .poly import TruncatedRing
 
 DEFAULT_MAX_ENUM = 10**7
@@ -114,9 +114,9 @@ def _enumerate_local_commutative(algebra: StructureAlgebra, rad: RadicalData,
         block = []
         for i in range(n):
             chunk = assign[i * jdim:(i + 1) * jdim]
-            block.append([sum(c * jc[t] for c, jc in zip(chunk, jj2_coords)) % p
+            block.append([sum(c * jc[t] for c, jc in zip(chunk, jj2_coords))
                           for t in range(n)])
-        _, piv = rref_mod_rows(block, n, p)
+        _, piv = rref_rows(block, n, f)
         if len(piv) < n:
             continue
         ys = []

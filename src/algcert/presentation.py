@@ -61,14 +61,13 @@ class Presentation:
                 out[ring.index[m2]] = f.add(out[ring.index[m2]], c)
         return out
 
-    def row_valuation(self, row) -> int:
-        f = self.field
-        lead = next(i for i, x in enumerate(row) if not f.is_zero(x))
-        return sum(self.ring.monomials[lead])
+    def valuations(self) -> list[int]:
+        """Degree of the leading monomial of each ideal basis row."""
+        return [sum(self.ring.monomials[pc]) for pc in self.ideal.pivots]
 
     def filtered(self, d: int) -> Subspace:
         """Ideal part supported on degree >= d (a row filter in RREF form)."""
-        rows = [r for r in self.ideal.basis if self.row_valuation(r) >= d]
+        rows = [r for r, v in zip(self.ideal.basis, self.valuations()) if v >= d]
         return Subspace(self.field, self.ring.dim, rows)
 
     def degree_projection(self, d: int):
@@ -76,8 +75,8 @@ class Presentation:
         ring = self.ring
         slice_pos = ring.degree_slice(d)
         vecs = []
-        for r in self.ideal.basis:
-            if self.row_valuation(r) == d:
+        for r, v in zip(self.ideal.basis, self.valuations()):
+            if v == d:
                 vecs.append([r[p] for p in slice_pos])
         monos = [ring.monomials[p] for p in slice_pos]
         return monos, Subspace.from_vectors(self.field, len(slice_pos), vecs)
@@ -296,7 +295,7 @@ def minimal_degree_subspace(pres: Presentation) -> MinimalDegreeSubspace:
         polys = [Poly.monomial(n, f, m) for m in monos]
         return MinimalDegreeSubspace(l, monos, Subspace.full(f, len(monos)),
                                      polys, True)
-    d_min = min(pres.row_valuation(r) for r in pres.ideal.basis)
+    d_min = min(pres.valuations())
     monos, space = pres.degree_projection(d_min)
     polys = [Poly(pres.n_vars, f, {m: c for m, c in zip(monos, row)})
              for row in space.basis]

@@ -12,7 +12,7 @@ from math import gcd
 
 from .errors import InternalInconsistency
 from .fields import Field, PrimeField
-from .linalg import Matrix, rref_rows, solve
+from .linalg import Echelon, Matrix, Subspace, solve
 
 
 def minimal_polynomial(vectors, field: Field) -> list:
@@ -22,21 +22,17 @@ def minimal_polynomial(vectors, field: Field) -> list:
     under a fixed linear map; the minimal k with v_k dependent on the
     earlier ones gives the polynomial sum(c_i t^i) + t^k.
     """
-    seen: list[list] = []
-    collected: list[list] = []
     it = iter(vectors)
-    while True:
-        v = next(it)
-        v = [field.coerce(x) for x in v]
-        cand, _ = rref_rows(seen + [list(v)], len(v), field)
-        if len(cand) == len(seen):
-            m = Matrix.from_columns(field, collected)
-            coeffs = solve(m, v)
-            if coeffs is None:
-                raise InternalInconsistency("a dependent power is not a combination of earlier ones")
-            return [field.neg(c) for c in coeffs] + [field.one]
-        seen = cand
+    v = [field.coerce(x) for x in next(it)]
+    seen = Echelon(Subspace.zero(field, len(v)))
+    collected: list[list] = []
+    while seen.add(v):
         collected.append(v)
+        v = [field.coerce(x) for x in next(it)]
+    coeffs = solve(Matrix.from_columns(field, collected), v)
+    if coeffs is None:
+        raise InternalInconsistency("a dependent power is not a combination of earlier ones")
+    return [field.neg(c) for c in coeffs] + [field.one]
 
 
 def operator_power_sequence(mat: Matrix):

@@ -275,3 +275,23 @@ def test_inconsistency_inside_analyze_is_not_degraded(module, name, document,
     out = capsys.readouterr()
     assert out.out == ""
     assert f"{name} check failed" in out.err
+
+
+@pytest.mark.parametrize("primes", ["0", "4", "1", "-5", "2147483648", "5,x", "", "5,,7"])
+def test_bad_primes_exit_2(tmp_path, primes, capsys):
+    # a non-diagonal cubic, so the nonsingularity scan reads the primes
+    path = _write(tmp_path, "hesse.json", {
+        "kind": "presentation", "field": {"type": "Q"}, "n_vars": 3,
+        "trunc_degree": 5, "generators": ["X1^3+X2^3+X3^3+X1*X2*X3"]})
+    assert main(["analyze", path, "--height-bound", "2", "--primes", primes]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--primes" in out.err
+
+
+def test_good_primes_accepted(tmp_path, capsys):
+    path = _write(tmp_path, "hesse.json", {
+        "kind": "presentation", "field": {"type": "Q"}, "n_vars": 3,
+        "trunc_degree": 5, "generators": ["X1^3+X2^3+X3^3+X1*X2*X3"]})
+    assert main(["analyze", path, "--height-bound", "2", "--primes", "5, 7,2147483647"]) == 0
+    assert json.loads(capsys.readouterr().out)

@@ -5,12 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from algcert.errors import AmbientMismatch, NotContained
 from algcert.fields import GF, QQ
-from algcert.linalg import (Matrix, Subspace, invert, kernel, quotient_basis,
-                            rref, solve)
+from algcert.linalg import (Echelon, Matrix, Subspace, invert, kernel,
+                            kernel_rows, quotient_basis, rref, rref_rows, solve)
+from algcert.roots import minimal_polynomial, operator_power_sequence
 
 GF2 = GF(2)
 GF3 = GF(3)
 GF5 = GF(5)
+GF_BIG = GF(2**31 - 1)
 
 
 def test_rref_proportional_rows():
@@ -169,3 +171,165 @@ def test_rref_idempotence_gf5(rows):
     r1, _, _ = rref(m)
     r2, _, _ = rref(r1)
     assert r1.rows == r2.rows
+
+
+# -- differential checks against textbook elimination -------------------------
+
+def _textbook_rref(rows, ncols, field):
+    """Gauss-Jordan in field arithmetic, scaling each pivot row to 1 as it is
+    chosen; the reference for the integer-row core."""
+    work = [[field.coerce(x) for x in r] for r in rows]
+    done, pivots = [], []
+    for col in range(ncols):
+        sel = next((i for i, r in enumerate(work) if not field.is_zero(r[col])), None)
+        if sel is None:
+            continue
+        prow = work.pop(sel)
+        inv = field.inv(prow[col])
+        prow = [field.mul(inv, x) for x in prow]
+
+        def clear(r):
+            return [field.sub(x, field.mul(r[col], y)) for x, y in zip(r, prow)]
+        done = [clear(r) for r in done] + [prow]
+        work = [clear(r) for r in work]
+        pivots.append(col)
+    return done, pivots
+
+
+def _textbook_residual(field, canonical, pivots, v):
+    v = [field.coerce(x) for x in v]
+    for row, pc in zip(canonical, pivots):
+        c = v[pc]
+        v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, row)]
+    return v
+
+
+_Q_ENTRY = st.one_of(st.just(0), st.integers(-7, 7),
+                     st.fractions(-5, 5, max_denominator=12))
+_FIELDS = {"GF2": (GF2, st.integers(-3, 3)),
+           "GF5": (GF5, st.integers(-12, 12)),
+           "GF_BIG": (GF_BIG, st.one_of(st.just(0), st.integers(-2**40, 2**40)))}
+
+
+@st.composite
+def messy_rows(draw, entry, max_cols=6):
+    """Rows with sparse and mixed entries, plus duplicate and zero rows."""
+    ncols = draw(st.integers(1, max_cols))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=0, max_size=6))
+    if rows:
+        rows += [list(rows[i]) for i in draw(st.lists(
+            st.integers(0, len(rows) - 1), max_size=2))]
+    rows += [[0] * ncols] * draw(st.integers(0, 2))
+    return draw(st.permutations(rows)), ncols
+
+
+def _check_rref_rows(rows, ncols, field):
+    got, pivots = rref_rows([list(r) for r in rows], ncols, field)
+    want, want_pivots = _textbook_rref(rows, ncols, field)
+    assert (got, pivots) == (want, want_pivots)
+    scalar = Fraction if field == QQ else int
+    assert all(type(x) is scalar for r in got for x in r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(messy_rows(_Q_ENTRY))
+def test_rref_rows_matches_textbook_q(case):
+    # ints and Fractions with non-unit denominators, mixed within and across rows
+    _check_rref_rows(*case, QQ)
+
+
+@pytest.mark.parametrize("name", sorted(_FIELDS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_rref_rows_matches_textbook_gfp(name, data):
+    field, entry = _FIELDS[name]
+    _check_rref_rows(*data.draw(messy_rows(entry)), field)
+
+
+_FIELD_CASES = [pytest.param(QQ, _Q_ENTRY, id="QQ")] + [
+    pytest.param(f, e, id=name) for name, (f, e) in sorted(_FIELDS.items())]
+
+
+@pytest.mark.parametrize("field, entry", _FIELD_CASES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_subspace_reduce_matches_textbook(field, entry, data):
+    rows, ncols = data.draw(messy_rows(entry))
+    space = Subspace.from_vectors(field, ncols, rows)
+    canonical, pivots = _textbook_rref(rows, ncols, field)
+    assert space.pivots == pivots
+    inside = [field.zero] * ncols
+    for row in rows:
+        c = field.coerce(data.draw(entry))
+        inside = [field.add(x, field.mul(c, field.coerce(y))) for x, y in zip(inside, row)]
+    outside = data.draw(st.lists(entry, min_size=ncols, max_size=ncols))
+    for v in (inside, outside):
+        residual = _textbook_residual(field, canonical, pivots, v)
+        assert space.reduce(v) == residual
+        assert space.contains(v) == all(field.is_zero(x) for x in residual)
+    assert space.contains(inside)
+    assert space.contains_space(Subspace.from_vectors(field, ncols, [inside]))
+
+
+def _quotient_basis_reference(u, v):
+    # one RREF of the growing span per row of V
+    current, out = list(u.basis), []
+    for row in v.basis:
+        if len(current) == v.dim:
+            break
+        cand, _ = _textbook_rref(current + [list(row)], u.ambient_dim, u.field)
+        if len(cand) > len(current):
+            out.append(list(row))
+            current = cand
+    return out
+
+
+@pytest.mark.parametrize("field, entry", _FIELD_CASES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_quotient_basis_matches_one_rref_per_row(field, entry, data):
+    rows, ncols = data.draw(messy_rows(entry))
+    v = Subspace.from_vectors(field, ncols, rows)
+    picks = data.draw(st.lists(st.integers(0, max(len(rows) - 1, 0)), max_size=3))
+    u = Subspace.from_vectors(field, ncols, [rows[i] for i in picks if rows])
+    ext = quotient_basis(u, v)
+    assert ext == _quotient_basis_reference(u, v)
+    assert len(ext) == v.dim - u.dim
+    grown = Echelon(u)
+    assert all(grown.add(row) for row in ext)
+    assert grown.dim == v.dim
+    assert not any(grown.add(row) for row in v.basis)
+
+
+def _minimal_polynomial_reference(vectors, field):
+    # one RREF of the earlier powers per power
+    seen, collected = [], []
+    for v in vectors:
+        v = [field.coerce(x) for x in v]
+        cand, _ = _textbook_rref(seen + [v], len(v), field)
+        if len(cand) == len(seen):
+            coeffs = solve(Matrix.from_columns(field, collected), v)
+            return [field.neg(c) for c in coeffs] + [field.one]
+        seen = cand
+        collected.append(v)
+
+
+@pytest.mark.parametrize("field, entry", _FIELD_CASES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_minimal_polynomial_matches_one_rref_per_power(field, entry, data):
+    n = data.draw(st.integers(1, 4))
+    m = Matrix(field, data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                         min_size=n, max_size=n)))
+    got = minimal_polynomial(operator_power_sequence(m), field)
+    assert got == _minimal_polynomial_reference(operator_power_sequence(m), field)
+    value = Matrix.zeros(field, n, n)
+    for c, power in zip(got, operator_power_sequence(m)):
+        value = value.add(Matrix(field, [power[i * n:(i + 1) * n] for i in range(n)]).scale(c))
+    assert value.is_zero()
+
+
+def test_kernel_rows_without_rows_is_full():
+    assert kernel_rows([], 3, QQ) == Subspace.full(QQ, 3)
+    assert kernel_rows([[0, 2, 4]], 3, GF5) == kernel(Matrix(GF5, [[0, 2, 4]]))

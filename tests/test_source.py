@@ -17,3 +17,16 @@ def test_no_assert_statements():
              if isinstance(node, ast.Assert)]
     assert SOURCES
     assert found == []
+
+
+def test_elimination_stays_in_linalg():
+    # linalg.py is the one elimination core: other modules reach it through
+    # rref_rows and the public helpers, never through its internals
+    found = [f"{path.name}:{node.lineno}:{alias.name}"
+             for path in SOURCES if path.name != "linalg.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ImportFrom)
+             and (node.module, node.level) in (("linalg", 1), ("algcert.linalg", 0))
+             for alias in node.names
+             if alias.name.startswith(("_", "rref_")) and alias.name != "rref_rows"]
+    assert found == []
