@@ -16,7 +16,7 @@ from .linalg import (Echelon, Matrix, Subspace, invert, kernel, kernel_rows,
                      mat_bracket, quotient_basis, solve)
 from .roots import minimal_polynomial, roots_in_field
 
-DEFAULT_SCAN_BOUND = 10**7
+DEFAULT_MAX_ENUM = 10**7   # largest search space enumerated by default
 
 
 class StructureAlgebra:
@@ -281,7 +281,7 @@ def dickson_radical(algebra: StructureAlgebra) -> Subspace:
     return kernel_rows(gram, d, QQ)
 
 
-def nilpotent_scan_radical(algebra: StructureAlgebra, bound: int = DEFAULT_SCAN_BOUND) -> Subspace:
+def nilpotent_scan_radical(algebra: StructureAlgebra, bound: int = DEFAULT_MAX_ENUM) -> Subspace:
     """Span of all nilpotent elements of a commutative GF(p) algebra,
     found by exhaustive enumeration (guarded by ``bound``)."""
     f = algebra.field
@@ -315,7 +315,7 @@ def nilpotent_scan_radical(algebra: StructureAlgebra, bound: int = DEFAULT_SCAN_
     return Subspace.from_vectors(f, d, nilpotents)
 
 
-def jacobson_radical(algebra: StructureAlgebra, scan_bound: int = DEFAULT_SCAN_BOUND) -> RadicalData:
+def jacobson_radical(algebra: StructureAlgebra, scan_bound: int = DEFAULT_MAX_ENUM) -> RadicalData:
     """Radical with its power filtration.
 
     Over Q the Dickson trace criterion is used; over GF(p) only commutative

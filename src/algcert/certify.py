@@ -1,41 +1,47 @@
-"""Decision engine: combines the computed invariants into a certificate of
-verdict flags, each tied to one applicability-guarded rule with the concrete
-numbers it used.  Rules whose guards fail are skipped (logged at debug
-level); failed sub-computations degrade to UNKNOWN entries instead of
-aborting, and properties no rule could decide are listed as unknown.  An
-InternalInconsistency is not an input failure and always propagates.
+"""Decision engine: computes the invariants once into a context, then applies
+`RULES`, a table of `Rule(id, guards, fire)` that only reads it.  Guards are
+(description, test) pairs checked in order; a rule whose guards all hold
+fires its verdicts (each with the concrete numbers it used) and notes, and
+for a skipped rule the first failing guard is logged at debug level on the
+``algcert.certify`` logger.  Failed sub-computations degrade to UNKNOWN
+entries instead of aborting, and properties no rule could decide are listed
+as unknown.  An InternalInconsistency is not an input failure and always
+propagates.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
 from math import isqrt
 
-from .algebra import (Coordinates, RadicalData, StructureAlgebra,
-                      _split_components, center, der_into, derivation_algebra,
-                      induced_algebra, is_nilpotent, jacobson_radical,
-                      wm_complement)
+from .algebra import (DEFAULT_MAX_ENUM, Coordinates, RadicalData,
+                      StructureAlgebra, _split_components, center, der_into,
+                      derivation_algebra, induced_algebra, is_nilpotent,
+                      jacobson_radical, wm_complement)
 from .errors import (AlgcertError, DegreeOutOfRange, InternalInconsistency,
                      NotHomogeneous, NotSplitBasic, UnsupportedRadicalComputation)
 from .fields import Field, scalar_to_json
-from .forms import (FlagSearchResult, IsotropyEvidence, NonsingularityEvidence,
-                    flag_search, im_phi_lie, isotropy, nonsingularity,
-                    quadratic_from_poly, restricted_action, sim_lie, stab_lie)
+from .forms import (DEFAULT_HEIGHT_BOUND, DEFAULT_PRIMES, FlagSearchResult,
+                    IsotropyEvidence, NonsingularityEvidence, flag_search,
+                    im_phi_lie, isotropy, nonsingularity, quadratic_from_poly,
+                    restricted_action, sim_lie, stab_lie)
 from .linalg import Matrix, Subspace, kernel
 from .poly import Poly
 from .presentation import (MinimalDegreeSubspace, NormalForm, Presentation,
                            is_graded_presentation, is_monomial_ideal,
                            minimal_degree_subspace, normal_form,
-                           presentation_from_algebra, quotient_algebra)
+                           presentation_from_algebra, presentation_from_ideal,
+                           quotient_algebra)
 from .roots import minimal_polynomial, roots_in_field
 
 
 logger = logging.getLogger(__name__)
 
-RULE_IDS = ("R-SEMI", "R-RED", "R-J2", "R-DIM5", "R-RANKUB", "R-MONO",
-            "R-STAR", "R-QRAT", "R-QANIS", "R-NONSING", "R-W1", "R-FLAG",
-            "R-NILP", "R-DIM7", "R-ISO")
+DEFAULT_MAX_STRUCTURE_DIM = 30   # skip d^2-unknown solves above this dimension
+DEFAULT_MAX_FLAG_DIM = 16
 
 DECIDABLE_FLAGS = ("SEMISIMPLE", "REDUCTIVE", "R_TRIVIAL", "RATIONAL",
                    "STABLY_RATIONAL", "NOT_K_SPLIT")
@@ -43,11 +49,11 @@ DECIDABLE_FLAGS = ("SEMISIMPLE", "REDUCTIVE", "R_TRIVIAL", "RATIONAL",
 
 @dataclass
 class CertifyConfig:
-    height_bound: int = 50
-    primes: tuple = (5, 7, 11, 13)
-    max_enum: int = 10**7
-    max_structure_dim: int = 30   # skip d^2-unknown solves above this dimension
-    max_flag_dim: int = 16
+    height_bound: int = DEFAULT_HEIGHT_BOUND
+    primes: tuple = DEFAULT_PRIMES
+    max_enum: int = DEFAULT_MAX_ENUM
+    max_structure_dim: int = DEFAULT_MAX_STRUCTURE_DIM
+    max_flag_dim: int = DEFAULT_MAX_FLAG_DIM
 
 
 @dataclass
@@ -147,14 +153,16 @@ def _corner_has_rank_one(alg: StructureAlgebra) -> bool:
     return False
 
 
-def semisimple_block_sizes(algebra: StructureAlgebra) -> list | None:
+def semisimple_block_sizes(algebra: StructureAlgebra,
+                           zed: Subspace | None = None) -> list | None:
     """Certify a semisimple algebra as a sum of split matrix blocks.
 
     Returns the sorted block sizes [n_1..n_m] with sum n_i^2 = dim, or None
-    when splitness could not be established over the base field.
+    when splitness could not be established over the base field.  `zed` is
+    the center of the algebra when the caller has it already.
     """
     full = Subspace.full(algebra.field, algebra.dim)
-    zcoords = Coordinates.subspace(center(algebra))
+    zcoords = Coordinates.subspace(zed if zed is not None else center(algebra))
     try:
         pieces = _split_components(
             induced_algebra(algebra.multiply, zcoords, algebra.one))
@@ -259,7 +267,6 @@ def reductive_shape(algebra: StructureAlgebra, rad: RadicalData) -> ReductiveSha
 class _Context:
     field: Field
     dim: int | None = None
-    algebra: StructureAlgebra | None = None
     rad: RadicalData | None = None
     blocks: list | None = None            # certified split block sizes of A/J
     split: bool = False
@@ -267,6 +274,7 @@ class _Context:
     split_local: bool = False
     commutative: bool | None = None
     center_dim: int | None = None
+    radical_central: bool | None = None
     pres: Presentation | None = None
     nf: NormalForm | None = None
     graded: bool | None = None
@@ -276,11 +284,10 @@ class _Context:
     quad: IsotropyEvidence | None = None
     quad_nondegenerate: bool | None = None
     single_generator: bool | None = None
-    gen_degree: int | None = None
     nonsing: NonsingularityEvidence | None = None
     nonsing_poly: Poly | None = None
+    side_condition: tuple | None = None   # (met, evidence) of the element of W
     flag: FlagSearchResult | None = None
-    side_cache: dict = dc_field(default_factory=dict)
     dim_der: int | None = None
     dim_ker_phi: int | None = None
     dim_im_phi: int | None = None
@@ -289,21 +296,26 @@ class _Context:
     torus_report: TorusShapeReport | None = None
     reductive_report: ReductiveShapeReport | None = None
 
+    @property
+    def dim_jj2(self) -> int | None:
+        if self.rad is not None:
+            return self.rad.jj2_dim
+        return self.pres.n_vars if self.pres is not None else None
+
+    @property
+    def lowey(self) -> int | None:
+        if self.rad is not None:
+            return self.rad.lowey_length
+        return self.pres.lowey if self.pres is not None else None
+
     def unknown(self, invariant: str, reason: str):
         self.unknowns.append({"invariant": invariant, "reason": reason})
-
-    def unknown_property(self, flag: str):
-        self.unknowns.append({"property": flag, "reason": "no rule fired"})
 
 
 def _nonsingular_side_condition(ctx: _Context, poly: Poly,
                                 config: CertifyConfig) -> tuple[bool, dict]:
     """Evaluate the nonsingular-element hypothesis (with its characteristic
     and degree constraints) on one polynomial; returns (met, evidence)."""
-    key = str(poly)
-    if key in ctx.side_cache:
-        met, ev = ctx.side_cache[key]
-        return met, dict(ev)
     char = ctx.field.characteristic
     d = poly.degree()
     evidence: dict = {"element": str(poly), "degree": d}
@@ -317,22 +329,29 @@ def _nonsingular_side_condition(ctx: _Context, poly: Poly,
                             primes=config.primes, max_enum=config.max_enum)
     except AlgcertError as exc:
         evidence["nonsingularity"] = f"not evaluated: {exc}"
-        ctx.side_cache[key] = (False, evidence)
         return False, evidence
     evidence["nonsingularity"] = ev.verdict
     if ev.witness is not None:
         evidence["witness"] = [scalar_to_json(ctx.field, x) for x in ev.witness]
     ctx.nonsing = ev
     ctx.nonsing_poly = poly
-    met = degree_ok and ev.verdict == "NONSINGULAR_CERTIFIED"
-    ctx.side_cache[key] = (met, dict(evidence))
-    return met, evidence
+    return degree_ok and ev.verdict == "NONSINGULAR_CERTIFIED", evidence
+
+
+def _w_element_candidates(polys: list):
+    """The basis of W, then the pairwise sums and differences, each once."""
+    pairs = (c for i, a in enumerate(polys) for b in polys[i + 1:]
+             for c in (a.add(b), a.sub(b)))
+    seen = set()
+    for cand in itertools.chain(polys, pairs):
+        if str(cand) not in seen:
+            seen.add(str(cand))
+            yield cand
 
 
 def _build_context_from_algebra(algebra: StructureAlgebra,
                                 config: CertifyConfig) -> _Context:
     ctx = _Context(field=algebra.field)
-    ctx.algebra = algebra
     ctx.dim = algebra.dim
     ctx.commutative = algebra.commutative
     try:
@@ -340,11 +359,14 @@ def _build_context_from_algebra(algebra: StructureAlgebra,
     except UnsupportedRadicalComputation as exc:
         ctx.unknown("radical", str(exc))
         return ctx
-    ctx.center_dim = center(algebra).dim
+    zed = center(algebra)
+    ctx.center_dim = zed.dim
+    ctx.radical_central = zed.contains_space(ctx.rad.radical)
     try:
-        quot = quotient_structure(algebra, ctx.rad) \
-            if ctx.rad.radical.dim else algebra
-        ctx.blocks = semisimple_block_sizes(quot)
+        if ctx.rad.radical.dim:
+            ctx.blocks = semisimple_block_sizes(quotient_structure(algebra, ctx.rad))
+        else:
+            ctx.blocks = semisimple_block_sizes(algebra, zed)
     except AlgcertError as exc:
         ctx.blocks = None
         ctx.unknown("splitness", str(exc))
@@ -356,6 +378,8 @@ def _build_context_from_algebra(algebra: StructureAlgebra,
         ctx.unknown("splitness", "A/J not certified split over the base field")
     if ctx.split_basic and ctx.commutative:
         ctx.torus_report = torus_shape_check(algebra, ctx.rad)
+    if ctx.split and ctx.radical_central:
+        ctx.reductive_report = reductive_shape(algebra, ctx.rad)
     _attach_derivations(ctx, algebra, config)
     if ctx.split_local and ctx.commutative and ctx.rad.jj2_dim >= 1:
         try:
@@ -392,11 +416,11 @@ def _build_context_from_presentation(pres: Presentation,
     ctx.center_dim = ctx.dim
     if ctx.dim <= config.max_structure_dim:
         algebra = quotient_algebra(pres)
-        ctx.algebra = algebra
         ctx.rad = jacobson_radical(algebra)
+        ctx.radical_central = True       # commutative: the center is all of A
+        ctx.reductive_report = reductive_shape(algebra, ctx.rad)
         _attach_derivations(ctx, algebra, config)
-        if algebra.commutative:
-            ctx.torus_report = torus_shape_check(algebra, ctx.rad)
+        ctx.torus_report = torus_shape_check(algebra, ctx.rad)
     else:
         ctx.unknown("structure_constants",
                     f"dimension {ctx.dim} exceeds limit {config.max_structure_dim}")
@@ -413,17 +437,15 @@ def _attach_presentation_invariants(ctx: _Context, config: CertifyConfig):
     ctx.w = minimal_degree_subspace(pres)
     gens = ctx.nf.generators
     ctx.single_generator = len(gens) == 1
-    if ctx.single_generator:
-        ctx.gen_degree = gens[0].degree()
-        if gens[0].is_homogeneous() and ctx.gen_degree == 2 \
-                and ctx.field.characteristic != 2:
-            q = quadratic_from_poly(gens[0])
-            ctx.quad_nondegenerate = kernel(q.gram).dim == 0
-            try:
-                ctx.quad = isotropy(q, height_bound=config.height_bound,
-                                    max_enum=config.max_enum)
-            except AlgcertError as exc:
-                ctx.unknown("isotropy", str(exc))
+    if ctx.single_generator and gens[0].is_homogeneous() \
+            and gens[0].degree() == 2 and ctx.field.characteristic != 2:
+        q = quadratic_from_poly(gens[0])
+        ctx.quad_nondegenerate = kernel(q.gram).dim == 0
+        try:
+            ctx.quad = isotropy(q, height_bound=config.height_bound,
+                                max_enum=config.max_enum)
+        except AlgcertError as exc:
+            ctx.unknown("isotropy", str(exc))
     if ctx.graded and not ctx.w.is_power_slice and ctx.w.dim <= config.max_flag_dim:
         try:
             lie = im_phi_lie(pres)
@@ -437,170 +459,151 @@ def _attach_presentation_invariants(ctx: _Context, config: CertifyConfig):
             ctx.dim_im_phi = im_phi_lie(pres).dim
         except AlgcertError as exc:
             ctx.unknown("im_phi_lie", str(exc))
+    # the nonsingular-element hypothesis of R-NONSING and R-W1 (dim W = 1) and
+    # of R-FLAG (a full flag): the first candidate in W that meets it, else
+    # the last one tried
+    full_flag = ctx.flag is not None and ctx.flag.status == "FULL_FLAG"
+    if ctx.graded and not ctx.w.is_power_slice and (ctx.w.dim == 1 or full_flag):
+        for cand in _w_element_candidates(ctx.w.polys):
+            ctx.side_condition = _nonsingular_side_condition(ctx, cand, config)
+            if ctx.side_condition[0]:
+                break
 
 
 # -- the rules ---------------------------------------------------------------------
 
-def _run_rules(ctx: _Context, config: CertifyConfig) -> tuple[list, list]:
+@dataclass(frozen=True)
+class Rule:
+    """One criterion.  `guards` are (description, test) pairs checked in order
+    on the context; when all hold, `fire(ctx, rule_id)` returns the rule's
+    Verdicts and Notes.  Neither writes to the context."""
+    id: str
+    guards: tuple
+    fire: Callable
+
+
+def _verdicts(rule: str, flags: tuple, evidence: dict) -> list:
+    return [Verdict(flag, rule, dict(evidence)) for flag in flags]
+
+
+def _fire_dim5(ctx: _Context, rule: str) -> list:
+    flags = ("R_TRIVIAL", "STABLY_RATIONAL") if ctx.split_local else ("R_TRIVIAL",)
+    return _verdicts(rule, flags, {"dim_jj2": ctx.dim_jj2})
+
+
+def _fire_nonsing(ctx: _Context, rule: str) -> list:
+    met, evidence = ctx.side_condition
+    if met:
+        return [Verdict("RATIONAL", rule, dict(evidence)),
+                Verdict("RANK_LOWER_BOUND", rule, {"bound": 1, "exact_rank": 1})]
+    if evidence["nonsingularity"] == "PROBABLY_NONSINGULAR":
+        return [Note(rule, "RATIONAL probable only: nonsingularity is "
+                           "supported by prime reductions, not certified",
+                     dict(evidence))]
+    return []
+
+
+def _fire_w1(ctx: _Context, rule: str) -> list:
+    met, evidence = ctx.side_condition
+    evidence = {**evidence, "dim_w": 1, "w_degree": ctx.w.degree}
+    if met:
+        return [Verdict("RATIONAL", rule, evidence)]
+    if evidence["nonsingularity"] == "PROBABLY_NONSINGULAR":
+        return [Note(rule, "RATIONAL probable only: dim W = 1 but the "
+                           "nonsingular element is not certified", evidence)]
+    return [Note(rule, "verdict withheld: dim W = 1 but the "
+                       "nonsingularity side-condition failed", evidence)]
+
+
+def _fire_flag(ctx: _Context, rule: str) -> list:
+    met, evidence = ctx.side_condition
+    if met:
+        return [Verdict("RATIONAL", rule,
+                        {**evidence, "flag": "FULL_FLAG", "dim_w": ctx.w.dim})]
+    return [Note(rule, "full rational flag found but no certified "
+                       "nonsingular element in W", {"dim_w": ctx.w.dim})]
+
+
+def _fire_nilp(ctx: _Context, rule: str) -> list:
+    if ctx.field.characteristic == 0:
+        return [Verdict("RATIONAL", rule,
+                        {"dim_der": ctx.dim_der, "lie_nilpotent": True})]
+    return [Note(rule, "derivation algebra is nilpotent, but the group-level "
+                       "nilpotency identification is not claimed in "
+                       "characteristic p", {"dim_der": ctx.dim_der})]
+
+
+_RAD = ("radical known", lambda c: c.rad is not None)
+_SPLIT = ("A/J split", lambda c: c.split)
+_LOCAL = ("split local", lambda c: c.split_local)
+_J2_ZERO = ("J^2 = 0", lambda c: c.rad.square.dim == 0)
+_ONE_GEN = ("single generator", lambda c: c.single_generator)
+_ODD = ("characteristic not 2", lambda c: c.field.characteristic != 2)
+_GRADED = ("graded presentation", lambda c: c.graded)
+_W_SLICE = ("W not a power slice", lambda c: not c.w.is_power_slice)
+_W_DIM1 = ("dim W = 1", lambda c: c.w.dim == 1)
+
+RULES = (
+    Rule("R-SEMI", (_RAD, ("J = 0", lambda c: c.rad.radical.dim == 0), _SPLIT),
+         lambda c, r: _verdicts(r, ("SEMISIMPLE", "R_TRIVIAL"),
+                                {"dim_j": 0, "blocks": c.blocks})),
+    Rule("R-RED", (_RAD, _SPLIT, _J2_ZERO,
+                   ("J central", lambda c: c.radical_central)),
+         lambda c, r: _verdicts(r, ("REDUCTIVE", "R_TRIVIAL"),
+                                {"dim_j2": 0, "radical_central": True})),
+    Rule("R-J2", (_SPLIT, _RAD, _J2_ZERO),
+         lambda c, r: [Verdict("R_TRIVIAL", r, {"dim_j2": 0})]),
+    Rule("R-DIM5", (_SPLIT, ("dim J/J^2 <= 5", lambda c: c.dim_jj2 <= 5)),
+         _fire_dim5),
+    Rule("R-RANKUB", (_LOCAL,),
+         lambda c, r: [Verdict("RANK_UPPER_BOUND", r, {"bound": c.dim_jj2})]),
+    Rule("R-MONO", (("monomial ideal", lambda c: c.monomial),), lambda c, r: [
+        Verdict("RANK_LOWER_BOUND", r, {"bound": c.pres.n_vars}),
+        Verdict("RATIONAL", r, {"rank": c.pres.n_vars, "dim_jj2": c.pres.n_vars}),
+        Verdict("R_TRIVIAL", r, {"rank": c.pres.n_vars})]),
+    Rule("R-STAR", (("property (*_r)", lambda c: c.star_r is not None),),
+         lambda c, r: [Verdict("RANK_LOWER_BOUND", r, {"bound": c.star_r})]),
+    Rule("R-QRAT", (_ONE_GEN, ("nondegenerate quadric",
+                               lambda c: c.quad_nondegenerate), _ODD),
+         lambda c, r: [Verdict("RATIONAL", r, {
+             "generator": str(c.nf.generators[0]), "gram_nondegenerate": True})]),
+    Rule("R-QANIS", (_ONE_GEN, ("anisotropic quadric", lambda c: c.quad is not None
+                                and c.quad.verdict == "ANISOTROPIC_CERTIFIED"),
+                     _ODD, ("Loewy length > 2", lambda c: c.lowey > 2)),
+         lambda c, r: [Verdict("NOT_K_SPLIT", r, {
+             "generator": str(c.nf.generators[0]),
+             "isotropy": "ANISOTROPIC_CERTIFIED", "method": c.quad.method,
+             "lowey": c.lowey})]),
+    Rule("R-NONSING", (_GRADED, _W_SLICE, _W_DIM1,
+                       ("deg W >= 3", lambda c: c.w.degree >= 3)), _fire_nonsing),
+    Rule("R-W1", (_GRADED, _W_SLICE, _W_DIM1), _fire_w1),
+    Rule("R-FLAG", (("full flag in W", lambda c: c.flag is not None
+                     and c.flag.status == "FULL_FLAG"),
+                    ("dim W > 1", lambda c: c.w.dim > 1)), _fire_flag),
+    Rule("R-NILP", (("Der(A) nilpotent", lambda c: c.der_nilpotent), _SPLIT),
+         _fire_nilp),
+    Rule("R-DIM7", (_LOCAL, ("dim A <= 7", lambda c: c.dim <= 7)),
+         lambda c, r: _verdicts(r, ("STABLY_RATIONAL", "R_TRIVIAL"),
+                                {"dim": c.dim})),
+    Rule("R-ISO", (_GRADED,), lambda c, r: [
+        Verdict("RANK_LOWER_BOUND", r, {"bound": 1}),
+        Note(r, "automorphism group is k-isotropic (central one-dimensional "
+                "torus), in particular not unipotent", {})]),
+)
+
+
+def _run_rules(ctx: _Context) -> tuple[list, list]:
     verdicts: list[Verdict] = []
     notes: list[Note] = []
-
-    def fire(flag, rule, **evidence):
-        verdicts.append(Verdict(flag, rule, evidence))
-
-    rad = ctx.rad
-    dim_j = rad.radical.dim if rad else None
-    dim_j2 = rad.square.dim if rad else None
-    dim_jj2 = rad.jj2_dim if rad else (ctx.pres.n_vars if ctx.pres else None)
-    lowey = rad.lowey_length if rad else (ctx.pres.lowey if ctx.pres else None)
-
-    # R-SEMI
-    if rad is not None and dim_j == 0 and ctx.split:
-        fire("SEMISIMPLE", "R-SEMI", dim_j=0, blocks=ctx.blocks)
-        fire("R_TRIVIAL", "R-SEMI", dim_j=0, blocks=ctx.blocks)
-
-    # R-RED
-    if rad is not None and ctx.split and dim_j2 == 0 and ctx.algebra is not None:
-        zed = center(ctx.algebra)
-        if zed.contains_space(rad.radical):
-            fire("REDUCTIVE", "R-RED", dim_j2=0, radical_central=True)
-            fire("R_TRIVIAL", "R-RED", dim_j2=0, radical_central=True)
-            rep = reductive_shape(ctx.algebra, rad)
-            if rep is not None:
-                ctx.reductive_report = rep
-
-    # R-J2
-    if ctx.split and dim_j2 == 0 and rad is not None:
-        fire("R_TRIVIAL", "R-J2", dim_j2=0)
-
-    # R-DIM5
-    if ctx.split and dim_jj2 is not None and dim_jj2 <= 5:
-        fire("R_TRIVIAL", "R-DIM5", dim_jj2=dim_jj2)
-        if ctx.split_local:
-            fire("STABLY_RATIONAL", "R-DIM5", dim_jj2=dim_jj2)
-
-    # R-RANKUB
-    if ctx.split_local and dim_jj2 is not None:
-        fire("RANK_UPPER_BOUND", "R-RANKUB", bound=dim_jj2)
-
-    # R-MONO
-    if ctx.pres is not None and ctx.monomial:
-        n = ctx.pres.n_vars
-        fire("RANK_LOWER_BOUND", "R-MONO", bound=n)
-        fire("RATIONAL", "R-MONO", rank=n, dim_jj2=n)
-        fire("R_TRIVIAL", "R-MONO", rank=n)
-
-    # R-STAR
-    if ctx.pres is not None and ctx.star_r is not None:
-        fire("RANK_LOWER_BOUND", "R-STAR", bound=ctx.star_r)
-
-    # R-QRAT
-    if ctx.single_generator and ctx.quad_nondegenerate \
-            and ctx.field.characteristic != 2:
-        fire("RATIONAL", "R-QRAT", generator=str(ctx.nf.generators[0]),
-             gram_nondegenerate=True)
-
-    # R-QANIS
-    if ctx.single_generator and ctx.quad is not None \
-            and ctx.quad.verdict == "ANISOTROPIC_CERTIFIED" \
-            and ctx.field.characteristic != 2 and lowey is not None and lowey > 2:
-        fire("NOT_K_SPLIT", "R-QANIS", generator=str(ctx.nf.generators[0]),
-             isotropy="ANISOTROPIC_CERTIFIED", method=ctx.quad.method,
-             lowey=lowey)
-
-    # R-NONSING
-    if ctx.pres is not None and ctx.graded and ctx.w is not None \
-            and not ctx.w.is_power_slice and ctx.w.dim == 1 \
-            and ctx.w.degree >= 3:
-        met, evidence = _nonsingular_side_condition(ctx, ctx.w.polys[0], config)
-        if met:
-            fire("RATIONAL", "R-NONSING", **evidence)
-            fire("RANK_LOWER_BOUND", "R-NONSING", bound=1, exact_rank=1)
-        elif evidence.get("nonsingularity") == "PROBABLY_NONSINGULAR":
-            notes.append(Note("R-NONSING",
-                              "RATIONAL probable only: nonsingularity is "
-                              "supported by prime reductions, not certified",
-                              evidence))
-
-    # R-W1
-    if ctx.pres is not None and ctx.graded and ctx.w is not None \
-            and not ctx.w.is_power_slice and ctx.w.dim == 1:
-        met, evidence = _nonsingular_side_condition(ctx, ctx.w.polys[0], config)
-        evidence["dim_w"] = 1
-        evidence["w_degree"] = ctx.w.degree
-        if met:
-            fire("RATIONAL", "R-W1", **evidence)
-        elif evidence.get("nonsingularity") == "PROBABLY_NONSINGULAR":
-            notes.append(Note("R-W1",
-                              "RATIONAL probable only: dim W = 1 but the "
-                              "nonsingular element is not certified",
-                              evidence))
-        else:
-            notes.append(Note("R-W1",
-                              "verdict withheld: dim W = 1 but the "
-                              "nonsingularity side-condition failed",
-                              evidence))
-
-    # R-FLAG
-    if ctx.flag is not None and ctx.flag.status == "FULL_FLAG" \
-            and ctx.w is not None and ctx.w.dim > 1:
-        found = None
-        for cand in _w_element_candidates(ctx):
-            met, evidence = _nonsingular_side_condition(ctx, cand, config)
-            if met:
-                found = (cand, evidence)
-                break
-        if found is not None:
-            _, evidence = found
-            evidence["flag"] = "FULL_FLAG"
-            evidence["dim_w"] = ctx.w.dim
-            fire("RATIONAL", "R-FLAG", **evidence)
-        else:
-            notes.append(Note("R-FLAG",
-                              "full rational flag found but no certified "
-                              "nonsingular element in W",
-                              {"dim_w": ctx.w.dim}))
-
-    # R-NILP
-    if ctx.der_nilpotent and ctx.split:
-        if ctx.field.characteristic == 0:
-            fire("RATIONAL", "R-NILP", dim_der=ctx.dim_der, lie_nilpotent=True)
-        else:
-            notes.append(Note("R-NILP",
-                              "derivation algebra is nilpotent, but the "
-                              "group-level nilpotency identification is not "
-                              "claimed in characteristic p",
-                              {"dim_der": ctx.dim_der}))
-
-    # R-DIM7
-    if ctx.split_local and ctx.dim is not None and ctx.dim <= 7:
-        fire("STABLY_RATIONAL", "R-DIM7", dim=ctx.dim)
-        fire("R_TRIVIAL", "R-DIM7", dim=ctx.dim)
-
-    # R-ISO
-    if ctx.pres is not None and ctx.graded:
-        fire("RANK_LOWER_BOUND", "R-ISO", bound=1)
-        notes.append(Note("R-ISO",
-                          "automorphism group is k-isotropic (central "
-                          "one-dimensional torus), in particular not unipotent",
-                          {}))
-
+    for rule in RULES:
+        failed = next((desc for desc, test in rule.guards if not test(ctx)), None)
+        if failed is not None:
+            logger.debug("rule %s skipped: guard failed: %s", rule.id, failed)
+            continue
+        for item in rule.fire(ctx, rule.id):
+            (verdicts if isinstance(item, Verdict) else notes).append(item)
     _check_rank_bounds(verdicts)
-    fired = {v.rule for v in verdicts}
-    for rule in RULE_IDS:
-        if rule not in fired:
-            logger.debug("rule %s skipped (guard not met)", rule)
     return verdicts, notes
-
-
-def _w_element_candidates(ctx: _Context):
-    polys = ctx.w.polys
-    for p in polys:
-        yield p
-    for i, a in enumerate(polys):
-        for b in polys[i + 1:]:
-            yield a.add(b)
-            yield a.sub(b)
 
 
 def _check_rank_bounds(verdicts: list):
@@ -622,11 +625,11 @@ def certify(obj, config: CertifyConfig | None = None) -> Certificate:
         ctx = _build_context_from_algebra(obj, config)
     else:
         raise TypeError(f"cannot certify {type(obj).__name__}")
-    verdicts, notes = _run_rules(ctx, config)
+    verdicts, notes = _run_rules(ctx)
     decided = {v.flag for v in verdicts}
     for flag in DECIDABLE_FLAGS:
         if flag not in decided:
-            ctx.unknown_property(flag)
+            ctx.unknowns.append({"property": flag, "reason": "no rule fired"})
     return Certificate(_summary(ctx), _invariants(ctx), verdicts, notes,
                        ctx.unknowns)
 
@@ -650,15 +653,12 @@ def _invariants(ctx: _Context) -> dict:
     if ctx.rad is not None:
         inv["dim_j"] = ctx.rad.radical.dim
         inv["dim_j2"] = ctx.rad.square.dim
-        inv["dim_jj2"] = ctx.rad.jj2_dim
-        inv["lowey_length"] = ctx.rad.lowey_length
     elif ctx.pres is not None:
-        inv["dim_jj2"] = ctx.pres.n_vars
-        inv["lowey_length"] = ctx.pres.lowey
-        inv["dim_j"] = ctx.pres.algebra_dim() - 1
-    if ctx.center_dim is not None:
-        inv["dim_center"] = ctx.center_dim
-    for key, val in (("dim_der", ctx.dim_der),
+        inv["dim_j"] = ctx.dim - 1
+    for key, val in (("dim_jj2", ctx.dim_jj2),
+                     ("lowey_length", ctx.lowey),
+                     ("dim_center", ctx.center_dim),
+                     ("dim_der", ctx.dim_der),
                      ("dim_ker_phi_lie", ctx.dim_ker_phi),
                      ("dim_im_phi_lie", ctx.dim_im_phi),
                      ("derivations_nilpotent", ctx.der_nilpotent),
@@ -709,7 +709,6 @@ def verify_invariant_pair(q: Poly, f: Poly, lowey: int,
     claims anything about R-triviality itself.
     """
     config = config or CertifyConfig()
-    from .presentation import presentation_from_ideal
     if q.n_vars != f.n_vars:
         raise DegreeOutOfRange("q and f must share the variable count")
     d = f.degree()

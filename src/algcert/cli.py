@@ -14,11 +14,9 @@ import sys
 
 from .algebra import StructureAlgebra, der_into, derivation_algebra, jacobson_radical
 from .certify import CertifyConfig, certify, verify_invariant_pair
-from .errors import (AlgcertError, BadScalar, DegreeOutOfRange,
-                     InternalInconsistency, NonAssociative, NotAdmissible,
-                     NotCommutative, NotLocal, NotSplit, NotSplitBasic,
-                     NotUnital, OutOfRangeVariable, PolySyntaxError,
-                     SchemaError, SearchSpaceTooLarge,
+from .errors import (AlgcertError, BadScalar, InternalInconsistency,
+                     NonAssociative, NotAdmissible, NotUnital,
+                     OutOfRangeVariable, PolySyntaxError, SchemaError,
                      UnsupportedRadicalComputation)
 from .fields import Field, PrimeField, field_from_json, parse_field_flag
 from .oracle import enumerate_automorphisms, induced_jj2_matrices
@@ -30,9 +28,6 @@ from .presentation import (Presentation, is_graded_presentation,
 
 _SCHEMA_ERRORS = (SchemaError, BadScalar, PolySyntaxError, OutOfRangeVariable,
                   NonAssociative, NotUnital, NotAdmissible, json.JSONDecodeError)
-_UNSUPPORTED_ERRORS = (UnsupportedRadicalComputation, NotLocal, NotCommutative,
-                       NotSplit, NotSplitBasic, SearchSpaceTooLarge,
-                       DegreeOutOfRange)
 
 
 def _load_document(path: str, field_override: Field | None):
@@ -268,9 +263,6 @@ def main(argv=None) -> int:
     except _SCHEMA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _UNSUPPORTED_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except InternalInconsistency as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4

@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .algebra import Coordinates, LieSubalgebra, is_solvable
+from .algebra import DEFAULT_MAX_ENUM, Coordinates, LieSubalgebra, is_solvable
 from .errors import (CharTwo, NotDegreeTwo, NotGraded, NotHomogeneous,
                      NotStable, SearchSpaceTooLarge, ZeroPolynomial)
 from .fields import Field, PrimeField
@@ -21,7 +21,6 @@ from .roots import minimal_polynomial, operator_power_sequence, roots_in_field
 
 DEFAULT_HEIGHT_BOUND = 50
 DEFAULT_PRIMES = (5, 7, 11, 13)
-DEFAULT_MAX_ENUM = 10**7
 
 
 # -- quadratic forms --------------------------------------------------------------

@@ -10,15 +10,14 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .algebra import Coordinates, RadicalData, StructureAlgebra, jacobson_radical
+from .algebra import (DEFAULT_MAX_ENUM, Coordinates, RadicalData, StructureAlgebra,
+                      jacobson_radical)
 from .errors import (InternalInconsistency, SearchSpaceTooLarge,
                      UnsupportedRadicalComputation)
 from .fields import PrimeField
 from .linalg import (Matrix, Subspace, invert, kernel, quotient_basis, rref,
                      rref_rows)
 from .poly import TruncatedRing
-
-DEFAULT_MAX_ENUM = 10**7
 
 
 @dataclass

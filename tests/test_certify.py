@@ -1,3 +1,7 @@
+import hashlib
+import importlib
+import json
+import logging
 import os
 import subprocess
 import sys
@@ -6,10 +10,11 @@ from pathlib import Path
 import pytest
 
 import algcert
-from algcert.algebra import jacobson_radical
-from algcert.certify import (certify, reductive_shape,
-                             verify_invariant_pair, semisimple_block_sizes,
-                             torus_shape_check)
+from algcert.algebra import center, jacobson_radical
+from algcert.certify import (RULES, CertifyConfig,
+                             _build_context_from_presentation, _run_rules,
+                             certify, reductive_shape, verify_invariant_pair,
+                             semisimple_block_sizes, torus_shape_check)
 from algcert.constructions import (componentwise_algebra, direct_sum,
                                    matrix_algebra,
                                    truncated_polynomial_algebra,
@@ -333,3 +338,182 @@ def test_crossed_rank_bounds_raise_under_optimize():
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == ["False",
                                        "rank bounds crossed: lower 3 > upper 2"]
+
+
+def test_full_flag_fires_r_flag():
+    # W = <X1^3, X2^3> carries a full rational flag and X1^3 + X2^3 is a
+    # certified nonsingular element of it
+    cert = certify(build(2, 5, ["X1^3", "X2^3"]))
+    assert [(v.flag, v.evidence) for v in cert.verdict_for("R-FLAG")] == [
+        ("RATIONAL", {"element": "X1^3 + X2^3", "degree": 3,
+                      "degree_constraint_met": True,
+                      "nonsingularity": "NONSINGULAR_CERTIFIED",
+                      "flag": "FULL_FLAG", "dim_w": 2})]
+    assert cert.invariants["nonsingularity"]["element"] == "X1^3 + X2^3"
+
+
+def _k_plus_dual_numbers(field):
+    return direct_sum(componentwise_algebra(field, 1),
+                      univariate_quotient_algebra(field, [0, 0, 1]))
+
+
+# sha256 of the canonical JSON of each certificate, with its (rule, flag) and
+# note-rule sets; together the corpus fires every rule and every note text
+GOLDEN = {
+    "matrix_q_3": (
+        lambda: matrix_algebra(QQ, 3),
+        "3c225ab128f952eaf6ebeb8b17c13ad4d8461a8ec28e7f615ce2f892317d0a77",
+        {("R-DIM5", "R_TRIVIAL"), ("R-J2", "R_TRIVIAL"), ("R-RED", "REDUCTIVE"),
+         ("R-RED", "R_TRIVIAL"), ("R-SEMI", "R_TRIVIAL"), ("R-SEMI", "SEMISIMPLE")},
+        set()),
+    "sum_k3_q": (
+        lambda: componentwise_algebra(QQ, 3),
+        "31838d580930e60e6ea7f9f88d3bbbb488e467d64424b7dcb3e517fe733633fa",
+        {("R-DIM5", "R_TRIVIAL"), ("R-J2", "R_TRIVIAL"), ("R-NILP", "RATIONAL"),
+         ("R-RED", "REDUCTIVE"), ("R-RED", "R_TRIVIAL"), ("R-SEMI", "R_TRIVIAL"),
+         ("R-SEMI", "SEMISIMPLE")},
+        set()),
+    "uppertri_gf3_2": (
+        lambda: upper_triangular_algebra(GF3, 2),
+        "f7c8fea4966f7149e710775869c4b05cadfb300f48f1adcb07773dc7c182a7b8",
+        set(), set()),
+    "k_dual_q": (
+        lambda: _k_plus_dual_numbers(QQ),
+        "a15e8ce0c3732e036f6bf259c33b6441f9e559070b3b01287bc560d2815f2c95",
+        {("R-DIM5", "R_TRIVIAL"), ("R-J2", "R_TRIVIAL"), ("R-NILP", "RATIONAL"),
+         ("R-RED", "REDUCTIVE"), ("R-RED", "R_TRIVIAL")},
+        set()),
+    "k_dual_gf3": (
+        lambda: _k_plus_dual_numbers(GF3),
+        "b9492b2fc5685ff18b97e8c1803a0b49ed36b9eb543bff35b61cfaf1ea8c5f66",
+        {("R-DIM5", "R_TRIVIAL"), ("R-J2", "R_TRIVIAL"), ("R-RED", "REDUCTIVE"),
+         ("R-RED", "R_TRIVIAL")},
+        {"R-NILP"}),
+    "quadric_q": (
+        lambda: build(2, 3, ["X1^2+X2^2"]),
+        "93c8babd28754d28e62c6ef2b2e1571a23dfdfcdff25f501cabf5a9418485d72",
+        {("R-DIM5", "R_TRIVIAL"), ("R-DIM5", "STABLY_RATIONAL"),
+         ("R-DIM7", "R_TRIVIAL"), ("R-DIM7", "STABLY_RATIONAL"),
+         ("R-ISO", "RANK_LOWER_BOUND"), ("R-QANIS", "NOT_K_SPLIT"),
+         ("R-QRAT", "RATIONAL"), ("R-RANKUB", "RANK_UPPER_BOUND"),
+         ("R-STAR", "RANK_LOWER_BOUND")},
+        {"R-ISO", "R-W1"}),
+    "quadric_gf2": (
+        lambda: build(2, 3, ["X1^2+X2^2"], GF(2)),
+        "6d07a3a140b9880736ae3904744d3801f346329074f3ae00a34c5de936b32cd1",
+        {("R-DIM5", "R_TRIVIAL"), ("R-DIM5", "STABLY_RATIONAL"),
+         ("R-DIM7", "R_TRIVIAL"), ("R-DIM7", "STABLY_RATIONAL"),
+         ("R-ISO", "RANK_LOWER_BOUND"), ("R-RANKUB", "RANK_UPPER_BOUND"),
+         ("R-STAR", "RANK_LOWER_BOUND")},
+        {"R-ISO", "R-W1"}),
+    "cubic_q_l4": (
+        lambda: build(2, 4, ["X1^3+X2^3"]),
+        "d4ce5dbf9cc22e0c19677f673b01fe85509dc790bed5b0180082985e8172e04c",
+        {("R-DIM5", "R_TRIVIAL"), ("R-DIM5", "STABLY_RATIONAL"),
+         ("R-ISO", "RANK_LOWER_BOUND"), ("R-NONSING", "RANK_LOWER_BOUND"),
+         ("R-NONSING", "RATIONAL"), ("R-RANKUB", "RANK_UPPER_BOUND"),
+         ("R-STAR", "RANK_LOWER_BOUND"), ("R-W1", "RATIONAL")},
+        {"R-ISO"}),
+    "w1_note_q": (
+        lambda: build(2, 4, ["X1^2", "X1^3+X2^3"]),
+        "4844ef6f26d25f9be68594afd041bffae558714464815dc4c35eaf527ef83bc1",
+        {("R-DIM5", "R_TRIVIAL"), ("R-DIM5", "STABLY_RATIONAL"),
+         ("R-DIM7", "R_TRIVIAL"), ("R-DIM7", "STABLY_RATIONAL"),
+         ("R-ISO", "RANK_LOWER_BOUND"), ("R-MONO", "RANK_LOWER_BOUND"),
+         ("R-MONO", "RATIONAL"), ("R-MONO", "R_TRIVIAL"),
+         ("R-RANKUB", "RANK_UPPER_BOUND")},
+        {"R-ISO", "R-W1"}),
+    "flag_note_q": (
+        lambda: build(3, 4, ["X1^2", "X2^2+X1*X3"]),
+        "b300ba2439d521dad1a9a36b70bdc16c1d2f7caabac7227234af56f0b7534251",
+        {("R-DIM5", "R_TRIVIAL"), ("R-DIM5", "STABLY_RATIONAL"),
+         ("R-ISO", "RANK_LOWER_BOUND"), ("R-RANKUB", "RANK_UPPER_BOUND"),
+         ("R-STAR", "RANK_LOWER_BOUND")},
+        {"R-FLAG", "R-ISO"}),
+    "sq0_6vars_q": (
+        lambda: build(6, 2, []),
+        "2ec8f215359628fcc09695ba3737b3a77a587277d663decdf5d5c6a045396891",
+        {("R-DIM7", "R_TRIVIAL"), ("R-DIM7", "STABLY_RATIONAL"),
+         ("R-ISO", "RANK_LOWER_BOUND"), ("R-J2", "R_TRIVIAL"),
+         ("R-MONO", "RANK_LOWER_BOUND"), ("R-MONO", "RATIONAL"),
+         ("R-MONO", "R_TRIVIAL"), ("R-RANKUB", "RANK_UPPER_BOUND"),
+         ("R-RED", "REDUCTIVE"), ("R-RED", "R_TRIVIAL")},
+        {"R-ISO"}),
+    "cubic_gf13_4vars": (
+        lambda: build(4, 4, ["X1^3+X2^3+X3^3+X4^3+X1*X2*X3"], GF(13)),
+        "07addbcafb3c11b71b759be7cd85ab75ce854214b1954e92124dff594a30e3e6",
+        {("R-DIM5", "R_TRIVIAL"), ("R-DIM5", "STABLY_RATIONAL"),
+         ("R-ISO", "RANK_LOWER_BOUND"), ("R-RANKUB", "RANK_UPPER_BOUND"),
+         ("R-STAR", "RANK_LOWER_BOUND")},
+        {"R-ISO", "R-NONSING", "R-W1"}),
+    "flag_fires_q": (
+        lambda: build(2, 5, ["X1^3", "X2^3"]),
+        "6061f8b599455d331dd8e424f695da2f642b615a8dc3b66d949afc1aebac945f",
+        {("R-DIM5", "R_TRIVIAL"), ("R-DIM5", "STABLY_RATIONAL"),
+         ("R-FLAG", "RATIONAL"), ("R-ISO", "RANK_LOWER_BOUND"),
+         ("R-MONO", "RANK_LOWER_BOUND"), ("R-MONO", "RATIONAL"),
+         ("R-MONO", "R_TRIVIAL"), ("R-RANKUB", "RANK_UPPER_BOUND")},
+        {"R-ISO"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_certificate(name):
+    make, digest, fired, noted = GOLDEN[name]
+    payload = certify(make()).to_dict()
+    assert {(v["rule"], v["flag"]) for v in payload["verdicts"]} == fired
+    assert {n["rule"] for n in payload["notes"]} == noted
+    text = json.dumps(payload, sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_golden_corpus_covers_every_rule():
+    assert {r for _, _, fired, _ in GOLDEN.values() for r, _ in fired} \
+        == {rule.id for rule in RULES}
+    assert set().union(*(noted for *_, noted in GOLDEN.values())) \
+        == {"R-NILP", "R-W1", "R-FLAG", "R-ISO", "R-NONSING"}
+
+
+def test_skipped_rule_logs_its_failing_guard(caplog):
+    with caplog.at_level(logging.DEBUG, logger="algcert.certify"):
+        certify(_k_plus_dual_numbers(QQ))
+    skipped = [r.getMessage() for r in caplog.records
+               if r.name == "algcert.certify" and "skipped" in r.getMessage()]
+    assert "rule R-SEMI skipped: guard failed: J = 0" in skipped
+    assert "rule R-ISO skipped: guard failed: graded presentation" in skipped
+    # rules that fired are not reported as skipped
+    assert not any(m.startswith("rule R-J2 ") for m in skipped)
+
+
+@pytest.mark.parametrize("obj", [build(2, 4, ["X1^3+X2^3"]),
+                                 build(2, 5, ["X1^3", "X2^3"])],
+                         ids=["w1", "flag"])
+def test_rules_only_read_the_context(obj):
+    ctx = _build_context_from_presentation(obj, CertifyConfig())
+    before = dict(vars(ctx))
+    evidence = dict(ctx.side_condition[1])
+    verdicts, _ = _run_rules(ctx)
+    assert verdicts
+    assert vars(ctx) == before
+    assert ctx.side_condition[1] == evidence
+
+
+def test_center_computed_once_per_algebra(monkeypatch):
+    # the center of A (read by R-RED, the invariants and, when J = 0, the
+    # block sizes) and that of A/J are each computed once
+    calls = []
+
+    def counting_center(algebra):
+        calls.append(algebra)
+        return center(algebra)
+
+    monkeypatch.setattr(importlib.import_module("algcert.certify"), "center",
+                        counting_center)
+    for obj, count in ((matrix_algebra(QQ, 2), 1),
+                       (_k_plus_dual_numbers(QQ), 2),
+                       (upper_triangular_algebra(QQ, 2), 2),
+                       (build(6, 2, []), 0)):
+        calls.clear()
+        certify(obj)
+        assert len(calls) == count
+        assert len({id(a) for a in calls}) == count

@@ -140,6 +140,21 @@ def test_analyze_gf_noncommutative_exits_3(tmp_path):
     assert main(["analyze", path]) == 3
 
 
+def test_analyze_full_flag_exits_0(tmp_path, capsys):
+    # R-FLAG fires here: W = <X1^3, X2^3> has a full rational flag
+    path = _write(tmp_path, "flag.json", {
+        "kind": "presentation",
+        "field": {"type": "Q"},
+        "n_vars": 2,
+        "trunc_degree": 5,
+        "generators": ["X1^3", "X2^3"],
+    })
+    assert main(["analyze", path]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert {"flag": "RATIONAL", "rule": "R-FLAG"} in [
+        {"flag": v["flag"], "rule": v["rule"]} for v in payload["verdicts"]]
+
+
 def test_radical_report(gf3_cubic, capsys):
     assert main(["radical", gf3_cubic]) == 0
     payload = json.loads(capsys.readouterr().out)

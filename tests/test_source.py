@@ -30,3 +30,26 @@ def test_elimination_stays_in_linalg():
              for alias in node.names
              if alias.name.startswith(("_", "rref_")) and alias.name != "rref_rows"]
     assert found == []
+
+
+def test_defaults_defined_once():
+    # each DEFAULT_* bound is assigned in one module and imported elsewhere,
+    # and CertifyConfig takes its field defaults from those names
+    owners = {}
+    config_defaults = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.startswith("DEFAULT_"):
+                    owners.setdefault(target.id, []).append(path.name)
+            if isinstance(node, ast.ClassDef) and node.name == "CertifyConfig":
+                config_defaults += [(item.target.id, item.value) for item in node.body
+                                    if isinstance(item, ast.AnnAssign)]
+    assert owners
+    assert {name: mods for name, mods in owners.items() if len(mods) > 1} == {}
+    assert config_defaults
+    assert [name for name, value in config_defaults
+            if not isinstance(value, ast.Name)] == []
