@@ -573,10 +573,16 @@ def der_into(algebra: StructureAlgebra, rad: RadicalData, target: Subspace,
     if der is None:
         der = derivation_algebra(algebra)
     f, d = algebra.field, algebra.dim
-    mats = der.basis_matrices()
+    # (a, c, D[a][c]) for the nonzeros of each flattened basis row
+    entries = [[(*divmod(k, d), x) for k, x in enumerate(b) if x] for b in der.space.basis]
     rows = []
     for v in rad.radical.basis:
-        residuals = [target.reduce(m.matvec(v)) for m in mats]
+        residuals = []
+        for terms in entries:
+            image = [0] * d             # D(v); reduce takes unreduced ints
+            for a, c, x in terms:
+                image[a] += x * v[c]
+            residuals.append(target.reduce(image))
         rows.extend(row for row in zip(*residuals) if any(row))
     vecs = []
     for w in kernel_rows(rows, der.dim, f).basis:
@@ -625,7 +631,7 @@ def _series_limit(lie: LieSubalgebra, derived: bool) -> Subspace:
         brackets = []
         for x, y in (itertools.combinations(term, 2) if derived
                      else itertools.product(units, term)):
-            v = [0] * m                  # unreduced: from_vectors coerces
+            v = [0] * m                  # unreduced: rref_rows reduces it
             for i, j in itertools.product(*([k for k, a in enumerate(z) if a] for z in (x, y))):
                 for l, s in c[i][j]:
                     v[l] += x[i] * y[j] * s

@@ -1,13 +1,12 @@
 """Exact linear algebra over Q and GF(p) on one elimination core.
 
 Matrices are row-major lists of scalars (Fraction over Q, int residues over
-GF(p)).  Every full elimination is ``rref_rows``: one Gauss-Jordan loop on
-integer rows for both fields.  Rows go in as they are (ints, or over Q ints
-and Fractions, scaled to integers by their common denominator), so callers
-that build integer systems pass them straight in.  The field decides only how
-a row is kept (primitive over Z for Q, monic pivot mod p for GF(p)) and how
-the leading 1 is written at the end.  Pivots are always the first nonzero
-entry in column order, so every RREF is the unique canonical one.
+GF(p)).  Every full elimination is ``rref_rows``, one sparse reduced echelon
+for both fields: rows go in as they are (ints, or over Q ints and Fractions),
+become dicts of their nonzero integers and are reduced one at a time against
+pivot rows kept fully reduced.  The field decides only how a row is kept
+(primitive over Z for Q, monic pivot mod p for GF(p)) and how the leading 1
+is written.  The RREF is unique, so it is the canonical one.
 
 A ``Subspace`` keeps, next to its canonical basis, the pivot column and the
 nonzero entries of each basis row; reducing a vector reads only those.  An
@@ -18,6 +17,7 @@ vector when it is independent of the ones before it.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, count
 from math import gcd, lcm
 
 from .errors import AmbientMismatch, NotContained
@@ -26,65 +26,83 @@ from .fields import Field
 
 # -- the elimination core ----------------------------------------------------
 
-_QQ_ZERO = Fraction(0)
+_INT, _FRACTION, _INT_OR_FRACTION = {int}, {Fraction}, {int, Fraction}
 
 
-def _integer_row(row, p: int) -> list[int]:
-    """The row as the core works on it: residues mod p, or over Q the row
-    times the common denominator of its entries (ints or Fractions)."""
+def _scalars(row, field: Field, taken: set) -> list:
+    """The row as a new list: entries whose type is in taken as they are,
+    others through field.coerce (so a bad scalar raises BadScalar)."""
+    if set(map(type, row)) <= taken:
+        return list(row)
+    return [x if type(x) in taken else field.coerce(x) for x in row]
+
+
+def _sparse_row(row, field: Field) -> dict[int, int]:
+    """The nonzero entries of a row as the core works on them: residues mod
+    p, or over Q the row times the common denominator of its entries."""
+    p = field.characteristic
+    row = _scalars(row, field, _INT if p else _INT_OR_FRACTION)
+    entries = dict(zip(compress(count(), row), filter(None, row)))
     if p:
-        return [x % p for x in row]
-    den = lcm(*[x.denominator for x in row])
-    return [x.numerator * (den // x.denominator) for x in row]
+        return _normalise(entries, None, p)
+    if not set(map(type, entries.values())) <= _INT:
+        den = lcm(*[x.denominator for x in entries.values()])
+        entries = {j: x.numerator * (den // x.denominator) for j, x in entries.items()}
+    return entries
 
 
-def _normalise(row: list[int], col: int, p: int) -> list[int]:
-    """A pivot row with leading entry at col: monic mod p, primitive over Z."""
+def _normalise(row: dict, col: int | None, p: int) -> dict:
+    """The row's nonzero entries: divided by their gcd over Z, or mod p and,
+    unless col is None, made monic at col."""
     if p:
-        inv = pow(row[col], -1, p)
-        return [x * inv % p for x in row]
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
+        inv = 1 if col is None else pow(row[col], -1, p)
+        return {j: r for j, x in row.items() if (r := x * inv % p)}
+    g = gcd(*row.values())
+    return {j: x // g for j, x in row.items() if x}
 
 
-def _eliminate(row: list[int], prow: list[int], col: int, p: int) -> list[int]:
-    """row minus the multiple of the pivot row prow that clears column col."""
-    v = row[col]
-    if p:
-        # prow is monic and zero before col
-        return row[:col] + [(x - v * y) % p for x, y in zip(row[col:], prow[col:])]
-    g = gcd(prow[col], v)
-    a, b = prow[col] // g, v // g
-    return _normalise([a * x - b * y for x, y in zip(row, prow)], col, 0)
+def _eliminate(row: dict, found: dict, cols, p: int) -> dict:
+    """row, normalised, minus the multiples of the pivot rows found[c] that
+    clear the columns c in cols (each pivot row is 0 at the others' pivots).
+    Reads only the pivot rows' nonzeros; may reuse row's dict."""
+    # the least scale of row that makes each multiple integral (mod p, pivots are 1)
+    scale = 1 if p else lcm(*[found[c][c] // gcd(found[c][c], row[c]) for c in cols])
+    steps = [(scale * row[c] // found[c][c], found[c]) for c in cols]
+    if scale != 1:
+        row = {j: scale * x for j, x in row.items()}
+    for v, prow in steps:
+        for j, y in prow.items():
+            row[j] = row.get(j, 0) - v * y
+    return _normalise(row, None, p)
 
 
 def rref_rows(rows, ncols: int, field: Field):
     """Canonical RREF of raw rows; returns (canonical rows, pivot columns).
 
-    Rows hold ints, or over Q ints and Fractions.  Gauss-Jordan with the
-    first nonzero entry in column order as pivot, on integer rows for both
-    fields; the canonical rows carry a leading 1 in the field's scalar type.
+    Rows (ints, or over Q ints and Fractions) are reduced sparsest first; a
+    row left nonzero becomes a pivot row at its first nonzero column, which
+    is then cleared from the earlier pivot rows.  The canonical rows carry a
+    leading 1 in the field's scalar type.
     """
     p = field.characteristic
-    work = [r for r in (_integer_row(r, p) for r in rows) if any(r)]
-    pivots: list[int] = []
-    for col in range(ncols):
-        k = len(pivots)
-        sel = next((i for i in range(k, len(work)) if work[i][col]), None)
-        if sel is None:
+    found: dict[int, dict] = {}         # pivot column -> row, 0 at the other pivots
+    for row in sorted((_sparse_row(r, field) for r in rows), key=len):
+        cols = [c for c in row if c in found]
+        if cols:
+            row = _eliminate(row, found, cols, p)
+        if not row:
             continue
-        prow = _normalise(work[sel], col, p)
-        work[sel] = work[k]
-        work[k] = prow
-        for i, row in enumerate(work):
-            if row[col] and i != k:
-                work[i] = _eliminate(row, prow, col, p)
-        pivots.append(col)
-        work[k + 1:] = [r for r in work[k + 1:] if any(r)]
-    if p:
-        return work, pivots
-    return [[Fraction(x, row[col]) if x else _QQ_ZERO for x in row]
-            for row, col in zip(work, pivots)], pivots
+        lead = min(row)
+        found[lead] = row = _normalise(row, lead, p)
+        for col, prow in found.items():
+            if lead in prow and col != lead:
+                found[col] = _eliminate(prow, found, (lead,), p)
+    pivots = sorted(found)
+    out = [[field.zero] * ncols for _ in pivots]
+    for dense, col in zip(out, pivots):
+        for j, x in found[col].items():
+            dense[j] = x if p else Fraction(x, found[col][col])
+    return out, pivots
 
 
 # -- matrices -----------------------------------------------------------------
@@ -227,7 +245,6 @@ def solve(m: Matrix, b) -> list | None:
     if len(b) != m.nrows:
         raise AmbientMismatch("rhs length mismatch")
     f = m.field
-    b = [f.coerce(x) for x in b]
     aug = [list(row) + [bv] for row, bv in zip(m.rows, b)]
     rows, pivots = rref_rows(aug, m.ncols + 1, f)
     if m.ncols in pivots:
@@ -256,11 +273,13 @@ def invert(m: Matrix) -> Matrix | None:
 
 def _reduce(field: Field, ambient_dim: int, pivots, terms, v) -> list:
     """Residual of v against rows given by pivot and nonzero (column, entry)
-    pairs, each row 1 at its pivot and 0 at the pivots of the rows before it."""
-    v = [field.coerce(x) for x in v]
+    pairs, each row 1 at its pivot and 0 at the pivots of the rows before it.
+    Over GF(p) any int is taken as it is; over Q the residual holds Fractions.
+    """
+    p = field.characteristic
+    v = _scalars(v, field, _INT if p else _FRACTION)
     if len(v) != ambient_dim:
         raise AmbientMismatch("vector length != ambient dimension")
-    p = field.characteristic
     for pc, row in zip(pivots, terms):
         c = v[pc] % p if p else v[pc]
         if c:
@@ -284,10 +303,9 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field: Field, ambient_dim: int, vectors) -> Subspace:
-        vecs = [[field.coerce(x) for x in v] for v in vectors]
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise AmbientMismatch("vector length != ambient dimension")
+        vecs = list(vectors)
+        if any(len(v) != ambient_dim for v in vecs):
+            raise AmbientMismatch("vector length != ambient dimension")
         rows, _ = rref_rows(vecs, ambient_dim, field)
         return cls(field, ambient_dim, rows)
 
@@ -325,21 +343,16 @@ class Subspace:
 
     def intersect(self, other: Subspace) -> Subspace:
         self._check_compatible(other)
+        n = self.ambient_dim
         if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.field, self.ambient_dim)
-        f = self.field
-        cols = [list(r) for r in self.basis] + \
-               [[f.neg(x) for x in r] for r in other.basis]
-        stacked = Matrix.from_columns(f, cols)
-        coeffs = kernel(stacked)
+            return Subspace.zero(self.field, n)
+        # u = v for u in U, v in V: the kernel of the columns (U's basis, -V's)
+        cols = [[r[k] for r in self.basis] + [-r[k] for r in other.basis] for k in range(n)]
         vecs = []
-        for w in coeffs.basis:
-            v = [f.zero] * self.ambient_dim
-            for a, row in zip(w[:self.dim], self.basis):
-                if not f.is_zero(a):
-                    v = [f.add(x, f.mul(a, y)) for x, y in zip(v, row)]
-            vecs.append(v)
-        return Subspace.from_vectors(f, self.ambient_dim, vecs)
+        for w in kernel_rows(cols, self.dim + other.dim, self.field).basis:
+            terms = [(a, r) for a, r in zip(w, self.basis) if a]
+            vecs.append([sum(a * r[k] for a, r in terms) for k in range(n)])
+        return Subspace.from_vectors(self.field, n, vecs)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from algcert.algebra import (Coordinates, LieSubalgebra, _series_limit,
-                             _structure_constants, center, der_into,
+from algcert.algebra import (Coordinates, LieSubalgebra, StructureAlgebra,
+                             _series_limit, _structure_constants, center, der_into,
                              derivation_algebra, induced_algebra,
                              inner_derivations, is_nilpotent, is_solvable,
                              jacobson_radical, jj2_basis, load_algebra,
@@ -320,6 +320,44 @@ class TestDerivations:
             for sm in LieSubalgebra(QQ, a.dim, sub.space).basis_matrices():
                 from algcert.linalg import mat_bracket
                 assert sub.space.contains(mat_bracket(dm, sm).flatten())
+
+
+def _transvected(algebra, rng, count=30):
+    """algebra in the basis f_i = sum_a T[a][i] e_a, T a product of count
+    signed integer transvections I + s E_ij, so T^-1 is integral too."""
+    d = algebra.dim
+    t = [[int(i == j) for j in range(d)] for i in range(d)]
+    t_inv = [row[:] for row in t]
+    for _ in range(count):
+        i, j = rng.sample(range(d), 2)
+        s = rng.choice((-1, 1))
+        for row in t:                   # T <- T (I + s E_ij)
+            row[j] += s * row[i]
+        t_inv[i] = [a - s * b for a, b in zip(t_inv[i], t_inv[j])]
+
+    def coords(v):                      # e coordinates -> f coordinates
+        return [sum(c * x for c, x in zip(row, v)) for row in t_inv]
+    basis = [[t[a][i] for a in range(d)] for i in range(d)]
+    table = [[coords(algebra.multiply(x, y)) for y in basis] for x in basis]
+    return StructureAlgebra(algebra.field, table, coords(algebra.one))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2**31 - 1)], ids=["QQ", "GF_BIG"])
+def test_der_in_dense_basis(field, rng):
+    # dense bases give the derivation system many nonzeros and a low rank
+    # ratio; dim Der and dim {D : D(J) <= J^2} do not depend on the basis
+    cases = [(matrix_algebra(field, 3), 8, 8), (upper_triangular_algebra(field, 4), 9, 6),
+             (truncated_polynomial_algebra(field, 2, 4), 18, 14)]
+    for algebra, dim_der, dim_into in cases:
+        dense = _transvected(algebra, rng)
+        assert sum(1 for row in dense.table for cell in row for x in cell if x) \
+            > 2 * sum(1 for row in algebra.table for cell in row for x in cell if x)
+        der = derivation_algebra(dense)
+        assert der.dim == derivation_algebra(algebra).dim == dim_der
+        if field == QQ:
+            rad, dense_rad = jacobson_radical(algebra), jacobson_radical(dense)
+            assert der_into(dense, dense_rad, dense_rad.square, der=der).dim \
+                == der_into(algebra, rad, rad.square).dim == dim_into
 
 
 def _dense_series(lie, derived):

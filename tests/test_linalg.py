@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algcert.errors import AmbientMismatch, NotContained
+from algcert.errors import AmbientMismatch, BadScalar, NotContained
 from algcert.fields import GF, QQ
 from algcert.linalg import (Echelon, Matrix, Subspace, invert, kernel,
                             kernel_rows, quotient_basis, rref, rref_rows, solve)
@@ -224,6 +224,40 @@ def messy_rows(draw, entry, max_cols=6):
     return draw(st.permutations(rows)), ncols
 
 
+@st.composite
+def low_rank_rows(draw, field, max_cols=30):
+    """Tall rows of low rank: many more rows than rank, each a small integer
+    combination of a few sparse base rows.  Entries are written as ints or
+    Fractions at random; over GF(p) as representatives >= p or < 0 too."""
+    ncols = draw(st.integers(1, max_cols))
+    rank = draw(st.integers(0, min(ncols, 5)))
+    sparse = st.one_of(st.just(0), st.just(0), _Q_ENTRY if field == QQ else st.integers(-9, 9))
+    base = [[field.coerce(x) for x in row] for row in draw(
+        st.lists(st.lists(sparse, min_size=ncols, max_size=ncols),
+                 min_size=rank, max_size=rank))]
+    rnd = draw(st.randoms(use_true_random=False))
+    rows = []
+    for _ in range(draw(st.integers(rank, rank + 30))):
+        row = [field.zero] * ncols
+        for b in base:
+            c = field.coerce(rnd.randint(-3, 3))
+            row = [field.add(x, field.mul(c, y)) for x, y in zip(row, b)]
+        rows.append([_written(rnd, field, x) for x in row])
+    return rows, ncols
+
+
+def _written(rnd, field, x):
+    """x as an int or a Fraction that the field reads back as x."""
+    if field == QQ:
+        return int(x) if x.denominator == 1 and rnd.random() < 0.5 else x
+    p = field.characteristic
+    rep = x + p * rnd.randint(-2, 2)
+    if rnd.random() < 0.5:
+        return rep
+    den = 3 if p == 2 else 2
+    return Fraction(rep * den + p * rnd.randint(-2, 2), den)
+
+
 def _check_rref_rows(rows, ncols, field):
     got, pivots = rref_rows([list(r) for r in rows], ncols, field)
     want, want_pivots = _textbook_rref(rows, ncols, field)
@@ -245,6 +279,38 @@ def test_rref_rows_matches_textbook_q(case):
 def test_rref_rows_matches_textbook_gfp(name, data):
     field, entry = _FIELDS[name]
     _check_rref_rows(*data.draw(messy_rows(entry)), field)
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF5, GF_BIG], ids=["QQ", "GF2", "GF5", "GF_BIG"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_rref_rows_matches_textbook_tall_low_rank(field, data):
+    _check_rref_rows(*data.draw(low_rank_rows(field)), field)
+
+
+def test_q_spaces_from_ints_hold_fractions():
+    # an int entry left in a Q row would make RationalField.inv return a float
+    space = Subspace.from_vectors(QQ, 3, [[0, 3, 1], [0, 6, 2], [2, 4, 0]])
+    assert all(type(x) is Fraction for row in space.basis for x in row)
+    assert all(type(x) is Fraction for x in space.reduce([1, 1, 1]))
+    assert all(type(x) is Fraction for row in kernel_rows([[0, 3, 1]], 3, QQ).basis
+               for x in row)
+    grown = Echelon(Subspace.zero(QQ, 3))
+    assert grown.add([0, 3, 1]) and grown.add([2, 4, 0])
+    residual = grown.reduce([0, 1, 0])
+    assert residual == [0, 0, Fraction(-1, 3)]
+    assert all(type(x) is Fraction for x in residual)
+
+
+def test_scalar_types_read_or_rejected():
+    assert Subspace.from_vectors(GF5, 2, [[Fraction(1, 2), 7]]).basis == [[1, 4]]
+    assert Subspace.from_vectors(QQ, 2, [["1/2", 1]]).basis == [[1, 2]]
+    for field in (QQ, GF5):
+        for bad in (False, True, "x", 0.5):
+            with pytest.raises(BadScalar):
+                Subspace.from_vectors(field, 2, [[bad, 1]])
+            with pytest.raises(BadScalar):
+                Subspace.full(field, 2).reduce([1, bad])
 
 
 _FIELD_CASES = [pytest.param(QQ, _Q_ENTRY, id="QQ")] + [
