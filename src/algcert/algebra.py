@@ -12,8 +12,8 @@ from math import lcm
 from .errors import (AmbientMismatch, InternalInconsistency, NonAssociative,
                      NotSplitBasic, NotUnital, UnsupportedRadicalComputation)
 from .fields import Field, PrimeField, QQ
-from .linalg import (Echelon, Matrix, Subspace, invert, kernel, kernel_rows,
-                     mat_bracket, quotient_basis, solve)
+from .linalg import (Echelon, Matrix, Subspace, invert, kernel_rows,
+                     mat_bracket, quotient_basis, scalars)
 from .roots import minimal_polynomial, roots_in_field
 
 DEFAULT_MAX_ENUM = 10**7   # largest search space enumerated by default
@@ -105,17 +105,21 @@ class StructureAlgebra:
     # -- arithmetic --------------------------------------------------------
 
     def multiply(self, x, y) -> list:
+        """x y, reading the factors as exact elimination reads rows: ints as
+        they are, and over Q Fractions too.  Over GF(p) the product is
+        reduced once, at the end."""
         f = self.field
-        ys = [(j, b) for j, b in enumerate(map(f.coerce, y)) if b]
-        out = [f.zero] * self.dim       # unreduced over GF(p) until the end
-        for i, a in enumerate(map(f.coerce, x)):
+        p = f.characteristic
+        ys = [(j, b) for j, b in enumerate(scalars(y, f)) if b]
+        out = [f.zero] * self.dim
+        for i, a in enumerate(scalars(x, f)):
             if a:
                 row = self._cells[i]
                 for j, b in ys:
                     ab = a * b
                     for k, c in row[j]:
                         out[k] += ab * c
-        return [f.coerce(v) for v in out]
+        return [v % p for v in out] if p else out
 
     def subspace_product(self, u: Subspace, v: Subspace) -> Subspace:
         vecs = [self.multiply(a, b) for a in u.basis for b in v.basis]
@@ -127,12 +131,6 @@ class StructureAlgebra:
         if right is not None:
             vecs = [self.multiply(v, right) for v in vecs]
         return Subspace.from_vectors(self.field, self.dim, vecs)
-
-    def mult_operator(self, z) -> Matrix:
-        """Matrix of y -> z y."""
-        f = self.field
-        return Matrix.from_columns(
-            f, [self.multiply(z, e) for e in Matrix.identity(f, self.dim).rows])
 
     def is_zero_vector(self, x) -> bool:
         f = self.field
@@ -175,12 +173,6 @@ class Coordinates:
         """k^d / j through its canonical coset representatives."""
         full = Subspace.full(j.field, j.ambient_dim)
         return cls(j.field, quotient_basis(j, full), j.basis)
-
-    @classmethod
-    def subspace(cls, s: Subspace) -> Coordinates:
-        """s in the coordinates of its canonical basis."""
-        full = Subspace.full(s.field, s.ambient_dim)
-        return cls(s.field, s.basis, quotient_basis(s, full))
 
     def project(self, v) -> list:
         f = self.field
@@ -355,99 +347,77 @@ class WMDecomposition:
     idempotents: list
 
 
-def _poly_divide(coeffs: list, root, fld: Field) -> list:
-    """Deflate one factor (t - root) via synthetic division (ascending coeffs)."""
-    out = [fld.zero] * (len(coeffs) - 1)
-    carry = fld.zero
-    for i in range(len(coeffs) - 1, 0, -1):
-        carry = fld.add(coeffs[i], fld.mul(carry, root))
-        out[i - 1] = carry
-    return out
+def element_idempotents(alg: StructureAlgebra, z, unit) -> tuple[list, list]:
+    """The idempotents that z cuts out of the algebra with identity ``unit``
+    (an idempotent of alg that z lies under), and the rest of ``unit``.
 
-
-def _split_components(alg: StructureAlgebra):
-    """Decompose a commutative semisimple algebra into one-dimensional
-    components; raises NotSplitBasic when a component is a proper field
-    extension of the base field."""
+    With m the minimal polynomial of z on unit, z, z^2, ..., each simple
+    root lam of m in the base field gives the Chinese-remainder idempotent
+    e = h(z) / h(lam) of the factor t - lam, where h = m / (t - lam); a
+    multiple root has h(lam) = 0 and gives none.  Returns (idems, rest) with
+    rest = unit - sum(idems).  Each e is checked exactly to satisfy e e = e.
+    """
     f = alg.field
-    components = [(alg.one, Subspace.full(f, alg.dim))]
+    powers = []
+
+    def power_sequence():
+        cur = list(unit)
+        while True:
+            powers.append(cur)
+            yield cur
+            cur = alg.multiply(cur, z)
+    m = minimal_polynomial(power_sequence(), f)
+    idems = []
+    for lam in roots_in_field(m, f):
+        h = [f.zero] * (len(m) - 1)          # m / (t - lam) by synthetic division
+        carry = f.zero
+        for i in range(len(m) - 1, 0, -1):
+            carry = f.add(m[i], f.mul(carry, lam))
+            h[i - 1] = carry
+        h_lam = f.zero
+        for c in reversed(h):
+            h_lam = f.add(f.mul(h_lam, lam), c)
+        if f.is_zero(h_lam):
+            continue
+        scale = f.inv(h_lam)
+        e = [f.zero] * alg.dim
+        for c, power in zip(h, powers):
+            if not f.is_zero(c):
+                c = f.mul(c, scale)
+                e = [f.add(x, f.mul(c, y)) for x, y in zip(e, power)]
+        if alg.multiply(e, e) != e:
+            raise InternalInconsistency("a split element's idempotent is not idempotent")
+        idems.append(e)
+    rest = list(unit)
+    for e in idems:
+        rest = [f.sub(x, y) for x, y in zip(rest, e)]
+    return idems, rest
+
+
+def _split_components(alg: StructureAlgebra, space: Subspace) -> list:
+    """Primitive idempotents of ``space``, a commutative semisimple
+    subalgebra of alg that contains alg.one, in alg's coordinates; raises
+    NotSplitBasic when a component is a proper field extension of the base
+    field."""
+    f = alg.field
+    units = [alg.one]
     done = []
-    while components:
-        unit, space = components.pop()
-        if space.dim == 1:
-            done.append((unit, space))
+    while units:
+        unit = units.pop()
+        piece = alg.product_span(unit, space)
+        if piece.dim == 1:
+            done.append(unit)
             continue
-        parts = _try_split(alg, unit, space)
-        if parts is None:
+        for z in piece.basis:
+            idems, rest = element_idempotents(alg, z, unit)
+            parts = idems + [rest] if any(rest) else idems
+            if len(parts) > 1:
+                units.extend(parts)
+                break
+        else:
             raise NotSplitBasic(
-                f"a {space.dim}-dimensional block of A/J has no eigenbasis over {f!r}")
-        components.extend(parts)
+                f"a {piece.dim}-dimensional block of A/J has no eigenbasis over {f!r}")
     return done
-
-
-def _try_split(alg: StructureAlgebra, unit, space: Subspace):
-    f = alg.field
-    for z in space.basis:
-        # minimal polynomial of z on the component: powers unit, z, z^2, ...
-        def powers():
-            cur = list(unit)
-            while True:
-                yield cur
-                cur = alg.multiply(cur, z)
-        mp = minimal_polynomial(powers(), f)
-        if len(mp) <= 2:
-            continue  # z is a scalar multiple of the component unit
-        roots = roots_in_field(mp, f)
-        if not roots:
-            continue
-        mz = alg.mult_operator(z)
-        parts = []
-        remaining = mp
-        for lam in roots:
-            shifted = Matrix(f, [[f.sub(x, lam if i == j else f.zero)
-                                  for j, x in enumerate(row)]
-                                 for i, row in enumerate(mz.rows)])
-            eig = kernel(shifted).intersect(space)
-            if eig.dim > 0:
-                parts.append(eig)
-            remaining = _poly_divide(remaining, lam, f)
-        covered = sum(p.dim for p in parts)
-        if covered < space.dim:
-            if len(remaining) <= 1:
-                return None
-            rest_op = _eval_poly_at_matrix(remaining, mz, f)
-            rest = kernel(rest_op).intersect(space)
-            if rest.dim == 0 or rest.dim == space.dim:
-                return None
-            parts.append(rest)
-        if len(parts) < 2:
-            continue
-        # split the unit across the direct sum to get each part's identity
-        stacked = [row for p in parts for row in p.basis]
-        coeffs = solve(Matrix(f, stacked).transpose(), unit)
-        if coeffs is None:
-            raise InternalInconsistency("a component unit is not in the sum of its parts")
-        out = []
-        offset = 0
-        for p in parts:
-            u = [f.zero] * alg.dim
-            for c, row in zip(coeffs[offset:offset + p.dim], p.basis):
-                if not f.is_zero(c):
-                    u = [f.add(x, f.mul(c, y)) for x, y in zip(u, row)]
-            offset += p.dim
-            out.append((u, p))
-        return out
-    return None
-
-
-def _eval_poly_at_matrix(coeffs: list, m: Matrix, fld: Field) -> Matrix:
-    n = m.nrows
-    acc = Matrix.zeros(fld, n, n)
-    for c in reversed(coeffs):
-        acc = acc.mul(m)
-        if not fld.is_zero(c):
-            acc = acc.add(Matrix.identity(fld, n).scale(c))
-    return acc
 
 
 def wm_complement(algebra: StructureAlgebra, rad: RadicalData) -> WMDecomposition:
@@ -463,8 +433,8 @@ def wm_complement(algebra: StructureAlgebra, rad: RadicalData) -> WMDecompositio
     quot = induced_algebra(algebra.multiply, coords, algebra.one)
     if not quot.commutative:
         raise NotSplitBasic("A/J is not commutative")
-    pieces = _split_components(quot)
-    prims = sorted((u for u, _ in pieces), key=lambda u: [str(c) for c in u])
+    pieces = _split_components(quot, Subspace.full(f, quot.dim))
+    prims = sorted(pieces, key=lambda u: [str(c) for c in u])
     lifted = []
     esum = [f.zero] * algebra.dim
     max_steps = 2 * max(1, rad.lowey_length).bit_length() + 4
@@ -586,8 +556,12 @@ def der_into(algebra: StructureAlgebra, rad: RadicalData, target: Subspace,
         rows.extend(row for row in zip(*residuals) if any(row))
     vecs = []
     for w in kernel_rows(rows, der.dim, f).basis:
-        terms = [(c, b) for c, b in zip(w, der.space.basis) if c]
-        vecs.append([sum(c * b[k] for c, b in terms) for k in range(d * d)])
+        vec = [0] * (d * d)             # unreduced: rref_rows reduces it
+        for coef, terms in zip(w, entries):
+            if coef:
+                for a, c, x in terms:
+                    vec[a * d + c] += coef * x
+        vecs.append(vec)
     return LieSubalgebra(f, d, Subspace.from_vectors(f, d * d, vecs))
 
 

@@ -19,8 +19,9 @@ from math import isqrt
 
 from .algebra import (DEFAULT_MAX_ENUM, Coordinates, RadicalData,
                       StructureAlgebra, _split_components, center, der_into,
-                      derivation_algebra, induced_algebra, is_nilpotent,
-                      jacobson_radical, wm_complement)
+                      derivation_algebra, element_idempotents,
+                      induced_algebra, is_nilpotent, jacobson_radical,
+                      wm_complement)
 from .errors import (AlgcertError, DegreeOutOfRange, InternalInconsistency,
                      NotHomogeneous, NotSplitBasic, UnsupportedRadicalComputation)
 from .fields import Field, scalar_to_json
@@ -35,7 +36,6 @@ from .presentation import (MinimalDegreeSubspace, NormalForm, Presentation,
                            minimal_degree_subspace, normal_form,
                            presentation_from_algebra, presentation_from_ideal,
                            quotient_algebra)
-from .roots import minimal_polynomial, roots_in_field
 
 
 logger = logging.getLogger(__name__)
@@ -52,8 +52,6 @@ class CertifyConfig:
     height_bound: int = DEFAULT_HEIGHT_BOUND
     primes: tuple = DEFAULT_PRIMES
     max_enum: int = DEFAULT_MAX_ENUM
-    max_structure_dim: int = DEFAULT_MAX_STRUCTURE_DIM
-    max_flag_dim: int = DEFAULT_MAX_FLAG_DIM
 
 
 @dataclass
@@ -101,54 +99,22 @@ class Certificate:
 
 # -- splitness of semisimple quotients ------------------------------------------
 
-def _element_min_poly(alg: StructureAlgebra, b) -> list:
-    def powers():
-        cur = list(alg.one)
-        while True:
-            yield cur
-            cur = alg.multiply(cur, b)
-    return minimal_polynomial(powers(), alg.field)
-
-
-def _idempotents_from_element(alg: StructureAlgebra, b) -> list:
-    """Lagrange idempotents of an element whose minimal polynomial splits
-    into distinct linear factors; empty list otherwise."""
-    f = alg.field
-    mp = _element_min_poly(alg, b)
-    deg = len(mp) - 1
-    if deg < 2:
-        return []
-    roots = roots_in_field(mp, f)
-    if len(roots) != deg:
-        return []
-    out = []
-    for lam in roots:
-        e = list(alg.one)
-        scale = f.one
-        for mu in roots:
-            if mu == lam:
-                continue
-            shifted = [f.sub(x, f.mul(mu, u)) for x, u in zip(b, alg.one)]
-            e = alg.multiply(e, shifted)
-            scale = f.mul(scale, f.sub(lam, mu))
-        inv = f.inv(scale)
-        out.append([f.mul(inv, x) for x in e])
-    return out
-
-
-def _corner_has_rank_one(alg: StructureAlgebra) -> bool:
-    """True when the algebra contains a primitive idempotent with a
-    one-dimensional corner (certifying a split block)."""
-    if alg.dim == 1:
+def _corner_has_rank_one(alg: StructureAlgebra, unit, space: Subspace) -> bool:
+    """True when ``space``, a subalgebra of alg with identity ``unit``,
+    contains a primitive idempotent with a one-dimensional corner
+    (certifying a split block).  Only elements whose minimal polynomial
+    splits into distinct linear factors are used to cut corners."""
+    if space.dim == 1:
         return True
-    full = Subspace.full(alg.field, alg.dim)
-    for b in full.basis:
-        for e in _idempotents_from_element(alg, b):
-            corner = alg.product_span(e, full, e)
+    for z in space.basis:
+        idems, rest = element_idempotents(alg, z, unit)
+        if any(rest):
+            continue
+        for e in idems:
+            corner = alg.product_span(e, space, e)
             if corner.dim == 1:
                 return True
-            if 1 < corner.dim < alg.dim and _corner_has_rank_one(
-                    induced_algebra(alg.multiply, Coordinates.subspace(corner), e)):
+            if 1 < corner.dim < space.dim and _corner_has_rank_one(alg, e, corner):
                 return True
     return False
 
@@ -159,24 +125,19 @@ def semisimple_block_sizes(algebra: StructureAlgebra,
 
     Returns the sorted block sizes [n_1..n_m] with sum n_i^2 = dim, or None
     when splitness could not be established over the base field.  `zed` is
-    the center of the algebra when the caller has it already.
+    the center of the algebra when the caller has it already.  The center
+    and the corners are split inside the algebra, in its own coordinates.
     """
     full = Subspace.full(algebra.field, algebra.dim)
-    zcoords = Coordinates.subspace(zed if zed is not None else center(algebra))
     try:
-        pieces = _split_components(
-            induced_algebra(algebra.multiply, zcoords, algebra.one))
+        units = _split_components(algebra, zed if zed is not None else center(algebra))
     except NotSplitBasic:
         return None
     sizes = []
-    for ubar, _ in pieces:
-        zi = zcoords.lift(ubar)
+    for zi in units:
         comp = algebra.product_span(zi, full)
         m = isqrt(comp.dim)
-        if m * m != comp.dim:
-            return None
-        if not _corner_has_rank_one(
-                induced_algebra(algebra.multiply, Coordinates.subspace(comp), zi)):
+        if m * m != comp.dim or not _corner_has_rank_one(algebra, zi, comp):
             return None
         sizes.append(m)
     return sorted(sizes)
@@ -380,7 +341,7 @@ def _build_context_from_algebra(algebra: StructureAlgebra,
         ctx.torus_report = torus_shape_check(algebra, ctx.rad)
     if ctx.split and ctx.radical_central:
         ctx.reductive_report = reductive_shape(algebra, ctx.rad)
-    _attach_derivations(ctx, algebra, config)
+    _attach_derivations(ctx, algebra)
     if ctx.split_local and ctx.commutative and ctx.rad.jj2_dim >= 1:
         try:
             ctx.pres = presentation_from_algebra(algebra, ctx.rad)
@@ -391,11 +352,10 @@ def _build_context_from_algebra(algebra: StructureAlgebra,
     return ctx
 
 
-def _attach_derivations(ctx: _Context, algebra: StructureAlgebra,
-                        config: CertifyConfig):
-    if algebra.dim > config.max_structure_dim:
+def _attach_derivations(ctx: _Context, algebra: StructureAlgebra):
+    if algebra.dim > DEFAULT_MAX_STRUCTURE_DIM:
         ctx.unknown("derivations",
-                    f"dimension {algebra.dim} exceeds limit {config.max_structure_dim}")
+                    f"dimension {algebra.dim} exceeds limit {DEFAULT_MAX_STRUCTURE_DIM}")
         return
     der = derivation_algebra(algebra)
     ctx.dim_der = der.dim
@@ -414,16 +374,16 @@ def _build_context_from_presentation(pres: Presentation,
     ctx.split_local = True
     ctx.dim = pres.algebra_dim()
     ctx.center_dim = ctx.dim
-    if ctx.dim <= config.max_structure_dim:
+    if ctx.dim <= DEFAULT_MAX_STRUCTURE_DIM:
         algebra = quotient_algebra(pres)
         ctx.rad = jacobson_radical(algebra)
         ctx.radical_central = True       # commutative: the center is all of A
         ctx.reductive_report = reductive_shape(algebra, ctx.rad)
-        _attach_derivations(ctx, algebra, config)
+        _attach_derivations(ctx, algebra)
         ctx.torus_report = torus_shape_check(algebra, ctx.rad)
     else:
         ctx.unknown("structure_constants",
-                    f"dimension {ctx.dim} exceeds limit {config.max_structure_dim}")
+                    f"dimension {ctx.dim} exceeds limit {DEFAULT_MAX_STRUCTURE_DIM}")
     _attach_presentation_invariants(ctx, config)
     return ctx
 
@@ -446,7 +406,7 @@ def _attach_presentation_invariants(ctx: _Context, config: CertifyConfig):
                                 max_enum=config.max_enum)
         except AlgcertError as exc:
             ctx.unknown("isotropy", str(exc))
-    if ctx.graded and not ctx.w.is_power_slice and ctx.w.dim <= config.max_flag_dim:
+    if ctx.graded and not ctx.w.is_power_slice and ctx.w.dim <= DEFAULT_MAX_FLAG_DIM:
         try:
             lie = im_phi_lie(pres)
             ctx.dim_im_phi = lie.dim

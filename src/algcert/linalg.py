@@ -29,9 +29,11 @@ from .fields import Field
 _INT, _FRACTION, _INT_OR_FRACTION = {int}, {Fraction}, {int, Fraction}
 
 
-def _scalars(row, field: Field, taken: set) -> list:
-    """The row as a new list: entries whose type is in taken as they are,
-    others through field.coerce (so a bad scalar raises BadScalar)."""
+def scalars(row, field: Field, ints: bool = True) -> list:
+    """The row as a new list that exact arithmetic reads as it is: ints over
+    GF(p); over Q Fractions, and ints too unless ``ints`` is false.  Other
+    entries go through field.coerce, so a bad scalar raises BadScalar."""
+    taken = _INT if field.characteristic else _INT_OR_FRACTION if ints else _FRACTION
     if set(map(type, row)) <= taken:
         return list(row)
     return [x if type(x) in taken else field.coerce(x) for x in row]
@@ -41,7 +43,7 @@ def _sparse_row(row, field: Field) -> dict[int, int]:
     """The nonzero entries of a row as the core works on them: residues mod
     p, or over Q the row times the common denominator of its entries."""
     p = field.characteristic
-    row = _scalars(row, field, _INT if p else _INT_OR_FRACTION)
+    row = scalars(row, field)
     entries = dict(zip(compress(count(), row), filter(None, row)))
     if p:
         return _normalise(entries, None, p)
@@ -277,7 +279,7 @@ def _reduce(field: Field, ambient_dim: int, pivots, terms, v) -> list:
     Over GF(p) any int is taken as it is; over Q the residual holds Fractions.
     """
     p = field.characteristic
-    v = _scalars(v, field, _INT if p else _FRACTION)
+    v = scalars(v, field, ints=False)
     if len(v) != ambient_dim:
         raise AmbientMismatch("vector length != ambient dimension")
     for pc, row in zip(pivots, terms):

@@ -15,8 +15,8 @@ import itertools
 import warnings
 from dataclasses import dataclass
 
-from .algebra import (Coordinates, RadicalData, StructureAlgebra, _try_split,
-                      induced_algebra)
+from .algebra import (Coordinates, RadicalData, StructureAlgebra,
+                      element_idempotents, induced_algebra)
 from .errors import (InternalInconsistency, NotAdmissible, NotCommutative,
                      NotLocal, NotSplit, LoweyMismatch)
 from .fields import Field
@@ -172,8 +172,10 @@ def presentation_from_algebra(algebra: StructureAlgebra, rad: RadicalData) -> Pr
     if codim > 1:
         quot = induced_algebra(algebra.multiply, Coordinates.quotient(rad.radical),
                                algebra.one)
-        if _try_split(quot, quot.one, Subspace.full(algebra.field, quot.dim)):
-            raise NotLocal("A/J splits into several components")
+        for z in Subspace.full(algebra.field, quot.dim).basis:
+            idems, rest = element_idempotents(quot, z, quot.one)
+            if len(idems) + any(rest) > 1:
+                raise NotLocal("A/J splits into several components")
         raise NotSplit("A/J is a proper extension of the base field")
     if rad.jj2_dim == 0:
         raise NotAdmissible("radical is trivial; no admissible presentation")

@@ -1,7 +1,7 @@
 """Minimal polynomials of linear sequences and root extraction in a base field.
 
-Used by idempotent splitting (eigenvalues of multiplication operators) and by
-the rational-flag search (eigenvalues of restricted actions).
+Used by idempotent splitting (roots of the minimal polynomial of an element)
+and by the rational-flag search (eigenvalues of restricted actions).
 """
 
 from __future__ import annotations

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from algcert.algebra import Coordinates, StructureAlgebra
 from algcert.fields import QQ
+from algcert.linalg import Subspace, quotient_basis
 from algcert.poly import Poly, parse_poly
 
 
@@ -27,3 +29,29 @@ def random_poly(rng: random.Random, n_vars: int, field, max_degree: int,
         if coeff:
             terms[tuple(mono)] = field.coerce(coeff)
     return Poly(n_vars, field, terms)
+
+
+def transvected(algebra, rng, count=30):
+    """algebra in the basis f_i = sum_a T[a][i] e_a, T a product of count
+    signed integer transvections I + s E_ij, so T^-1 is integral too."""
+    d = algebra.dim
+    t = [[int(i == j) for j in range(d)] for i in range(d)]
+    t_inv = [row[:] for row in t]
+    for _ in range(count):
+        i, j = rng.sample(range(d), 2)
+        s = rng.choice((-1, 1))
+        for row in t:                   # T <- T (I + s E_ij)
+            row[j] += s * row[i]
+        t_inv[i] = [a - s * b for a, b in zip(t_inv[i], t_inv[j])]
+
+    def coords(v):                      # e coordinates -> f coordinates
+        return [sum(c * x for c, x in zip(row, v)) for row in t_inv]
+    basis = [[t[a][i] for a in range(d)] for i in range(d)]
+    table = [[coords(algebra.multiply(x, y)) for y in basis] for x in basis]
+    return StructureAlgebra(algebra.field, table, coords(algebra.one))
+
+
+def own_coordinates(s):
+    """The subspace s in the coordinates of its canonical basis."""
+    full = Subspace.full(s.field, s.ambient_dim)
+    return Coordinates(s.field, s.basis, quotient_basis(s, full))

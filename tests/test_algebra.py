@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from algcert.algebra import (Coordinates, LieSubalgebra, StructureAlgebra,
-                             _series_limit, _structure_constants, center, der_into,
+from algcert.algebra import (Coordinates, LieSubalgebra, _series_limit,
+                             _structure_constants, center, der_into,
                              derivation_algebra, induced_algebra,
                              inner_derivations, is_nilpotent, is_solvable,
                              jacobson_radical, jj2_basis, load_algebra,
@@ -23,7 +23,7 @@ from algcert.constructions import (componentwise_algebra, direct_sum,
                                    univariate_quotient_algebra,
                                    upper_triangular_algebra)
 from algcert.presentation import presentation_from_ideal, quotient_algebra
-from conftest import pp, random_poly
+from conftest import own_coordinates, pp, random_poly, transvected
 
 GF2, GF3, GF5 = GF(2), GF(3), GF(5)
 
@@ -187,8 +187,8 @@ class TestCoordinates:
                 assert jacobson_radical(a).radical == j, name
             e = [field.one if t in e_idx else field.zero for t in range(d)]
             views = {"A/J": (Coordinates.quotient(j), a.one),
-                     "center": (Coordinates.subspace(center(a)), a.one),
-                     "eAe": (Coordinates.subspace(a.product_span(e, full, e)), e)}
+                     "center": (own_coordinates(center(a)), a.one),
+                     "eAe": (own_coordinates(a.product_span(e, full, e)), e)}
             for view, (coords, one) in views.items():
                 induced = induced_algebra(a.multiply, coords, one)
                 n = induced.dim
@@ -322,26 +322,6 @@ class TestDerivations:
                 assert sub.space.contains(mat_bracket(dm, sm).flatten())
 
 
-def _transvected(algebra, rng, count=30):
-    """algebra in the basis f_i = sum_a T[a][i] e_a, T a product of count
-    signed integer transvections I + s E_ij, so T^-1 is integral too."""
-    d = algebra.dim
-    t = [[int(i == j) for j in range(d)] for i in range(d)]
-    t_inv = [row[:] for row in t]
-    for _ in range(count):
-        i, j = rng.sample(range(d), 2)
-        s = rng.choice((-1, 1))
-        for row in t:                   # T <- T (I + s E_ij)
-            row[j] += s * row[i]
-        t_inv[i] = [a - s * b for a, b in zip(t_inv[i], t_inv[j])]
-
-    def coords(v):                      # e coordinates -> f coordinates
-        return [sum(c * x for c, x in zip(row, v)) for row in t_inv]
-    basis = [[t[a][i] for a in range(d)] for i in range(d)]
-    table = [[coords(algebra.multiply(x, y)) for y in basis] for x in basis]
-    return StructureAlgebra(algebra.field, table, coords(algebra.one))
-
-
 @pytest.mark.parametrize("field", [QQ, GF(2**31 - 1)], ids=["QQ", "GF_BIG"])
 def test_der_in_dense_basis(field, rng):
     # dense bases give the derivation system many nonzeros and a low rank
@@ -349,7 +329,7 @@ def test_der_in_dense_basis(field, rng):
     cases = [(matrix_algebra(field, 3), 8, 8), (upper_triangular_algebra(field, 4), 9, 6),
              (truncated_polynomial_algebra(field, 2, 4), 18, 14)]
     for algebra, dim_der, dim_into in cases:
-        dense = _transvected(algebra, rng)
+        dense = transvected(algebra, rng)
         assert sum(1 for row in dense.table for cell in row for x in cell if x) \
             > 2 * sum(1 for row in algebra.table for cell in row for x in cell if x)
         der = derivation_algebra(dense)

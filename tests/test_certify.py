@@ -1,32 +1,41 @@
 import hashlib
 import importlib
+import itertools
 import json
 import logging
 import os
+import random
 import subprocess
 import sys
+from math import isqrt
 from pathlib import Path
 
 import pytest
 
 import algcert
-from algcert.algebra import center, jacobson_radical
+from algcert.algebra import (StructureAlgebra, _split_components, center,
+                             element_idempotents, induced_algebra,
+                             jacobson_radical)
 from algcert.certify import (RULES, CertifyConfig,
                              _build_context_from_presentation, _run_rules,
-                             certify, reductive_shape, verify_invariant_pair,
-                             semisimple_block_sizes, torus_shape_check)
+                             certify, quotient_structure, reductive_shape,
+                             verify_invariant_pair, semisimple_block_sizes,
+                             torus_shape_check)
 from algcert.constructions import (componentwise_algebra, direct_sum,
                                    matrix_algebra,
                                    truncated_polynomial_algebra,
                                    univariate_quotient_algebra,
                                    upper_triangular_algebra)
-from algcert.errors import DegreeOutOfRange
+from algcert.errors import (DegreeOutOfRange, InternalInconsistency, NotLocal,
+                            NotSplit, NotSplitBasic)
 from algcert.fields import GF, QQ
+from algcert.linalg import Matrix, Subspace, invert, kernel, solve
 from algcert.oracle import enumerate_automorphisms, induced_jj2_matrices
-from algcert.presentation import presentation_from_ideal
-from conftest import pp
+from algcert.presentation import presentation_from_algebra, presentation_from_ideal
+from algcert.roots import minimal_polynomial, roots_in_field
+from conftest import own_coordinates, pp, transvected
 
-GF3, GF5 = GF(3), GF(5)
+GF3, GF5, GF7 = GF(3), GF(5), GF(7)
 
 
 def build(n, l, texts, field=QQ):
@@ -517,3 +526,255 @@ def test_center_computed_once_per_algebra(monkeypatch):
         certify(obj)
         assert len(calls) == count
         assert len({id(a) for a in calls}) == count
+
+
+# -- the structure step against the splitters it replaced ----------------------
+#
+# References: the eigenspace splitter (kernels of M_z - lam and of the
+# non-linear cofactor of the minimal polynomial, units from one solve) and
+# the corner check on induced corner algebras, both run in the coordinates
+# of induced algebras as the structure step did before it split centers
+# and corners inside the algebra.
+
+def _ref_try_split(alg, unit, space):
+    f = alg.field
+    for z in space.basis:
+        def powers():
+            cur = list(unit)
+            while True:
+                yield cur
+                cur = alg.multiply(cur, z)
+        mp = minimal_polynomial(powers(), f)
+        if len(mp) <= 2:
+            continue
+        roots = roots_in_field(mp, f)
+        if not roots:
+            continue
+        mz = Matrix.from_columns(f, [alg.multiply(z, e)
+                                     for e in Matrix.identity(f, alg.dim).rows])
+        parts = []
+        remaining = mp
+        for lam in roots:
+            shifted = Matrix(f, [[f.sub(x, lam if i == j else f.zero)
+                                  for j, x in enumerate(row)]
+                                 for i, row in enumerate(mz.rows)])
+            eig = kernel(shifted).intersect(space)
+            if eig.dim > 0:
+                parts.append(eig)
+            deflated = [f.zero] * (len(remaining) - 1)
+            carry = f.zero
+            for i in range(len(remaining) - 1, 0, -1):
+                carry = f.add(remaining[i], f.mul(carry, lam))
+                deflated[i - 1] = carry
+            remaining = deflated
+        if sum(p.dim for p in parts) < space.dim:
+            if len(remaining) <= 1:
+                return None
+            acc = Matrix.zeros(f, alg.dim, alg.dim)
+            for c in reversed(remaining):
+                acc = acc.mul(mz).add(Matrix.identity(f, alg.dim).scale(c))
+            rest = kernel(acc).intersect(space)
+            if rest.dim in (0, space.dim):
+                return None
+            parts.append(rest)
+        if len(parts) < 2:
+            continue
+        coeffs = solve(Matrix(f, [r for p in parts for r in p.basis]).transpose(), unit)
+        assert coeffs is not None
+        out, offset = [], 0
+        for p in parts:
+            u = [f.zero] * alg.dim
+            for c, row in zip(coeffs[offset:offset + p.dim], p.basis):
+                u = [f.add(x, f.mul(c, y)) for x, y in zip(u, row)]
+            offset += p.dim
+            out.append((u, p))
+        return out
+    return None
+
+
+def _ref_split_components(alg):
+    """Units of the one-dimensional components of a commutative semisimple
+    algebra, in its own coordinates; None where a block does not split."""
+    components = [(alg.one, Subspace.full(alg.field, alg.dim))]
+    done = []
+    while components:
+        unit, space = components.pop()
+        if space.dim == 1:
+            done.append(unit)
+            continue
+        parts = _ref_try_split(alg, unit, space)
+        if parts is None:
+            return None
+        components.extend(parts)
+    return done
+
+
+def _ref_lagrange_idempotents(alg, b):
+    f = alg.field
+
+    def powers():
+        cur = list(alg.one)
+        while True:
+            yield cur
+            cur = alg.multiply(cur, b)
+    mp = minimal_polynomial(powers(), f)
+    roots = roots_in_field(mp, f)
+    if len(mp) < 3 or len(roots) != len(mp) - 1:
+        return []
+    out = []
+    for lam in roots:
+        e, scale = list(alg.one), f.one
+        for mu in roots:
+            if mu != lam:
+                e = alg.multiply(e, [f.sub(x, f.mul(mu, u)) for x, u in zip(b, alg.one)])
+                scale = f.mul(scale, f.sub(lam, mu))
+        out.append([f.mul(f.inv(scale), x) for x in e])
+    return out
+
+
+def _ref_corner_has_rank_one(alg):
+    if alg.dim == 1:
+        return True
+    full = Subspace.full(alg.field, alg.dim)
+    for b in full.basis:
+        for e in _ref_lagrange_idempotents(alg, b):
+            corner = alg.product_span(e, full, e)
+            if corner.dim == 1:
+                return True
+            if 1 < corner.dim < alg.dim and _ref_corner_has_rank_one(
+                    induced_algebra(alg.multiply, own_coordinates(corner), e)):
+                return True
+    return False
+
+
+def _ref_center_idempotents(algebra):
+    zcoords = own_coordinates(center(algebra))
+    units = _ref_split_components(induced_algebra(algebra.multiply, zcoords, algebra.one))
+    return None if units is None else [zcoords.lift(u) for u in units]
+
+
+def _ref_block_sizes(algebra):
+    units = _ref_center_idempotents(algebra)
+    if units is None:
+        return None
+    full = Subspace.full(algebra.field, algebra.dim)
+    sizes = []
+    for zi in units:
+        comp = algebra.product_span(zi, full)
+        m = isqrt(comp.dim)
+        if m * m != comp.dim or not _ref_corner_has_rank_one(
+                induced_algebra(algebra.multiply, own_coordinates(comp), zi)):
+            return None
+        sizes.append(m)
+    return sorted(sizes)
+
+
+def _quaternion_algebra(field, a, b):
+    """(a, b) over field: basis 1, i, j, k with i^2 = a, j^2 = b, ij = -ji = k."""
+    # products of basis indices as (sign-and-scale, index): k^2 = -ab
+    rule = {(1, 1): (a, 0), (2, 2): (b, 0), (3, 3): (-a * b, 0),
+            (1, 2): (1, 3), (2, 1): (-1, 3), (1, 3): (a, 2), (3, 1): (-a, 2),
+            (2, 3): (-b, 1), (3, 2): (b, 1)}
+    table = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+    for x in range(4):
+        for y in range(4):
+            c, k = (1, x + y) if 0 in (x, y) else rule[(x, y)]
+            table[x][y][k] = c
+    return StructureAlgebra(field, table, [1, 0, 0, 0])
+
+
+def _m3_in_turn_basis(field):
+    """M_3 in a basis of conjugates P J P^-1, P unimodular, of J = (1) + a
+    quarter turn in the other two coordinates.  Every basis element has the
+    minimal polynomial (t - 1)(t^2 + 1), which does not split unless -1 is
+    a square; its root 1 alone cuts a rank-one corner, a partial split that
+    the corner check does not take."""
+    rng = random.Random(3)
+    turn = [[1, 0, 0], [0, 0, -1], [0, 1, 0]]
+
+    def mul(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)]
+                for i in range(3)]
+    basis = []
+    while len(basis) < 9:
+        p = [[int(i == j) for j in range(3)] for i in range(3)]
+        for _ in range(4):              # p <- p (I + s E_ij): unimodular
+            i, j = rng.sample(range(3), 2)
+            s = rng.choice((-1, 1))
+            for row in p:
+                row[j] += s * row[i]
+        cand = [x for row in mul(mul(p, turn), invert(Matrix(QQ, p)).rows) for x in row]
+        if Subspace.from_vectors(field, 9, basis + [cand]).dim > len(basis):
+            basis.append(cand)
+    cols = Matrix.from_columns(field, basis)
+
+    def coords(m):
+        return solve(cols, [x for row in m for x in row])
+    mats = [[b[3 * i:3 * i + 3] for i in range(3)] for b in basis]
+    table = [[coords(mul(x, y)) for y in mats] for x in mats]
+    return StructureAlgebra(field, table, coords([[int(i == j) for j in range(3)]
+                                                  for i in range(3)]))
+
+
+def _splitter_cases():
+    # (name, algebra builder); t^2 + 1, t^3 - 2 split over some GF(p) only
+    def circle(f):
+        return univariate_quotient_algebra(f, [1, 0, 1])
+    return [("k3", lambda f: componentwise_algebra(f, 3)),
+            ("M2", lambda f: matrix_algebra(f, 2)),
+            ("M3", lambda f: matrix_algebra(f, 3)),
+            ("M2+k", lambda f: direct_sum(matrix_algebra(f, 2), componentwise_algebra(f, 1))),
+            ("circle", circle),
+            ("cube_root_2", lambda f: univariate_quotient_algebra(f, [-2, 0, 0, 1])),
+            ("circle+k2", lambda f: direct_sum(circle(f), componentwise_algebra(f, 2))),
+            ("quaternion", lambda f: _quaternion_algebra(f, -1, -1)),
+            ("M3_turns", _m3_in_turn_basis)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF3, GF5, GF7], ids=["QQ", "GF3", "GF5", "GF7"])
+@pytest.mark.parametrize("name, build_algebra", _splitter_cases(),
+                         ids=[name for name, _ in _splitter_cases()])
+def test_structure_step_matches_eigenspace_splitter(name, build_algebra, field):
+    rng = random.Random(f"{name}/{field!r}")
+    standard = build_algebra(field)
+    for algebra in [standard] + [transvected(standard, rng, count=12) for _ in range(2)]:
+        semi = algebra          # the non-commutative cases are semisimple
+        if algebra.commutative:
+            # split A/J, as certify does (t^3 - 2 = (t + 1)^3 over GF(3))
+            rad = jacobson_radical(algebra)
+            semi = quotient_structure(algebra, rad)
+            if semi.dim > 1:
+                want_local = _ref_try_split(semi, semi.one, Subspace.full(field, semi.dim))
+                with pytest.raises(NotLocal if want_local else NotSplit):
+                    presentation_from_algebra(algebra, rad)
+        want = _ref_center_idempotents(semi)
+        try:
+            got = _split_components(semi, center(semi))
+        except NotSplitBasic:
+            got = None
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None and sorted(map(tuple, got)) == sorted(map(tuple, want))
+        assert semisimple_block_sizes(semi) == _ref_block_sizes(semi)
+
+
+def test_non_root_from_root_finder_is_inconsistent(monkeypatch):
+    # a non-root taken as a root gives a non-idempotent h(z)/h(lam); the
+    # structure step must abort, not certify with it
+    algebra_module = importlib.import_module("algcert.algebra")
+    real = algebra_module.roots_in_field
+
+    def with_non_root(coeffs, field):
+        roots = real(coeffs, field)
+        return roots + [next(field.coerce(c) for c in itertools.count(2)
+                             if field.coerce(c) not in roots)]
+
+    monkeypatch.setattr(algebra_module, "roots_in_field", with_non_root)
+    with pytest.raises(InternalInconsistency):
+        element_idempotents(componentwise_algebra(QQ, 2), [1, 0], [1, 1])
+    # the center split, the corner check, and the split of A/J
+    for algebra in (componentwise_algebra(GF5, 3), matrix_algebra(QQ, 2),
+                    _k_plus_dual_numbers(QQ)):
+        with pytest.raises(InternalInconsistency):
+            certify(algebra)

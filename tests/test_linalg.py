@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from algcert.constructions import componentwise_algebra
 from algcert.errors import AmbientMismatch, BadScalar, NotContained
 from algcert.fields import GF, QQ
 from algcert.linalg import (Echelon, Matrix, Subspace, invert, kernel,
@@ -305,12 +306,22 @@ def test_q_spaces_from_ints_hold_fractions():
 def test_scalar_types_read_or_rejected():
     assert Subspace.from_vectors(GF5, 2, [[Fraction(1, 2), 7]]).basis == [[1, 4]]
     assert Subspace.from_vectors(QQ, 2, [["1/2", 1]]).basis == [[1, 2]]
+    # StructureAlgebra.multiply reads factors the same way; its product
+    # holds Fractions over Q and residues in [0, p) over GF(p)
+    product = componentwise_algebra(QQ, 2).multiply([1, Fraction(1, 2)], [3, 4])
+    assert product == [3, 2] and all(type(x) is Fraction for x in product)
+    assert componentwise_algebra(GF5, 2).multiply([-1, 7], [3, Fraction(1, 2)]) == [2, 1]
     for field in (QQ, GF5):
+        algebra = componentwise_algebra(field, 2)
         for bad in (False, True, "x", 0.5):
             with pytest.raises(BadScalar):
                 Subspace.from_vectors(field, 2, [[bad, 1]])
             with pytest.raises(BadScalar):
                 Subspace.full(field, 2).reduce([1, bad])
+            with pytest.raises(BadScalar):
+                algebra.multiply([1, bad], [1, 1])
+            with pytest.raises(BadScalar):
+                algebra.multiply([1, 1], [bad, 1])
 
 
 _FIELD_CASES = [pytest.param(QQ, _Q_ENTRY, id="QQ")] + [

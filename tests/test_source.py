@@ -1,9 +1,11 @@
 """Checks on the package source itself."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import algcert
+from algcert.certify import CertifyConfig
 
 SOURCES = sorted(Path(algcert.__file__).parent.glob("*.py"))
 
@@ -53,3 +55,14 @@ def test_defaults_defined_once():
     assert config_defaults
     assert [name for name, value in config_defaults
             if not isinstance(value, ast.Name)] == []
+
+
+def test_config_fields_have_cli_flags():
+    # a CertifyConfig field that no command-line flag sets is a knob no
+    # caller turns: it should be a constant instead
+    cli = ast.parse((Path(algcert.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    func = next(node for node in ast.walk(cli)
+                if isinstance(node, ast.FunctionDef) and node.name == "_config_from_args")
+    set_by_flags = {target.attr for node in ast.walk(func) if isinstance(node, ast.Assign)
+                    for target in node.targets if isinstance(target, ast.Attribute)}
+    assert {f.name for f in dataclasses.fields(CertifyConfig)} == set_by_flags
