@@ -14,7 +14,7 @@ from .errors import (AmbientMismatch, InternalInconsistency, NonAssociative,
 from .fields import Field, PrimeField, QQ
 from .linalg import (Echelon, Matrix, Subspace, invert, kernel_rows,
                      mat_bracket, quotient_basis, scalars)
-from .roots import minimal_polynomial, roots_in_field
+from .roots import minimal_polynomial, poly_divmod, poly_eval, roots_in_field
 
 DEFAULT_MAX_ENUM = 10**7   # largest search space enumerated by default
 
@@ -333,7 +333,7 @@ def lowey_length(rad: RadicalData) -> int:
     return rad.lowey_length
 
 
-def jj2_basis(algebra: StructureAlgebra, rad: RadicalData) -> list:
+def jj2_basis(rad: RadicalData) -> list:
     """Lift of a basis of J/J^2 into J (extends a basis of J^2 inside J)."""
     return quotient_basis(rad.square, rad.radical)
 
@@ -369,14 +369,8 @@ def element_idempotents(alg: StructureAlgebra, z, unit) -> tuple[list, list]:
     m = minimal_polynomial(power_sequence(), f)
     idems = []
     for lam in roots_in_field(m, f):
-        h = [f.zero] * (len(m) - 1)          # m / (t - lam) by synthetic division
-        carry = f.zero
-        for i in range(len(m) - 1, 0, -1):
-            carry = f.add(m[i], f.mul(carry, lam))
-            h[i - 1] = carry
-        h_lam = f.zero
-        for c in reversed(h):
-            h_lam = f.add(f.mul(h_lam, lam), c)
+        h = poly_divmod(m, [f.neg(lam), f.one], f)[0]
+        h_lam = poly_eval(h, lam, f)
         if f.is_zero(h_lam):
             continue
         scale = f.inv(h_lam)

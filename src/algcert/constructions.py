@@ -5,6 +5,7 @@ from __future__ import annotations
 from .algebra import StructureAlgebra
 from .fields import Field
 from .poly import TruncatedRing
+from .roots import poly_divmod
 
 
 def componentwise_algebra(field: Field, n: int) -> StructureAlgebra:
@@ -68,17 +69,10 @@ def univariate_quotient_algebra(field: Field, modulus) -> StructureAlgebra:
     if not coeffs or not field.is_zero(field.sub(coeffs[-1], field.one)):
         raise ValueError("modulus must be monic with ascending coefficients")
     d = len(coeffs) - 1
-    # t^d = -sum_{i<d} coeffs[i] t^i; powers of t up to 2d-2
-    powers = []
-    cur = [field.one] + [field.zero] * (d - 1)
-    for _ in range(2 * d - 1):
-        powers.append(cur)
-        nxt = [field.zero] + cur[:-1]
-        overflow = cur[-1]
-        if not field.is_zero(overflow):
-            nxt = [field.sub(a, field.mul(overflow, coeffs[i]))
-                   for i, a in enumerate(nxt)]
-        cur = nxt
+    powers = []                       # t^k mod f for k up to 2d-2
+    for k in range(2 * d - 1):
+        r = poly_divmod([field.zero] * k + [field.one], coeffs, field)[1]
+        powers.append(r + [field.zero] * (d - len(r)))
     table = [[powers[i + j] for j in range(d)] for i in range(d)]
     one = [field.one] + [field.zero] * (d - 1)
     return StructureAlgebra(field, table, one)

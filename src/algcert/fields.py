@@ -70,9 +70,6 @@ class Field:
     def format(self, s) -> str:
         return str(s)
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
 
 class RationalField(Field):
     characteristic = 0
@@ -109,9 +106,6 @@ class RationalField(Field):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in Q")
         return 1 / a
-
-    def to_json(self) -> dict:
-        return {"type": "Q"}
 
     def __repr__(self):
         return "QQ"
@@ -173,9 +167,6 @@ class PrimeField(Field):
         if a % self.p == 0:
             raise ZeroDivisionError(f"inverse of 0 in GF({self.p})")
         return pow(a, -1, self.p)
-
-    def to_json(self) -> dict:
-        return {"type": "GFp", "p": self.p}
 
     def __repr__(self):
         return f"GF({self.p})"

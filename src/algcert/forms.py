@@ -17,7 +17,8 @@ from .fields import Field, PrimeField
 from .linalg import Matrix, Subspace, kernel, kernel_rows, mat_bracket, rref_rows
 from .poly import Poly, partial_derivative
 from .presentation import MinimalDegreeSubspace, Presentation
-from .roots import minimal_polynomial, operator_power_sequence, roots_in_field
+from .roots import (minimal_polynomial, operator_power_sequence, poly_gcd,
+                    roots_in_field)
 
 DEFAULT_HEIGHT_BOUND = 50
 DEFAULT_PRIMES = (5, 7, 11, 13)
@@ -164,34 +165,6 @@ class NonsingularityEvidence:
     method: str
     witness: list | None = None
     primes_used: list = dc_field(default_factory=list)
-
-
-def _uni_gcd(a: list, b: list, fld: Field) -> list:
-    def trim(x):
-        while x and fld.is_zero(x[-1]):
-            x.pop()
-        return x
-
-    def rem(x, y):
-        x = list(x)
-        inv = fld.inv(y[-1])
-        while len(x) >= len(y):
-            c = fld.mul(x[-1], inv)
-            shift = len(x) - len(y)
-            for i, m in enumerate(y):
-                x[shift + i] = fld.sub(x[shift + i], fld.mul(c, m))
-            trim(x)
-            if not x:
-                break
-        return x
-
-    a, b = trim(list(a)), trim(list(b))
-    while b:
-        a, b = b, rem(a, b)
-    if a:
-        inv = fld.inv(a[-1])
-        a = [fld.mul(inv, c) for c in a]
-    return a
 
 
 def _binary_coeff_vector(f: Poly, degree: int) -> list:
@@ -343,7 +316,7 @@ def _nonsingularity_binary(f: Poly, parts: list[Poly]) -> NonsingularityEvidence
                                       [fld.one, fld.zero])
     ax = _binary_coeff_vector(fx, d - 1)
     ay = _binary_coeff_vector(fy, d - 1)
-    g = _uni_gcd(ax, ay, fld)
+    g = poly_gcd(ax, ay, fld)
     if len(g) > 1:
         roots = roots_in_field(g, fld)
         if roots:
@@ -461,8 +434,7 @@ class FlagSearchResult:
     flag: list | None = None      # chain vectors in the W coordinates
 
 
-def restricted_action(lie: LieSubalgebra, w: MinimalDegreeSubspace,
-                      ring=None) -> list[Matrix]:
+def restricted_action(lie: LieSubalgebra, w: MinimalDegreeSubspace) -> list[Matrix]:
     """Matrices of delta_M acting on W for each basis M of the Lie algebra.
 
     Raises NotStable when some delta_M image leaves W.

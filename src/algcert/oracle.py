@@ -41,8 +41,7 @@ def _is_algebra_map(algebra: StructureAlgebra, m: Matrix) -> bool:
 
 def enumerate_automorphisms(algebra: StructureAlgebra,
                             rad: RadicalData | None = None,
-                            max_enum: int = DEFAULT_MAX_ENUM,
-                            verify_group_axioms: bool = True) -> EnumeratedGroup:
+                            max_enum: int = DEFAULT_MAX_ENUM) -> EnumeratedGroup:
     """All algebra automorphisms of a GF(p) algebra by exhaustive search.
 
     Local commutative algebras enumerate generator images inside J
@@ -66,7 +65,7 @@ def enumerate_automorphisms(algebra: StructureAlgebra,
         elements = _enumerate_general(algebra, max_enum)
     elements.sort(key=lambda m: tuple(x for row in m.rows for x in row))
     group = EnumeratedGroup(elements, len(elements))
-    if verify_group_axioms and group.order <= 1000:
+    if group.order <= 1000:
         _verify_group(algebra, group)
     return group
 

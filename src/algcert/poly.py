@@ -284,6 +284,16 @@ def s_index(g: Poly) -> int | None:
 
 # -- truncated ring ------------------------------------------------------------
 
+def degree_monomials(n_vars: int, d: int) -> list[tuple]:
+    """The C(n+d-1, d) exponent tuples of degree d in n variables, in grlex order."""
+    # stars and bars: n-1 bar positions among d+n-1 slots give each tuple once
+    slots = d + n_vars - 1
+    level = [tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
+             for bars in itertools.combinations(range(slots), n_vars - 1)]
+    level.sort(key=grlex_key)
+    return level
+
+
 class TruncatedRing:
     """k[X1..Xn]/<X1..Xn>^l with the graded-lex monomial coordinate system."""
 
@@ -294,15 +304,7 @@ class TruncatedRing:
             raise ValueError("need n_vars >= 1 and trunc_degree >= 1")
         self.n_vars = n_vars
         self.trunc_degree = trunc_degree
-        monos = []
-        for d in range(trunc_degree):
-            # stars and bars: n-1 bar positions among d+n-1 slots give the
-            # C(n+d-1, d) exponent tuples of degree d, each exactly once
-            slots = d + n_vars - 1
-            level = [tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
-                     for bars in itertools.combinations(range(slots), n_vars - 1)]
-            level.sort(key=grlex_key)
-            monos.extend(level)
+        monos = [m for d in range(trunc_degree) for m in degree_monomials(n_vars, d)]
         self.monomials = monos
         self.index = {m: i for i, m in enumerate(monos)}
 

@@ -11,9 +11,9 @@ sort by valuation, which makes every degree filtration a row filter.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
+from math import comb
 
 from .algebra import (Coordinates, RadicalData, StructureAlgebra,
                       element_idempotents, induced_algebra)
@@ -21,7 +21,8 @@ from .errors import (InternalInconsistency, NotAdmissible, NotCommutative,
                      NotLocal, NotSplit, LoweyMismatch)
 from .fields import Field
 from .linalg import Matrix, Subspace, kernel, quotient_basis, rref
-from .poly import Poly, TruncatedRing, monomial_gcd_factor, s_index
+from .poly import (Poly, TruncatedRing, degree_monomials, monomial_gcd_factor,
+                   s_index)
 
 
 class Presentation:
@@ -136,7 +137,7 @@ def presentation_from_ideal(n_vars: int, lowey: int, generators: list[Poly],
             raise NotAdmissible(f"generator {g} has a constant or linear part")
         truncated.append(cut)
     ideal = _saturate(ring, field, truncated)
-    actual = _actual_lowey(ring, field, ideal)
+    actual = _actual_lowey(ring, ideal)
     if actual < lowey:
         warnings.warn(
             f"supplied Lowey length {lowey} corrected to {actual}", LoweyMismatch)
@@ -147,15 +148,16 @@ def presentation_from_ideal(n_vars: int, lowey: int, generators: list[Poly],
     return Presentation(field, n_vars, lowey, ring, ideal, truncated)
 
 
-def _actual_lowey(ring: TruncatedRing, field: Field, ideal: Subspace) -> int:
+def _actual_lowey(ring: TruncatedRing, ideal: Subspace) -> int:
+    """Least m >= 2 with every degree-m monomial in the ideal, else l.
+
+    The ideal holds every monomial multiple of its rows, so it contains the
+    degree-m monomials exactly when it contains all of degree m..l-1, that
+    is when its rows of valuation >= m are as many as those monomials.
+    """
+    vals = [sum(ring.monomials[p]) for p in ideal.pivots]
     for m in range(2, ring.trunc_degree):
-        pos = ring.degree_slice(m)
-        vecs = []
-        for p in pos:
-            v = [field.zero] * ring.dim
-            v[p] = field.one
-            vecs.append(v)
-        if all(ideal.contains(v) for v in vecs):
+        if sum(v >= m for v in vals) == ring.dim - comb(ring.n_vars + m - 1, ring.n_vars):
             return m
     return ring.trunc_degree
 
@@ -292,8 +294,7 @@ def minimal_degree_subspace(pres: Presentation) -> MinimalDegreeSubspace:
     f = pres.field
     if pres.ideal.dim == 0:
         n, l = pres.n_vars, pres.lowey
-        monos = sorted((m for m in itertools.product(range(l + 1), repeat=n)
-                        if sum(m) == l), key=lambda m: (tuple(-e for e in m)))
+        monos = degree_monomials(n, l)
         polys = [Poly.monomial(n, f, m) for m in monos]
         return MinimalDegreeSubspace(l, monos, Subspace.full(f, len(monos)),
                                      polys, True)

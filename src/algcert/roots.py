@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InternalInconsistency
-from .fields import Field, PrimeField
+from .fields import QQ, Field, PrimeField
 from .linalg import Echelon, Matrix, Subspace, solve
 
 
@@ -77,157 +77,117 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     for c in coeffs:
         den = den * c.denominator // gcd(den, c.denominator)
     ints = [int(c * den) for c in coeffs]
-    while ints and ints[-1] == 0:
-        ints.pop()
-    if not ints:
-        return []
-    roots = []
-    low = 0
-    while low < len(ints) and ints[low] == 0:
-        low += 1
-    if low > 0:
-        roots.append(Fraction(0))
-        ints = ints[low:]
-    if len(ints) <= 1:
-        return sorted(set(roots))
-    a0, an = ints[0], ints[-1]
-    for p in _divisors_bounded(a0):
-        for q in _divisors_bounded(an):
-            if gcd(p, q) != 1:
-                continue
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                acc = Fraction(0)
-                for c in reversed(ints):
-                    acc = acc * cand + c
-                if acc == 0:
-                    roots.append(cand)
+    low = next(i for i, c in enumerate(ints) if c)
+    roots = [Fraction(0)] if low else []
+    ints = ints[low:]
+    if len(ints) == 1:
+        return roots
+    for p in _divisors_bounded(ints[0]):
+        for q in _divisors_bounded(ints[-1]):
+            if gcd(p, q) == 1:
+                roots += [c for c in (Fraction(p, q), Fraction(-p, q))
+                          if poly_eval(ints, c, QQ) == 0]
     return sorted(set(roots))
 
 
-# -- univariate polynomials over GF(p), dense ascending coefficient lists ----
+# -- univariate polynomials: ascending coefficient lists over a Field --------
 
-def _gfp_trim(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _gfp_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    prod[i + j] = (prod[i + j] + x * y) % p
-    return _gfp_rem(prod, mod, p)
-
-
-def _gfp_rem(a: list[int], mod: list[int], p: int) -> list[int]:
-    a = [x % p for x in a]
-    _gfp_trim(a)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], -1, p)
-    while len(a) - 1 >= dm:
-        c = a[-1] * inv_lead % p
-        shift = len(a) - 1 - dm
-        for i, m in enumerate(mod):
-            a[shift + i] = (a[shift + i] - c * m) % p
-        _gfp_trim(a)
+def _trim(a: list, field: Field) -> list:
+    while a and field.is_zero(a[-1]):
+        a.pop()
     return a
 
 
-def _gfp_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _gfp_rem(list(base), mod, p)
+def poly_divmod(a: list, b: list, field: Field) -> tuple[list, list]:
+    """(q, r) with a = q b + r and deg r < deg b, both trimmed; b nonzero."""
+    b = _trim(list(b), field)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = _trim(list(a), field)
+    inv = field.inv(b[-1])
+    q = [field.zero] * max(len(r) - len(b) + 1, 0)
+    for shift in range(len(q) - 1, -1, -1):
+        c = q[shift] = field.mul(r[shift + len(b) - 1], inv)
+        for i, m in enumerate(b):
+            r[shift + i] = field.sub(r[shift + i], field.mul(c, m))
+    return _trim(q, field), _trim(r[:len(b) - 1], field)
+
+
+def poly_gcd(a: list, b: list, field: Field) -> list:
+    """Monic gcd of a and b; [] when both are zero."""
+    a, b = _trim(list(a), field), _trim(list(b), field)
+    while b:
+        a, b = b, poly_divmod(a, b, field)[1]
+    if not a:
+        return a
+    inv = field.inv(a[-1])
+    return [field.mul(inv, c) for c in a]
+
+
+def poly_eval(f: list, x, field: Field):
+    """f(x) by Horner's rule."""
+    acc = field.zero
+    for c in reversed(f):
+        acc = field.add(field.mul(acc, x), c)
+    return acc
+
+
+def _powmod(base: list, e: int, mod: list, field: Field) -> list:
+    """base^e modulo mod for e >= 1, by repeated squaring."""
+    def mulmod(x, y):
+        prod = [field.zero] * max(len(x) + len(y) - 1, 0)
+        for i, u in enumerate(x):
+            for j, v in enumerate(y):
+                prod[i + j] = field.add(prod[i + j], field.mul(u, v))
+        return poly_divmod(prod, mod, field)[1]
+
+    result = [field.one]
+    base = poly_divmod(base, mod, field)[1]
     while e:
         if e & 1:
-            result = _gfp_mulmod(result, base, mod, p)
-        base = _gfp_mulmod(base, base, mod, p)
+            result = mulmod(result, base)
+        base = mulmod(base, base)
         e >>= 1
     return result
 
 
-def _gfp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = [x % p for x in a], [x % p for x in b]
-    _gfp_trim(a)
-    _gfp_trim(b)
-    while b:
-        a, b = b, _gfp_rem(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [x * inv % p for x in a]
-    return a
-
-
-def _gfp_roots(coeffs: list[int], p: int) -> list[int]:
-    """Distinct roots in GF(p) of a nonzero polynomial (ascending coeffs)."""
-    f = [c % p for c in coeffs]
-    _gfp_trim(f)
-    if not f:
-        return []
+def _gfp_roots(f: list, field: PrimeField) -> list[int]:
+    """Distinct roots in GF(p) of a nonzero trimmed polynomial."""
+    p = field.p
     if p <= 4096 or len(f) - 1 >= p:
-        return [a for a in range(p) if _gfp_eval(f, a, p) == 0]
+        return [a for a in range(p) if field.is_zero(poly_eval(f, a, field))]
     # split off the product of distinct linear factors: gcd(t^p - t, f)
-    tp = _gfp_powmod([0, 1], p, f, p)
-    tp_minus_t = list(tp)
-    while len(tp_minus_t) < 2:
-        tp_minus_t.append(0)
-    tp_minus_t[1] = (tp_minus_t[1] - 1) % p
-    g = _gfp_gcd(tp_minus_t, f, p)
-    return sorted(_gfp_split_linear(g, p, random.Random(0x5eed)))
+    tp = _powmod([0, 1], p, f, field) + [0, 0]
+    tp[1] = field.sub(tp[1], field.one)
+    g = poly_gcd(tp, f, field)
+    return sorted(_gfp_split_linear(g, field, random.Random(0x5eed)))
 
 
-def _gfp_eval(f: list[int], a: int, p: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * a + c) % p
-    return acc
-
-
-def _gfp_split_linear(g: list[int], p: int, rng: random.Random) -> list[int]:
-    """Equal-degree (degree 1) splitting of a squarefree product of linears."""
+def _gfp_split_linear(g: list, field: PrimeField, rng: random.Random) -> list[int]:
+    """Equal-degree (degree 1) splitting of a monic squarefree product of
+    linear factors (Cantor-Zassenhaus)."""
     deg = len(g) - 1
     if deg <= 0:
         return []
     if deg == 1:
-        return [(-g[0] * pow(g[1], -1, p)) % p]
-    if g[0] == 0:
-        reduced = g[1:]
-        return [0] + _gfp_split_linear(reduced, p, rng)
+        return [field.neg(g[0])]
+    if field.is_zero(g[0]):
+        return [0] + _gfp_split_linear(g[1:], field, rng)
     while True:
-        a = rng.randrange(p)
-        probe = _gfp_powmod([a, 1], (p - 1) // 2, g, p)
-        probe = list(probe)
-        if not probe:
-            probe = [0]
-        probe[0] = (probe[0] - 1) % p
-        h = _gfp_gcd(probe, g, p)
+        a = rng.randrange(field.p)
+        probe = _powmod([a, 1], (field.p - 1) // 2, g, field) or [0]
+        probe[0] = field.sub(probe[0], field.one)
+        h = poly_gcd(probe, g, field)
         if 0 < len(h) - 1 < deg:
-            rest = _gfp_quot(g, h, p)
-            return _gfp_split_linear(h, p, rng) + _gfp_split_linear(rest, p, rng)
-
-
-def _gfp_quot(a: list[int], b: list[int], p: int) -> list[int]:
-    a = [x % p for x in a]
-    out = [0] * (len(a) - len(b) + 1)
-    inv_lead = pow(b[-1], -1, p)
-    while len(a) >= len(b) and any(a):
-        _gfp_trim(a)
-        if len(a) < len(b):
-            break
-        c = a[-1] * inv_lead % p
-        shift = len(a) - len(b)
-        out[shift] = c
-        for i, m in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * m) % p
-    return out
+            rest = poly_divmod(g, h, field)[0]
+            return _gfp_split_linear(h, field, rng) + _gfp_split_linear(rest, field, rng)
 
 
 def roots_in_field(coeffs, field: Field) -> list:
     """Distinct roots lying in the base field, sorted deterministically."""
-    coeffs = [field.coerce(c) for c in coeffs]
-    if all(field.is_zero(c) for c in coeffs):
+    f = _trim([field.coerce(c) for c in coeffs], field)
+    if not f:
         raise ValueError("zero polynomial has every root")
     if isinstance(field, PrimeField):
-        return _gfp_roots(list(coeffs), field.p)
-    return _rational_roots(list(coeffs))
+        return _gfp_roots(f, field)
+    return _rational_roots(f)

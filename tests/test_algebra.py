@@ -151,7 +151,7 @@ class TestRadical:
         rad = jacobson_radical(a)
         assert rad.lowey_length == 3
         assert rad.jj2_dim == 1
-        assert len(jj2_basis(a, rad)) == 1
+        assert len(jj2_basis(rad)) == 1
         b = truncated_polynomial_algebra(QQ, 2, 2)
         radb = jacobson_radical(b)
         assert radb.lowey_length == 2 and radb.jj2_dim == 2

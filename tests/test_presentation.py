@@ -1,23 +1,29 @@
+import itertools
+import random
+import time
 import warnings
+from math import comb
 
 import pytest
 
 from algcert.algebra import jacobson_radical
+from algcert.certify import certify
 from algcert.constructions import (componentwise_algebra,
                                    univariate_quotient_algebra)
 from algcert.errors import (LoweyMismatch, NotAdmissible, NotLocal, NotSplit,
                             NotCommutative)
 from algcert.fields import GF, QQ
 from algcert.linalg import Matrix, Subspace, quotient_basis
-from algcert.poly import LinearChange, Poly, apply_linear_change
-from algcert.presentation import (associated_graded_ideal,
+from algcert.poly import LinearChange, Poly, TruncatedRing, apply_linear_change
+from algcert.presentation import (_actual_lowey, _saturate,
+                                  associated_graded_ideal,
                                   has_homogeneous_ideal,
                                   is_graded_presentation, is_monomial_ideal,
                                   minimal_degree_subspace, normal_form,
                                   presentation_from_algebra,
                                   presentation_from_ideal, property_star,
                                   quotient_algebra)
-from conftest import pp
+from conftest import pp, random_poly
 
 GF2, GF3, GF5 = GF(2), GF(3), GF(5)
 
@@ -66,6 +72,46 @@ class TestFromIdeal:
                 assert p.ideal.contains(p._x_multiple(row, i))
 
 
+def _actual_lowey_reference(ring, field, ideal):
+    # membership of every degree-m unit vector, degree by degree
+    for m in range(2, ring.trunc_degree):
+        units = [[field.one if q == p else field.zero for q in range(ring.dim)]
+                 for p in ring.degree_slice(m)]
+        if all(ideal.contains(v) for v in units):
+            return m
+    return ring.trunc_degree
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3])
+def test_actual_lowey_matches_unit_vector_check(field):
+    rng = random.Random(4242)
+    lowered = kept = 0
+    for _ in range(60):
+        n, l = rng.randint(1, 3), rng.randint(2, 6)
+        ring = TruncatedRing(n, l)
+        monos = [m for m in ring.monomials if sum(m) >= 2]
+        gens = []
+        for _ in range(rng.randint(0, 4)):
+            if monos and rng.random() < 0.5:    # monomials drive the Lowey length down
+                g = Poly.monomial(n, field, rng.choice(monos))
+            else:
+                g = random_poly(rng, n, field, l)
+                g = Poly(n, field, {m: c for m, c in g.terms.items() if sum(m) >= 2})
+            if any(sum(m) < l for m in g.terms):
+                gens.append(g)
+        ideal = _saturate(ring, field, gens)
+        want = _actual_lowey_reference(ring, field, ideal)
+        assert _actual_lowey(ring, ideal) == want
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", LoweyMismatch)
+            pres = presentation_from_ideal(n, l, gens, field)
+        assert pres.lowey == want
+        assert any(issubclass(w.category, LoweyMismatch) for w in caught) == (want < l)
+        lowered += want < l
+        kept += want == l
+    assert lowered and kept
+
+
 class TestFromAlgebra:
     def test_truncated_univariate(self):
         a = univariate_quotient_algebra(QQ, [0, 0, 0, 1])
@@ -95,7 +141,7 @@ class TestFromAlgebra:
         # the evaluation map (monomials at the chosen J/J^2 lifts) is an
         # algebra isomorphism from b to a: check it multiplicatively
         from algcert.algebra import jj2_basis
-        lifts = jj2_basis(a, rad)
+        lifts = jj2_basis(rad)
         reps = quotient_basis(pres.ideal, Subspace.full(QQ, pres.ring.dim))
 
         def evaluate(t_vec):
@@ -260,6 +306,24 @@ class TestMinimalDegreeSubspace:
     def test_pure_power_slice(self):
         w = minimal_degree_subspace(build(2, 3, []))
         assert w.is_power_slice and w.degree == 3 and w.dim == 4
+
+    def test_power_slice_matches_filtered_tuples(self):
+        # reference: filter all (l+1)^n tuples for degree l, X1-power first
+        for n in range(1, 5):
+            for l in range(2, 6):
+                want = sorted((m for m in itertools.product(range(l + 1), repeat=n)
+                               if sum(m) == l), key=lambda m: tuple(-e for e in m))
+                w = minimal_degree_subspace(build(n, l, []))
+                assert w.monomials == want
+                assert [q.terms for q in w.polys] == [{m: 1} for m in want]
+
+    def test_power_slice_many_variables(self):
+        start = time.perf_counter()
+        cert = certify(build(14, 3, []))
+        assert time.perf_counter() - start < 10.0
+        assert cert.invariants["w_is_power_slice"]
+        assert cert.invariants["dim_w"] == comb(16, 3)
+        assert "RATIONAL" in cert.flags()
 
 
 class TestAssociatedGraded:

@@ -66,3 +66,27 @@ def test_config_fields_have_cli_flags():
     set_by_flags = {target.attr for node in ast.walk(func) if isinstance(node, ast.Assign)
                     for target in node.targets if isinstance(target, ast.Attribute)}
     assert {f.name for f in dataclasses.fields(CertifyConfig)} == set_by_flags
+
+
+def test_parameters_are_read():
+    # a parameter the body never reads is one no caller can use: drop it.
+    # self and cls are exempt, and so are stubs whose body only raises;
+    # lambdas are callbacks whose signature their caller fixes
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            stmts = [s for s in node.body if not (isinstance(s, ast.Expr)
+                                                  and isinstance(s.value, ast.Constant))]
+            if stmts and all(isinstance(s, ast.Raise) for s in stmts):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                      + [a for a in (args.vararg, args.kwarg) if a is not None]]
+            read = {n.id for s in node.body for n in ast.walk(s)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found += [f"{path.name}:{node.lineno}:{name}" for name in params
+                      if name not in ("self", "cls") and name not in read]
+    assert SOURCES
+    assert found == []
