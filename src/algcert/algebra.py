@@ -12,11 +12,12 @@ from math import lcm
 from .errors import (AmbientMismatch, InternalInconsistency, NonAssociative,
                      NotSplitBasic, NotUnital, UnsupportedRadicalComputation)
 from .fields import Field, PrimeField, QQ
-from .linalg import (Echelon, Matrix, Subspace, invert, kernel_rows,
+from .linalg import (Matrix, Subspace, invert, kernel_rows,
                      mat_bracket, quotient_basis, scalars)
 from .roots import minimal_polynomial, poly_divmod, poly_eval, roots_in_field
 
 DEFAULT_MAX_ENUM = 10**7   # largest search space enumerated by default
+MAX_RING_MONOMIALS = 10**5  # largest truncated ring built, checked before allocating
 
 
 class StructureAlgebra:
@@ -273,64 +274,49 @@ def dickson_radical(algebra: StructureAlgebra) -> Subspace:
     return kernel_rows(gram, d, QQ)
 
 
-def nilpotent_scan_radical(algebra: StructureAlgebra, bound: int = DEFAULT_MAX_ENUM) -> Subspace:
-    """Span of all nilpotent elements of a commutative GF(p) algebra,
-    found by exhaustive enumeration (guarded by ``bound``)."""
+def frobenius_radical(algebra: StructureAlgebra, bound: int = DEFAULT_MAX_ENUM) -> Subspace:
+    """J of a commutative GF(p) algebra: the kernel of x -> x^q, q = p^k >= d,
+    which is F_p-linear in characteristic p and kills exactly the nilpotents
+    (x^d = 0 for a nilpotent x).  p^d > ``bound`` is refused as the element
+    scan this replaced refused it, so certificates stay the same."""
     f = algebra.field
-    if not isinstance(f, PrimeField):
-        raise UnsupportedRadicalComputation("the nilpotent scan needs a GF(p) algebra")
     p, d = f.p, algebra.dim
-    total = p**d
-    if total > bound:
-        raise UnsupportedRadicalComputation(
-            f"scan needs {total} elements, bound is {bound}")
-    steps = max(1, (d - 1).bit_length())  # x^(2^steps) >= x^d
-    span = Echelon(Subspace.zero(f, d))
-    nilpotents = []
-    for vec in itertools.product(range(p), repeat=d):
-        if not any(vec):
-            continue
-        v = list(vec)
-        if not any(span.reduce(v)):
-            continue
-        y = v
-        for _ in range(steps):
-            y = algebra.multiply(y, y)
-            if algebra.is_zero_vector(y):
-                break
-        if algebra.is_zero_vector(y):
-            span.add(v)
-            nilpotents.append(v)
-            if span.dim == d - 1:
-                # cannot exceed codimension 1 in a unital algebra
-                break
-    return Subspace.from_vectors(f, d, nilpotents)
+    if p**d > bound:
+        raise UnsupportedRadicalComputation(f"scan needs {p**d} elements, bound is {bound}")
+    q = p
+    while q < d:
+        q *= p
+    columns = []
+    for x in Subspace.full(f, d).basis:
+        power = x
+        for bit in bin(q)[3:]:          # square-and-multiply below the top bit
+            power = algebra.multiply(power, power)
+            if bit == "1":
+                power = algebra.multiply(power, x)
+        columns.append(power)
+    return kernel_rows(list(zip(*columns)), d, f)
 
 
 def jacobson_radical(algebra: StructureAlgebra, scan_bound: int = DEFAULT_MAX_ENUM) -> RadicalData:
     """Radical with its power filtration.
 
     Over Q the Dickson trace criterion is used; over GF(p) only commutative
-    algebras are scanned exhaustively, unless the radical is already known
-    from a presentation.  The result is post-verified to be a nilpotent
-    two-sided ideal.
+    algebras are handled, as the kernel of a Frobenius power, unless the
+    radical is already known from a presentation.  The result is
+    post-verified to be a nilpotent two-sided ideal.
     """
     if algebra.known_radical is not None:
         j = algebra.known_radical
     elif not isinstance(algebra.field, PrimeField):
         j = dickson_radical(algebra)
     elif algebra.commutative:
-        j = nilpotent_scan_radical(algebra, bound=scan_bound)
+        j = frobenius_radical(algebra, bound=scan_bound)
     else:
         raise UnsupportedRadicalComputation(
             "GF(p) non-commutative input needs a presentation-supplied radical")
     if not _verify_ideal(algebra, j):
         raise UnsupportedRadicalComputation("computed radical is not an ideal")
     return _radical_data(algebra, j)
-
-
-def lowey_length(rad: RadicalData) -> int:
-    return rad.lowey_length
 
 
 def jj2_basis(rad: RadicalData) -> list:

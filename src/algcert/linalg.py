@@ -129,11 +129,6 @@ class Matrix:
         return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, field: Field, nrows: int, ncols: int) -> Matrix:
-        zero = field.zero
-        return cls(field, [[zero] * ncols for _ in range(nrows)])
-
-    @classmethod
     def from_columns(cls, field: Field, cols) -> Matrix:
         cols = [list(c) for c in cols]
         n = len(cols[0]) if cols else 0
@@ -173,16 +168,6 @@ class Matrix:
                     s = f.add(s, f.mul(a, b))
             out.append(s)
         return out
-
-    def add(self, other: Matrix) -> Matrix:
-        f = self.field
-        return Matrix(f, [[f.add(a, b) for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.rows, other.rows)])
-
-    def scale(self, c) -> Matrix:
-        f = self.field
-        c = f.coerce(c)
-        return Matrix(f, [[f.mul(c, a) for a in r] for r in self.rows])
 
     def flatten(self) -> list:
         return [x for row in self.rows for x in row]

@@ -1,5 +1,5 @@
-"""Brute-force ground truth over small finite fields: exhaustive automorphism
-enumeration and the induced action on J/J^2.
+"""Brute-force ground truth over small finite fields: a commutative radical
+by element scan, automorphism enumeration and the action on J/J^2.
 
 Deliberately naive; a candidate-count guard is the only optimization.
 """
@@ -15,9 +15,43 @@ from .algebra import (DEFAULT_MAX_ENUM, Coordinates, RadicalData, StructureAlgeb
 from .errors import (InternalInconsistency, SearchSpaceTooLarge,
                      UnsupportedRadicalComputation)
 from .fields import PrimeField
-from .linalg import (Matrix, Subspace, invert, kernel, quotient_basis, rref,
-                     rref_rows)
+from .linalg import (Echelon, Matrix, Subspace, invert, kernel, quotient_basis,
+                     rref, rref_rows)
 from .poly import TruncatedRing
+
+
+def nilpotent_scan_radical(algebra: StructureAlgebra, bound: int = DEFAULT_MAX_ENUM) -> Subspace:
+    """Span of all nilpotent elements of a commutative GF(p) algebra,
+    found by exhaustive enumeration (guarded by ``bound``)."""
+    f = algebra.field
+    if not isinstance(f, PrimeField):
+        raise UnsupportedRadicalComputation("the nilpotent scan needs a GF(p) algebra")
+    p, d = f.p, algebra.dim
+    total = p**d
+    if total > bound:
+        raise UnsupportedRadicalComputation(
+            f"scan needs {total} elements, bound is {bound}")
+    steps = max(1, (d - 1).bit_length())  # x^(2^steps) >= x^d
+    span = Echelon(Subspace.zero(f, d))
+    nilpotents = []
+    for vec in itertools.product(range(p), repeat=d):
+        if not any(vec):
+            continue
+        v = list(vec)
+        if not any(span.reduce(v)):
+            continue
+        y = v
+        for _ in range(steps):
+            y = algebra.multiply(y, y)
+            if algebra.is_zero_vector(y):
+                break
+        if algebra.is_zero_vector(y):
+            span.add(v)
+            nilpotents.append(v)
+            if span.dim == d - 1:
+                # cannot exceed codimension 1 in a unital algebra
+                break
+    return Subspace.from_vectors(f, d, nilpotents)
 
 
 @dataclass
@@ -83,17 +117,8 @@ def _enumerate_local_commutative(algebra: StructureAlgebra, rad: RadicalData,
         raise SearchSpaceTooLarge(count, max_enum)
     # monomial basis of the algebra: pivots of the evaluation map
     ring = TruncatedRing(n, rad.lowey_length)
-    images = {}
-    cols = []
-    for m in ring.monomials:
-        if sum(m) == 0:
-            img = list(algebra.one)
-        else:
-            i = next(j for j, e in enumerate(m) if e)
-            parent = tuple(e - 1 if j == i else e for j, e in enumerate(m))
-            img = algebra.multiply(images[parent], gens[i])
-        images[m] = img
-        cols.append(img)
+    images: dict = {}
+    cols = [_eval_monomial(algebra, gens, m, images) for m in ring.monomials]
     ev = Matrix.from_columns(f, cols)
     _, rank, pivots = rref(ev)
     if rank != d:

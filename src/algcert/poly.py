@@ -11,8 +11,9 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from .errors import (AmbientMismatch, NotInvertible, NotSHomogeneous,
-                     OutOfRangeVariable, PolySyntaxError, ZeroInput)
+from .algebra import MAX_RING_MONOMIALS
+from .errors import (AmbientMismatch, NotInvertible, NotSHomogeneous, OutOfRangeVariable,
+                     PolySyntaxError, SearchSpaceTooLarge, ZeroInput)
 from .fields import Field, PrimeField
 from .linalg import Matrix, invert
 
@@ -302,6 +303,8 @@ class TruncatedRing:
     def __init__(self, n_vars: int, trunc_degree: int):
         if n_vars < 1 or trunc_degree < 1:
             raise ValueError("need n_vars >= 1 and trunc_degree >= 1")
+        if (size := comb(n_vars + trunc_degree - 1, n_vars)) > MAX_RING_MONOMIALS:
+            raise SearchSpaceTooLarge(size, MAX_RING_MONOMIALS)
         self.n_vars = n_vars
         self.trunc_degree = trunc_degree
         monos = [m for d in range(trunc_degree) for m in degree_monomials(n_vars, d)]

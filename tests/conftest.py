@@ -4,7 +4,7 @@ import pytest
 
 from algcert.algebra import Coordinates, StructureAlgebra
 from algcert.fields import QQ
-from algcert.linalg import Subspace, quotient_basis
+from algcert.linalg import Matrix, Subspace, quotient_basis
 from algcert.poly import Poly, parse_poly
 
 
@@ -49,6 +49,17 @@ def transvected(algebra, rng, count=30):
     basis = [[t[a][i] for a in range(d)] for i in range(d)]
     table = [[coords(algebra.multiply(x, y)) for y in basis] for x in basis]
     return StructureAlgebra(algebra.field, table, coords(algebra.one))
+
+
+def matrix_sum(field, n, terms):
+    """The n x n matrix sum of c m over the pairs (c, m) in terms."""
+    rows = [[field.zero] * n for _ in range(n)]
+    for c, m in terms:
+        c = field.coerce(c)
+        for out, row in zip(rows, m.rows):
+            for k, x in enumerate(row):
+                out[k] = field.add(out[k], field.mul(c, x))
+    return Matrix(field, rows)
 
 
 def own_coordinates(s):

@@ -9,7 +9,7 @@ from algcert.algebra import (Coordinates, LieSubalgebra, _series_limit,
                              derivation_algebra, induced_algebra,
                              inner_derivations, is_nilpotent, is_solvable,
                              jacobson_radical, jj2_basis, load_algebra,
-                             nilpotent_scan_radical, wm_complement)
+                             wm_complement)
 from algcert.cli import main
 from algcert.errors import (InternalInconsistency, LoweyMismatch,
                             NonAssociative, NotSplitBasic, NotUnital,
@@ -17,13 +17,14 @@ from algcert.errors import (InternalInconsistency, LoweyMismatch,
 from algcert.fields import GF, QQ
 from algcert.forms import _bracket_closure
 from algcert.linalg import Matrix, Subspace, invert, mat_bracket
+from algcert.oracle import nilpotent_scan_radical
 from algcert.constructions import (componentwise_algebra, direct_sum,
                                    matrix_algebra,
                                    truncated_polynomial_algebra,
                                    univariate_quotient_algebra,
                                    upper_triangular_algebra)
 from algcert.presentation import presentation_from_ideal, quotient_algebra
-from conftest import own_coordinates, pp, random_poly, transvected
+from conftest import matrix_sum, own_coordinates, pp, random_poly, transvected
 
 GF2, GF3, GF5 = GF(2), GF(3), GF(5)
 
@@ -157,6 +158,57 @@ class TestRadical:
         assert radb.lowey_length == 2 and radb.jj2_dim == 2
         semi = componentwise_algebra(QQ, 2)
         assert jacobson_radical(semi).lowey_length == 1
+
+
+def _poly_times(*factors):
+    """Product of integer polynomials given by ascending coefficients."""
+    out = [1]
+    for g in factors:
+        prod = [0] * (len(out) + len(g) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(g):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+# a monic irreducible quadratic over each field
+_IRREDUCIBLE = {2: [1, 1, 1], 3: [1, 0, 1], 5: [2, 0, 1], 7: [1, 0, 1]}
+
+
+def _commutative_cases(field):
+    """Commutative algebras whose radical the element scan can check: local
+    ones, products, and factors that do not split over the field."""
+    irr = _IRREDUCIBLE[field.p]
+
+    def kt(*factors):
+        return univariate_quotient_algebra(field, _poly_times(*factors))
+    return [("t^4", qx_mod(4, field)),          # nilpotency index 4 > p for p = 2, 3
+            ("trunc_2_3", truncated_polynomial_algebra(field, 2, 3)),
+            ("trunc_3_2", truncated_polynomial_algebra(field, 3, 2)),
+            ("irr", kt(irr)),
+            ("irr^2", kt(irr, irr)),
+            ("irr(t-1)^2", kt(irr, [-1, 1], [-1, 1])),
+            ("t^3 irr", kt([0, 0, 0, 1], irr)),
+            ("t^2+t^2", direct_sum(qx_mod(2, field), qx_mod(2, field))),
+            ("k+irr", direct_sum(componentwise_algebra(field, 1), kt(irr))),
+            ("trunc_2_2+t^2(t+1)", direct_sum(truncated_polynomial_algebra(field, 2, 2),
+                                             kt([0, 0, 1], [1, 1])))]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_frobenius_radical_matches_element_scan(p, rng):
+    # over GF(p) the radical of a commutative algebra is the kernel of
+    # x -> x^q; the scan enumerates elements, so only p^d <= 10^4 is checked
+    field = GF(p)
+    checked = 0
+    for name, a in _commutative_cases(field):
+        if p**a.dim > 10**4:
+            continue
+        for b in (a, transvected(a, rng), transvected(a, rng)):
+            assert jacobson_radical(b).radical == nilpotent_scan_radical(b), name
+            checked += 1
+    assert checked >= 21
 
 
 def _unit(field, d, i):
@@ -445,9 +497,7 @@ def test_lie_decisions_match_dense_reference(rng, field):
         consts = _structure_constants(lie)
         for i, a in enumerate(mats):
             for j, b in enumerate(mats):
-                total = Matrix.zeros(field, lie.n, lie.n)
-                for l, v in consts[i][j]:
-                    total = total.add(mats[l].scale(v))
+                total = matrix_sum(field, lie.n, [(v, mats[l]) for l, v in consts[i][j]])
                 assert total == mat_bracket(a, b)
         derived = _dense_series(lie, derived=True)
         lower = _dense_series(lie, derived=False)

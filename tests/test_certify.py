@@ -33,7 +33,7 @@ from algcert.linalg import Matrix, Subspace, invert, kernel, solve
 from algcert.oracle import enumerate_automorphisms, induced_jj2_matrices
 from algcert.presentation import presentation_from_algebra, presentation_from_ideal
 from algcert.roots import minimal_polynomial, roots_in_field
-from conftest import own_coordinates, pp, transvected
+from conftest import matrix_sum, own_coordinates, pp, transvected
 
 GF3, GF5, GF7 = GF(3), GF(5), GF(7)
 
@@ -570,9 +570,10 @@ def _ref_try_split(alg, unit, space):
         if sum(p.dim for p in parts) < space.dim:
             if len(remaining) <= 1:
                 return None
-            acc = Matrix.zeros(f, alg.dim, alg.dim)
+            acc = matrix_sum(f, alg.dim, [])
             for c in reversed(remaining):
-                acc = acc.mul(mz).add(Matrix.identity(f, alg.dim).scale(c))
+                acc = matrix_sum(f, alg.dim, [(f.one, acc.mul(mz)),
+                                              (c, Matrix.identity(f, alg.dim))])
             rest = kernel(acc).intersect(space)
             if rest.dim in (0, space.dim):
                 return None

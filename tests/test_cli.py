@@ -1,5 +1,6 @@
 import importlib
 import json
+import time
 
 import pytest
 
@@ -310,3 +311,32 @@ def test_good_primes_accepted(tmp_path, capsys):
         "trunc_degree": 5, "generators": ["X1^3+X2^3+X3^3+X1*X2*X3"]})
     assert main(["analyze", path, "--height-bound", "2", "--primes", "5, 7,2147483647"]) == 0
     assert json.loads(capsys.readouterr().out)
+
+
+def test_analyze_over_enumeration_bound_exits_3(gf3_cubic, capsys):
+    # the radical is refused when p^d exceeds --max-enum, as the element
+    # enumeration the Frobenius kernel replaced refused it
+    assert main(["analyze", gf3_cubic, "--max-enum", "26"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert {"invariant": "radical",
+            "reason": "scan needs 27 elements, bound is 26"} in payload["unknowns"]
+    assert main(["analyze", gf3_cubic, "--max-enum", "27"]) == 0
+
+
+def test_der_over_large_prime_has_no_ker_phi(gf3_cubic, capsys):
+    assert main(["der", gf3_cubic, "--field", "GFp:2147483647"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"dim_der": 2, "dim_ker_phi_lie": None}
+
+
+def test_huge_truncated_ring_exits_3_quickly(tmp_path, capsys):
+    path = _write(tmp_path, "huge.json", {
+        "kind": "presentation",
+        "field": {"type": "Q"},
+        "n_vars": 30,
+        "trunc_degree": 30,
+        "generators": ["X1^2"],
+    })
+    start = time.perf_counter()
+    assert main(["analyze", path]) == 3
+    assert time.perf_counter() - start < 1
+    assert "bound is 100000" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from algcert.fields import GF, QQ
 from algcert.linalg import (Echelon, Matrix, Subspace, invert, kernel,
                             kernel_rows, quotient_basis, rref, rref_rows, solve)
 from algcert.roots import minimal_polynomial, operator_power_sequence
+from conftest import matrix_sum
 
 GF2 = GF(2)
 GF3 = GF(3)
@@ -401,9 +402,8 @@ def test_minimal_polynomial_matches_one_rref_per_power(field, entry, data):
                                          min_size=n, max_size=n)))
     got = minimal_polynomial(operator_power_sequence(m), field)
     assert got == _minimal_polynomial_reference(operator_power_sequence(m), field)
-    value = Matrix.zeros(field, n, n)
-    for c, power in zip(got, operator_power_sequence(m)):
-        value = value.add(Matrix(field, [power[i * n:(i + 1) * n] for i in range(n)]).scale(c))
+    value = matrix_sum(field, n, [(c, Matrix(field, [power[i * n:(i + 1) * n] for i in range(n)]))
+                                  for c, power in zip(got, operator_power_sequence(m))])
     assert value.is_zero()
 
 
