@@ -245,8 +245,10 @@ def _radical_data(algebra: StructureAlgebra, j: Subspace) -> RadicalData:
 
 def _verify_ideal(algebra: StructureAlgebra, j: Subspace) -> bool:
     full = Subspace.full(algebra.field, algebra.dim)
+    # in a commutative algebra A*J = J*A, so one product checks both sides
     return (j.contains_space(algebra.subspace_product(full, j))
-            and j.contains_space(algebra.subspace_product(j, full)))
+            and (algebra.commutative
+                 or j.contains_space(algebra.subspace_product(j, full))))
 
 
 def dickson_radical(algebra: StructureAlgebra) -> Subspace:

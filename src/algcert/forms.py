@@ -9,13 +9,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import comb
 
 from .algebra import DEFAULT_MAX_ENUM, Coordinates, LieSubalgebra, is_solvable
 from .errors import (CharTwo, NotDegreeTwo, NotGraded, NotHomogeneous,
                      NotStable, SearchSpaceTooLarge, ZeroPolynomial)
 from .fields import Field, PrimeField
 from .linalg import Matrix, Subspace, kernel, kernel_rows, mat_bracket, rref_rows
-from .poly import Poly, partial_derivative
+from .poly import Poly, degree_monomials, partial_derivative
 from .presentation import MinimalDegreeSubspace, Presentation
 from .roots import (minimal_polynomial, operator_power_sequence, poly_gcd,
                     roots_in_field)
@@ -176,27 +177,49 @@ def _binary_coeff_vector(f: Poly, degree: int) -> list:
     return out
 
 
+def macaulay_rank(forms: list[Poly], degree: int) -> tuple[int, int]:
+    """(rank, size) of the Macaulay matrix of n forms of declared degree e
+    in n variables: its rows are x^a * g_i with |a| = (n-1)(e-1), its size
+    columns the monomials of degree D = n(e-1)+1.  A full rank puts every
+    x_j^D in the ideal of the forms, so they have no common zero in
+    P^(n-1) over the algebraic closure, in any characteristic (Macaulay
+    1916).  For n = 2 it is the Sylvester matrix up to row and column order.
+    """
+    n = forms[0].n_vars
+    fld = forms[0].field
+    top = n * (degree - 1) + 1
+    cols = {m: j for j, m in enumerate(degree_monomials(n, top))}
+    shifts = degree_monomials(n, top - degree)
+
+    def row(g: Poly, a: tuple) -> list:
+        out = [fld.zero] * len(cols)
+        for m, c in g.terms.items():
+            out[cols[tuple(x + y for x, y in zip(a, m))]] = c
+        return out
+
+    _, pivots = rref_rows((row(g, a) for g in forms for a in shifts), len(cols), fld)
+    return len(pivots), len(cols)
+
+
 def binary_form_resultant_rank(fx: Poly, fy: Poly, degree: int) -> tuple[int, int]:
     """(rank, size) of the Sylvester matrix of two binary forms of declared
-    equal degree; rank < size iff they share a projective root over the
-    algebraic closure, i.e. the resultant vanishes."""
-    fld = fx.field
-    a = _binary_coeff_vector(fx, degree)
-    b = _binary_coeff_vector(fy, degree)
-    size = 2 * degree
-    rows = []
-    for shift in range(degree):
-        row = [fld.zero] * size
-        for i, c in enumerate(a):
-            row[shift + i] = c
-        rows.append(row)
-    for shift in range(degree):
-        row = [fld.zero] * size
-        for i, c in enumerate(b):
-            row[shift + i] = c
-        rows.append(row)
-    _, pivots = rref_rows(rows, size, fld)
-    return len(pivots), size
+    equal degree, the n = 2 Macaulay matrix; rank < size iff they share a
+    projective root over the algebraic closure, i.e. the resultant vanishes."""
+    return macaulay_rank([fx, fy], degree)
+
+
+def _no_common_zero(parts: list[Poly], d: int, points: int) -> bool:
+    """True when the Macaulay rank of the partials of a degree-d form is
+    full, so they have no common zero over the algebraic closure.  Declines
+    (False) when the rank is short, and without building the matrix when its
+    rows x columns exceed the ``points`` of the scan it would spare."""
+    n = len(parts)
+    top = n * (d - 2) + 1
+    cells = n * comb(top - d + n, n - 1) * comb(top + n - 1, n - 1)
+    if cells > points:
+        return False
+    rank, size = macaulay_rank(parts, d - 1)
+    return rank == size
 
 
 def _diagonal_profile(f: Poly) -> list | None:
@@ -230,6 +253,14 @@ def nonsingularity(f: Poly, height_bound: int = DEFAULT_HEIGHT_BOUND,
     the common zero locus of the partials is scanned over several prime
     reductions (empty scans => PROBABLY_NONSINGULAR), over GF(p) only the
     rational points are scanned.
+
+    A full Macaulay rank of the partials (``macaulay_rank``) shows that they
+    have no common zero at all, so it fixes what a scan would find: the
+    GF(p) scan and a prime reduction's scan find no point, and the bounded
+    height search over Q finds no witness.  Such a scan is skipped, with the
+    same evidence as it would give, whenever the matrix has no more
+    rows x columns than the scan has points: p^n for a prime, (2h+1)^n for
+    the height search up to h.
     """
     fld = f.field
     if f.is_zero() or not f.is_homogeneous():
@@ -255,11 +286,12 @@ def nonsingularity(f: Poly, height_bound: int = DEFAULT_HEIGHT_BOUND,
     if isinstance(fld, PrimeField):
         if fld.p**n > max_enum:
             raise SearchSpaceTooLarge(fld.p**n, max_enum)
-        for vec in itertools.product(range(fld.p), repeat=n):
-            if any(vec) and _is_common_zero(parts, list(vec)):
-                return NonsingularityEvidence("SINGULAR_WITNESS",
-                                              "exhaustive_finite_field",
-                                              list(vec), [fld.p])
+        if not _no_common_zero(parts, d, fld.p**n):
+            for vec in itertools.product(range(fld.p), repeat=n):
+                if any(vec) and _is_common_zero(parts, list(vec)):
+                    return NonsingularityEvidence("SINGULAR_WITNESS",
+                                                  "exhaustive_finite_field",
+                                                  list(vec), [fld.p])
         return NonsingularityEvidence("PROBABLY_NONSINGULAR",
                                       "exhaustive_finite_field",
                                       primes_used=[fld.p])
@@ -273,7 +305,7 @@ def nonsingularity(f: Poly, height_bound: int = DEFAULT_HEIGHT_BOUND,
             continue
         red = Poly(n, gf, {m: gf.coerce(c) for m, c in f.terms.items()})
         red_parts = _partials(red)
-        nonempty = any(
+        nonempty = not _no_common_zero(red_parts, d, p**n) and any(
             any(vec) and _is_common_zero(red_parts, list(vec))
             for vec in itertools.product(range(p), repeat=n))
         used.append(p)
@@ -282,13 +314,15 @@ def nonsingularity(f: Poly, height_bound: int = DEFAULT_HEIGHT_BOUND,
         return NonsingularityEvidence("PROBABLY_NONSINGULAR", "prime_reductions",
                                       primes_used=used)
     # some reduction is singular: look for a rational witness of bounded height
-    for radius in range(1, _capped_height(height_bound, n, max_enum) + 1):
-        for vec in itertools.product(range(-radius, radius + 1), repeat=n):
-            if max(abs(x) for x in vec) != radius:
-                continue
-            if _is_common_zero(parts, [Fraction(x) for x in vec]):
-                return NonsingularityEvidence("SINGULAR_WITNESS", "bounded_search",
-                                              [Fraction(x) for x in vec], used)
+    h = _capped_height(height_bound, n, max_enum)
+    if not _no_common_zero(parts, d, (2 * h + 1) ** n):
+        for radius in range(1, h + 1):
+            for vec in itertools.product(range(-radius, radius + 1), repeat=n):
+                if max(abs(x) for x in vec) != radius:
+                    continue
+                if _is_common_zero(parts, [Fraction(x) for x in vec]):
+                    return NonsingularityEvidence("SINGULAR_WITNESS", "bounded_search",
+                                                  [Fraction(x) for x in vec], used)
     return NonsingularityEvidence("UNKNOWN", "prime_reductions", primes_used=used)
 
 

@@ -18,6 +18,7 @@ from .fields import PrimeField
 from .linalg import (Echelon, Matrix, Subspace, invert, kernel, quotient_basis,
                      rref, rref_rows)
 from .poly import TruncatedRing
+from .presentation import eval_monomial
 
 
 def nilpotent_scan_radical(algebra: StructureAlgebra, bound: int = DEFAULT_MAX_ENUM) -> Subspace:
@@ -118,7 +119,7 @@ def _enumerate_local_commutative(algebra: StructureAlgebra, rad: RadicalData,
     # monomial basis of the algebra: pivots of the evaluation map
     ring = TruncatedRing(n, rad.lowey_length)
     images: dict = {}
-    cols = [_eval_monomial(algebra, gens, m, images) for m in ring.monomials]
+    cols = [eval_monomial(algebra, gens, m, images) for m in ring.monomials]
     ev = Matrix.from_columns(f, cols)
     _, rank, pivots = rref(ev)
     if rank != d:
@@ -156,7 +157,7 @@ def _enumerate_local_commutative(algebra: StructureAlgebra, rad: RadicalData,
                 algebra.is_zero_vector(_poly_value(algebra, ys, rel, ring, vals))
                 for rel in relations):
             continue
-        img_cols = [_eval_monomial(algebra, ys, m, vals) for m in basis_monos]
+        img_cols = [eval_monomial(algebra, ys, m, vals) for m in basis_monos]
         cand = Matrix.from_columns(f, img_cols).mul(binv)
         if invert(cand) is None:
             continue
@@ -177,22 +178,9 @@ def _poly_value(algebra, ys, relation, ring, cache):
     f = algebra.field
     acc = [f.zero] * algebra.dim
     for pos, c in relation:
-        val = _eval_monomial(algebra, ys, ring.monomials[pos], cache)
+        val = eval_monomial(algebra, ys, ring.monomials[pos], cache)
         acc = [f.add(a, f.mul(c, b)) for a, b in zip(acc, val)]
     return acc
-
-
-def _eval_monomial(algebra, ys, m, cache):
-    if m in cache:
-        return cache[m]
-    if sum(m) == 0:
-        val = list(algebra.one)
-    else:
-        i = next(j for j, e in enumerate(m) if e)
-        parent = tuple(e - 1 if j == i else e for j, e in enumerate(m))
-        val = algebra.multiply(_eval_monomial(algebra, ys, parent, cache), ys[i])
-    cache[m] = val
-    return val
 
 
 def _enumerate_general(algebra: StructureAlgebra, max_enum: int) -> list:

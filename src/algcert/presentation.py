@@ -186,16 +186,7 @@ def presentation_from_algebra(algebra: StructureAlgebra, rad: RadicalData) -> Pr
     ring = TruncatedRing(n, l)
     gens = quotient_basis(rad.square, rad.radical)
     images: dict[tuple, list] = {}
-    cols = []
-    for m in ring.monomials:
-        if sum(m) == 0:
-            img = list(algebra.one)
-        else:
-            i = next(j for j, e in enumerate(m) if e)
-            parent = tuple(e - 1 if j == i else e for j, e in enumerate(m))
-            img = algebra.multiply(images[parent], gens[i])
-        images[m] = img
-        cols.append(img)
+    cols = [eval_monomial(algebra, gens, m, images) for m in ring.monomials]
     ev = Matrix.from_columns(algebra.field, cols)
     _, rank, _ = rref(ev)
     if rank != algebra.dim:
@@ -204,6 +195,23 @@ def presentation_from_algebra(algebra: StructureAlgebra, rad: RadicalData) -> Pr
     pres = Presentation(algebra.field, n, l, ring, ideal, [])
     pres.generators = normal_form(pres).generators
     return pres
+
+
+def eval_monomial(algebra: StructureAlgebra, ys: list, m: tuple, cache: dict) -> list:
+    """The element m(ys) of the algebra, with ys[i] in place of X_{i+1}: the
+    image of m with one factor of its first variable taken off, times that
+    variable's y.  Images are kept in ``cache`` by monomial, so each costs
+    one product."""
+    if m in cache:
+        return cache[m]
+    if sum(m) == 0:
+        val = list(algebra.one)
+    else:
+        i = next(j for j, e in enumerate(m) if e)
+        parent = tuple(e - 1 if j == i else e for j, e in enumerate(m))
+        val = algebra.multiply(eval_monomial(algebra, ys, parent, cache), ys[i])
+    cache[m] = val
+    return val
 
 
 # -- normal form and derived data ------------------------------------------------

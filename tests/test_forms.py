@@ -1,22 +1,26 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from algcert.algebra import der_into, derivation_algebra, jacobson_radical
+from algcert import forms
+from algcert.algebra import DEFAULT_MAX_ENUM, der_into, derivation_algebra, jacobson_radical
 from algcert.errors import (CharTwo, NotDegreeTwo, NotGraded, NotHomogeneous,
                             NotStable, ZeroPolynomial)
 from algcert.fields import GF, QQ
-from algcert.linalg import Matrix, Subspace, invert
-from algcert.poly import LinearChange, Poly, apply_linear_change, partial_derivative
+from algcert.linalg import Matrix, Subspace, invert, rref_rows
+from algcert.poly import (LinearChange, Poly, apply_linear_change, degree_monomials,
+                          partial_derivative)
 from algcert.forms import (binary_form_resultant_rank, delta_action, diagonalize,
-                           flag_search, im_phi_lie, isotropy, nonsingularity,
-                           quadratic_from_poly, restricted_action, sim_lie,
-                           stab_lie)
+                           flag_search, im_phi_lie, isotropy, macaulay_rank,
+                           nonsingularity, quadratic_from_poly, restricted_action,
+                           sim_lie, stab_lie)
 from algcert.presentation import (minimal_degree_subspace,
                                   presentation_from_ideal, quotient_algebra)
 from conftest import pp
 
-GF2, GF3, GF5 = GF(2), GF(3), GF(5)
+GF2, GF3, GF5, GF7 = GF(2), GF(3), GF(5), GF(7)
 
 
 def build(n, l, texts, field=QQ):
@@ -166,6 +170,144 @@ class TestNonsingularity:
     def test_inhomogeneous_rejected(self):
         with pytest.raises(NotHomogeneous):
             nonsingularity(pp("X1^2 + X1", 2))
+
+
+def _sylvester_rank(fx, fy, degree):
+    """The Sylvester matrix of two binary forms, built as in the textbook."""
+    fld = fx.field
+    rows = []
+    for g in (fx, fy):
+        coeffs = [g.coefficient((i, degree - i)) for i in range(degree + 1)]
+        for shift in range(degree):
+            row = [fld.zero] * (2 * degree)
+            row[shift:shift + degree + 1] = coeffs
+            rows.append(row)
+    return len(rref_rows(rows, 2 * degree, fld)[1]), 2 * degree
+
+
+def _random_form(rng, n, d, field, kind):
+    """A degree-d form in n variables: ``dense`` or ``sparse`` random
+    coefficients, or a line times a random form of degree d - 1, which is
+    singular over the algebraic closure."""
+    monos = degree_monomials(n, d)
+    if kind == "line":
+        line = Poly(n, field, {m: rng.randint(-2, 2) for m in degree_monomials(n, 1)})
+        rest = _random_form(rng, n, d - 1, field, "dense")
+        return line.mul(rest)
+    spread = 3 if kind == "dense" else 1
+    return Poly(n, field, {m: rng.randint(-spread, spread) for m in monos})
+
+
+def _scan_only(monkeypatch, f, **kw):
+    with monkeypatch.context() as m:
+        m.setattr(forms, "_no_common_zero", lambda parts, d, points: False)
+        return nonsingularity(f, **kw)
+
+
+def _gfp_common_zeros(f):
+    parts = [partial_derivative(f, i) for i in range(f.n_vars)]
+    return [v for v in itertools.product(range(f.field.p), repeat=f.n_vars)
+            if any(v) and all(p.evaluate(list(v)) == 0 for p in parts)]
+
+
+def test_macaulay_rank_is_sylvester_for_binary_forms():
+    rng = random.Random(7)
+    for field in (QQ, GF5, GF7):
+        for degree in (1, 2, 3, 4):
+            for _ in range(10):
+                fx = _random_form(rng, 2, degree, field, "sparse")
+                fy = _random_form(rng, 2, degree, field, "sparse")
+                if fx.is_zero() or fy.is_zero():
+                    continue
+                want = _sylvester_rank(fx, fy, degree)
+                assert macaulay_rank([fx, fy], degree) == want
+                assert binary_form_resultant_rank(fx, fy, degree) == want
+
+
+def test_macaulay_shortcut_changes_no_evidence(monkeypatch):
+    # forms whose partials have a full Macaulay rank skip scans; the
+    # evidence must be what the scans alone give, field by field
+    rng = random.Random(11)
+    cases = [(pp("X1+X2+X3", 3).pow(3), {}),
+             (pp("X1^3+X2^3+X3^3-6*X1*X2*X3", 3), {}),        # singular mod 7
+             (pp("X1^3+X2^3+X3^3+X1*X2*X3", 3), {})]          # Hesse, nonsingular
+    for field in (GF5, GF7):
+        cases += [(_random_form(rng, 3, 3, field, kind), {})
+                  for kind in ("dense", "sparse", "line") for _ in range(8)]
+    cases += [(_random_form(rng, 3, 3, QQ, kind), {})
+              for kind in ("dense", "sparse", "line") for _ in range(3)]
+    cases += [(_random_form(rng, 4, 3, QQ, kind), {"primes": (5, 7, 11)})
+              for kind in ("dense", "line")]
+    fired = []
+    real = forms._no_common_zero
+
+    def counted(parts, d, points):
+        fired.append(real(parts, d, points))
+        return fired[-1]
+
+    monkeypatch.setattr(forms, "_no_common_zero", counted)
+    for f, kw in cases:
+        if f.is_zero():
+            continue
+        kw = {"height_bound": 4, **kw}
+        got = nonsingularity(f, **kw)
+        assert got == _scan_only(monkeypatch, f, **kw), str(f)
+        if f.field.characteristic:
+            singular = got.verdict == "SINGULAR_WITNESS"
+            assert singular == bool(_gfp_common_zeros(f)), str(f)
+    assert any(fired) and not all(fired)
+
+
+def test_full_macaulay_rank_leaves_no_gfp_point():
+    rng = random.Random(13)
+    full = short = 0
+    for field in (GF5, GF7):
+        for kind in ("dense", "sparse", "line"):
+            for _ in range(15):
+                f = _random_form(rng, 3, 3, field, kind)
+                if f.is_zero():
+                    continue
+                rank, size = macaulay_rank([partial_derivative(f, i) for i in range(3)], 2)
+                if rank == size:
+                    full += 1
+                    assert _gfp_common_zeros(f) == [], str(f)
+                else:
+                    short += 1
+    assert full and short
+
+
+@pytest.mark.parametrize("text,n,kw,built", [
+    # d = 17: the matrix would be 69,184 x 41,664, more than any scan
+    ("X1^2*X2^3*X3^4*X4^8 + X1^2*X2^3*X3^12", 4, {}, 0),
+    # 18 x 15, built in place of the scans mod 7, 11, 13 and of the height search
+    ("X1^3+X2^3+X3^3+X1*X2*X3", 3, {"height_bound": 4}, 4),
+])
+def test_macaulay_matrix_never_outgrows_the_scan(monkeypatch, text, n, kw, built):
+    f = pp(text, n)
+    scans, shapes = [], []
+    real_guard, real_rref = forms._no_common_zero, forms.rref_rows
+
+    def guard(parts, d, points):
+        scans.append(points)
+        return real_guard(parts, d, points)
+
+    def rref(rows, ncols, field):
+        kept = []
+        for row in rows:       # stop before a matrix larger than the scan is built
+            kept.append(row)
+            assert len(kept) * ncols <= scans[-1]
+        shapes.append((len(kept), ncols))
+        return real_rref(kept, ncols, field)
+
+    monkeypatch.setattr(forms, "_no_common_zero", guard)
+    monkeypatch.setattr(forms, "rref_rows", rref)
+    got = nonsingularity(f, **kw)
+    height = forms._capped_height(kw.get("height_bound", forms.DEFAULT_HEIGHT_BOUND),
+                                  n, DEFAULT_MAX_ENUM)
+    real_scans = {p**n for p in forms.DEFAULT_PRIMES} | {(2 * height + 1) ** n}
+    assert set(scans) <= real_scans
+    assert len(shapes) == built
+    assert got == _scan_only(monkeypatch, f, **kw)
 
 
 class TestStabSim:
