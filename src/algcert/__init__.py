@@ -3,8 +3,8 @@ finite-dimensional associative algebras over Q and GF(p)."""
 
 from .algebra import (LieSubalgebra, RadicalData, StructureAlgebra,
                       WMDecomposition, center, der_into, derivation_algebra,
-                      inner_derivations, is_nilpotent, is_solvable,
-                      jacobson_radical, jj2_basis, load_algebra, wm_complement)
+                      is_nilpotent, is_solvable, jacobson_radical, jj2_basis,
+                      load_algebra, wm_complement)
 from .certify import (Certificate, CertifyConfig, certify, reductive_shape,
                       verify_invariant_pair, semisimple_block_sizes,
                       torus_shape_check)

@@ -1,19 +1,24 @@
 """Structure-constant algebras: axioms, center, Jacobson radical and its
 filtration, Wedderburn-Malcev complements for split basic algebras, and the
 derivation Lie algebra with its nilpotency and solvability.
+
+Derivations and Lie series run on sparse integers: Leibniz rows go to the
+elimination core as dicts {column: int}, and a Lie algebra's structure
+constants are computed once, as integers under one common scale.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 
 from .errors import (AmbientMismatch, InternalInconsistency, NonAssociative,
                      NotSplitBasic, NotUnital, UnsupportedRadicalComputation)
 from .fields import Field, PrimeField, QQ
 from .linalg import (Matrix, Subspace, invert, kernel_rows,
-                     mat_bracket, quotient_basis, scalars)
+                     quotient_basis, rref_rows, scalars)
 from .roots import minimal_polynomial, poly_divmod, poly_eval, roots_in_field
 
 DEFAULT_MAX_ENUM = 10**7   # largest search space enumerated by default
@@ -56,13 +61,8 @@ class StructureAlgebra:
     # -- load-time checks ------------------------------------------------
 
     def _scaled_int_table(self):
-        if isinstance(self.field, PrimeField):
-            return [[[int(x) for x in cell] for cell in row] for row in self.table]
-        den = 1
-        for row in self.table:
-            for cell in row:
-                for x in cell:
-                    den = lcm(den, x.denominator)
+        # residues over GF(p) are ints, whose denominator is 1
+        den = lcm(*[x.denominator for row in self.table for cell in row for x in cell])
         return [[[x.numerator * (den // x.denominator) for x in cell] for cell in row]
                 for row in self.table]
 
@@ -207,8 +207,7 @@ def induced_algebra(multiply, coords: Coordinates, one,
 
 def center(algebra: StructureAlgebra) -> Subspace:
     """Z(A) as the kernel of x -> (x e_i - e_i x)_i."""
-    d = algebra.dim
-    tbl = algebra._int_table
+    d, tbl = algebra.dim, algebra._int_table
     rows = [[tbl[j][i][k] - tbl[i][j][k] for j in range(d)]
             for i in range(d) for k in range(d)]
     return kernel_rows(rows, d, algebra.field)
@@ -254,25 +253,10 @@ def _verify_ideal(algebra: StructureAlgebra, j: Subspace) -> bool:
 def dickson_radical(algebra: StructureAlgebra) -> Subspace:
     """Characteristic-0 radical: kernel of the Gram matrix of the trace form
     tau(x, y) = trace(L_x L_y) of the left regular representation."""
-    d = algebra.dim
-    tbl = algebra._int_table
-    # L_i[k][j] = tbl[i][j][k]; trace(L_i L_j) = sum_{a,b} L_i[a][b] L_j[b][a]
-    lmats = [[[tbl[i][j][k] for j in range(d)] for k in range(d)] for i in range(d)]
-    gram = []
-    for i in range(d):
-        li = lmats[i]
-        row = []
-        for j in range(d):
-            lj = lmats[j]
-            s = 0
-            for a in range(d):
-                lia = li[a]
-                for b in range(d):
-                    v = lia[b]
-                    if v:
-                        s += v * lj[b][a]
-            row.append(s)
-        gram.append(row)
+    d, tbl = algebra.dim, algebra._int_table
+    # L_i[a][b] = c_ib^a, so trace(L_i L_j) = sum_b sum_{c_ib^a != 0} c_ib^a c_ja^b
+    gram = [[sum(x * tbl[j][a][b] for b in range(d) for a, x in algebra._sparse[i][b])
+             for j in range(d)] for i in range(d)]
     return kernel_rows(gram, d, QQ)
 
 
@@ -452,9 +436,31 @@ def wm_complement(algebra: StructureAlgebra, rad: RadicalData) -> WMDecompositio
 
 # -- derivations and Lie structure ----------------------------------------------
 
+def _int_terms(space: Subspace) -> tuple[int, list]:
+    """(s, [the nonzero (column, s x) of each basis row]), s the least common denominator."""
+    s = lcm(*[x.denominator for row in space._terms for _, x in row])
+    return s, [[(k, x.numerator * (s // x.denominator)) for k, x in row]
+               for row in space._terms]
+
+
+def _bracket(x: dict, y: dict, n: int) -> dict:
+    """xy - yx for n x n integer matrices given by their nonzero rows
+    {r: {c: int}}, as the sparse row {r * n + c: int} of its entries."""
+    out: dict[int, int] = {}
+    for a, b, sign in ((x, y, 1), (y, x, -1)):
+        for r, row in a.items():
+            for k, u in row.items():
+                for c, v in b.get(k, {}).items():
+                    out[r * n + c] = out.get(r * n + c, 0) + sign * u * v
+    return out
+
+
 @dataclass
 class LieSubalgebra:
-    """Bracket-closed subspace of n x n matrices (flattened row-major)."""
+    """Bracket-closed subspace of n x n matrices (flattened row-major).
+
+    Brackets are taken on the canonical basis B_l times its least common
+    denominator s (1 over GF(p)), each matrix held as its nonzero rows."""
 
     field: Field
     n: int
@@ -469,54 +475,80 @@ class LieSubalgebra:
         return [Matrix(self.field, [row[i * n:(i + 1) * n] for i in range(n)])
                 for row in self.space.basis]
 
+    @cached_property
+    def _int_basis(self) -> tuple[int, list]:
+        """(s, [s B_l as {r: {c: int}}])."""
+        s, terms = _int_terms(self.space)
+        mats: list[dict] = [{} for _ in terms]
+        for m, row in zip(mats, terms):
+            for k, x in row:
+                m.setdefault(k // self.n, {})[k % self.n] = x
+        return s, mats
+
+    @cached_property
+    def structure_constants(self) -> tuple[int, list]:
+        """(scale, c) with [B_i, B_j] = sum_l C B_l / scale over the nonzero
+        pairs (l, C) in c[i][j]; scale = s^2, C is an int (read mod p over
+        GF(p)), and one scale for all constants keeps every span.
+
+        B_l is 1 at its pivot p_l, where every other B is 0; so, the space
+        being bracket-closed, C is the entry of [s B_i, s B_j] at p_l.
+        Der(A) is closed since the commutator of derivations is a derivation,
+        and forms._bracket_closure closes its span by construction.
+        """
+        s, mats = self._int_basis
+        p = self.field.characteristic
+        where = {q: l for l, q in enumerate(self.space.pivots)}
+        c = [[[] for _ in mats] for _ in mats]
+        for i, j in itertools.combinations(range(len(mats)), 2):
+            for q, v in _bracket(mats[i], mats[j], self.n).items():
+                if q in where and (v := v % p if p else v):
+                    c[i][j].append((where[q], v))
+                    c[j][i].append((where[q], -v))
+        return s * s, c
+
+    def bracket_span(self) -> Subspace:
+        """The span of the basis and the brackets of its pairs."""
+        _, mats = self._int_basis
+        rows = self.space.basis + [_bracket(a, b, self.n)
+                                   for a, b in itertools.combinations(mats, 2)]
+        return Subspace(self.field, self.n ** 2, rref_rows(rows, self.n ** 2, self.field)[0])
+
     def is_bracket_closed(self) -> bool:
-        return all(self.space.contains(mat_bracket(a, b).flatten())
-                   for a, b in itertools.combinations(self.basis_matrices(), 2))
+        return self.bracket_span().dim == self.dim
 
 
 def derivation_algebra(algebra: StructureAlgebra) -> LieSubalgebra:
     """Der(A): matrices D with D(e_i e_j) = D(e_i) e_j + e_i D(e_j), D(1) = 0.
 
-    Solved as one exact kernel computation in d^2 unknowns D[a][b]
-    (D(e_b) = sum_a D[a][b] e_a).
+    One exact kernel in d^2 unknowns D[a][b] (D(e_b) = sum_a D[a][b] e_a).
+    The e_t coefficient of the rule for (e_i, e_j) is the sparse integer row
+    sum_s c_ij^s D[t][s] - sum_a c_aj^t D[a][i] - sum_b c_ib^t D[b][j] over
+    the nonzero scaled constants; equal rows are passed once.
     """
-    d = algebra.dim
-    tbl = algebra._int_table
-    rows = set()
-    for i in range(d):
-        for j in range(d):
-            cell = tbl[i][j]
-            for t in range(d):
-                row = [0] * (d * d)
-                row[t * d:(t + 1) * d] = cell
-                for a in range(d):
-                    v = tbl[a][j][t]
-                    if v:
-                        row[a * d + i] -= v
-                for b in range(d):
-                    v = tbl[i][b][t]
-                    if v:
-                        row[b * d + j] -= v
-                rows.add(tuple(row))
-    for t in range(d):                  # D(1) = 0, row t of D times one
-        row = [0] * (d * d)
-        row[t * d:(t + 1) * d] = algebra.one
-        rows.add(tuple(row))
-    return LieSubalgebra(algebra.field, d, kernel_rows(list(rows), d * d, algebra.field))
-
-
-def inner_derivations(algebra: StructureAlgebra) -> LieSubalgebra:
-    """span{ad_x : x in A}; dim = dim A - dim Z(A)."""
-    d = algebra.dim
-    f = algebra.field
-    vecs = []
-    for i in range(d):
-        flat = []
+    f, d = algebra.field, algebra.dim
+    sparse = algebra._sparse
+    by_right = [[[] for _ in range(d)] for _ in range(d)]  # (j, t) -> [(a d, c_aj^t)]
+    by_left = [[[] for _ in range(d)] for _ in range(d)]   # (i, t) -> [(b d, c_ib^t)]
+    for a, b in itertools.product(range(d), repeat=2):
+        for t, x in sparse[a][b]:
+            by_right[b][t].append((a * d, x))
+            by_left[a][t].append((b * d, x))
+    rows = set()                        # (*columns, *entries), columns sorted
+    for i, j in itertools.product(range(d), repeat=2):
+        cell, right, left = sparse[i][j], by_right[j], by_left[i]
         for t in range(d):
-            for j in range(d):
-                flat.append(f.sub(algebra.table[i][j][t], algebra.table[j][i][t]))
-        vecs.append(flat)
-    return LieSubalgebra(f, d, Subspace.from_vectors(f, d * d, vecs))
+            row = {t * d + s: x for s, x in cell}
+            for ad, x in right[t]:
+                row[ad + i] = row.get(ad + i, 0) - x
+            for bd, x in left[t]:
+                row[bd + j] = row.get(bd + j, 0) - x
+            cols = sorted(filter(row.get, row))     # the nonzero columns
+            rows.add((*cols, *map(row.get, cols)))
+    one = [(s, x) for s, x in enumerate(algebra.one) if x]    # D(1) = 0: row t of D times one
+    rows.update((*(t * d + s for s, _ in one), *(x for _, x in one)) for t in range(d))
+    return LieSubalgebra(f, d, kernel_rows(
+        (dict(zip(r[:len(r) // 2], r[len(r) // 2:])) for r in rows), d * d, f))
 
 
 def der_into(algebra: StructureAlgebra, rad: RadicalData, target: Subspace,
@@ -525,8 +557,9 @@ def der_into(algebra: StructureAlgebra, rad: RadicalData, target: Subspace,
     if der is None:
         der = derivation_algebra(algebra)
     f, d = algebra.field, algebra.dim
-    # (a, c, D[a][c]) for the nonzeros of each flattened basis row
-    entries = [[(*divmod(k, d), x) for k, x in enumerate(b) if x] for b in der.space.basis]
+    # (a, c, s D[a][c]) for the nonzeros of each flattened basis row; the one
+    # scale s of all of them changes no span
+    entries = [[(*divmod(k, d), x) for k, x in row] for row in _int_terms(der.space)[1]]
     rows = []
     for v in rad.radical.basis:
         residuals = []
@@ -547,63 +580,39 @@ def der_into(algebra: StructureAlgebra, rad: RadicalData, target: Subspace,
     return LieSubalgebra(f, d, Subspace.from_vectors(f, d * d, vecs))
 
 
-def _structure_constants(lie: LieSubalgebra) -> list:
-    """c[i][j]: the nonzero (l, c_ij^l) with [B_i, B_j] = sum_l c_ij^l B_l.
-
-    The canonical RREF basis B_l of lie.space is 1 at its pivot p_l, where
-    every other B is 0; so, lie.space being bracket-closed, c_ij^l is the
-    entry of [B_i, B_j] at p_l.  Only those entries are computed.  Der(A) is
-    closed since the commutator of derivations is a derivation, and
-    forms._bracket_closure closes its span under brackets by construction.
-    """
-    f, n, basis = lie.field, lie.n, lie.space.basis
-    rows = [[[(k, b[r * n + k]) for k in range(n) if b[r * n + k]]
-             for r in range(n)] for b in basis]         # rows[i][r]: (k, B_i[r][k])
-    cols = [[{k: b[k * n + c] for k in range(n) if b[k * n + c]}
-             for c in range(n)] for b in basis]         # cols[i][c]: {k: B_i[k][c]}
-    pivots = [divmod(p, n) for p in lie.space.pivots]
-    c = [[[] for _ in basis] for _ in basis]
-    for i, j in itertools.combinations(range(len(basis)), 2):
-        for l, (r, col) in enumerate(pivots):
-            ci, cj = cols[i][col], cols[j][col]
-            s = f.coerce(sum(a * cj[k] for k, a in rows[i][r] if k in cj)
-                         - sum(a * ci[k] for k, a in rows[j][r] if k in ci))
-            if s:
-                c[i][j].append((l, s))
-                c[j][i].append((l, f.neg(s)))
-    return c
-
-
-def _series_limit(lie: LieSubalgebra, derived: bool) -> Subspace:
-    """Last term of the derived (or lower central) series of a bracket-closed
-    lie, in the coordinates of its basis: 0, or the first term equal to its
+def _series_limit(lie: LieSubalgebra, derived: bool) -> int:
+    """Dimension of the last term of the derived (or lower central) series
+    of a bracket-closed lie: 0, or that of the first term equal to its
     predecessor.  Each term is an ideal containing the next, so equal
-    dimensions mean the series is constant from there on."""
+    dimensions mean the series is constant from there on.  Terms are integer
+    rows in lie's basis, bracketed through its structure constants."""
     f, m = lie.field, lie.dim
-    c = _structure_constants(lie)
-    units = Subspace.full(f, m).basis
-    term = units
+    _, c = lie.structure_constants
+    term = units = [[(i, 1)] for i in range(m)]
     while term:
         brackets = []
         for x, y in (itertools.combinations(term, 2) if derived
                      else itertools.product(units, term)):
-            v = [0] * m                  # unreduced: rref_rows reduces it
-            for i, j in itertools.product(*([k for k, a in enumerate(z) if a] for z in (x, y))):
-                for l, s in c[i][j]:
-                    v[l] += x[i] * y[j] * s
+            v: dict[int, int] = {}
+            for i, a in x:
+                ci = c[i]
+                for j, b in y:
+                    ab = a * b
+                    for l, s in ci[j]:
+                        v[l] = v.get(l, 0) + ab * s
             brackets.append(v)
-        nxt = Subspace.from_vectors(f, m, brackets).basis
-        if len(nxt) == len(term):
+        rows, _ = rref_rows(brackets, m, f)
+        if len(rows) == len(term):
             break
-        term = nxt
-    return Subspace(f, m, term)
+        term = _int_terms(Subspace(f, m, rows))[1]
+    return len(term)
 
 
 def is_nilpotent(lie: LieSubalgebra) -> bool:
     """Whether the lower central series of the bracket-closed lie reaches 0."""
-    return _series_limit(lie, derived=False).dim == 0
+    return _series_limit(lie, derived=False) == 0
 
 
 def is_solvable(lie: LieSubalgebra) -> bool:
     """Whether the derived series of the bracket-closed lie reaches 0."""
-    return _series_limit(lie, derived=True).dim == 0
+    return _series_limit(lie, derived=True) == 0

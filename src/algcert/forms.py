@@ -15,7 +15,7 @@ from .algebra import DEFAULT_MAX_ENUM, Coordinates, LieSubalgebra, is_solvable
 from .errors import (CharTwo, NotDegreeTwo, NotGraded, NotHomogeneous,
                      NotStable, SearchSpaceTooLarge, ZeroPolynomial)
 from .fields import Field, PrimeField
-from .linalg import Matrix, Subspace, kernel, kernel_rows, mat_bracket, rref_rows
+from .linalg import Matrix, Subspace, kernel, kernel_rows, rref_rows
 from .poly import Poly, degree_monomials, partial_derivative
 from .presentation import MinimalDegreeSubspace, Presentation
 from .roots import (minimal_polynomial, operator_power_sequence, poly_gcd,
@@ -491,13 +491,9 @@ def restricted_action(lie: LieSubalgebra, w: MinimalDegreeSubspace) -> list[Matr
 
 def _bracket_closure(field: Field, n: int, ops: list[Matrix]) -> Subspace:
     span = Subspace.from_vectors(field, n * n, [m.flatten() for m in ops])
-    while True:
-        mats = LieSubalgebra(field, n, span).basis_matrices()
-        grown = Subspace.from_vectors(field, n * n, span.basis + [
-            mat_bracket(a, b).flatten() for a, b in itertools.combinations(mats, 2)])
-        if grown.dim == span.dim:
-            return span
+    while (grown := LieSubalgebra(field, n, span).bracket_span()).dim > span.dim:
         span = grown
+    return span
 
 
 def flag_search(operators: list[Matrix], field: Field,

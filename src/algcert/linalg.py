@@ -2,11 +2,12 @@
 
 Matrices are row-major lists of scalars (Fraction over Q, int residues over
 GF(p)).  Every full elimination is ``rref_rows``, one sparse reduced echelon
-for both fields: rows go in as they are (ints, or over Q ints and Fractions),
-become dicts of their nonzero integers and are reduced one at a time against
-pivot rows kept fully reduced.  The field decides only how a row is kept
-(primitive over Z for Q, monic pivot mod p for GF(p)) and how the leading 1
-is written.  The RREF is unique, so it is the canonical one.
+for both fields: rows go in as they are (lists of ints, or over Q ints and
+Fractions, or dicts {col: entry} of such entries), become dicts of their
+nonzero integers and are reduced one at a time against pivot rows kept fully
+reduced.  The field decides only how a row is kept (primitive over Z for Q,
+monic pivot mod p for GF(p)) and how the leading 1 is written.  The RREF is
+unique, so it is the canonical one.
 
 A ``Subspace`` keeps, next to its canonical basis, the pivot column and the
 nonzero entries of each basis row; reducing a vector reads only those.  An
@@ -41,10 +42,15 @@ def scalars(row, field: Field, ints: bool = True) -> list:
 
 def _sparse_row(row, field: Field) -> dict[int, int]:
     """The nonzero entries of a row as the core works on them: residues mod
-    p, or over Q the row times the common denominator of its entries."""
+    p, or over Q the row times the common denominator of its entries.  A
+    dict row {col: entry} is read as it is, explicit zeros allowed, and never
+    changed in place."""
     p = field.characteristic
-    row = scalars(row, field)
-    entries = dict(zip(compress(count(), row), filter(None, row)))
+    if isinstance(row, dict):
+        entries = row if p else {j: x for j, x in row.items() if x}
+    else:
+        row = scalars(row, field)
+        entries = dict(zip(compress(count(), row), filter(None, row)))
     if p:
         return _normalise(entries, None, p)
     if not set(map(type, entries.values())) <= _INT:
@@ -81,10 +87,11 @@ def _eliminate(row: dict, found: dict, cols, p: int) -> dict:
 def rref_rows(rows, ncols: int, field: Field):
     """Canonical RREF of raw rows; returns (canonical rows, pivot columns).
 
-    Rows (ints, or over Q ints and Fractions) are reduced sparsest first; a
-    row left nonzero becomes a pivot row at its first nonzero column, which
-    is then cleared from the earlier pivot rows.  The canonical rows carry a
-    leading 1 in the field's scalar type.
+    Rows (lists of ints, or over Q ints and Fractions, or dicts {col: entry}
+    of such entries) are reduced sparsest first; a row left nonzero becomes a
+    pivot row at its first nonzero column, which is then cleared from the
+    earlier pivot rows.  The canonical rows carry a leading 1 in the field's
+    scalar type.
     """
     p = field.characteristic
     found: dict[int, dict] = {}         # pivot column -> row, 0 at the other pivots
@@ -187,15 +194,6 @@ class Matrix:
         return f"Matrix({self.field!r}, {self.rows!r})"
 
 
-def mat_bracket(a: Matrix, b: Matrix) -> Matrix:
-    """Commutator ab - ba."""
-    ab = a.mul(b)
-    ba = b.mul(a)
-    f = a.field
-    return Matrix(f, [[f.sub(x, y) for x, y in zip(r1, r2)]
-                      for r1, r2 in zip(ab.rows, ba.rows)])
-
-
 def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
     """Reduced row-echelon form; returns (rref matrix, rank, pivot columns).
 
@@ -215,16 +213,12 @@ def kernel(m: Matrix) -> "Subspace":
 
 def kernel_rows(rows, ncols: int, field: Field) -> "Subspace":
     """Exact right kernel of the matrix with these rows, taken as rref_rows
-    takes them; with no rows it is the whole space."""
+    takes them; with no rows it is the whole space.  Free column fc gives
+    e_fc - sum_pc row[fc] e_pc over the pivot rows, as a dict row."""
     rows, pivots = rref_rows(rows, ncols, field)
-    basis = []
-    for fc in sorted(set(range(ncols)) - set(pivots)):
-        v = [field.zero] * ncols
-        v[fc] = field.one
-        for row, pc in zip(rows, pivots):
-            v[pc] = field.neg(row[fc])
-        basis.append(v)
-    return Subspace.from_vectors(field, ncols, basis)
+    basis = [{fc: 1, **{pc: -row[fc] for row, pc in zip(rows, pivots) if row[fc]}}
+             for fc in sorted(set(range(ncols)) - set(pivots))]
+    return Subspace(field, ncols, rref_rows(basis, ncols, field)[0])
 
 
 def solve(m: Matrix, b) -> list | None:

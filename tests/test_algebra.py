@@ -1,36 +1,42 @@
+import itertools
 import json
 import warnings
 from fractions import Fraction
 
 import pytest
 
-from algcert.algebra import (Coordinates, LieSubalgebra, _series_limit,
-                             _structure_constants, center, der_into,
+from algcert.algebra import (Coordinates, LieSubalgebra, StructureAlgebra,
+                             _series_limit, center, der_into,
                              derivation_algebra, induced_algebra,
-                             inner_derivations, is_nilpotent, is_solvable,
-                             jacobson_radical, jj2_basis, load_algebra,
-                             wm_complement)
+                             is_nilpotent, is_solvable, jacobson_radical,
+                             jj2_basis, load_algebra, wm_complement)
 from algcert.cli import main
 from algcert.errors import (InternalInconsistency, LoweyMismatch,
                             NonAssociative, NotSplitBasic, NotUnital,
                             UnsupportedRadicalComputation)
 from algcert.fields import GF, QQ
 from algcert.forms import _bracket_closure
-from algcert.linalg import Matrix, Subspace, invert, mat_bracket
+from algcert.linalg import Matrix, Subspace, invert, kernel_rows
 from algcert.oracle import nilpotent_scan_radical
 from algcert.constructions import (componentwise_algebra, direct_sum,
-                                   matrix_algebra,
+                                   exterior_algebra, matrix_algebra,
                                    truncated_polynomial_algebra,
                                    univariate_quotient_algebra,
                                    upper_triangular_algebra)
 from algcert.presentation import presentation_from_ideal, quotient_algebra
 from conftest import matrix_sum, own_coordinates, pp, random_poly, transvected
 
-GF2, GF3, GF5 = GF(2), GF(3), GF(5)
+GF2, GF3, GF5, GF7 = GF(2), GF(3), GF(5), GF(7)
+GF_BIG = GF(2**31 - 1)
 
 
 def qx_mod(power, field=QQ):
     return univariate_quotient_algebra(field, [0] * power + [1])
+
+
+def commutator(a, b):
+    """ab - ba of two dense matrices: the reference for the sparse bracket."""
+    return matrix_sum(a.field, a.nrows, [(1, a.mul(b)), (-1, b.mul(a))])
 
 
 class TestLoad:
@@ -336,19 +342,15 @@ class TestDerivations:
         assert derivation_algebra(a).dim == n * rad.radical.dim
 
     def test_matrix_algebra_inner(self):
+        # every derivation of M_2 is inner: Der = span{ad_x}, of dimension
+        # dim A - dim Z(A)
         a = matrix_algebra(QQ, 2)
         der = derivation_algebra(a)
-        assert der.dim == 3
-        inner = inner_derivations(a)
-        assert inner.dim == a.dim - center(a).dim == 3
-        assert der.space.contains_space(inner.space)
-
-    def test_inner_commutative_zero(self):
-        assert inner_derivations(qx_mod(3)).dim == 0
-
-    def test_inner_upper_triangular(self):
-        a = upper_triangular_algebra(QQ, 2)
-        assert inner_derivations(a).dim == 2
+        ad = Subspace.from_vectors(QQ, a.dim ** 2, [
+            [a.table[i][j][t] - a.table[j][i][t] for t in range(a.dim) for j in range(a.dim)]
+            for i in range(a.dim)])
+        assert der.dim == ad.dim == a.dim - center(a).dim == 3
+        assert der.space == ad
 
     def test_bracket_closed(self):
         for a in (qx_mod(3), matrix_algebra(QQ, 2),
@@ -370,8 +372,7 @@ class TestDerivations:
         sub = der_into(a, rad, rad.square, der=der)
         for dm in der.basis_matrices():
             for sm in LieSubalgebra(QQ, a.dim, sub.space).basis_matrices():
-                from algcert.linalg import mat_bracket
-                assert sub.space.contains(mat_bracket(dm, sm).flatten())
+                assert sub.space.contains(commutator(dm, sm).flatten())
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2**31 - 1)], ids=["QQ", "GF_BIG"])
@@ -392,6 +393,57 @@ def test_der_in_dense_basis(field, rng):
                 == der_into(algebra, rad, rad.square).dim == dim_into
 
 
+def _dense_derivations(algebra):
+    """Der(A) from d^3 dense Leibniz rows of length d^2, one per (i, j, t),
+    plus the rows of D(1) = 0: the construction the sparse rows replaced,
+    kept as their reference."""
+    d = algebra.dim
+    tbl = algebra._int_table
+    rows = set()
+    for i in range(d):
+        for j in range(d):
+            for t in range(d):
+                row = [0] * (d * d)
+                row[t * d:(t + 1) * d] = tbl[i][j]
+                for a in range(d):
+                    row[a * d + i] -= tbl[a][j][t]
+                for b in range(d):
+                    row[b * d + j] -= tbl[i][b][t]
+                rows.add(tuple(row))
+    for t in range(d):
+        row = [0] * (d * d)
+        row[t * d:(t + 1) * d] = algebra.one
+        rows.add(tuple(row))
+    return kernel_rows(list(rows), d * d, algebra.field)
+
+
+def _rescaled(algebra, scales):
+    """algebra in the basis f_i = scales[i] e_i."""
+    f, d = algebra.field, algebra.dim
+    lam = [f.coerce(x) for x in scales]
+    table = [[[f.div(f.mul(f.mul(lam[i], lam[j]), algebra.table[i][j][k]), lam[k])
+               for k in range(d)] for j in range(d)] for i in range(d)]
+    return StructureAlgebra(f, table, [f.div(x, y) for x, y in zip(algebra.one, lam)])
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF7, GF_BIG], ids=["QQ", "GF2", "GF7", "GF_BIG"])
+def test_sparse_der_matches_dense_rows(field, rng):
+    cases = [qx_mod(3, field), truncated_polynomial_algebra(field, 2, 3),
+             upper_triangular_algebra(field, 3), matrix_algebra(field, 2),
+             exterior_algebra(field, 3),
+             direct_sum(componentwise_algebra(field, 1), qx_mod(2, field))]
+    if field == QQ:
+        # Fraction constants and an identity with denominators, 1/3 and 2
+        scaled = _rescaled(truncated_polynomial_algebra(QQ, 2, 3),
+                           [3, Fraction(1, 2), 3, 1, Fraction(1, 2), 3])
+        assert any(x.denominator > 1 for row in scaled.table for cell in row for x in cell)
+        assert scaled.one[0] == Fraction(1, 3)
+        cases.append(scaled)
+    for algebra in cases:
+        for basis in (algebra, transvected(algebra, rng)):
+            assert derivation_algebra(basis).space == _dense_derivations(basis)
+
+
 def _dense_series(lie, derived):
     """Reference: the derived or lower central series of lie as bracket spans
     of n x n matrices, until it reaches 0 or repeats a dimension."""
@@ -402,21 +454,54 @@ def _dense_series(lie, derived):
         cur = LieSubalgebra(f, n, terms[-1]).basis_matrices()
         left = cur if derived else base
         nxt = Subspace.from_vectors(
-            f, n * n, [mat_bracket(a, b).flatten() for a in left for b in cur])
+            f, n * n, [commutator(a, b).flatten() for a in left for b in cur])
         if nxt.dim == terms[-1].dim:
             break
         terms.append(nxt)
     return terms
 
 
-def _random_closed(rng, field, n, shape):
-    """Bracket closure of two random n x n matrices; shape restricts their
-    support to the strict upper triangle, the upper triangle, or nothing."""
+def _random_ops(rng, field, n, shape):
+    """Two random n x n matrices; shape restricts their support to the
+    strict upper triangle, the upper triangle, or nothing."""
     lowest = {"strict": 1, "upper": 0, "full": -n}[shape]
-    ops = [Matrix(field, [[rng.randint(-2, 2) if c - r >= lowest else 0
-                           for c in range(n)] for r in range(n)])
-           for _ in range(2)]
-    return LieSubalgebra(field, n, _bracket_closure(field, n, ops))
+    return [Matrix(field, [[rng.randint(-2, 2) if c - r >= lowest else 0
+                            for c in range(n)] for r in range(n)])
+            for _ in range(2)]
+
+
+def _random_closed(rng, field, n, shape):
+    """Bracket closure of two random n x n matrices of the given shape."""
+    return LieSubalgebra(field, n, _bracket_closure(field, n, _random_ops(rng, field, n, shape)))
+
+
+def _dense_closure(field, n, ops):
+    """Reference for _bracket_closure: add dense commutators of basis pairs
+    until the span stops growing."""
+    span = Subspace.from_vectors(field, n * n, [m.flatten() for m in ops])
+    while True:
+        mats = LieSubalgebra(field, n, span).basis_matrices()
+        grown = span.sum(Subspace.from_vectors(field, n * n, [
+            commutator(a, b).flatten() for a, b in itertools.combinations(mats, 2)]))
+        if grown.dim == span.dim:
+            return span
+        span = grown
+
+
+@pytest.mark.parametrize("field", [QQ, GF7])
+def test_bracket_closure_matches_dense_commutators(rng, field):
+    for n in (2, 3):
+        for shape in ("strict", "upper", "full"):
+            for _ in range(3):
+                ops = _random_ops(rng, field, n, shape)
+                closure = _bracket_closure(field, n, ops)
+                assert closure == _dense_closure(field, n, ops)
+                assert LieSubalgebra(field, n, closure).is_bracket_closed()
+    # span{E_01, E_10} misses [E_01, E_10] = E_00 - E_11
+    open_span = Subspace.from_vectors(field, 4, [[0, 1, 0, 0], [0, 0, 1, 0]])
+    assert not LieSubalgebra(field, 2, open_span).is_bracket_closed()
+    assert _bracket_closure(field, 2, [Matrix(field, [[0, 1], [0, 0]]),
+                                       Matrix(field, [[0, 0], [1, 0]])]).dim == 3
 
 
 class TestLieSeries:
@@ -439,7 +524,7 @@ class TestLieSeries:
         assert not is_solvable(gl2)
         assert not is_nilpotent(gl2)
         # derived series stabilizes at sl2
-        assert _series_limit(gl2, derived=True).dim == 3
+        assert _series_limit(gl2, derived=True) == 3
         assert _dense_series(gl2, derived=True)[-1].dim == 3
 
     @pytest.mark.parametrize("field", [QQ, GF5])
@@ -476,6 +561,16 @@ class TestLieSeries:
             in payload["verdicts"]
 
 
+def _with_denominators(field):
+    """Closed spans whose canonical bases have denominators 2 and 3 over Q:
+    a Heisenberg algebra of 4 x 4 matrices, and a solvable, not nilpotent
+    algebra of 3 x 3 ones.  Matrices are given by their nonzero entries."""
+    for n, mats in ((4, [{(0, 1): 1}, {(0, 3): 2, (1, 2): 3}, {(0, 2): 1}]),
+                    (3, [{(0, 0): 3, (1, 1): 2}, {(0, 1): 1}, {(0, 2): 1}])):
+        vecs = [[m.get(divmod(k, n), 0) for k in range(n * n)] for m in mats]
+        yield LieSubalgebra(field, n, Subspace.from_vectors(field, n * n, vecs))
+
+
 def _lie_cases(rng, field):
     for alg in (qx_mod(3, field), qx_mod(4, field),
                 truncated_polynomial_algebra(field, 2, 3),
@@ -483,6 +578,7 @@ def _lie_cases(rng, field):
                 matrix_algebra(field, 2), componentwise_algebra(field, 2),
                 direct_sum(componentwise_algebra(field, 1), qx_mod(2, field))):
         yield derivation_algebra(alg)
+    yield from _with_denominators(field)
     for n in (2, 3):
         for shape in ("strict", "upper", "full"):
             for _ in range(2):
@@ -491,23 +587,28 @@ def _lie_cases(rng, field):
 
 @pytest.mark.parametrize("field", [QQ, GF(7)])
 def test_lie_decisions_match_dense_reference(rng, field):
-    seen = set()
+    seen, scales = set(), set()
     for lie in _lie_cases(rng, field):
         mats = lie.basis_matrices()
-        consts = _structure_constants(lie)
+        # [B_i, B_j] = sum_l C B_l / scale over the pairs (l, C) in consts[i][j]
+        scale, consts = lie.structure_constants
+        scales.add(scale)
         for i, a in enumerate(mats):
             for j, b in enumerate(mats):
-                total = matrix_sum(field, lie.n, [(v, mats[l]) for l, v in consts[i][j]])
-                assert total == mat_bracket(a, b)
+                total = matrix_sum(field, lie.n, [(Fraction(v, scale), mats[l])
+                                                  for l, v in consts[i][j]])
+                assert total == commutator(a, b)
         derived = _dense_series(lie, derived=True)
         lower = _dense_series(lie, derived=False)
         assert is_solvable(lie) == (derived[-1].dim == 0)
         assert is_nilpotent(lie) == (lower[-1].dim == 0)
-        assert _series_limit(lie, derived=True).dim == derived[-1].dim
-        assert _series_limit(lie, derived=False).dim == lower[-1].dim
+        assert _series_limit(lie, derived=True) == derived[-1].dim
+        assert _series_limit(lie, derived=False) == lower[-1].dim
         seen.add((is_solvable(lie), is_nilpotent(lie)))
     # every branch is exercised: nilpotent, solvable only, neither
     assert seen == {(True, True), (True, False), (False, False)}
+    # over Q the canonical bases with denominators 2 and 3 give scales 4 and 9
+    assert scales == {1} if field.characteristic else {4, 9} <= scales
 
 
 class TestPresentedAgreement:

@@ -290,6 +290,46 @@ def test_rref_rows_matches_textbook_tall_low_rank(field, data):
     _check_rref_rows(*data.draw(low_rank_rows(field)), field)
 
 
+# -- dict rows {col: entry} into the same core -------------------------------
+
+_INT_FIELDS = {"QQ": (QQ, st.integers(-7, 7)), **_FIELDS}
+
+
+def _check_dict_rows(rows, ncols, field, dict_rows):
+    copies = [dict(r) for r in dict_rows]
+    assert rref_rows(dict_rows, ncols, field) == rref_rows(rows, ncols, field)
+    assert kernel_rows(dict_rows, ncols, field) == kernel_rows(rows, ncols, field)
+    assert dict_rows == copies          # read, never changed in place
+
+
+@pytest.mark.parametrize("name", sorted(_INT_FIELDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_dict_rows_match_list_rows(name, data):
+    # int entries, negative or >= p, with explicit zeros kept at random; the
+    # zero rows messy_rows adds become empty dicts or all-zero dicts
+    field, entry = _INT_FIELDS[name]
+    rows, ncols = data.draw(messy_rows(entry))
+    rnd = data.draw(st.randoms(use_true_random=False))
+    dict_rows = [{j: x for j, x in enumerate(r) if x or rnd.random() < 0.3}
+                 for r in rows]
+    _check_dict_rows(rows, ncols, field, dict_rows)
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF5, GF_BIG], ids=["QQ", "GF2", "GF5", "GF_BIG"])
+def test_dict_rows_edge_cases(field):
+    p = field.characteristic or 9
+    rows = [[0, 0, 0, 0], [2, 0, -3, 0], [2, 0, -3, 0], [p, 1, 0, p + 1],
+            [0, -1, 0, 2 * p - 1], [0, 0, 0, 0]]
+    dict_rows = [{}, {0: 2, 1: 0, 2: -3}, {2: -3, 0: 2, 3: 0}, {3: p + 1, 0: p, 1: 1},
+                 {1: -1, 3: 2 * p - 1}, {0: 0, 2: 0}]
+    _check_dict_rows(rows, 4, field, dict_rows)
+    _check_dict_rows([], 4, field, [])
+    # Fraction entries over Q take the list rows' common-denominator path
+    _check_dict_rows([[Fraction(1, 2), 0, Fraction(-2, 3)]], 3, QQ,
+                     [{0: Fraction(1, 2), 2: Fraction(-2, 3), 1: 0}])
+
+
 def test_q_spaces_from_ints_hold_fractions():
     # an int entry left in a Q row would make RationalField.inv return a float
     space = Subspace.from_vectors(QQ, 3, [[0, 3, 1], [0, 6, 2], [2, 4, 0]])

@@ -34,6 +34,23 @@ def test_elimination_stays_in_linalg():
     assert found == []
 
 
+def test_one_lie_bracket():
+    # brackets of matrix Lie algebras are taken on sparse integer rows in
+    # algebra.py; no module keeps a dense commutator beside them
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and node.name == "mat_bracket")
+             or (isinstance(node, ast.Name) and node.id == "mat_bracket"
+                 and isinstance(node.ctx, ast.Store))
+             or (isinstance(node, (ast.Import, ast.ImportFrom))
+                 and any("mat_bracket" in (alias.name.split(".")[-1], alias.asname)
+                         for alias in node.names))]
+    assert SOURCES
+    assert found == []
+
+
 def test_defaults_defined_once():
     # each DEFAULT_* bound is assigned in one module and imported elsewhere,
     # and CertifyConfig takes its field defaults from those names
