@@ -18,8 +18,8 @@ from .oracle import EnumeratedGroup, enumerate_automorphisms, induced_jj2_matric
 from .poly import (LinearChange, Poly, TruncatedRing, apply_linear_change,
                    homogeneous_components, monomial_gcd_factor, parse_poly,
                    partial_derivative, s_index)
-from .presentation import (NormalForm, Presentation, associated_graded_ideal,
-                           is_graded_presentation, is_monomial_ideal,
+from .presentation import (NormalForm, Presentation, is_graded_presentation,
+                           is_monomial_ideal,
                            minimal_degree_subspace, normal_form,
                            presentation_from_algebra, presentation_from_ideal,
                            property_star, quotient_algebra)

@@ -2,6 +2,8 @@
 filtration, Wedderburn-Malcev complements for split basic algebras, and the
 derivation Lie algebra with its nilpotency and solvability.
 
+Each algebra carries a generating set G and a basis of words in it, so
+associativity, the center and Der(A) are checked or solved on G alone.
 Derivations and Lie series run on sparse integers: Leibniz rows go to the
 elimination core as dicts {column: int}, and a Lie algebra's structure
 constants are computed once, as integers under one common scale.
@@ -17,7 +19,7 @@ from math import lcm
 from .errors import (AmbientMismatch, InternalInconsistency, NonAssociative,
                      NotSplitBasic, NotUnital, UnsupportedRadicalComputation)
 from .fields import Field, PrimeField, QQ
-from .linalg import (Matrix, Subspace, invert, kernel_rows,
+from .linalg import (Echelon, Matrix, Subspace, invert, kernel_rows,
                      quotient_basis, rref_rows, scalars)
 from .roots import minimal_polynomial, poly_divmod, poly_eval, roots_in_field
 
@@ -29,8 +31,9 @@ class StructureAlgebra:
     """Finite-dimensional unital associative algebra given by a d x d x d
     structure tensor: e_i * e_j = sum_k table[i][j][k] e_k.
 
-    Associativity and unitality are verified exhaustively at load time.
-    A presentation-derived instance may carry ``known_radical``.
+    ``gens`` generate it, with the word basis ``words`` (see _word_basis).
+    Load verifies unitality exhaustively and associativity on ``gens``
+    (Light's test).  A presentation-derived one may carry ``known_radical``.
     """
 
     def __init__(self, field: Field, table, one, known_radical: Subspace | None = None):
@@ -53,6 +56,7 @@ class StructureAlgebra:
         self._cells = [[[(k, c) for k, c in enumerate(cell) if c]
                         for cell in row] for row in self.table]
         self._verify_unital()
+        self.gens, self.edges, self.words = _word_basis(self)
         self._verify_associative()
         self.commutative = all(
             self.table[i][j] == self.table[j][i]
@@ -67,41 +71,34 @@ class StructureAlgebra:
                 for row in self.table]
 
     def _verify_unital(self):
-        f = self.field
-        one = [(i, c) for i, c in enumerate(self.one) if c]
-        for j in range(self.dim):
-            left = [f.zero] * self.dim
-            right = [f.zero] * self.dim
-            for i, c in one:
-                for k, t in self._cells[i][j]:
-                    left[k] += c * t
-                for k, t in self._cells[j][i]:
-                    right[k] += c * t
-            want = [f.one if k == j else f.zero for k in range(self.dim)]
-            if list(map(f.coerce, left)) != want or list(map(f.coerce, right)) != want:
+        for j, e in enumerate(Subspace.full(self.field, self.dim).basis):
+            if self.multiply(self.one, e) != e or self.multiply(e, self.one) != e:
                 raise NotUnital(f"declared identity fails on basis element {j}")
 
     def _verify_associative(self):
-        d = self.dim
-        sparse = self._sparse
-        mod = self.field.p if isinstance(self.field, PrimeField) else None
-        for i in range(d):
-            si = sparse[i]
-            for j in range(d):
-                v = si[j]
-                for k in range(d):
-                    lhs: dict[int, int] = {}
-                    for t, c in v:
-                        for s, c2 in sparse[t][k]:
-                            lhs[s] = lhs.get(s, 0) + c * c2
-                    rhs: dict[int, int] = {}
-                    for t, c in sparse[j][k]:
-                        for s, c2 in si[t]:
-                            rhs[s] = rhs.get(s, 0) + c * c2
-                    for s in set(lhs) | set(rhs):
-                        diff = lhs.get(s, 0) - rhs.get(s, 0)
-                        if (diff % mod if mod else diff) != 0:
-                            raise NonAssociative(i, j, k)
+        """Light's test (Clifford & Preston, The Algebraic Theory of
+        Semigroups I, 1.2): the middles b with (a b) c = a (b c) for all a, c
+        are closed under products, as (a (b b')) c = ((a b) b') c = (a b)(b' c)
+        = a (b (b' c)) = a ((b b') c), and hold 1.  So the middles in G cover
+        the words in G, which span A.  A failure reruns the full scan, which
+        names the first bad triple."""
+        if self._bad_triple(self.gens):
+            raise NonAssociative(*self._bad_triple(range(self.dim)))
+
+    def _bad_triple(self, middles):
+        """The first (i, j, k), j in middles, with (e_i e_j) e_k != e_i (e_j e_k)."""
+        d, sparse, p = self.dim, self._sparse, self.field.characteristic
+        for i, j, k in itertools.product(range(d), middles, range(d)):
+            diff: dict[int, int] = {}
+            for t, c in sparse[i][j]:
+                for s, c2 in sparse[t][k]:
+                    diff[s] = diff.get(s, 0) + c * c2
+            for t, c in sparse[j][k]:
+                for s, c2 in sparse[i][t]:
+                    diff[s] = diff.get(s, 0) - c * c2
+            if any(x % p for x in diff.values()) if p else any(diff.values()):
+                return i, j, k
+        return None
 
     # -- arithmetic --------------------------------------------------------
 
@@ -145,6 +142,44 @@ def load_algebra(table, one, field: Field, known_radical: Subspace | None = None
     return StructureAlgebra(field, table, one, known_radical=known_radical)
 
 
+# -- a generating set and its word basis ---------------------------------------
+
+def _word_basis(algebra: StructureAlgebra) -> tuple[list, list, Coordinates]:
+    """(G, edges, words): left-normed words in {1} and generators G, a basis
+    of A, and their coordinates, with the words as its reps.
+
+    Words are integer vectors in the scaled product x o e_g = den x e_g of
+    ``_sparse``: word 0 is a multiple of 1, and word k >= 1 is words[m] o e_g
+    for its tree edge edges[k - 1] = (m, g).  G is taken among the basis
+    indices in order: e_i joins G when it lies outside the span of the words
+    so far, which then grows breadth first by the products word o e_g, g in
+    G, that the span lacks.  The Echelon only chooses the words: Coordinates
+    inverts them once, and raises InternalInconsistency unless they are a
+    basis."""
+    f, d, p = algebra.field, algebra.dim, algebra.field.characteristic
+    s = lcm(*[x.denominator for x in algebra.one])
+    one = [x.numerator * (s // x.denominator) for x in algebra.one]
+    grown = Echelon(Subspace.zero(f, d))
+    words = [one] if grown.add(one) else []
+    gens, edges, pending = [], [], []
+    for i in range(d):
+        if grown.dim == d or not any(grown.reduce([int(k == i) for k in range(d)])):
+            continue
+        gens.append(i)
+        pending.extend((k, i) for k in range(len(words)))
+        while pending and grown.dim < d:
+            k, g = pending.pop(0)
+            word = [0] * d
+            for u, c in enumerate(words[k]):
+                for t, c2 in algebra._sparse[u][g] if c else ():
+                    word[t] += c * c2
+            if grown.add(word := [c % p for c in word] if p else word):
+                pending.extend((len(words), h) for h in gens)
+                words.append(word)
+                edges.append((k, g))
+    return gens, edges, Coordinates(f, words, [])
+
+
 # -- induced algebras: quotients, subalgebras, corners -------------------------
 
 class Coordinates:
@@ -166,8 +201,8 @@ class Coordinates:
         if binv is None:
             raise InternalInconsistency("coordinate vectors are not a basis")
         # row i of the inverse yields coefficient i; keep the reps' rows, sparse
-        self._rows = [[(k, c) for k, c in enumerate(row) if c]
-                      for row in binv.rows[:self.dim]]
+        self._terms = [[(k, c) for k, c in enumerate(row) if c]
+                       for row in binv.rows[:self.dim]]
 
     @classmethod
     def quotient(cls, j: Subspace) -> Coordinates:
@@ -177,7 +212,7 @@ class Coordinates:
 
     def project(self, v) -> list:
         f = self.field
-        return [f.coerce(sum(c * v[k] for k, c in row if v[k])) for row in self._rows]
+        return [f.coerce(sum(c * v[k] for k, c in row if v[k])) for row in self._terms]
 
     def lift(self, x) -> list:
         f = self.field
@@ -206,10 +241,11 @@ def induced_algebra(multiply, coords: Coordinates, one,
 
 
 def center(algebra: StructureAlgebra) -> Subspace:
-    """Z(A) as the kernel of x -> (x e_i - e_i x)_i."""
+    """Z(A) as the kernel of x -> (x e_g - e_g x)_g over the generators G:
+    what commutes with G commutes with every word in G, and they span A."""
     d, tbl = algebra.dim, algebra._int_table
-    rows = [[tbl[j][i][k] - tbl[i][j][k] for j in range(d)]
-            for i in range(d) for k in range(d)]
+    rows = [[tbl[j][g][k] - tbl[g][j][k] for j in range(d)]
+            for g in algebra.gens for k in range(d)]
     return kernel_rows(rows, d, algebra.field)
 
 
@@ -436,8 +472,9 @@ def wm_complement(algebra: StructureAlgebra, rad: RadicalData) -> WMDecompositio
 
 # -- derivations and Lie structure ----------------------------------------------
 
-def _int_terms(space: Subspace) -> tuple[int, list]:
-    """(s, [the nonzero (column, s x) of each basis row]), s the least common denominator."""
+def _int_terms(space: Subspace | Coordinates) -> tuple[int, list]:
+    """(s, [the nonzero (column, s x) of each basis or coordinate row]), s
+    the least common denominator."""
     s = lcm(*[x.denominator for row in space._terms for _, x in row])
     return s, [[(k, x.numerator * (s // x.denominator)) for k, x in row]
                for row in space._terms]
@@ -519,64 +556,94 @@ class LieSubalgebra:
 
 
 def derivation_algebra(algebra: StructureAlgebra) -> LieSubalgebra:
-    """Der(A): matrices D with D(e_i e_j) = D(e_i) e_j + e_i D(e_j), D(1) = 0.
+    """Der(A): matrices D with D(e_i e_j) = D(e_i) e_j + e_i D(e_j).
 
-    One exact kernel in d^2 unknowns D[a][b] (D(e_b) = sum_a D[a][b] e_a).
-    The e_t coefficient of the rule for (e_i, e_j) is the sparse integer row
-    sum_s c_ij^s D[t][s] - sum_a c_aj^t D[a][i] - sum_b c_ib^t D[b][j] over
-    the nonzero scaled constants; equal rows are passed once.
+    One exact kernel in the |G| d unknowns X_g = D(e_g), g in the generators
+    G (column n d + a for the e_a coefficient of the n-th).  D(1) = 0 and
+    D(v_k) = D(v_m) e_g + v_m X_g along the word tree give D on the word
+    basis as sparse integer linear forms in X, as every derivation has it.
+    Each non-tree pair (v_k, g) adds the d rows of D(v_k e_g) = D(v_k) e_g +
+    v_k X_g, v_k e_g read in the word basis.  That is enough: S' = {b : D(x b)
+    = D(x) b + x D(b) for all x} is closed under products, as D(x b b') =
+    D(x b) b' + x b D(b') = D(x) b b' + x D(b b') for b, b' in S'; it holds 1
+    and G, so it holds the words, which span A.
     """
-    f, d = algebra.field, algebra.dim
-    sparse = algebra._sparse
-    by_right = [[[] for _ in range(d)] for _ in range(d)]  # (j, t) -> [(a d, c_aj^t)]
-    by_left = [[[] for _ in range(d)] for _ in range(d)]   # (i, t) -> [(b d, c_ib^t)]
-    for a, b in itertools.product(range(d), repeat=2):
-        for t, x in sparse[a][b]:
-            by_right[b][t].append((a * d, x))
-            by_left[a][t].append((b * d, x))
-    rows = set()                        # (*columns, *entries), columns sorted
-    for i, j in itertools.product(range(d), repeat=2):
-        cell, right, left = sparse[i][j], by_right[j], by_left[i]
-        for t in range(d):
-            row = {t * d + s: x for s, x in cell}
-            for ad, x in right[t]:
-                row[ad + i] = row.get(ad + i, 0) - x
-            for bd, x in left[t]:
-                row[bd + j] = row.get(bd + j, 0) - x
-            cols = sorted(filter(row.get, row))     # the nonzero columns
-            rows.add((*cols, *map(row.get, cols)))
-    one = [(s, x) for s, x in enumerate(algebra.one) if x]    # D(1) = 0: row t of D times one
-    rows.update((*(t * d + s for s, _ in one), *(x for _, x in one)) for t in range(d))
-    return LieSubalgebra(f, d, kernel_rows(
-        (dict(zip(r[:len(r) // 2], r[len(r) // 2:])) for r in rows), d * d, f))
+    f, d, p = algebra.field, algebra.dim, algebra.field.characteristic
+    sparse, words = algebra._sparse, algebra.words.reps
+    base = {g: n * d for n, g in enumerate(algebra.gens)}
+    left = [[{} for _ in range(d)] for _ in words]  # left[k][t][a] = (v_k o e_a)[t]
+    for rows, word in zip(left, words):
+        for (s, x), a in itertools.product(enumerate(word), range(d)):
+            for t, c in sparse[s][a] if x else ():
+                rows[t][a] = rows[t].get(a, 0) + x * c
+    # delta e_b = sum_m M_mb v_m, the M_mb integers in inverse[m]
+    delta, inverse = _int_terms(algebra.words)
+
+    def leibniz(k: int, g: int) -> list:
+        """The forms of D(v_k) o e_g + v_k o X_g, one per e_t coefficient."""
+        out = [{base[g] + a: c for a, c in row.items()} for row in left[k]]
+        for u, form in enumerate(forms[k]):
+            for t, c in sparse[u][g]:
+                for col, x in form.items():
+                    out[t][col] = out[t].get(col, 0) + c * x
+        return [{col: x % p for col, x in row.items()} for row in out] if p else out
+
+    forms = [[{} for _ in range(d)] for _ in words[:1]]    # D(v_0) = D(1) = 0
+    for k, g in algebra.edges:          # a word's parent comes before it
+        forms.append(leibniz(k, g))
+    tree, rows = set(algebra.edges), set()  # rows as sorted (column, entry) pairs, each once
+    for k, g in itertools.product(range(len(words)), algebra.gens):
+        if (k, g) in tree:
+            continue
+        y = {b: row[g] for b, row in enumerate(left[k]) if g in row}   # v_k o e_g
+        coords = [sum(x * y.get(b, 0) for b, x in row) for row in inverse]
+        for t, rhs in enumerate(leibniz(k, g)):
+            row = {col: -delta * x for col, x in rhs.items()}
+            for m, c in enumerate(coords):
+                for col, x in forms[m][t].items() if c else ():
+                    row[col] = row.get(col, 0) + c * x
+            rows.add(tuple(sorted((col, x) for col, x in row.items() if x)))
+    vecs = []                           # delta D(e_b) = sum_m M_mb D(v_m), flattened
+    for x in map(dict, _int_terms(kernel_rows(map(dict, rows), len(base) * d, f))[1]):
+        vecs.append(vec := [0] * (d * d))
+        for m, row in enumerate(inverse):
+            image = [sum(c * x.get(col, 0) for col, c in form.items()) for form in forms[m]]
+            for (b, mb), a in itertools.product(row, range(d)):
+                vec[a * d + b] += mb * image[a]
+    return LieSubalgebra(f, d, Subspace.from_vectors(f, d * d, vecs))
 
 
 def der_into(algebra: StructureAlgebra, rad: RadicalData, target: Subspace,
              der: LieSubalgebra | None = None) -> LieSubalgebra:
-    """{D in Der(A) : D(J) <= target}."""
+    """{D in Der(A) : D(J) <= target}, in integers: with s B_l the target's
+    canonical rows times their common denominator, s u - sum_l u[p_l] s B_l
+    is s times the residual of u, each B_l being 1 at its pivot p_l and 0 at
+    the others.  Over GF(p) the rows stay unreduced; rref_rows reduces them."""
     if der is None:
         der = derivation_algebra(algebra)
     f, d = algebra.field, algebra.dim
-    # (a, c, s D[a][c]) for the nonzeros of each flattened basis row; the one
-    # scale s of all of them changes no span
-    entries = [[(*divmod(k, d), x) for k, x in row] for row in _int_terms(der.space)[1]]
+    # the nonzero (a d + c, s' D[a][c]) of each basis D; one scale s' for all
+    entries = _int_terms(der.space)[1]
+    s, scaled = _int_terms(target)
     rows = []
-    for v in rad.radical.basis:
+    for v in map(dict, _int_terms(rad.radical)[1]):
         residuals = []
         for terms in entries:
-            image = [0] * d             # D(v); reduce takes unreduced ints
-            for a, c, x in terms:
-                image[a] += x * v[c]
-            residuals.append(target.reduce(image))
+            image = [0] * d             # D(v)
+            for k, x in terms:
+                image[k // d] += x * v.get(k % d, 0)
+            res = [s * y for y in image]
+            for pc, row in zip(target.pivots, scaled):
+                for j, x in row if image[pc] else ():
+                    res[j] -= image[pc] * x
+            residuals.append(res)
         rows.extend(row for row in zip(*residuals) if any(row))
     vecs = []
     for w in kernel_rows(rows, der.dim, f).basis:
-        vec = [0] * (d * d)             # unreduced: rref_rows reduces it
+        vecs.append(vec := [0] * (d * d))   # unreduced: rref_rows reduces it
         for coef, terms in zip(w, entries):
-            if coef:
-                for a, c, x in terms:
-                    vec[a * d + c] += coef * x
-        vecs.append(vec)
+            for k, x in terms if coef else ():
+                vec[k] += coef * x
     return LieSubalgebra(f, d, Subspace.from_vectors(f, d * d, vecs))
 
 

@@ -313,30 +313,11 @@ def minimal_degree_subspace(pres: Presentation) -> MinimalDegreeSubspace:
     return MinimalDegreeSubspace(d_min, monos, space, polys, False)
 
 
-def associated_graded_ideal(pres: Presentation) -> Presentation:
-    """Presentation of the ideal generated by all lowest-degree components."""
-    f = pres.field
-    gens: list[Poly] = []
-    for d in range(2, pres.lowey):
-        monos, proj = pres.degree_projection(d)
-        for row in proj.basis:
-            gens.append(Poly(pres.n_vars, f,
-                             {m: c for m, c in zip(monos, row)}))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LoweyMismatch)
-        return presentation_from_ideal(pres.n_vars, pres.lowey, gens, f)
-
-
 def is_graded_presentation(pres: Presentation, nf: NormalForm | None = None) -> bool:
     """Sufficient criterion: all normal-form generators are homogeneous."""
     if nf is None:
         nf = normal_form(pres)
     return all(g.is_homogeneous() for g in nf.generators)
-
-
-def has_homogeneous_ideal(pres: Presentation) -> bool:
-    """Subspace-level gradedness: every canonical basis row is homogeneous."""
-    return all(pres.row_poly(r).is_homogeneous() for r in pres.ideal.basis)
 
 
 # -- quotient algebra -------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 import warnings
 from fractions import Fraction
 
@@ -394,9 +395,9 @@ def test_der_in_dense_basis(field, rng):
 
 
 def _dense_derivations(algebra):
-    """Der(A) from d^3 dense Leibniz rows of length d^2, one per (i, j, t),
-    plus the rows of D(1) = 0: the construction the sparse rows replaced,
-    kept as their reference."""
+    """Der(A) from d^3 dense Leibniz rows in the d^2 entries of D, one per
+    (i, j, t), plus the rows of D(1) = 0: the reference for the system in
+    the images of the generators."""
     d = algebra.dim
     tbl = algebra._int_table
     rows = set()
@@ -426,7 +427,11 @@ def _rescaled(algebra, scales):
     return StructureAlgebra(f, table, [f.div(x, y) for x, y in zip(algebra.one, lam)])
 
 
-@pytest.mark.parametrize("field", [QQ, GF2, GF7, GF_BIG], ids=["QQ", "GF2", "GF7", "GF_BIG"])
+FIELDS = [QQ, GF2, GF3, GF7, GF_BIG]
+FIELD_IDS = ["QQ", "GF2", "GF3", "GF7", "GF_BIG"]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_sparse_der_matches_dense_rows(field, rng):
     cases = [qx_mod(3, field), truncated_polynomial_algebra(field, 2, 3),
              upper_triangular_algebra(field, 3), matrix_algebra(field, 2),
@@ -442,6 +447,133 @@ def test_sparse_der_matches_dense_rows(field, rng):
     for algebra in cases:
         for basis in (algebra, transvected(algebra, rng)):
             assert derivation_algebra(basis).space == _dense_derivations(basis)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_der_with_many_generators(field):
+    # many generators: no fewer than 8 basis elements generate UT_5, and no
+    # fewer than 4 generate M_4; in these bases the identity is no basis vector
+    for algebra, dim_der, least in ((upper_triangular_algebra(field, 5), 14, 8),
+                                    (matrix_algebra(field, 4), 15, 4)):
+        assert len(algebra.gens) >= least
+        assert sum(1 for x in algebra.one if x) > 1
+        der = derivation_algebra(algebra)
+        assert der.space == _dense_derivations(algebra)
+        assert der.dim == dim_der
+
+
+def _unit(field, d, i):
+    return [field.one if k == i else field.zero for k in range(d)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF7], ids=["QQ", "GF2", "GF7"])
+def test_words_span_and_follow_their_tree(field, rng):
+    cases = [qx_mod(4, field), truncated_polynomial_algebra(field, 2, 3),
+             upper_triangular_algebra(field, 3), matrix_algebra(field, 2),
+             exterior_algebra(field, 3),
+             direct_sum(componentwise_algebra(field, 2), qx_mod(2, field))]
+    for algebra in cases + [transvected(a, rng) for a in cases]:
+        d, words = algebra.dim, algebra.words.reps
+        # the words of {1} and G are a basis, word 0 spans k 1
+        assert len(words) == d
+        assert Subspace.from_vectors(field, d, words).dim == d
+        assert Subspace.from_vectors(field, d, [words[0], algebra.one]).dim == 1
+        # word k is a multiple of words[m] e_g for its edge (m, g); each
+        # generator's first word is a multiple of e_g itself
+        assert [g for m, g in algebra.edges if m == 0] == algebra.gens
+        for k, (m, g) in enumerate(algebra.edges, 1):
+            assert m < k and g in algebra.gens
+            prod = algebra.multiply(words[m], _unit(field, d, g))
+            assert Subspace.from_vectors(field, d, [prod, words[k]]).dim == 1
+        # a generator lies outside the span of the words before it
+        for g in algebra.gens:
+            first = [m for m, (_, h) in enumerate(algebra.edges, 1) if h == g][0]
+            assert not Subspace.from_vectors(field, d, words[:first]).contains(
+                _unit(field, d, g))
+
+
+def _first_bad_triple(field, table):
+    """Reference: the first (i, j, k) in order with (e_i e_j) e_k != e_i (e_j e_k)."""
+    d = len(table)
+    for i, j, k in itertools.product(range(d), repeat=3):
+        lhs = [sum(table[i][j][t] * table[t][k][s] for t in range(d)) for s in range(d)]
+        rhs = [sum(table[j][k][t] * table[i][t][s] for t in range(d)) for s in range(d)]
+        if any(not field.is_zero(field.coerce(a - b)) for a, b in zip(lhs, rhs)):
+            return i, j, k
+    return None
+
+
+@pytest.mark.parametrize("field", [QQ, GF3], ids=["QQ", "GF3"])
+def test_non_associative_triple_matches_full_scan(field, monkeypatch):
+    rng = random.Random(11)
+    bases = [matrix_algebra(field, 2), upper_triangular_algebra(field, 3),
+             truncated_polynomial_algebra(field, 2, 3), exterior_algebra(field, 3)]
+    middles = []                        # (first bad middle, G) of each failure
+    for base in bases + [transvected(b, rng) for b in bases]:
+        for _ in range(8):
+            table = [[list(cell) for cell in row] for row in base.table]
+            i, j, k = (rng.randrange(base.dim) for _ in range(3))
+            table[i][j][k] = field.add(table[i][j][k], field.one)
+            want = _first_bad_triple(field, table)
+            try:
+                StructureAlgebra(field, table, base.one)
+            except NotUnital:
+                continue
+            except NonAssociative as err:
+                assert err.triple == want
+            else:
+                assert want is None
+                continue
+            with monkeypatch.context() as m:  # the generators, read without the check
+                m.setattr(StructureAlgebra, "_verify_associative", lambda self: None)
+                middles.append((want[1], StructureAlgebra(field, table, base.one).gens))
+    # both kinds occur: a first bad middle in G, and one outside it, found
+    # only by the full scan that follows the check on G
+    assert any(j in gens for j, gens in middles)
+    assert any(j not in gens for j, gens in middles)
+
+
+def _dense_center(algebra):
+    """Z(A) from the d^2 rows of x e_i = e_i x over all basis elements."""
+    d, tbl = algebra.dim, algebra._int_table
+    rows = [[tbl[j][i][k] - tbl[i][j][k] for j in range(d)]
+            for i in range(d) for k in range(d)]
+    return kernel_rows(rows, d, algebra.field)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_center_on_generators_is_canonical(field, rng):
+    cases = [upper_triangular_algebra(field, 3), matrix_algebra(field, 2),
+             exterior_algebra(field, 3),
+             direct_sum(matrix_algebra(field, 2), qx_mod(2, field))]
+    for algebra in cases + [transvected(a, rng) for a in cases]:
+        got, want = center(algebra), _dense_center(algebra)
+        assert repr(got.basis) == repr(want.basis)
+
+
+def _reduced_der_into(algebra, rad, target, der):
+    """Reference: {D in der : D(J) <= target} with target.reduce on each D(v)."""
+    f, d = algebra.field, algebra.dim
+    rows = []
+    for v in rad.radical.basis:
+        residuals = [target.reduce([sum(m[a * d + c] * v[c] for c in range(d))
+                                    for a in range(d)]) for m in der.space.basis]
+        rows.extend(zip(*residuals))
+    vecs = [[sum(w_i * m[k] for w_i, m in zip(w, der.space.basis)) for k in range(d * d)]
+            for w in kernel_rows(rows, der.dim, f).basis]
+    return Subspace.from_vectors(f, d * d, vecs)
+
+
+@pytest.mark.parametrize("field", [QQ, GF3], ids=["QQ", "GF3"])
+def test_der_into_matches_reduce(field, rng):
+    cases = [qx_mod(4, field), truncated_polynomial_algebra(field, 2, 3),
+             truncated_polynomial_algebra(field, 3, 3)]
+    for algebra in cases + [transvected(a, rng) for a in cases]:
+        rad = jacobson_radical(algebra)
+        der = derivation_algebra(algebra)
+        for target in (rad.square, rad.radical, Subspace.zero(field, algebra.dim)):
+            assert der_into(algebra, rad, target, der=der).space \
+                == _reduced_der_into(algebra, rad, target, der)
 
 
 def _dense_series(lie, derived):

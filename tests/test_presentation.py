@@ -16,8 +16,6 @@ from algcert.fields import GF, QQ
 from algcert.linalg import Matrix, Subspace, quotient_basis
 from algcert.poly import LinearChange, Poly, TruncatedRing, apply_linear_change
 from algcert.presentation import (_actual_lowey, _saturate,
-                                  associated_graded_ideal,
-                                  has_homogeneous_ideal,
                                   is_graded_presentation, is_monomial_ideal,
                                   minimal_degree_subspace, normal_form,
                                   presentation_from_algebra,
@@ -326,30 +324,9 @@ class TestMinimalDegreeSubspace:
         assert "RATIONAL" in cert.flags()
 
 
-class TestAssociatedGraded:
-    def test_mixed_generator(self):
-        p = build(2, 4, ["X1^2+X2^3"])
-        g = associated_graded_ideal(p)
-        monos2, pr2 = g.degree_projection(2)
-        monos3, pr3 = g.degree_projection(3)
-        assert pr2.dim == 1 and pr3.dim == 2
-        nf = normal_form(g)
-        assert [str(x) for x in nf.generators] == ["X1^2"]
-
-    def test_homogeneous_fixed_point(self):
-        p = build(2, 3, ["X1^2+X2^2"])
-        assert associated_graded_ideal(p).ideal == p.ideal
-
-    def test_idempotent(self):
-        p = build(2, 4, ["X1^2+X1*X2"])
-        g1 = associated_graded_ideal(p)
-        g2 = associated_graded_ideal(g1)
-        assert g1.ideal == g2.ideal
-
-    def test_already_homogeneous_slice(self):
-        p = build(2, 3, ["X1^2+X1*X2"])
-        g = associated_graded_ideal(p)
-        assert g.ideal == p.ideal
+def _homogeneous_rows(pres):
+    """Whether every canonical basis row of the ideal is homogeneous."""
+    return all(pres.row_poly(r).is_homogeneous() for r in pres.ideal.basis)
 
 
 class TestGraded:
@@ -360,12 +337,12 @@ class TestGraded:
     def test_inhomogeneous(self):
         p = build(2, 4, ["X1^2+X2^3"])
         assert not is_graded_presentation(p)
-        assert not has_homogeneous_ideal(p)
+        assert not _homogeneous_rows(p)
 
     def test_subspace_criterion_agrees(self):
         for p in (build(2, 3, ["X1^2+X2^2"]), build(2, 4, ["X1^2+X2^3"]),
                   build(2, 4, ["X1^2", "X1^3+X2^3"])):
-            assert is_graded_presentation(p) == has_homogeneous_ideal(p)
+            assert is_graded_presentation(p) == _homogeneous_rows(p)
 
 
 class TestQuotientAlgebra:
