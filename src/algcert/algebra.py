@@ -3,16 +3,19 @@ filtration, Wedderburn-Malcev complements for split basic algebras, and the
 derivation Lie algebra with its nilpotency and solvability.
 
 Each algebra carries a generating set G and a basis of words in it, so
-associativity, the center and Der(A) are checked or solved on G alone.
-Derivations and Lie series run on sparse integers: Leibniz rows go to the
-elimination core as dicts {column: int}, and a Lie algebra's structure
-constants are computed once, as integers under one common scale.
+associativity, the center, the radical's ideal check and Der(A) are checked
+or solved on G alone.  Every product runs on one sparse integer table, the
+structure constants times their common denominator; spans of products,
+Leibniz rows and Lie series go to the elimination core as dict rows
+{column: int}, and a Lie algebra's structure constants are computed once, as
+integers under one common scale.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
@@ -48,13 +51,13 @@ class StructureAlgebra:
         if len(self.one) != d:
             raise AmbientMismatch("identity vector has wrong length")
         self.known_radical = known_radical
-        self._int_table = self._scaled_int_table()
-        # nonzero (k, c) of each cell: scaled integers for the associativity
-        # check, field entries for multiply
+        # x o y = den x y on integer coordinates: the one product table, as
+        # the nonzero (k, c) of each cell of the scaled table
+        self._den = lcm(*[x.denominator for row in self.table for cell in row for x in cell])
+        self._int_table = [[[x.numerator * (self._den // x.denominator) for x in cell]
+                            for cell in row] for row in self.table]
         self._sparse = [[[(k, c) for k, c in enumerate(cell) if c]
                          for cell in row] for row in self._int_table]
-        self._cells = [[[(k, c) for k, c in enumerate(cell) if c]
-                        for cell in row] for row in self.table]
         self._verify_unital()
         self.gens, self.edges, self.words = _word_basis(self)
         self._verify_associative()
@@ -64,16 +67,16 @@ class StructureAlgebra:
 
     # -- load-time checks ------------------------------------------------
 
-    def _scaled_int_table(self):
-        # residues over GF(p) are ints, whose denominator is 1
-        den = lcm(*[x.denominator for row in self.table for cell in row for x in cell])
-        return [[[x.numerator * (den // x.denominator) for x in cell] for cell in row]
-                for row in self.table]
-
     def _verify_unital(self):
-        for j, e in enumerate(Subspace.full(self.field, self.dim).basis):
-            if self.multiply(self.one, e) != e or self.multiply(e, self.one) != e:
-                raise NotUnital(f"declared identity fails on basis element {j}")
+        """one o e_j = s den e_j = e_j o one for each j, in integers, s the
+        least common denominator of one."""
+        s, one = self._int_vector(self.one)
+        p = self.field.characteristic
+        for j in range(self.dim):
+            for v in (self._times(one, [(j, 1)]), self._times([(j, 1)], one)):
+                v[j] = v.get(j, 0) - s * self._den
+                if any(x % p if p else x for x in v.values()):
+                    raise NotUnital(f"declared identity fails on basis element {j}")
 
     def _verify_associative(self):
         """Light's test (Clifford & Preston, The Algebraic Theory of
@@ -102,33 +105,48 @@ class StructureAlgebra:
 
     # -- arithmetic --------------------------------------------------------
 
+    def _int_vector(self, x) -> tuple[int, list]:
+        """(s, the nonzero (i, s x_i)), x read as rref_rows reads a row and s
+        its least common denominator (1 over GF(p))."""
+        s, (terms,) = _int_terms([[(i, a) for i, a in enumerate(scalars(x, self.field)) if a]])
+        return s, terms
+
+    def _times(self, x, y) -> dict:
+        """x o y = den x y as {k: int}, unreduced, for x, y as (index, int) pairs."""
+        out: dict[int, int] = {}
+        for (i, a), (j, b) in itertools.product(x, y):
+            ab = a * b
+            for k, c in self._sparse[i][j]:
+                out[k] = out.get(k, 0) + ab * c
+        return out
+
     def multiply(self, x, y) -> list:
         """x y, reading the factors as exact elimination reads rows: ints as
-        they are, and over Q Fractions too.  Over GF(p) the product is
-        reduced once, at the end."""
+        they are, and over Q Fractions too.  They are scaled to integers, and
+        their product s_x x o s_y y is divided by s_x s_y den once over Q,
+        and reduced once over GF(p)."""
         f = self.field
-        p = f.characteristic
-        ys = [(j, b) for j, b in enumerate(scalars(y, f)) if b]
+        (sx, xs), (sy, ys) = self._int_vector(x), self._int_vector(y)
+        p, scale = f.characteristic, self._den * sx * sy
         out = [f.zero] * self.dim
-        for i, a in enumerate(scalars(x, f)):
-            if a:
-                row = self._cells[i]
-                for j, b in ys:
-                    ab = a * b
-                    for k, c in row[j]:
-                        out[k] += ab * c
-        return [v % p for v in out] if p else out
+        for k, v in self._times(xs, ys).items():
+            out[k] = v % p if p else Fraction(v, scale)
+        return out
 
     def subspace_product(self, u: Subspace, v: Subspace) -> Subspace:
-        vecs = [self.multiply(a, b) for a in u.basis for b in v.basis]
-        return Subspace.from_vectors(self.field, self.dim, vecs)
+        """span{a b : a in u, b in v}, from their integer basis rows."""
+        us, vs = _int_terms(u._terms)[1], _int_terms(v._terms)[1]
+        rows = (self._times(a, b) for a in us for b in vs)
+        return Subspace.from_vectors(self.field, self.dim, rows)
 
     def product_span(self, left, space: Subspace, right=None) -> Subspace:
         """span{left v right : v in space}; without ``right``, span{left v}."""
-        vecs = [self.multiply(left, v) for v in space.basis]
+        lefts = self._int_vector(left)[1]
+        rows = (self._times(lefts, v) for v in _int_terms(space._terms)[1])
         if right is not None:
-            vecs = [self.multiply(v, right) for v in vecs]
-        return Subspace.from_vectors(self.field, self.dim, vecs)
+            rights = self._int_vector(right)[1]
+            rows = (self._times(row.items(), rights) for row in rows)
+        return Subspace.from_vectors(self.field, self.dim, rows)
 
     def is_zero_vector(self, x) -> bool:
         f = self.field
@@ -169,11 +187,8 @@ def _word_basis(algebra: StructureAlgebra) -> tuple[list, list, Coordinates]:
         pending.extend((k, i) for k in range(len(words)))
         while pending and grown.dim < d:
             k, g = pending.pop(0)
-            word = [0] * d
-            for u, c in enumerate(words[k]):
-                for t, c2 in algebra._sparse[u][g] if c else ():
-                    word[t] += c * c2
-            if grown.add(word := [c % p for c in word] if p else word):
+            prod = algebra._times([(u, c) for u, c in enumerate(words[k]) if c], [(g, 1)])
+            if grown.add(word := [prod.get(t, 0) % p if p else prod.get(t, 0) for t in range(d)]):
                 pending.extend((len(words), h) for h in gens)
                 words.append(word)
                 edges.append((k, g))
@@ -264,26 +279,37 @@ class RadicalData:
 
 
 def _radical_data(algebra: StructureAlgebra, j: Subspace) -> RadicalData:
+    """J's powers J, J^2, ... until 0, each J^(k+1) = J^k J the span of the
+    products of their integer basis rows on the scaled table, by
+    subspace_product, with no Fraction vector in between."""
     powers = [j]
-    cur = j
-    while cur.dim > 0:
-        nxt = algebra.subspace_product(cur, j)
-        if nxt.dim >= cur.dim and cur.dim > 0:
+    while powers[-1].dim > 0:
+        nxt = algebra.subspace_product(powers[-1], j)
+        if nxt.dim >= powers[-1].dim:
             # not nilpotent: cannot happen for a genuine radical
             raise UnsupportedRadicalComputation("candidate radical is not nilpotent")
         powers.append(nxt)
-        cur = nxt
     lowey = len(powers)  # J^lowey = 0, and J^(lowey-1) != 0 (or J = 0, lowey = 1)
     jj2 = powers[0].dim - (powers[1].dim if len(powers) > 1 else 0)
     return RadicalData(j, powers, lowey, jj2)
 
 
 def _verify_ideal(algebra: StructureAlgebra, j: Subspace) -> bool:
-    full = Subspace.full(algebra.field, algebra.dim)
-    # in a commutative algebra A*J = J*A, so one product checks both sides
-    return (j.contains_space(algebra.subspace_product(full, j))
-            and (algebra.commutative
-                 or j.contains_space(algebra.subspace_product(j, full))))
+    """Whether J is a two-sided ideal, from e_g J and, unless A is
+    commutative, J e_g for g in the generators G.  That is enough: the a
+    with a J <= J are closed under products, (a b) J = a (b J) <= a J <= J,
+    and hold 1; so once they hold G they hold every word in G, and the
+    words span A.  The same goes for J a on the right.  Each product of
+    integer rows is reduced against J by _scaled_residual."""
+    Subspace.zero(algebra.field, algebra.dim)._check_compatible(j)  # J must lie in A
+    s, scaled = _int_terms(j._terms)
+    units = [[(g, 1)] for g in algebra.gens]
+    products = [algebra._times(u, b) for u in units for b in scaled]
+    if not algebra.commutative:
+        products += [algebra._times(b, u) for u in units for b in scaled]
+    p = algebra.field.characteristic
+    return not any(x % p if p else x for v in products
+                   for x in _scaled_residual(v, j, s, scaled).values())
 
 
 def dickson_radical(algebra: StructureAlgebra) -> Subspace:
@@ -438,16 +464,12 @@ def wm_complement(algebra: StructureAlgebra, rad: RadicalData) -> WMDecompositio
     pieces = _split_components(quot, Subspace.full(f, quot.dim))
     prims = sorted(pieces, key=lambda u: [str(c) for c in u])
     lifted = []
-    esum = [f.zero] * algebra.dim
+    rest = list(algebra.one)            # 1 - E, E the sum of the lifted idempotents
     max_steps = 2 * max(1, rad.lowey_length).bit_length() + 4
     for fbar in prims:
         g = coords.lift(fbar)
         # u = (1 - E) g (1 - E) keeps u orthogonal to every lifted idempotent
-        eg = algebra.multiply(esum, g)
-        ge = algebra.multiply(g, esum)
-        ege = algebra.multiply(esum, ge)
-        u = [f.add(f.sub(f.sub(a, b), c), dch)
-             for a, b, c, dch in zip(g, eg, ge, ege)]
+        u = algebra.multiply(algebra.multiply(rest, g), rest)
         for _ in range(max_steps):
             uu = algebra.multiply(u, u)
             if uu == u:
@@ -460,8 +482,8 @@ def wm_complement(algebra: StructureAlgebra, rad: RadicalData) -> WMDecompositio
         if coords.project(u) != fbar:
             raise NotSplitBasic("lifted idempotent drifted from its coset")
         lifted.append(u)
-        esum = [f.add(a, b) for a, b in zip(esum, u)]
-    if esum != algebra.one:
+        rest = [f.sub(a, b) for a, b in zip(rest, u)]
+    if any(rest):
         raise NotSplitBasic("lifted idempotents do not sum to the identity")
     a_s = Subspace.from_vectors(f, algebra.dim, lifted)
     if a_s.dim != len(lifted) or a_s.intersect(j).dim != 0 \
@@ -472,12 +494,23 @@ def wm_complement(algebra: StructureAlgebra, rad: RadicalData) -> WMDecompositio
 
 # -- derivations and Lie structure ----------------------------------------------
 
-def _int_terms(space: Subspace | Coordinates) -> tuple[int, list]:
-    """(s, [the nonzero (column, s x) of each basis or coordinate row]), s
-    the least common denominator."""
-    s = lcm(*[x.denominator for row in space._terms for _, x in row])
-    return s, [[(k, x.numerator * (s // x.denominator)) for k, x in row]
-               for row in space._terms]
+def _int_terms(rows) -> tuple[int, list]:
+    """(s, [the (column, s x) of each row]) for rows of (column, x) pairs,
+    as a Subspace or Coordinates keeps them in ``_terms``; s the least
+    common denominator (1 over GF(p))."""
+    s = lcm(*[x.denominator for row in rows for _, x in row])
+    return s, [[(k, x.numerator * (s // x.denominator)) for k, x in row] for row in rows]
+
+
+def _scaled_residual(v: dict, space: Subspace, s: int, scaled: list) -> dict:
+    """s v - sum_l v[p_l] s B_l, s times the residual of the integer row v
+    against the canonical rows B_l of ``space``, (s, [s B_l]) by _int_terms:
+    B_l is 1 at its pivot p_l and 0 at the others.  0 (mod p) iff v is in."""
+    res = {k: s * x for k, x in v.items()}
+    for pc, row in zip(space.pivots, scaled):
+        for k, x in row if v.get(pc) else ():
+            res[k] = res.get(k, 0) - v[pc] * x
+    return res
 
 
 def _bracket(x: dict, y: dict, n: int) -> dict:
@@ -515,7 +548,7 @@ class LieSubalgebra:
     @cached_property
     def _int_basis(self) -> tuple[int, list]:
         """(s, [s B_l as {r: {c: int}}])."""
-        s, terms = _int_terms(self.space)
+        s, terms = _int_terms(self.space._terms)
         mats: list[dict] = [{} for _ in terms]
         for m, row in zip(mats, terms):
             for k, x in row:
@@ -577,7 +610,7 @@ def derivation_algebra(algebra: StructureAlgebra) -> LieSubalgebra:
             for t, c in sparse[s][a] if x else ():
                 rows[t][a] = rows[t].get(a, 0) + x * c
     # delta e_b = sum_m M_mb v_m, the M_mb integers in inverse[m]
-    delta, inverse = _int_terms(algebra.words)
+    delta, inverse = _int_terms(algebra.words._terms)
 
     def leibniz(k: int, g: int) -> list:
         """The forms of D(v_k) o e_g + v_k o X_g, one per e_t coefficient."""
@@ -604,7 +637,7 @@ def derivation_algebra(algebra: StructureAlgebra) -> LieSubalgebra:
                     row[col] = row.get(col, 0) + c * x
             rows.add(tuple(sorted((col, x) for col, x in row.items() if x)))
     vecs = []                           # delta D(e_b) = sum_m M_mb D(v_m), flattened
-    for x in map(dict, _int_terms(kernel_rows(map(dict, rows), len(base) * d, f))[1]):
+    for x in map(dict, _int_terms(kernel_rows(map(dict, rows), len(base) * d, f)._terms)[1]):
         vecs.append(vec := [0] * (d * d))
         for m, row in enumerate(inverse):
             image = [sum(c * x.get(col, 0) for col, c in form.items()) for form in forms[m]]
@@ -615,34 +648,32 @@ def derivation_algebra(algebra: StructureAlgebra) -> LieSubalgebra:
 
 def der_into(algebra: StructureAlgebra, rad: RadicalData, target: Subspace,
              der: LieSubalgebra | None = None) -> LieSubalgebra:
-    """{D in Der(A) : D(J) <= target}, in integers: with s B_l the target's
-    canonical rows times their common denominator, s u - sum_l u[p_l] s B_l
-    is s times the residual of u, each B_l being 1 at its pivot p_l and 0 at
-    the others.  Over GF(p) the rows stay unreduced; rref_rows reduces them."""
+    """{D in Der(A) : D(J) <= target}, in integers: D(v) for each integer
+    row v of J is reduced against the target by _scaled_residual, and the
+    kernel is read back through _int_terms.  Over GF(p) the rows stay
+    unreduced; rref_rows reduces them."""
     if der is None:
         der = derivation_algebra(algebra)
     f, d = algebra.field, algebra.dim
     # the nonzero (a d + c, s' D[a][c]) of each basis D; one scale s' for all
-    entries = _int_terms(der.space)[1]
-    s, scaled = _int_terms(target)
+    entries = _int_terms(der.space._terms)[1]
+    s, scaled = _int_terms(target._terms)
     rows = []
-    for v in map(dict, _int_terms(rad.radical)[1]):
+    for v in map(dict, _int_terms(rad.radical._terms)[1]):
         residuals = []
         for terms in entries:
-            image = [0] * d             # D(v)
+            image: dict[int, int] = {}  # D(v)
             for k, x in terms:
-                image[k // d] += x * v.get(k % d, 0)
-            res = [s * y for y in image]
-            for pc, row in zip(target.pivots, scaled):
-                for j, x in row if image[pc] else ():
-                    res[j] -= image[pc] * x
-            residuals.append(res)
+                if k % d in v:
+                    image[k // d] = image.get(k // d, 0) + x * v[k % d]
+            res = _scaled_residual(image, target, s, scaled)
+            residuals.append([res.get(t, 0) for t in range(d)])
         rows.extend(row for row in zip(*residuals) if any(row))
     vecs = []
-    for w in kernel_rows(rows, der.dim, f).basis:
+    for w in _int_terms(kernel_rows(rows, der.dim, f)._terms)[1]:
         vecs.append(vec := [0] * (d * d))   # unreduced: rref_rows reduces it
-        for coef, terms in zip(w, entries):
-            for k, x in terms if coef else ():
+        for m, coef in w:
+            for k, x in entries[m]:
                 vec[k] += coef * x
     return LieSubalgebra(f, d, Subspace.from_vectors(f, d * d, vecs))
 
@@ -671,7 +702,7 @@ def _series_limit(lie: LieSubalgebra, derived: bool) -> int:
         rows, _ = rref_rows(brackets, m, f)
         if len(rows) == len(term):
             break
-        term = _int_terms(Subspace(f, m, rows))[1]
+        term = _int_terms(Subspace(f, m, rows)._terms)[1]
     return len(term)
 
 

@@ -284,8 +284,8 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field: Field, ambient_dim: int, vectors) -> Subspace:
-        vecs = list(vectors)
-        if any(len(v) != ambient_dim for v in vecs):
+        vecs = list(vectors)            # rows as rref_rows takes them
+        if any(len(v) != ambient_dim for v in vecs if not isinstance(v, dict)):
             raise AmbientMismatch("vector length != ambient dimension")
         rows, _ = rref_rows(vecs, ambient_dim, field)
         return cls(field, ambient_dim, rows)

@@ -7,12 +7,13 @@ from fractions import Fraction
 import pytest
 
 from algcert.algebra import (Coordinates, LieSubalgebra, StructureAlgebra,
-                             _series_limit, center, der_into,
+                             _radical_data, _series_limit, _verify_ideal,
+                             center, der_into,
                              derivation_algebra, induced_algebra,
                              is_nilpotent, is_solvable, jacobson_radical,
                              jj2_basis, load_algebra, wm_complement)
 from algcert.cli import main
-from algcert.errors import (InternalInconsistency, LoweyMismatch,
+from algcert.errors import (AmbientMismatch, InternalInconsistency, LoweyMismatch,
                             NonAssociative, NotSplitBasic, NotUnital,
                             UnsupportedRadicalComputation)
 from algcert.fields import GF, QQ
@@ -38,6 +39,19 @@ def qx_mod(power, field=QQ):
 def commutator(a, b):
     """ab - ba of two dense matrices: the reference for the sparse bracket."""
     return matrix_sum(a.field, a.nrows, [(1, a.mul(b)), (-1, b.mul(a))])
+
+
+def _ref_multiply(field, table, x, y):
+    """Reference product: sum x_i y_j table[i][j] in the field's arithmetic,
+    on the coerced table (Fractions over Q), for factors taken by coerce."""
+    d = len(table)
+    x, y = [field.coerce(v) for v in x], [field.coerce(v) for v in y]
+    out = [field.zero] * d
+    for i, j in itertools.product(range(d), repeat=2):
+        if not (field.is_zero(x[i]) or field.is_zero(y[j])):
+            xy = field.mul(x[i], y[j])
+            out = [field.add(o, field.mul(xy, c)) for o, c in zip(out, table[i][j])]
+    return out
 
 
 class TestLoad:
@@ -72,6 +86,48 @@ class TestLoad:
         lhs = a.multiply([p + q for p, q in zip(x, x2)], y)
         rhs = [p + q for p, q in zip(a.multiply(x, y), a.multiply(x2, y))]
         assert lhs == rhs
+
+    @pytest.mark.parametrize("field", [QQ, GF2, GF3, GF7], ids=["QQ", "GF2", "GF3", "GF7"])
+    def test_multiply_matches_fraction_reference(self, field, rng):
+        # factors with ints, Fractions, negative entries and entries >= p,
+        # on tables in the standard basis, a transvected one and a rescaled
+        # one (constants with denominators over Q)
+        p = field.characteristic or 11
+        bases = [upper_triangular_algebra(field, 3), exterior_algebra(field, 3),
+                 truncated_polynomial_algebra(field, 2, 3)]
+        bases += [transvected(bases[0], rng),
+                  _rescaled(bases[2], [5, Fraction(1, 5), 11, 1, Fraction(5, 11), 25])]
+        if field == QQ:
+            assert bases[-1]._den > 1
+        entries = [0, 1, -1, p, p + 3, -2 * p - 1, Fraction(1, 5), Fraction(-11, 25),
+                   Fraction(3 * p + 1, 5)]
+        for a in bases:
+            for _ in range(12):
+                x, y = ([rng.choice(entries) for _ in range(a.dim)] for _ in range(2))
+                got = a.multiply(x, y)
+                assert got == _ref_multiply(field, a.table, x, y)
+                assert all(type(v) is (int if field.characteristic else Fraction) for v in got)
+                if field.characteristic:
+                    assert all(0 <= v < field.characteristic for v in got)
+
+    @pytest.mark.parametrize("field, c", [(QQ, Fraction(1, 2)), (GF7, 3)], ids=["QQ", "GF7"])
+    def test_perturbed_identity_names_first_failure(self, field, c):
+        # in UT_2 (basis E11, E12, E22), 1' = 1 + c E12 has 1' E11 = E11 but
+        # E11 1' = E11 + c E12: the first failure, at E11, is on the right
+        # only; in the opposite algebra it is on the left only
+        base = upper_triangular_algebra(field, 2)
+        one = [field.add(x, field.coerce(c) if k == 1 else field.zero)
+               for k, x in enumerate(base.one)]
+        opposite = [[base.table[j][i] for j in range(3)] for i in range(3)]
+        for table, side in ((base.table, "right"), (opposite, "left")):
+            # the first e_j with 1 e_j != e_j or e_j 1 != e_j, and its sides
+            fails = [(j, _ref_multiply(field, table, one, e) != e,
+                      _ref_multiply(field, table, e, one) != e)
+                     for j, e in enumerate(_unit(field, 3, j) for j in range(3))]
+            first, left, right = next(fail for fail in fails if fail[1] or fail[2])
+            assert (left, right) == (side == "left", side == "right")
+            with pytest.raises(NotUnital, match=f"declared identity fails on basis element {first}$"):
+                StructureAlgebra(field, table, one)
 
 
 class TestSubspaceProduct:
@@ -165,6 +221,119 @@ class TestRadical:
         assert radb.lowey_length == 2 and radb.jj2_dim == 2
         semi = componentwise_algebra(QQ, 2)
         assert jacobson_radical(semi).lowey_length == 1
+
+
+def _ref_subspace_product(a, u, v):
+    """Reference: the span of the Fraction-table products of all basis pairs."""
+    return Subspace.from_vectors(a.field, a.dim, [_ref_multiply(a.field, a.table, x, y)
+                                                  for x in u.basis for y in v.basis])
+
+
+def _ref_verify_ideal(a, j):
+    """Reference: A J <= J and J A <= J, over every basis element of A."""
+    full = Subspace.full(a.field, a.dim)
+    return (j.contains_space(_ref_subspace_product(a, full, j))
+            and j.contains_space(_ref_subspace_product(a, j, full)))
+
+
+def _ref_powers(a, j):
+    """Reference: [J, J^2, ...] down to 0, or None once a power stops falling."""
+    powers = [j]
+    while powers[-1].dim:
+        nxt = _ref_subspace_product(a, powers[-1], j)
+        if nxt.dim >= powers[-1].dim:
+            return None
+        powers.append(nxt)
+    return powers
+
+
+def _candidate_ideals(a, rng):
+    """Subspaces to judge: the radical and its square where they are
+    computed, the ideal of the commutators, the left ideal A x and the ideal
+    A x A of a random x, and a random plane."""
+    f, d = a.field, a.dim
+    full = Subspace.full(f, d)
+    out = []
+    try:
+        rad = jacobson_radical(a)
+        out += [rad.radical, rad.square]
+    except UnsupportedRadicalComputation:
+        pass
+    units = full.basis
+    commutators = Subspace.from_vectors(f, d, [
+        [f.sub(s, t) for s, t in zip(_ref_multiply(f, a.table, x, y),
+                                     _ref_multiply(f, a.table, y, x))]
+        for x, y in itertools.combinations(units, 2)])
+    x = Subspace.from_vectors(f, d, [[rng.randint(-3, 3) for _ in range(d)]])
+    left = _ref_subspace_product(a, full, x)
+    out += [_ref_subspace_product(a, _ref_subspace_product(a, full, commutators), full),
+            left, _ref_subspace_product(a, left, full),
+            Subspace.from_vectors(f, d, [[rng.randint(-3, 3) for _ in range(d)]
+                                         for _ in range(2)])]
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3, GF7], ids=["QQ", "GF2", "GF3", "GF7"])
+def test_ideal_check_and_powers_match_all_basis_reference(field, rng):
+    # the ideal check on the generators and the integer powers J^k J agree
+    # with the all-basis products of the Fraction table
+    cases = [componentwise_algebra(field, 3), matrix_algebra(field, 2),
+             upper_triangular_algebra(field, 3), truncated_polynomial_algebra(field, 2, 3),
+             qx_mod(4, field),
+             univariate_quotient_algebra(field, _poly_times([1, 0, 1], [-1, 1], [-1, 1])),
+             exterior_algebra(field, 3),
+             direct_sum(upper_triangular_algebra(field, 2), qx_mod(2, field))]
+    cases += [transvected(a, rng) for a in cases]
+    if field == QQ:
+        # Fraction constants, and an identity with denominators 1/3 and 2
+        scaled = _rescaled(truncated_polynomial_algebra(QQ, 2, 3),
+                           [3, Fraction(1, 2), 3, 1, Fraction(1, 2), 3])
+        assert scaled._den > 1 and scaled.one[0] == Fraction(1, 3)
+        cases += [scaled, _rescaled(upper_triangular_algebra(QQ, 3),
+                                    [Fraction(1, 2), 3, Fraction(2, 5), 7, 1, Fraction(1, 3)])]
+    verdicts, lengths = set(), set()      # lengths of the filtrations; None: not nilpotent
+    for a in cases:
+        for j in _candidate_ideals(a, rng):
+            ideal = _verify_ideal(a, j)
+            assert ideal == _ref_verify_ideal(a, j)
+            verdicts.add(ideal)
+            if not ideal:
+                continue
+            want = _ref_powers(a, j)
+            lengths.add(want and len(want))
+            if want is None:
+                with pytest.raises(UnsupportedRadicalComputation, match="not nilpotent"):
+                    _radical_data(a, j)
+            else:
+                assert _radical_data(a, j).powers == want
+    assert verdicts == {True, False}
+    assert None in lengths and max(lengths - {None}) >= 4
+
+
+@pytest.mark.parametrize("field", [QQ, GF3], ids=["QQ", "GF3"])
+def test_crafted_non_ideals_are_refused(field):
+    # span{E12, E22} in UT_3 (basis E11, E12, E13, E22, E23, E33) is a left
+    # ideal and no right ideal: E12 E23 = E13.  span{x, x^2} in
+    # k[x, y]/(x, y)^3 is closed under x and not under y: y x = xy.
+    ut = upper_triangular_algebra(field, 3)
+    trunc = truncated_polynomial_algebra(field, 2, 3)   # basis 1, x, y, x^2, xy, y^2
+    crafted = [(ut, Subspace.from_vectors(field, 6, [_unit(field, 6, 1), _unit(field, 6, 3)])),
+               (trunc, Subspace.from_vectors(field, 6, [_unit(field, 6, 1), _unit(field, 6, 3)]))]
+    full = Subspace.full(field, 6)
+    left_ideal = crafted[0][1]
+    assert left_ideal.contains_space(_ref_subspace_product(ut, full, left_ideal))
+    assert not left_ideal.contains_space(_ref_subspace_product(ut, left_ideal, full))
+    plane = crafted[1][1]
+    closed = [g for g in trunc.gens if plane.contains_space(
+        _ref_subspace_product(trunc, Subspace.from_vectors(field, 6, [_unit(field, 6, g)]), plane))]
+    assert closed and closed != trunc.gens
+    for a, j in crafted:
+        assert not _verify_ideal(a, j) and not _ref_verify_ideal(a, j)
+        with pytest.raises(UnsupportedRadicalComputation, match="computed radical is not an ideal"):
+            jacobson_radical(StructureAlgebra(field, a.table, a.one, known_radical=j))
+    with pytest.raises(AmbientMismatch):
+        jacobson_radical(StructureAlgebra(field, ut.table, ut.one,
+                                          known_radical=Subspace.zero(field, 5)))
 
 
 def _poly_times(*factors):

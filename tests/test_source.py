@@ -51,6 +51,17 @@ def test_one_lie_bracket():
     assert found == []
 
 
+def test_one_product_table():
+    # a structure algebra multiplies on its one sparse integer table; no
+    # module keeps or reads a second copy of the constants as field entries
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "_cells"]
+    assert SOURCES
+    assert found == []
+
+
 def test_defaults_defined_once():
     # each DEFAULT_* bound is assigned in one module and imported elsewhere,
     # and CertifyConfig takes its field defaults from those names
