@@ -23,7 +23,7 @@ from .errors import (AmbientMismatch, InternalInconsistency, NonAssociative,
                      NotSplitBasic, NotUnital, UnsupportedRadicalComputation)
 from .fields import Field, PrimeField, QQ
 from .linalg import (Echelon, Matrix, Subspace, invert, kernel_rows,
-                     quotient_basis, rref_rows, scalars)
+                     quotient_basis, scalars)
 from .roots import minimal_polynomial, poly_divmod, poly_eval, roots_in_field
 
 DEFAULT_MAX_ENUM = 10**7   # largest search space enumerated by default
@@ -181,7 +181,7 @@ def _word_basis(algebra: StructureAlgebra) -> tuple[list, list, Coordinates]:
     words = [one] if grown.add(one) else []
     gens, edges, pending = [], [], []
     for i in range(d):
-        if grown.dim == d or not any(grown.reduce([int(k == i) for k in range(d)])):
+        if grown.dim == d or not grown.reduce({i: 1}):
             continue
         gens.append(i)
         pending.extend((k, i) for k in range(len(words)))
@@ -580,9 +580,9 @@ class LieSubalgebra:
     def bracket_span(self) -> Subspace:
         """The span of the basis and the brackets of its pairs."""
         _, mats = self._int_basis
-        rows = self.space.basis + [_bracket(a, b, self.n)
-                                   for a, b in itertools.combinations(mats, 2)]
-        return Subspace(self.field, self.n ** 2, rref_rows(rows, self.n ** 2, self.field)[0])
+        rows = [dict(row) for row in self.space._terms] + [
+            _bracket(a, b, self.n) for a, b in itertools.combinations(mats, 2)]
+        return Subspace.from_vectors(self.field, self.n ** 2, rows)
 
     def is_bracket_closed(self) -> bool:
         return self.bracket_span().dim == self.dim
@@ -699,10 +699,10 @@ def _series_limit(lie: LieSubalgebra, derived: bool) -> int:
                     for l, s in ci[j]:
                         v[l] = v.get(l, 0) + ab * s
             brackets.append(v)
-        rows, _ = rref_rows(brackets, m, f)
-        if len(rows) == len(term):
+        span = Subspace.from_vectors(f, m, brackets)
+        if span.dim == len(term):
             break
-        term = _int_terms(Subspace(f, m, rows)._terms)[1]
+        term = _int_terms(span._terms)[1]
     return len(term)
 
 

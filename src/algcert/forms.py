@@ -435,29 +435,22 @@ def sim_lie(f: Poly) -> LieSubalgebra:
 
 
 def im_phi_lie(pres: Presentation) -> LieSubalgebra:
-    """{M in gl_n : delta_M(ideal) <= ideal} for a graded presentation."""
+    """{M in gl_n : delta_M(ideal) <= ideal} for a graded presentation: for
+    each ideal basis row h, sum_ij M_ij r_ij = 0 at every coordinate where
+    some residual r_ij of X_i dh/dX_j against the ideal is nonzero."""
     f = pres.field
     n = pres.n_vars
-    for row in pres.ideal.basis:
-        if not pres.row_poly(row).is_homogeneous():
-            raise NotGraded("presentation ideal has no homogeneous basis")
-    residual_vectors = []
-    for row in pres.ideal.basis:
-        h = pres.row_poly(row)
+    polys = [pres.row_poly(dict(row)) for row in pres.ideal._terms]
+    if not all(h.is_homogeneous() for h in polys):
+        raise NotGraded("presentation ideal has no homogeneous basis")
+    rows: dict[tuple, dict] = {}        # (h, c) -> {i n + j: r_ij[c]}
+    for r, h in enumerate(polys):
         q = _delta_polys(h)
-        for i in range(n):
-            for j in range(n):
-                vec = pres.ring.truncate(q[i][j])
-                residual_vectors.append(pres.ideal.reduce(vec))
-    rows = []
-    per_gen = n * n
-    for block_start in range(0, len(residual_vectors), per_gen):
-        block = residual_vectors[block_start:block_start + per_gen]
-        for coord in range(pres.ring.dim):
-            row = [res[coord] for res in block]
-            if any(row):
-                rows.append(row)
-    return LieSubalgebra(f, n, kernel_rows(rows, n * n, f))
+        for k in range(n * n):
+            residual = pres.ideal.reduce(pres.ring.truncate(q[k // n][k % n]))
+            for c, x in residual.items():
+                rows.setdefault((r, c), {})[k] = x
+    return LieSubalgebra(f, n, kernel_rows(rows.values(), n * n, f))
 
 
 # -- flag search --------------------------------------------------------------------

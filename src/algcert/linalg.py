@@ -1,16 +1,20 @@
 """Exact linear algebra over Q and GF(p) on one elimination core.
 
 Matrices are row-major lists of scalars (Fraction over Q, int residues over
-GF(p)).  Every full elimination is ``rref_rows``, one sparse reduced echelon
+GF(p)).  Every full elimination is ``_canonical``, one sparse reduced echelon
 for both fields: rows go in as they are (lists of ints, or over Q ints and
 Fractions, or dicts {col: entry} of such entries), become dicts of their
 nonzero integers and are reduced one at a time against pivot rows kept fully
 reduced.  The field decides only how a row is kept (primitive over Z for Q,
 monic pivot mod p for GF(p)) and how the leading 1 is written.  The RREF is
-unique, so it is the canonical one.
+unique, so it is the canonical one; the core hands it out as the sorted
+(column, entry) pairs of each row's nonzeros, and ``rref_rows`` writes them
+out as dense rows.
 
-A ``Subspace`` keeps, next to its canonical basis, the pivot column and the
-nonzero entries of each basis row; reducing a vector reads only those.  An
+A ``Subspace`` keeps those sparse rows as they come from the core, with the
+pivot column of each (its first pair); reducing a vector reads only their
+nonzeros, and a vector may be a list or a dict {col: entry}.  Its dense
+``basis`` is a view built the first time something reads it.  An
 ``Echelon`` grows such a basis one vector at a time, for scans that keep a
 vector when it is independent of the ones before it.
 """
@@ -30,33 +34,51 @@ from .fields import Field
 _INT, _FRACTION, _INT_OR_FRACTION = {int}, {Fraction}, {int, Fraction}
 
 
-def scalars(row, field: Field, ints: bool = True) -> list:
-    """The row as a new list that exact arithmetic reads as it is: ints over
-    GF(p); over Q Fractions, and ints too unless ``ints`` is false.  Other
-    entries go through field.coerce, so a bad scalar raises BadScalar."""
+def scalars(row, field: Field, ints: bool = True):
+    """The row's entries as exact arithmetic reads them: ints over GF(p);
+    over Q Fractions, and ints too unless ``ints`` is false.  Other entries
+    go through field.coerce, so a bad scalar raises BadScalar.  The row
+    itself when every entry is read as it is, else a new list."""
     taken = _INT if field.characteristic else _INT_OR_FRACTION if ints else _FRACTION
     if set(map(type, row)) <= taken:
-        return list(row)
+        return row
     return [x if type(x) in taken else field.coerce(x) for x in row]
 
 
+def _entries(row, field: Field, ints: bool = True) -> dict:
+    """{col: x} for a list row or a dict row {col: entry}, each entry read by
+    ``scalars``: without the zeros of a list row, but with any explicit
+    zeros of a dict row, which may be returned as it is and so must not be
+    changed."""
+    if not isinstance(row, dict):
+        row = scalars(row, field, ints)
+        return dict(zip(compress(count(), row), filter(None, row)))
+    vals = row.values()
+    read = scalars(vals, field, ints)
+    return row if read is vals else dict(zip(row, read))
+
+
+def _check_ambient(v, n: int) -> None:
+    """AmbientMismatch unless the list or dict vector v lies in k^n."""
+    if isinstance(v, dict):
+        if v and (min(v) < 0 or max(v) >= n):
+            raise AmbientMismatch("vector index outside the ambient dimension")
+    elif len(v) != n:
+        raise AmbientMismatch("vector length != ambient dimension")
+
+
 def _sparse_row(row, field: Field) -> dict[int, int]:
-    """The nonzero entries of a row as the core works on them: residues mod
-    p, or over Q the row times the common denominator of its entries.  A
-    dict row {col: entry} is read as it is, explicit zeros allowed, and never
-    changed in place."""
+    """The nonzero entries of a row as the core works on them, in a new
+    dict: residues mod p, or over Q the row times the common denominator of
+    its entries."""
     p = field.characteristic
-    if isinstance(row, dict):
-        entries = row if p else {j: x for j, x in row.items() if x}
-    else:
-        row = scalars(row, field)
-        entries = dict(zip(compress(count(), row), filter(None, row)))
+    entries = _entries(row, field)
     if p:
         return _normalise(entries, None, p)
-    if not set(map(type, entries.values())) <= _INT:
-        den = lcm(*[x.denominator for x in entries.values()])
-        entries = {j: x.numerator * (den // x.denominator) for j, x in entries.items()}
-    return entries
+    if set(map(type, entries.values())) <= _INT:
+        return {j: x for j, x in entries.items() if x}
+    den = lcm(*[x.denominator for x in entries.values()])
+    return {j: x.numerator * (den // x.denominator) for j, x in entries.items() if x}
 
 
 def _normalise(row: dict, col: int | None, p: int) -> dict:
@@ -84,18 +106,18 @@ def _eliminate(row: dict, found: dict, cols, p: int) -> dict:
     return _normalise(row, None, p)
 
 
-def rref_rows(rows, ncols: int, field: Field):
-    """Canonical RREF of raw rows; returns (canonical rows, pivot columns).
+def _canonical(rows, field: Field) -> list[list]:
+    """Canonical RREF of raw rows, each row the sorted (column, entry) pairs
+    of its nonzeros, with a leading 1 in the field's scalar type.
 
     Rows (lists of ints, or over Q ints and Fractions, or dicts {col: entry}
     of such entries) are reduced sparsest first; a row left nonzero becomes a
     pivot row at its first nonzero column, which is then cleared from the
-    earlier pivot rows.  The canonical rows carry a leading 1 in the field's
-    scalar type.
+    earlier pivot rows.
     """
     p = field.characteristic
     found: dict[int, dict] = {}         # pivot column -> row, 0 at the other pivots
-    for row in sorted((_sparse_row(r, field) for r in rows), key=len):
+    for row in sorted((_sparse_row(r, field) for r in rows if r), key=len):
         cols = [c for c in row if c in found]
         if cols:
             row = _eliminate(row, found, cols, p)
@@ -106,12 +128,26 @@ def rref_rows(rows, ncols: int, field: Field):
         for col, prow in found.items():
             if lead in prow and col != lead:
                 found[col] = _eliminate(prow, found, (lead,), p)
-    pivots = sorted(found)
-    out = [[field.zero] * ncols for _ in pivots]
-    for dense, col in zip(out, pivots):
-        for j, x in found[col].items():
-            dense[j] = x if p else Fraction(x, found[col][col])
-    return out, pivots
+    out = []
+    for col, row in sorted(found.items()):
+        pairs = sorted(row.items())
+        out.append(pairs if p else [(j, Fraction(x, row[col])) for j, x in pairs])
+    return out
+
+
+def _dense(pairs, n: int, zero) -> list:
+    """The length-n list with the (column, entry) pairs and zero elsewhere."""
+    out = [zero] * n
+    for j, x in pairs:
+        out[j] = x
+    return out
+
+
+def rref_rows(rows, ncols: int, field: Field):
+    """Canonical RREF of raw rows, taken as ``_canonical`` takes them;
+    returns (dense canonical rows, pivot columns)."""
+    terms = _canonical(rows, field)
+    return [_dense(t, ncols, field.zero) for t in terms], [t[0][0] for t in terms]
 
 
 # -- matrices -----------------------------------------------------------------
@@ -215,10 +251,13 @@ def kernel_rows(rows, ncols: int, field: Field) -> "Subspace":
     """Exact right kernel of the matrix with these rows, taken as rref_rows
     takes them; with no rows it is the whole space.  Free column fc gives
     e_fc - sum_pc row[fc] e_pc over the pivot rows, as a dict row."""
-    rows, pivots = rref_rows(rows, ncols, field)
-    basis = [{fc: 1, **{pc: -row[fc] for row, pc in zip(rows, pivots) if row[fc]}}
-             for fc in sorted(set(range(ncols)) - set(pivots))]
-    return Subspace(field, ncols, rref_rows(basis, ncols, field)[0])
+    terms = _canonical(rows, field)
+    pivots = {row[0][0] for row in terms}
+    basis = {fc: {fc: 1} for fc in range(ncols) if fc not in pivots}
+    for row in terms:                   # 0 at the other pivots: the rest are free
+        for j, x in row[1:]:
+            basis[j][row[0][0]] = -x
+    return Subspace(field, ncols, _canonical(basis.values(), field))
 
 
 def solve(m: Matrix, b) -> list | None:
@@ -252,43 +291,58 @@ def invert(m: Matrix) -> Matrix | None:
 
 # -- subspaces ----------------------------------------------------------------
 
-def _reduce(field: Field, ambient_dim: int, pivots, terms, v) -> list:
-    """Residual of v against rows given by pivot and nonzero (column, entry)
-    pairs, each row 1 at its pivot and 0 at the pivots of the rows before it.
-    Over GF(p) any int is taken as it is; over Q the residual holds Fractions.
-    """
-    p = field.characteristic
-    v = scalars(v, field, ints=False)
-    if len(v) != ambient_dim:
-        raise AmbientMismatch("vector length != ambient dimension")
-    for pc, row in zip(pivots, terms):
-        c = v[pc] % p if p else v[pc]
-        if c:
-            for j, x in row:
-                v[j] -= c * x
-    return [x % p for x in v] if p else v
+class _Rows:
+    """Rows given by pivot and sorted nonzero (column, entry) pairs, each row
+    1 at its pivot and 0 at the pivots of the rows before it."""
+
+    __slots__ = ("field", "ambient_dim", "pivots", "_terms")
+
+    @property
+    def dim(self) -> int:
+        return len(self._terms)
+
+    def _residual(self, v) -> dict:
+        """The nonzero entries of v's residual against the rows, for v a list
+        or a dict {col: entry}.  Over GF(p) any int is taken as it is and
+        the residual holds residues; over Q it holds Fractions."""
+        _check_ambient(v, self.ambient_dim)
+        res, p = dict(_entries(v, self.field, ints=False)), self.field.characteristic
+        for pc, row in zip(self.pivots, self._terms):
+            c = res.get(pc, 0) % p if p else res.get(pc)
+            if c:
+                for j, x in row:
+                    res[j] = res.get(j, 0) - c * x
+        return {j: r for j, x in res.items() if (r := x % p if p else x)}
+
+    def reduce(self, v):
+        """Residual of v after elimination against the rows (0 iff in their
+        span): a list for a list v, a dict of its nonzeros for a dict v."""
+        res = self._residual(v)
+        return res if isinstance(v, dict) else _dense(res.items(), len(v), self.field.zero)
 
 
-class Subspace:
-    """Row space in canonical RREF basis form, with the pivot column of each
-    basis row."""
+class Subspace(_Rows):
+    """Row space in canonical RREF form: the sorted (column, entry) pairs of
+    each basis row, whose first pair is at the row's pivot column."""
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_terms")
+    __slots__ = ("_basis",)
 
     def __init__(self, field: Field, ambient_dim: int, canonical_rows):
+        """``canonical_rows`` as the core hands them out, or as dense lists
+        of scalars (as ``basis`` gives them)."""
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = canonical_rows
-        self._terms = [[(j, x) for j, x in enumerate(row) if x] for row in canonical_rows]
-        self.pivots = [terms[0][0] for terms in self._terms]
+        self._terms = [row if isinstance(row[0], tuple) else
+                       [(j, x) for j, x in enumerate(row) if x] for row in canonical_rows]
+        self.pivots = [row[0][0] for row in self._terms]
+        self._basis = None
 
     @classmethod
     def from_vectors(cls, field: Field, ambient_dim: int, vectors) -> Subspace:
-        vecs = list(vectors)            # rows as rref_rows takes them
-        if any(len(v) != ambient_dim for v in vecs if not isinstance(v, dict)):
-            raise AmbientMismatch("vector length != ambient dimension")
-        rows, _ = rref_rows(vecs, ambient_dim, field)
-        return cls(field, ambient_dim, rows)
+        vecs = list(vectors)            # rows as _canonical takes them
+        for v in vecs:
+            _check_ambient(v, ambient_dim)
+        return cls(field, ambient_dim, _canonical(vecs, field))
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> Subspace:
@@ -296,59 +350,63 @@ class Subspace:
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> Subspace:
-        return cls(field, ambient_dim, Matrix.identity(field, ambient_dim).rows)
+        return cls(field, ambient_dim, [[(i, field.one)] for i in range(ambient_dim)])
 
     @property
-    def dim(self) -> int:
-        return len(self.basis)
+    def basis(self) -> list:
+        """The canonical basis as dense rows, built the first time it is read."""
+        if self._basis is None:
+            self._basis = [_dense(r, self.ambient_dim, self.field.zero) for r in self._terms]
+        return self._basis
 
     def _check_compatible(self, other: Subspace) -> None:
         if self.ambient_dim != other.ambient_dim or self.field != other.field:
             raise AmbientMismatch("subspaces in different ambients")
 
-    def reduce(self, v) -> list:
-        """Residual of v after elimination against the basis (0 iff contained)."""
-        return _reduce(self.field, self.ambient_dim, self.pivots, self._terms, v)
-
     def contains(self, v) -> bool:
-        return not any(self.reduce(v))
+        return not self._residual(v)
 
     def contains_space(self, other: Subspace) -> bool:
         self._check_compatible(other)
-        return all(self.contains(v) for v in other.basis)
+        return all(not self._residual(dict(row)) for row in other._terms)
 
     def sum(self, other: Subspace) -> Subspace:
         self._check_compatible(other)
-        return Subspace.from_vectors(self.field, self.ambient_dim,
-                                     list(self.basis) + list(other.basis))
+        return Subspace(self.field, self.ambient_dim,
+                        _canonical(map(dict, self._terms + other._terms), self.field))
 
     def intersect(self, other: Subspace) -> Subspace:
         self._check_compatible(other)
-        n = self.ambient_dim
-        if self.dim == 0 or other.dim == 0:
+        n, m = self.ambient_dim, self.dim
+        if m == 0 or other.dim == 0:
             return Subspace.zero(self.field, n)
-        # u = v for u in U, v in V: the kernel of the columns (U's basis, -V's)
-        cols = [[r[k] for r in self.basis] + [-r[k] for r in other.basis] for k in range(n)]
+        # u = v for u in U, v in V: the kernel of the columns (U's basis,
+        # -V's), one row per column in their supports
+        cols: dict[int, dict] = {}
+        for i, row in enumerate(self._terms + other._terms):
+            for k, x in row:
+                cols.setdefault(k, {})[i] = x if i < m else -x
         vecs = []
-        for w in kernel_rows(cols, self.dim + other.dim, self.field).basis:
-            terms = [(a, r) for a, r in zip(w, self.basis) if a]
-            vecs.append([sum(a * r[k] for a, r in terms) for k in range(n)])
+        for w in kernel_rows(cols.values(), m + other.dim, self.field)._terms:
+            vecs.append(vec := {})
+            for i, a in w:
+                for k, x in self._terms[i] if i < m else ():
+                    vec[k] = vec.get(k, 0) + a * x
         return Subspace.from_vectors(self.field, n, vecs)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field
                 and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
+                and self._terms == other._terms)
 
     def __hash__(self):
-        return hash((self.field, self.ambient_dim,
-                     tuple(tuple(r) for r in self.basis)))
+        return hash((self.field, self.ambient_dim, tuple(map(tuple, self._terms))))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-class Echelon:
+class Echelon(_Rows):
     """A basis grown one vector at a time, starting from a subspace's.
 
     ``add`` keeps the residual of an independent vector scaled to a leading
@@ -356,7 +414,7 @@ class Echelon:
     insertion order clears all pivot columns.
     """
 
-    __slots__ = ("field", "ambient_dim", "pivots", "_terms")
+    __slots__ = ()
 
     def __init__(self, space: Subspace):
         self.field = space.field
@@ -364,28 +422,21 @@ class Echelon:
         self.pivots = list(space.pivots)
         self._terms = list(space._terms)
 
-    @property
-    def dim(self) -> int:
-        return len(self.pivots)
-
-    def reduce(self, v) -> list:
-        """Residual of v against the rows so far (0 iff in their span)."""
-        return _reduce(self.field, self.ambient_dim, self.pivots, self._terms, v)
-
     def add(self, v) -> bool:
         """Add v when it is independent of the rows so far; say whether it was."""
-        f = self.field
-        terms = [(j, x) for j, x in enumerate(self.reduce(v)) if x]
-        if not terms:
+        res = self._residual(v)
+        if not res:
             return False
-        lead, inv = terms[0][0], f.inv(terms[0][1])
+        lead = min(res)
+        inv = self.field.inv(res[lead])
         self.pivots.append(lead)
-        self._terms.append([(j, f.mul(inv, x)) for j, x in terms])
+        self._terms.append([(j, self.field.mul(inv, res[j])) for j in sorted(res)])
         return True
 
 
-def quotient_basis(u: Subspace, v: Subspace) -> list:
-    """Vectors of V extending a basis of U; length = dim V - dim U.
+def quotient_rows(u: Subspace, v: Subspace) -> list[dict]:
+    """Rows of V extending a basis of U, as dicts {col: entry} of their
+    nonzeros; length = dim V - dim U.
 
     Raises NotContained unless U <= V.  Deterministic: V's canonical basis
     rows are scanned in order and kept when independent from U and the rows
@@ -396,7 +447,12 @@ def quotient_basis(u: Subspace, v: Subspace) -> list:
         raise NotContained("first subspace is not contained in the second")
     grown = Echelon(u)
     out = []
-    for row in v.basis:
+    for row in map(dict, v._terms):
         if grown.dim < v.dim and grown.add(row):
-            out.append(list(row))
+            out.append(row)
     return out
+
+
+def quotient_basis(u: Subspace, v: Subspace) -> list:
+    """``quotient_rows`` as dense lists."""
+    return [_dense(row.items(), v.ambient_dim, v.field.zero) for row in quotient_rows(u, v)]

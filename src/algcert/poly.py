@@ -319,20 +319,16 @@ class TruncatedRing:
         """Coordinate positions of the degree-d monomials."""
         return [i for i, m in enumerate(self.monomials) if sum(m) == d]
 
-    def truncate(self, f: Poly) -> list:
-        """Coordinate vector of f modulo <X>^l; drops terms of degree >= l."""
+    def truncate(self, f: Poly) -> dict:
+        """Coordinates {index: c} of f modulo <X>^l; drops terms of degree >= l."""
         if f.n_vars != self.n_vars:
             raise AmbientMismatch("polynomial arity != ring arity")
-        fld = f.field
-        v = [fld.zero] * self.dim
-        for m, c in f.terms.items():
-            if sum(m) < self.trunc_degree:
-                v[self.index[m]] = c
-        return v
+        return {self.index[m]: c for m, c in f.terms.items() if sum(m) < self.trunc_degree}
 
     def poly_from_vector(self, v, field: Field) -> Poly:
-        return Poly(self.n_vars, field,
-                    {m: c for m, c in zip(self.monomials, v)})
+        """The polynomial with coordinates v, a list or a dict {index: c}."""
+        pairs = v.items() if isinstance(v, dict) else enumerate(v)
+        return Poly(self.n_vars, field, {self.monomials[j]: c for j, c in pairs})
 
     def __repr__(self):
         return f"TruncatedRing(n={self.n_vars}, l={self.trunc_degree})"

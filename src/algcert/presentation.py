@@ -1,12 +1,13 @@
 """Quiver-style presentations of split local commutative algebras:
 admissible ideals inside the truncated ring, normal-form generators,
-monomial detection, the star property, minimal-degree subspaces and the
-associated graded ideal.
+monomial detection, the star property and minimal-degree subspaces.
 
 The ideal of a presentation is stored as a subspace of the truncated-ring
 coordinates (the part of degree < l; the power <X>^l is implicit).  Because
 coordinates are in graded-lex order, the rows of the canonical RREF basis
-sort by valuation, which makes every degree filtration a row filter.
+sort by valuation, which makes every degree filtration a row filter.  Only
+the sparse rows of that basis are read, and ring elements are dicts
+{index: c}: no step but ``quotient_algebra`` writes out a dense ring vector.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .algebra import (Coordinates, RadicalData, StructureAlgebra,
 from .errors import (InternalInconsistency, NotAdmissible, NotCommutative,
                      NotLocal, NotSplit, LoweyMismatch)
 from .fields import Field
-from .linalg import Matrix, Subspace, kernel, quotient_basis, rref
+from .linalg import Matrix, Subspace, kernel, quotient_basis, quotient_rows, rref
 from .poly import (Poly, TruncatedRing, degree_monomials, monomial_gcd_factor,
                    s_index)
 
@@ -39,27 +40,24 @@ class Presentation:
         self._validate()
 
     def _validate(self):
-        ring, f = self.ring, self.field
-        lin_cut = 1 + self.n_vars  # constant + linear coordinates come first
-        for row in self.ideal.basis:
-            if any(not f.is_zero(x) for x in row[:lin_cut]):
-                raise NotAdmissible("ideal meets the constant/linear slice")
-        for row in self.ideal.basis:
+        # constant + linear coordinates come first, and a row's pivot is its
+        # first nonzero
+        if any(pc <= self.n_vars for pc in self.ideal.pivots):
+            raise NotAdmissible("ideal meets the constant/linear slice")
+        for row in self.ideal._terms:
             for i in range(self.n_vars):
-                shifted = self._x_multiple(row, i)
-                if not self.ideal.contains(shifted):
+                if not self.ideal.contains(self._x_multiple(row, i)):
                     raise NotAdmissible("ideal is not closed under X_i multiplication")
 
-    def _x_multiple(self, vec, i: int) -> list:
-        ring, f = self.ring, self.field
-        out = [f.zero] * ring.dim
-        for pos, c in enumerate(vec):
-            if f.is_zero(c):
-                continue
+    def _x_multiple(self, terms, i: int) -> dict:
+        """X_i times the element with these (index, c) coordinates, as
+        {index: c}: each monomial goes to one monomial, or past the cut."""
+        ring = self.ring
+        out = {}
+        for pos, c in terms:
             m = ring.monomials[pos]
-            m2 = tuple(e + 1 if j == i else e for j, e in enumerate(m))
-            if sum(m2) < ring.trunc_degree:
-                out[ring.index[m2]] = f.add(out[ring.index[m2]], c)
+            if sum(m) < ring.trunc_degree - 1:
+                out[ring.index[m[:i] + (m[i] + 1,) + m[i + 1:]]] = c
         return out
 
     def valuations(self) -> list[int]:
@@ -68,17 +66,15 @@ class Presentation:
 
     def filtered(self, d: int) -> Subspace:
         """Ideal part supported on degree >= d (a row filter in RREF form)."""
-        rows = [r for r, v in zip(self.ideal.basis, self.valuations()) if v >= d]
+        rows = [r for r, v in zip(self.ideal._terms, self.valuations()) if v >= d]
         return Subspace(self.field, self.ring.dim, rows)
 
     def degree_projection(self, d: int):
         """(slice monomial list, projected subspace of the valuation-d rows)."""
         ring = self.ring
-        slice_pos = ring.degree_slice(d)
-        vecs = []
-        for r, v in zip(self.ideal.basis, self.valuations()):
-            if v == d:
-                vecs.append([r[p] for p in slice_pos])
+        slice_pos = {p: k for k, p in enumerate(ring.degree_slice(d))}
+        vecs = [{slice_pos[j]: x for j, x in r if j in slice_pos}
+                for r, v in zip(self.ideal._terms, self.valuations()) if v == d]
         monos = [ring.monomials[p] for p in slice_pos]
         return monos, Subspace.from_vectors(self.field, len(slice_pos), vecs)
 
@@ -240,7 +236,7 @@ def normal_form(pres: Presentation) -> NormalForm:
         if f_d.dim == 0:
             continue
         base = span.intersect(f_d).sum(pres.filtered(d + 1))
-        for vec in quotient_basis(base, f_d):
+        for vec in quotient_rows(base, f_d):
             gens.append(pres.row_poly(vec))
         span = _saturate(ring, f, gens)
     if span != pres.ideal:
@@ -252,9 +248,7 @@ def normal_form(pres: Presentation) -> NormalForm:
 
 def is_monomial_ideal(pres: Presentation) -> bool:
     """True iff the ideal subspace has a basis of single monomials."""
-    f = pres.field
-    return all(sum(0 if f.is_zero(x) else 1 for x in row) == 1
-               for row in pres.ideal.basis)
+    return all(len(row) == 1 for row in pres.ideal._terms)
 
 
 def _property_star(gens: list[Poly]) -> int | None:
@@ -308,8 +302,7 @@ def minimal_degree_subspace(pres: Presentation) -> MinimalDegreeSubspace:
                                      polys, True)
     d_min = min(pres.valuations())
     monos, space = pres.degree_projection(d_min)
-    polys = [Poly(pres.n_vars, f, {m: c for m, c in zip(monos, row)})
-             for row in space.basis]
+    polys = [Poly(pres.n_vars, f, {monos[j]: c for j, c in row}) for row in space._terms]
     return MinimalDegreeSubspace(d_min, monos, space, polys, False)
 
 
@@ -333,9 +326,11 @@ def quotient_algebra(pres: Presentation, attach_radical: bool = True) -> Structu
     coords = Coordinates.quotient(pres.ideal)
 
     def t_multiply(u, v) -> list:
-        pu = ring.poly_from_vector(u, f)
-        pv = ring.poly_from_vector(v, f)
-        return ring.truncate(pu.mul(pv))
+        pu, pv = ring.poly_from_vector(u, f), ring.poly_from_vector(v, f)
+        out = [f.zero] * ring.dim
+        for j, c in ring.truncate(pu.mul(pv)).items():
+            out[j] = c
+        return out
 
     units = Matrix.identity(f, ring.dim).rows   # units[0]: the constant monomial
     known = None

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -450,3 +451,97 @@ def test_minimal_polynomial_matches_one_rref_per_power(field, entry, data):
 def test_kernel_rows_without_rows_is_full():
     assert kernel_rows([], 3, QQ) == Subspace.full(QQ, 3)
     assert kernel_rows([[0, 2, 4]], 3, GF5) == kernel(Matrix(GF5, [[0, 2, 4]]))
+
+
+# -- dict and list vectors against dense references ---------------------------
+
+def test_dict_vectors_refused_like_lists():
+    for field in (QQ, GF5):
+        space = Subspace.from_vectors(field, 3, [[1, 2, 0]])
+        checks = [space.reduce, space.contains, Echelon(space).add,
+                  lambda v: Subspace.from_vectors(field, 3, [{0: 1}, v])]
+        for check in checks:
+            for key in (-1, 3, 10):
+                with pytest.raises(AmbientMismatch):
+                    check({0: 1, key: 1})
+            for bad in (False, True, "x", 0.5):
+                with pytest.raises(BadScalar):
+                    check({0: 1, 2: bad})
+
+
+def _dense_in(field, n, v):
+    return [field.coerce(v.get(j, 0)) for j in range(n)] if isinstance(v, dict) else \
+        [field.coerce(x) for x in v]
+
+
+def _zassenhaus(u, v):
+    # rows (a | a) for a in U and (b | 0) for b in V: the rows with a zero
+    # left half span the intersection in their right half
+    n, f = u.ambient_dim, u.field
+    rows, _ = _textbook_rref([list(a) + list(a) for a in u.basis]
+                             + [list(b) + [0] * n for b in v.basis], 2 * n, f)
+    return _textbook_rref([r[n:] for r in rows if all(f.is_zero(x) for x in r[:n])], n, f)[0]
+
+
+def _random_vectors(rnd, field, n, count):
+    """Sparse vectors, as lists or dicts with explicit zeros at random, with
+    an empty dict and vectors whose only nonzero is in column 0 among them."""
+    p = field.characteristic or 7
+    vecs = [{}, {0: rnd.randint(1, p - 1)}, [rnd.randint(1, p - 1)] + [0] * (n - 1)]
+    for _ in range(count):
+        row = [rnd.choice([0, 0, rnd.randint(-2 * p, 2 * p)]) for _ in range(n)]
+        if field == QQ and rnd.random() < 0.3:
+            row = [Fraction(x, rnd.randint(1, 4)) for x in row]
+        vecs.append(row if rnd.random() < 0.5 else
+                    {j: x for j, x in enumerate(row) if x or rnd.random() < 0.2})
+    rnd.shuffle(vecs)
+    return vecs
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3, GF(7)], ids=["QQ", "GF2", "GF3", "GF7"])
+@pytest.mark.parametrize("seed", range(12))
+def test_dict_and_list_vectors_match_dense_reference(field, seed):
+    rnd = random.Random(seed)
+    n = rnd.randint(1, 7)
+    pool = _random_vectors(rnd, field, n, 3 * n)
+    k = rnd.randint(0, n + 1)
+    spaces = []
+    for vecs in (pool[:k], pool[k:k + rnd.randint(0, n + 1)]):
+        space = Subspace.from_vectors(field, n, vecs)
+        # list and dict inputs give one space; its dense basis is the
+        # textbook RREF, written as the dense rows always were
+        canonical, pivots = _textbook_rref([_dense_in(field, n, v) for v in vecs], n, field)
+        assert repr(space.basis) == repr(canonical)
+        assert space.pivots == pivots
+        assert space == Subspace.from_vectors(field, n, [_dense_in(field, n, v) for v in vecs])
+        spaces.append(space)
+    u, v = spaces
+    for w in pool:
+        want = _textbook_residual(field, u.basis, u.pivots, _dense_in(field, n, w))
+        got = u.reduce(w)
+        if isinstance(w, dict):
+            assert got == {j: x for j, x in enumerate(want) if x}
+        else:
+            assert repr(got) == repr(want)
+        assert u.contains(w) == all(field.is_zero(x) for x in want)
+    total = u.sum(v)
+    assert repr(total.basis) == repr(_textbook_rref(u.basis + v.basis, n, field)[0])
+    meet = u.intersect(v)
+    assert repr(meet.basis) == repr(_zassenhaus(u, v))
+    assert u.contains_space(meet) and v.contains_space(meet) and total.contains_space(u)
+    assert u.contains_space(v) == all(
+        all(field.is_zero(x) for x in _textbook_residual(field, u.basis, u.pivots, b))
+        for b in v.basis)
+    for small, big in ((meet, u), (u, total), (Subspace.zero(field, n), v)):
+        assert quotient_basis(small, big) == _quotient_basis_reference(small, big)
+    # Echelon.add on list and dict inputs: the same rows, each kept iff the
+    # textbook rank grows
+    grown = [Echelon(u), Echelon(u)]
+    span = list(u.basis)
+    for w in pool:
+        dense = _dense_in(field, n, w)
+        sparse = {j: x for j, x in enumerate(dense) if x}
+        cand = _textbook_rref(span + [dense], n, field)[0]
+        assert grown[0].add(dense) == grown[1].add(sparse) == (len(cand) > len(span))
+        span = cand
+    assert grown[0].pivots == grown[1].pivots and grown[0]._terms == grown[1]._terms

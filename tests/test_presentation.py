@@ -13,6 +13,7 @@ from algcert.constructions import (componentwise_algebra,
 from algcert.errors import (LoweyMismatch, NotAdmissible, NotLocal, NotSplit,
                             NotCommutative)
 from algcert.fields import GF, QQ
+from algcert.forms import im_phi_lie
 from algcert.linalg import Matrix, Subspace, quotient_basis
 from algcert.poly import LinearChange, Poly, TruncatedRing, apply_linear_change
 from algcert.presentation import (_actual_lowey, _saturate,
@@ -67,7 +68,7 @@ class TestFromIdeal:
         p = build(2, 4, ["X1^2+X2^3"])
         for row in p.ideal.basis:
             for i in range(2):
-                assert p.ideal.contains(p._x_multiple(row, i))
+                assert p.ideal.contains(p._x_multiple(enumerate(row), i))
 
 
 def _actual_lowey_reference(ring, field, ideal):
@@ -359,3 +360,31 @@ class TestQuotientAlgebra:
         a = quotient_algebra(p)
         assert a.dim == 3
         assert jacobson_radical(a).radical.dim == 2
+
+
+def test_presentation_layer_reads_no_dense_ring_vector(monkeypatch):
+    # the truncated ring has 5985 coordinates and the ideal one row: every
+    # step reads the ideal's sparse rows, never a dense basis of the ring
+    ring_dim = comb(4 + 18 - 1, 4)
+    dense_view = Subspace.basis
+
+    def guarded(space):
+        if space.ambient_dim == ring_dim:
+            raise AssertionError("dense basis of the truncated ring was read")
+        return dense_view.fget(space)
+
+    monkeypatch.setattr(Subspace, "basis", property(guarded))
+    pres = build(4, 18, ["X1^2*X2^3*X3^4*X4^8 + X1^2*X2^3*X3^12"])
+    assert pres.ring.dim == ring_dim and pres.ideal.pivots == [5603]
+    gen = "X1^2*X2^3*X3^12 + X1^2*X2^3*X3^4*X4^8"
+    nf = normal_form(pres)
+    assert ([str(g) for g in nf.generators], nf.is_monomial, nf.property_star_r) \
+        == ([gen], False, 3)
+    assert not is_monomial_ideal(pres)
+    w = minimal_degree_subspace(pres)
+    assert (w.degree, w.dim, w.is_power_slice, len(w.monomials)) == (17, 1, False, 1140)
+    assert [str(q) for q in w.polys] == [gen] and w.space.pivots == [758]
+    # M_11, M_22 and M_33 + M_44 in gl_4, flattened row-major
+    lie = im_phi_lie(pres)
+    assert lie.space.basis == [[int(k == 0) for k in range(16)], [int(k == 5) for k in range(16)],
+                               [int(k in (10, 15)) for k in range(16)]]
