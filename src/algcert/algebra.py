@@ -454,13 +454,20 @@ def wm_complement(algebra: StructureAlgebra, rad: RadicalData) -> WMDecompositio
     A/J must be commutative with an eigenbasis of idempotents over the base
     field; primitive idempotents are lifted one at a time by the Newton map
     e -> 3e^2 - 2e^3, sandwiched to stay orthogonal, until exactly idempotent.
+    Commutativity is checked before A/J's table is built, as [e_g, e_h] in J
+    for g, h in the generators G: their images generate A/J.
     """
     f = algebra.field
     j = rad.radical
+    sparse = algebra._sparse
+    for g, h in itertools.combinations(algebra.gens, 2):
+        bracket = dict(sparse[g][h])    # den [e_g, e_h] on the scaled table
+        for k, c in sparse[h][g]:
+            bracket[k] = bracket.get(k, 0) - c
+        if not j.contains(bracket):
+            raise NotSplitBasic("A/J is not commutative")
     coords = Coordinates.quotient(j)
     quot = induced_algebra(algebra.multiply, coords, algebra.one)
-    if not quot.commutative:
-        raise NotSplitBasic("A/J is not commutative")
     pieces = _split_components(quot, Subspace.full(f, quot.dim))
     prims = sorted(pieces, key=lambda u: [str(c) for c in u])
     lifted = []
@@ -624,7 +631,7 @@ def derivation_algebra(algebra: StructureAlgebra) -> LieSubalgebra:
     forms = [[{} for _ in range(d)] for _ in words[:1]]    # D(v_0) = D(1) = 0
     for k, g in algebra.edges:          # a word's parent comes before it
         forms.append(leibniz(k, g))
-    tree, rows = set(algebra.edges), set()  # rows as sorted (column, entry) pairs, each once
+    tree, rows = set(algebra.edges), set()  # sorted (column, entry) pairs, mod p, each once
     for k, g in itertools.product(range(len(words)), algebra.gens):
         if (k, g) in tree:
             continue
@@ -635,7 +642,8 @@ def derivation_algebra(algebra: StructureAlgebra) -> LieSubalgebra:
             for m, c in enumerate(coords):
                 for col, x in forms[m][t].items() if c else ():
                     row[col] = row.get(col, 0) + c * x
-            rows.add(tuple(sorted((col, x) for col, x in row.items() if x)))
+            rows.add(tuple(sorted((col, r) for col, x in row.items()
+                                  if (r := x % p if p else x))))
     vecs = []                           # delta D(e_b) = sum_m M_mb D(v_m), flattened
     for x in map(dict, _int_terms(kernel_rows(map(dict, rows), len(base) * d, f)._terms)[1]):
         vecs.append(vec := [0] * (d * d))

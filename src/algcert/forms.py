@@ -15,7 +15,7 @@ from .algebra import DEFAULT_MAX_ENUM, Coordinates, LieSubalgebra, is_solvable
 from .errors import (CharTwo, NotDegreeTwo, NotGraded, NotHomogeneous,
                      NotStable, SearchSpaceTooLarge, ZeroPolynomial)
 from .fields import Field, PrimeField
-from .linalg import Matrix, Subspace, kernel, kernel_rows, rref_rows
+from .linalg import Matrix, Subspace, kernel, kernel_rows, row_rank
 from .poly import Poly, degree_monomials, partial_derivative
 from .presentation import MinimalDegreeSubspace, Presentation
 from .roots import (minimal_polynomial, operator_power_sequence, poly_gcd,
@@ -184,21 +184,15 @@ def macaulay_rank(forms: list[Poly], degree: int) -> tuple[int, int]:
     x_j^D in the ideal of the forms, so they have no common zero in
     P^(n-1) over the algebraic closure, in any characteristic (Macaulay
     1916).  For n = 2 it is the Sylvester matrix up to row and column order.
+    Each row goes to the elimination core as a dict {column: coefficient}.
     """
     n = forms[0].n_vars
-    fld = forms[0].field
     top = n * (degree - 1) + 1
     cols = {m: j for j, m in enumerate(degree_monomials(n, top))}
     shifts = degree_monomials(n, top - degree)
-
-    def row(g: Poly, a: tuple) -> list:
-        out = [fld.zero] * len(cols)
-        for m, c in g.terms.items():
-            out[cols[tuple(x + y for x, y in zip(a, m))]] = c
-        return out
-
-    _, pivots = rref_rows((row(g, a) for g in forms for a in shifts), len(cols), fld)
-    return len(pivots), len(cols)
+    rows = ({cols[tuple(x + y for x, y in zip(a, m))]: c for m, c in g.terms.items()}
+            for g in forms for a in shifts)
+    return row_rank(rows, forms[0].field), len(cols)
 
 
 def binary_form_resultant_rank(fx: Poly, fy: Poly, degree: int) -> tuple[int, int]:
@@ -212,11 +206,12 @@ def _no_common_zero(parts: list[Poly], d: int, points: int) -> bool:
     """True when the Macaulay rank of the partials of a degree-d form is
     full, so they have no common zero over the algebraic closure.  Declines
     (False) when the rank is short, and without building the matrix when its
-    rows x columns exceed the ``points`` of the scan it would spare."""
+    rows x columns exceed the work of the scan it would spare: its ``points``
+    times the total terms of the partials, each evaluated at every point."""
     n = len(parts)
     top = n * (d - 2) + 1
     cells = n * comb(top - d + n, n - 1) * comb(top + n - 1, n - 1)
-    if cells > points:
+    if cells > points * sum(len(g.terms) for g in parts):
         return False
     rank, size = macaulay_rank(parts, d - 1)
     return rank == size
@@ -259,8 +254,9 @@ def nonsingularity(f: Poly, height_bound: int = DEFAULT_HEIGHT_BOUND,
     GF(p) scan and a prime reduction's scan find no point, and the bounded
     height search over Q finds no witness.  Such a scan is skipped, with the
     same evidence as it would give, whenever the matrix has no more
-    rows x columns than the scan has points: p^n for a prime, (2h+1)^n for
-    the height search up to h.
+    rows x columns than the scan's evaluation work: its points (p^n for a
+    prime, (2h+1)^n for the height search up to h) times the total terms of
+    the partials.  The height search takes each shell max |x_i| = r once.
     """
     fld = f.field
     if f.is_zero() or not f.is_homogeneous():
@@ -317,13 +313,22 @@ def nonsingularity(f: Poly, height_bound: int = DEFAULT_HEIGHT_BOUND,
     h = _capped_height(height_bound, n, max_enum)
     if not _no_common_zero(parts, d, (2 * h + 1) ** n):
         for radius in range(1, h + 1):
-            for vec in itertools.product(range(-radius, radius + 1), repeat=n):
-                if max(abs(x) for x in vec) != radius:
-                    continue
+            for vec in _shell(n, radius):
                 if _is_common_zero(parts, [Fraction(x) for x in vec]):
                     return NonsingularityEvidence("SINGULAR_WITNESS", "bounded_search",
                                                   [Fraction(x) for x in vec], used)
     return NonsingularityEvidence("UNKNOWN", "prime_reductions", primes_used=used)
+
+
+def _shell(n: int, r: int):
+    """The integer n-tuples with max |x_i| = r, in the lexicographic order of
+    [-r, r]^n: a tuple whose first entry is +-r continues with any tail, one
+    whose first entry is smaller with a tail in the shell of n - 1."""
+    for x in range(-r, r + 1) if n else ():
+        tails = (itertools.product(range(-r, r + 1), repeat=n - 1) if abs(x) == r
+                 else _shell(n - 1, r))
+        for tail in tails:
+            yield (x, *tail)
 
 
 def _nonsingularity_binary(f: Poly, parts: list[Poly]) -> NonsingularityEvidence:

@@ -9,7 +9,7 @@ reduced.  The field decides only how a row is kept (primitive over Z for Q,
 monic pivot mod p for GF(p)) and how the leading 1 is written.  The RREF is
 unique, so it is the canonical one; the core hands it out as the sorted
 (column, entry) pairs of each row's nonzeros, and ``rref_rows`` writes them
-out as dense rows.
+out as dense rows; ``row_rank`` only counts them.
 
 A ``Subspace`` keeps those sparse rows as they come from the core, with the
 pivot column of each (its first pair); reducing a vector reads only their
@@ -148,6 +148,12 @@ def rref_rows(rows, ncols: int, field: Field):
     returns (dense canonical rows, pivot columns)."""
     terms = _canonical(rows, field)
     return [_dense(t, ncols, field.zero) for t in terms], [t[0][0] for t in terms]
+
+
+def row_rank(rows, field: Field) -> int:
+    """Rank of raw rows, taken as ``_canonical`` takes them, read from the
+    count of the core's sparse canonical rows; no dense row is written."""
+    return len(_canonical(rows, field))
 
 
 # -- matrices -----------------------------------------------------------------

@@ -501,6 +501,56 @@ class TestWMComplement:
             wm_complement(a, jacobson_radical(a))
 
 
+def _wm_outcome(algebra, rad):
+    """wm_complement's result, or its NotSplitBasic as (type, text)."""
+    try:
+        return wm_complement(algebra, rad)
+    except NotSplitBasic as exc:
+        return type(exc), str(exc)
+
+
+def _radical_mod_p(make, field):
+    """(A, its RadicalData) for a construction over GF(p) whose radical over
+    Q is spanned by basis vectors, as in the standard bases here; that span
+    is its radical over GF(p) as well."""
+    rows = jacobson_radical(make(QQ)).radical.basis
+    assert all(sum(1 for x in row if x) == 1 for row in rows)
+    algebra = make(field)
+    return algebra, _radical_data(algebra, Subspace.from_vectors(
+        field, algebra.dim, [[int(x) for x in row] for row in rows]))
+
+
+@pytest.mark.parametrize("field", [QQ, GF3, GF7], ids=["QQ", "GF3", "GF7"])
+def test_quotient_commutativity_on_generators_matches_table(field, rng):
+    # wm_complement reads A/J's commutativity from [e_g, e_h] in J over the
+    # generators; the table of A/J must give the same result or exception
+    commutative = [qx_mod(3, field), truncated_polynomial_algebra(field, 2, 3),
+                   componentwise_algebra(field, 2),
+                   direct_sum(componentwise_algebra(field, 1), qx_mod(2, field)),
+                   univariate_quotient_algebra(field, [1, 0, 1]),
+                   univariate_quotient_algebra(field, [0, 0, 1, -2, 1])]
+    makes = [lambda k: upper_triangular_algebra(k, 3), lambda k: matrix_algebra(k, 2),
+             lambda k: exterior_algebra(k, 3),
+             lambda k: direct_sum(upper_triangular_algebra(k, 2), qx_mod(2, k)),
+             lambda k: direct_sum(matrix_algebra(k, 2), componentwise_algebra(k, 1))]
+    cases = [(a, jacobson_radical(a))
+             for a in commutative + [transvected(a, rng) for a in commutative]]
+    if field == QQ:
+        rest = [make(QQ) for make in makes] + [matrix_algebra(QQ, 4)]
+        cases += [(a, jacobson_radical(a)) for a in rest + [transvected(a, rng) for a in rest]]
+    else:
+        cases += [_radical_mod_p(make, field) for make in makes]
+    refused = (NotSplitBasic, "A/J is not commutative")
+    seen = set()
+    for algebra, rad in cases:
+        quot = induced_algebra(algebra.multiply, Coordinates.quotient(rad.radical),
+                               algebra.one)
+        got = _wm_outcome(algebra, rad)
+        assert (got == refused) == (not quot.commutative), repr(algebra)
+        seen.add(quot.commutative)
+    assert seen == {True, False}
+
+
 class TestDerivations:
     def test_dual_numbers(self):
         assert derivation_algebra(qx_mod(2)).dim == 1

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -238,6 +239,13 @@ def test_macaulay_shortcut_changes_no_evidence(monkeypatch):
               for kind in ("dense", "sparse", "line") for _ in range(3)]
     cases += [(_random_form(rng, 4, 3, QQ, kind), {"primes": (5, 7, 11)})
               for kind in ("dense", "line")]
+    # ranked where a guard on the scan's points alone scanned: p^n points
+    # against 80 x 56 and 18 x 15 matrices
+    ranked = [pp(text, 4, field) for field in (GF5, GF7)
+              for text in ("X1^3+X1^2*X2+X2^2*X3+X2*X4^2+X3^3+X4^3",
+                           "X1^3-X1^2*X2+X2^2*X3+X2*X4^2-X3^3-X4^3")]
+    ranked.append(pp("X1^3+X2^3+X3^3+X1*X2*X3", 3, GF5))
+    cases += [(f, {}) for f in ranked]
     fired = []
     real = forms._no_common_zero
 
@@ -255,6 +263,8 @@ def test_macaulay_shortcut_changes_no_evidence(monkeypatch):
         if f.field.characteristic:
             singular = got.verdict == "SINGULAR_WITNESS"
             assert singular == bool(_gfp_common_zeros(f)), str(f)
+        if any(f is g for g in ranked):
+            assert fired[-1], str(f)
     assert any(fired) and not all(fired)
 
 
@@ -276,31 +286,45 @@ def test_full_macaulay_rank_leaves_no_gfp_point():
     assert full and short
 
 
+def test_height_shells_follow_the_filtered_cube():
+    # each shell max |x_i| = r once, in the order of the filtered cube
+    for n in range(1, 5):
+        for r in range(1, 5):
+            want = [v for v in itertools.product(range(-r, r + 1), repeat=n)
+                    if max(map(abs, v)) == r]
+            assert list(forms._shell(n, r)) == want
+        for h in range(1, 5):
+            total = sum(1 for r in range(1, h + 1) for _ in forms._shell(n, r))
+            assert total == (2 * h + 1) ** n - 1
+
+
 @pytest.mark.parametrize("text,n,kw,built", [
-    # d = 17: the matrix would be 69,184 x 41,664, more than any scan
+    # d = 17: the matrix would be 69,184 x 41,664, more than any scan's work
     ("X1^2*X2^3*X3^4*X4^8 + X1^2*X2^3*X3^12", 4, {}, 0),
-    # 18 x 15, built in place of the scans mod 7, 11, 13 and of the height search
-    ("X1^3+X2^3+X3^3+X1*X2*X3", 3, {"height_bound": 4}, 4),
+    # 18 x 15, built in place of the scans mod 5, 7, 11, 13 and of the height search
+    ("X1^3+X2^3+X3^3+X1*X2*X3", 3, {"height_bound": 4}, 5),
 ])
 def test_macaulay_matrix_never_outgrows_the_scan(monkeypatch, text, n, kw, built):
     f = pp(text, n)
-    scans, shapes = [], []
-    real_guard, real_rref = forms._no_common_zero, forms.rref_rows
+    scans, work, shapes = [], [], []
+    real_guard, real_rank = forms._no_common_zero, forms.row_rank
 
     def guard(parts, d, points):
         scans.append(points)
+        work.append(points * sum(len(g.terms) for g in parts))
         return real_guard(parts, d, points)
 
-    def rref(rows, ncols, field):
+    def rank(rows, field):
+        ncols = comb(n * (f.degree() - 1), n - 1)      # the monomials of degree n(d-2)+1
         kept = []
-        for row in rows:       # stop before a matrix larger than the scan is built
+        for row in rows:       # stop before a matrix larger than the scan's work is built
             kept.append(row)
-            assert len(kept) * ncols <= scans[-1]
+            assert len(kept) * ncols <= work[-1]
         shapes.append((len(kept), ncols))
-        return real_rref(kept, ncols, field)
+        return real_rank(kept, field)
 
     monkeypatch.setattr(forms, "_no_common_zero", guard)
-    monkeypatch.setattr(forms, "rref_rows", rref)
+    monkeypatch.setattr(forms, "row_rank", rank)
     got = nonsingularity(f, **kw)
     height = forms._capped_height(kw.get("height_bound", forms.DEFAULT_HEIGHT_BOUND),
                                   n, DEFAULT_MAX_ENUM)
