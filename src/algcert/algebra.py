@@ -4,11 +4,11 @@ derivation Lie algebra with its nilpotency and solvability.
 
 Each algebra carries a generating set G and a basis of words in it, so
 associativity, the center, the radical's ideal check and Der(A) are checked
-or solved on G alone.  Every product runs on one sparse integer table, the
-structure constants times their common denominator; spans of products,
-Leibniz rows and Lie series go to the elimination core as dict rows
-{column: int}, and a Lie algebra's structure constants are computed once, as
-integers under one common scale.
+or solved on G alone, Der(A) on the |G| d entries D(e_g).  Every product
+runs on one sparse integer table, the structure constants times their common
+denominator; spans of products, Leibniz rows and Lie series go to the
+elimination core as dict rows {column: int}, and a Lie algebra's structure
+constants are computed once, on its determining columns, under one scale.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from math import lcm
 from .errors import (AmbientMismatch, InternalInconsistency, NonAssociative,
                      NotSplitBasic, NotUnital, UnsupportedRadicalComputation)
 from .fields import Field, PrimeField, QQ
-from .linalg import (Echelon, Matrix, Subspace, invert, kernel_rows,
+from .linalg import (Echelon, Matrix, Subspace, combine, invert, kernel_rows,
                      quotient_basis, scalars)
 from .roots import minimal_polynomial, poly_divmod, poly_eval, roots_in_field
 
@@ -40,11 +40,12 @@ class StructureAlgebra:
     """
 
     def __init__(self, field: Field, table, one, known_radical: Subspace | None = None):
-        d = len(table)
+        d, p = len(table), field.characteristic
         self.field = field
         self.dim = d
-        self.table = [[[field.coerce(x) for x in cell] for cell in row] for row in table]
-        for row in self.table:
+        # ints as they are, other entries through field.coerce (BadScalar)
+        cells = [[scalars(cell, field) for cell in row] for row in table]
+        for row in cells:
             if len(row) != d or any(len(cell) != d for cell in row):
                 raise AmbientMismatch("structure tensor is not d x d x d")
         self.one = [field.coerce(x) for x in one]
@@ -53,17 +54,25 @@ class StructureAlgebra:
         self.known_radical = known_radical
         # x o y = den x y on integer coordinates: the one product table, as
         # the nonzero (k, c) of each cell of the scaled table
-        self._den = lcm(*[x.denominator for row in self.table for cell in row for x in cell])
-        self._int_table = [[[x.numerator * (self._den // x.denominator) for x in cell]
-                            for cell in row] for row in self.table]
+        self._den = den = 1 if p else lcm(*{x.denominator for row in cells for cell in row
+                                            for x in cell if type(x) is not int})
+        self._int_table = [[[x % p if p else x * den if type(x) is int
+                             else x.numerator * (den // x.denominator) for x in cell]
+                            for cell in row] for row in cells]
         self._sparse = [[[(k, c) for k, c in enumerate(cell) if c]
                          for cell in row] for row in self._int_table]
         self._verify_unital()
         self.gens, self.edges, self.words = _word_basis(self)
         self._verify_associative()
-        self.commutative = all(
-            self.table[i][j] == self.table[j][i]
-            for i in range(d) for j in range(i + 1, d))
+        self.commutative = all(self._sparse[i][j] == self._sparse[j][i]
+                               for i in range(d) for j in range(i + 1, d))
+
+    @cached_property
+    def table(self) -> list:
+        """The structure constants as field scalars, read off ``_int_table``."""
+        p, den = self.field.characteristic, self._den
+        return [[[x if p else Fraction(x, den) for x in cell] for cell in row]
+                for row in self._int_table]
 
     # -- load-time checks ------------------------------------------------
 
@@ -148,10 +157,6 @@ class StructureAlgebra:
             rows = (self._times(row.items(), rights) for row in rows)
         return Subspace.from_vectors(self.field, self.dim, rows)
 
-    def is_zero_vector(self, x) -> bool:
-        f = self.field
-        return all(f.is_zero(v) for v in x)
-
     def __repr__(self):
         return f"StructureAlgebra(dim={self.dim}, field={self.field!r})"
 
@@ -230,12 +235,7 @@ class Coordinates:
         return [f.coerce(sum(c * v[k] for k, c in row if v[k])) for row in self._terms]
 
     def lift(self, x) -> list:
-        f = self.field
-        out = [f.zero] * self._ambient_dim
-        for c, rep in zip(x, self.reps):
-            if not f.is_zero(c):
-                out = [f.add(a, f.mul(c, b)) for a, b in zip(out, rep)]
-        return out
+        return combine(self.field, zip(x, self.reps), self._ambient_dim)
 
 
 def induced_algebra(multiply, coords: Coordinates, one,
@@ -408,11 +408,7 @@ def element_idempotents(alg: StructureAlgebra, z, unit) -> tuple[list, list]:
         if f.is_zero(h_lam):
             continue
         scale = f.inv(h_lam)
-        e = [f.zero] * alg.dim
-        for c, power in zip(h, powers):
-            if not f.is_zero(c):
-                c = f.mul(c, scale)
-                e = [f.add(x, f.mul(c, y)) for x, y in zip(e, power)]
+        e = combine(f, ((f.mul(c, scale), power) for c, power in zip(h, powers)), alg.dim)
         if alg.multiply(e, e) != e:
             raise InternalInconsistency("a split element's idempotent is not idempotent")
         idems.append(e)
@@ -520,65 +516,81 @@ def _scaled_residual(v: dict, space: Subspace, s: int, scaled: list) -> dict:
     return res
 
 
-def _bracket(x: dict, y: dict, n: int) -> dict:
-    """xy - yx for n x n integer matrices given by their nonzero rows
-    {r: {c: int}}, as the sparse row {r * n + c: int} of its entries."""
+def _apply(m: dict, v) -> dict:
+    """m v as {a: int}, m held by its nonzero columns {b: {a: int}} and v
+    given by its (b, int) pairs."""
     out: dict[int, int] = {}
-    for a, b, sign in ((x, y, 1), (y, x, -1)):
-        for r, row in a.items():
-            for k, u in row.items():
-                for c, v in b.get(k, {}).items():
-                    out[r * n + c] = out.get(r * n + c, 0) + sign * u * v
+    for b, x in v:
+        for a, y in m.get(b, {}).items():
+            out[a] = out.get(a, 0) + x * y
     return out
 
 
-@dataclass
 class LieSubalgebra:
-    """Bracket-closed subspace of n x n matrices (flattened row-major).
+    """Bracket-closed Lie algebra of n x n matrices, each fixed by its
+    columns in C (all n unless ``cols`` names them): ``space`` holds entry
+    (a, c) at a |C| + pos(c).  ``lift`` maps such integer entries, as pairs,
+    to ``den`` times the whole matrix by columns {b: {a: int}}; brackets
+    read the lifted canonical basis B_l times its least common denominator."""
 
-    Brackets are taken on the canonical basis B_l times its least common
-    denominator s (1 over GF(p)), each matrix held as its nonzero rows."""
-
-    field: Field
-    n: int
-    space: Subspace
+    def __init__(self, field: Field, n: int, space: Subspace, cols=None, lift=None, den=1):
+        self.field, self.n, self.space, self.den = field, n, space, den
+        self.cols = list(range(n)) if cols is None else cols
+        self.lift = lift
 
     @property
     def dim(self) -> int:
         return self.space.dim
 
-    def basis_matrices(self) -> list[Matrix]:
-        n = self.n
-        return [Matrix(self.field, [row[i * n:(i + 1) * n] for i in range(n)])
-                for row in self.space.basis]
+    def _regroup(self, terms) -> dict:
+        """{c: {a: x}} for the entries (a |C| + pos(c), x) in terms."""
+        w, out = len(self.cols), {}
+        for k, x in terms:
+            out.setdefault(self.cols[k % w], {})[k // w] = x
+        return out
 
     @cached_property
-    def _int_basis(self) -> tuple[int, list]:
-        """(s, [s B_l as {r: {c: int}}])."""
+    def _columns(self) -> tuple[int, list]:
+        """(s den, [s den B_l by columns])."""
         s, terms = _int_terms(self.space._terms)
-        mats: list[dict] = [{} for _ in terms]
-        for m, row in zip(mats, terms):
-            for k, x in row:
-                m.setdefault(k // self.n, {})[k % self.n] = x
-        return s, mats
+        return s * self.den, list(map(self.lift or self._regroup, terms))
+
+    def basis_matrices(self) -> list[Matrix]:
+        f, n, (s, mats) = self.field, self.n, self._columns
+        return [Matrix(f, [[f.div(f.coerce(m.get(b, {}).get(a, 0)), f.coerce(s))
+                            for b in range(n)] for a in range(n)]) for m in mats]
+
+    def _bracket(self, x: dict, y: dict, cols) -> dict:
+        """[x, y] e_c = x (y e_c) - y (x e_c) for the (pos(c), c) in cols, x
+        and y held by their columns, as the sparse row {a |C| + pos(c): int}."""
+        w, out = len(self.cols), {}
+        for i, c in cols:
+            for u, v, sign in ((x, y, 1), (y, x, -1)):
+                for k, t in v.get(c, {}).items():
+                    t *= sign
+                    for a, z in u.get(k, {}).items():
+                        out[a * w + i] = out.get(a * w + i, 0) + t * z
+        return out
 
     @cached_property
     def structure_constants(self) -> tuple[int, list]:
         """(scale, c) with [B_i, B_j] = sum_l C B_l / scale over the nonzero
-        pairs (l, C) in c[i][j]; scale = s^2, C is an int (read mod p over
-        GF(p)), and one scale for all constants keeps every span.
+        pairs (l, C) in c[i][j]; scale = (s den)^2, C is an int (read mod p
+        over GF(p)), and one scale for all constants keeps every span.
 
         B_l is 1 at its pivot p_l, where every other B is 0; so, the space
-        being bracket-closed, C is the entry of [s B_i, s B_j] at p_l.
-        Der(A) is closed since the commutator of derivations is a derivation,
-        and forms._bracket_closure closes its span by construction.
+        being bracket-closed, C is the entry of [s den B_i, s den B_j] at p_l,
+        read on the columns in C that hold a pivot.  Der(A) is closed since
+        the commutator of derivations is a derivation, and
+        forms._bracket_closure closes its span by construction.
         """
-        s, mats = self._int_basis
-        p = self.field.characteristic
+        s, mats = self._columns
+        p, w = self.field.characteristic, len(self.cols)
         where = {q: l for l, q in enumerate(self.space.pivots)}
+        cols = [(i, self.cols[i]) for i in sorted({q % w for q in where})]
         c = [[[] for _ in mats] for _ in mats]
         for i, j in itertools.combinations(range(len(mats)), 2):
-            for q, v in _bracket(mats[i], mats[j], self.n).items():
+            for q, v in self._bracket(mats[i], mats[j], cols).items():
                 if q in where and (v := v % p if p else v):
                     c[i][j].append((where[q], v))
                     c[j][i].append((where[q], -v))
@@ -586,31 +598,32 @@ class LieSubalgebra:
 
     def bracket_span(self) -> Subspace:
         """The span of the basis and the brackets of its pairs."""
-        _, mats = self._int_basis
+        _, mats = self._columns
+        cols = list(enumerate(self.cols))
         rows = [dict(row) for row in self.space._terms] + [
-            _bracket(a, b, self.n) for a, b in itertools.combinations(mats, 2)]
-        return Subspace.from_vectors(self.field, self.n ** 2, rows)
+            self._bracket(a, b, cols) for a, b in itertools.combinations(mats, 2)]
+        return Subspace.from_vectors(self.field, self.space.ambient_dim, rows)
 
     def is_bracket_closed(self) -> bool:
         return self.bracket_span().dim == self.dim
 
 
 def derivation_algebra(algebra: StructureAlgebra) -> LieSubalgebra:
-    """Der(A): matrices D with D(e_i e_j) = D(e_i) e_j + e_i D(e_j).
+    """Der(A): matrices D with D(e_i e_j) = D(e_i) e_j + e_i D(e_j), kept as
+    the kernel in the |G| d unknowns X_g = D(e_g), g in the generators G.
 
-    One exact kernel in the |G| d unknowns X_g = D(e_g), g in the generators
-    G (column n d + a for the e_a coefficient of the n-th).  D(1) = 0 and
-    D(v_k) = D(v_m) e_g + v_m X_g along the word tree give D on the word
-    basis as sparse integer linear forms in X, as every derivation has it.
-    Each non-tree pair (v_k, g) adds the d rows of D(v_k e_g) = D(v_k) e_g +
-    v_k X_g, v_k e_g read in the word basis.  That is enough: S' = {b : D(x b)
-    = D(x) b + x D(b) for all x} is closed under products, as D(x b b') =
-    D(x b) b' + x b D(b') = D(x) b b' + x D(b b') for b, b' in S'; it holds 1
-    and G, so it holds the words, which span A.
+    D(1) = 0 and D(v_k) = D(v_m) e_g + v_m X_g along the word tree give D on
+    the word basis as sparse integer linear forms in X.  Each non-tree pair
+    (v_k, g) adds the d rows of D(v_k e_g) = D(v_k) e_g + v_k X_g, v_k e_g
+    read in the word basis.  That is enough: S' = {b : D(x b) = D(x) b +
+    x D(b) for all x} is closed under products, as D(x b b') = D(x b) b' +
+    x b D(b') = D(x) b b' + x D(b b') for b, b' in S'; it holds 1 and G, so
+    it holds the words, which span A.  A whole matrix, delta D(e_b) =
+    sum_m M_mb D(v_m), is read off the same forms when a bracket needs it.
     """
     f, d, p = algebra.field, algebra.dim, algebra.field.characteristic
     sparse, words = algebra._sparse, algebra.words.reps
-    base = {g: n * d for n, g in enumerate(algebra.gens)}
+    w, pos = len(algebra.gens), {g: i for i, g in enumerate(algebra.gens)}
     left = [[{} for _ in range(d)] for _ in words]  # left[k][t][a] = (v_k o e_a)[t]
     for rows, word in zip(left, words):
         for (s, x), a in itertools.product(enumerate(word), range(d)):
@@ -621,7 +634,7 @@ def derivation_algebra(algebra: StructureAlgebra) -> LieSubalgebra:
 
     def leibniz(k: int, g: int) -> list:
         """The forms of D(v_k) o e_g + v_k o X_g, one per e_t coefficient."""
-        out = [{base[g] + a: c for a, c in row.items()} for row in left[k]]
+        out = [{a * w + pos[g]: c for a, c in row.items()} for row in left[k]]
         for u, form in enumerate(forms[k]):
             for t, c in sparse[u][g]:
                 for col, x in form.items():
@@ -644,46 +657,42 @@ def derivation_algebra(algebra: StructureAlgebra) -> LieSubalgebra:
                     row[col] = row.get(col, 0) + c * x
             rows.add(tuple(sorted((col, r) for col, x in row.items()
                                   if (r := x % p if p else x))))
-    vecs = []                           # delta D(e_b) = sum_m M_mb D(v_m), flattened
-    for x in map(dict, _int_terms(kernel_rows(map(dict, rows), len(base) * d, f)._terms)[1]):
-        vecs.append(vec := [0] * (d * d))
+
+    def lift(x) -> dict:
+        """delta D by columns {b: {a: int}} for D with the entries x on G."""
+        x, out = dict(x), {}
         for m, row in enumerate(inverse):
-            image = [sum(c * x.get(col, 0) for col, c in form.items()) for form in forms[m]]
-            for (b, mb), a in itertools.product(row, range(d)):
-                vec[a * d + b] += mb * image[a]
-    return LieSubalgebra(f, d, Subspace.from_vectors(f, d * d, vecs))
+            image = [(a, v) for a, form in enumerate(forms[m])
+                     if (v := sum(c * x[col] for col, c in form.items() if col in x))]
+            for b, mb in row:
+                col = out.setdefault(b, {})
+                for a, v in image:
+                    col[a] = col.get(a, 0) + mb * v
+        return {b: {a: v % p for a, v in col.items()} for b, col in out.items()} if p else out
+    return LieSubalgebra(f, d, kernel_rows(map(dict, rows), w * d, f), algebra.gens, lift, delta)
 
 
 def der_into(algebra: StructureAlgebra, rad: RadicalData, target: Subspace,
              der: LieSubalgebra | None = None) -> LieSubalgebra:
-    """{D in Der(A) : D(J) <= target}, in integers: D(v) for each integer
-    row v of J is reduced against the target by _scaled_residual, and the
-    kernel is read back through _int_terms.  Over GF(p) the rows stay
-    unreduced; rref_rows reduces them."""
+    """{D in Der(A) : D(J) <= target}, in der's coordinates: D(v) = sum_b v_b
+    D(e_b), for each integer row v of J, is read off each basis D's columns
+    and reduced against the target by _scaled_residual.  Over GF(p) the rows
+    stay unreduced; rref_rows reduces them."""
     if der is None:
         der = derivation_algebra(algebra)
-    f, d = algebra.field, algebra.dim
-    # the nonzero (a d + c, s' D[a][c]) of each basis D; one scale s' for all
-    entries = _int_terms(der.space._terms)[1]
+    f, (_, mats) = algebra.field, der._columns
     s, scaled = _int_terms(target._terms)
     rows = []
-    for v in map(dict, _int_terms(rad.radical._terms)[1]):
-        residuals = []
-        for terms in entries:
-            image: dict[int, int] = {}  # D(v)
-            for k, x in terms:
-                if k % d in v:
-                    image[k // d] = image.get(k // d, 0) + x * v[k % d]
-            res = _scaled_residual(image, target, s, scaled)
-            residuals.append([res.get(t, 0) for t in range(d)])
-        rows.extend(row for row in zip(*residuals) if any(row))
-    vecs = []
-    for w in _int_terms(kernel_rows(rows, der.dim, f)._terms)[1]:
-        vecs.append(vec := [0] * (d * d))   # unreduced: rref_rows reduces it
-        for m, coef in w:
-            for k, x in entries[m]:
-                vec[k] += coef * x
-    return LieSubalgebra(f, d, Subspace.from_vectors(f, d * d, vecs))
+    for v in _int_terms(rad.radical._terms)[1]:
+        by_coefficient: dict[int, dict] = {}    # e_t coefficient -> {l: residual}
+        for l, m in enumerate(mats):
+            for t, r in _scaled_residual(_apply(m, v), target, s, scaled).items():
+                by_coefficient.setdefault(t, {})[l] = r
+        rows.extend(by_coefficient.values())
+    entries = dict(enumerate(map(dict, _int_terms(der.space._terms)[1])))
+    vecs = [_apply(entries, u) for u in _int_terms(kernel_rows(rows, der.dim, f)._terms)[1]]
+    space = Subspace.from_vectors(f, der.space.ambient_dim, vecs)
+    return LieSubalgebra(f, der.n, space, der.cols, der.lift, der.den)
 
 
 def _series_limit(lie: LieSubalgebra, derived: bool) -> int:

@@ -40,7 +40,7 @@ from .presentation import (MinimalDegreeSubspace, NormalForm, Presentation,
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_MAX_STRUCTURE_DIM = 30   # skip d^2-unknown solves above this dimension
+DEFAULT_MAX_STRUCTURE_DIM = 30   # no structure constants or Der(A) above this dimension
 DEFAULT_MAX_FLAG_DIM = 16
 
 DECIDABLE_FLAGS = ("SEMISIMPLE", "REDUCTIVE", "R_TRIVIAL", "RATIONAL",

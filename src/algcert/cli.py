@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 malformed input (schema, scalars, axioms),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -229,6 +230,7 @@ def _run(args) -> int:
     raise SchemaError(f"unknown command {args.command!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="algcert",

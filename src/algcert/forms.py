@@ -15,7 +15,7 @@ from .algebra import DEFAULT_MAX_ENUM, Coordinates, LieSubalgebra, is_solvable
 from .errors import (CharTwo, NotDegreeTwo, NotGraded, NotHomogeneous,
                      NotStable, SearchSpaceTooLarge, ZeroPolynomial)
 from .fields import Field, PrimeField
-from .linalg import Matrix, Subspace, kernel, kernel_rows, row_rank
+from .linalg import Matrix, Subspace, combine, kernel, kernel_rows, row_rank
 from .poly import Poly, degree_monomials, partial_derivative
 from .presentation import MinimalDegreeSubspace, Presentation
 from .roots import (minimal_polynomial, operator_power_sequence, poly_gcd,
@@ -533,7 +533,7 @@ def flag_search(operators: list[Matrix], field: Field,
             if not candidates:
                 return FlagSearchResult("NO_RATIONAL_FLAG")
         v = list(candidates[0].basis[0])
-        flag.append(_combine(field, v, reps))
+        flag.append(combine(field, zip(v, reps), len(reps[0])))
         if cur == 1:
             break
         # continue on the quotient by the line through v
@@ -541,14 +541,6 @@ def flag_search(operators: list[Matrix], field: Field,
         ops = [Matrix.from_columns(field, [coords.project(op.matvec(w))
                                            for w in coords.reps])
                for op in ops]
-        reps = [_combine(field, w, reps) for w in coords.reps]
+        reps = [combine(field, zip(w, reps), len(reps[0])) for w in coords.reps]
         cur -= 1
     return FlagSearchResult("FULL_FLAG", flag)
-
-
-def _combine(field: Field, coords, reps) -> list:
-    out = [field.zero] * len(reps[0])
-    for c, rep in zip(coords, reps):
-        if not field.is_zero(c):
-            out = [field.add(x, field.mul(c, y)) for x, y in zip(out, rep)]
-    return out

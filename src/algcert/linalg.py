@@ -143,6 +143,15 @@ def _dense(pairs, n: int, zero) -> list:
     return out
 
 
+def combine(field: Field, pairs, n: int) -> list:
+    """sum c v over the (c, v) in pairs, each v a list of n scalars."""
+    out = [field.zero] * n
+    for c, v in pairs:
+        if not field.is_zero(c):
+            out = [field.add(a, field.mul(c, b)) for a, b in zip(out, v)]
+    return out
+
+
 def rref_rows(rows, ncols: int, field: Field):
     """Canonical RREF of raw rows, taken as ``_canonical`` takes them;
     returns (dense canonical rows, pivot columns)."""

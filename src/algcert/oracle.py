@@ -15,8 +15,8 @@ from .algebra import (DEFAULT_MAX_ENUM, Coordinates, RadicalData, StructureAlgeb
 from .errors import (InternalInconsistency, SearchSpaceTooLarge,
                      UnsupportedRadicalComputation)
 from .fields import PrimeField
-from .linalg import (Echelon, Matrix, Subspace, invert, kernel, quotient_basis,
-                     rref, rref_rows)
+from .linalg import (Echelon, Matrix, Subspace, combine, invert, kernel,
+                     quotient_basis, rref, rref_rows)
 from .poly import TruncatedRing
 from .presentation import eval_monomial
 
@@ -44,9 +44,9 @@ def nilpotent_scan_radical(algebra: StructureAlgebra, bound: int = DEFAULT_MAX_E
         y = v
         for _ in range(steps):
             y = algebra.multiply(y, y)
-            if algebra.is_zero_vector(y):
+            if not any(y):
                 break
-        if algebra.is_zero_vector(y):
+        if not any(y):
             span.add(v)
             nilpotents.append(v)
             if span.dim == d - 1:
@@ -143,19 +143,11 @@ def _enumerate_local_commutative(algebra: StructureAlgebra, rad: RadicalData,
         _, piv = rref_rows(block, n, f)
         if len(piv) < n:
             continue
-        ys = []
-        for i in range(n):
-            y = [f.zero] * d
-            for c, row in zip(assign[i * jdim:(i + 1) * jdim], jbasis):
-                if c:
-                    y = [f.add(a, f.mul(c, b)) for a, b in zip(y, row)]
-            ys.append(y)
+        ys = [combine(f, zip(assign[i * jdim:(i + 1) * jdim], jbasis), d) for i in range(n)]
         # a generator assignment defines an endomorphism iff every ideal
         # relation evaluates to zero on it
         vals: dict = {}
-        if not all(
-                algebra.is_zero_vector(_poly_value(algebra, ys, rel, ring, vals))
-                for rel in relations):
+        if any(any(_poly_value(algebra, ys, rel, ring, vals)) for rel in relations):
             continue
         img_cols = [eval_monomial(algebra, ys, m, vals) for m in basis_monos]
         cand = Matrix.from_columns(f, img_cols).mul(binv)
@@ -175,12 +167,8 @@ def _jj2_coordinates(algebra: StructureAlgebra, rad: RadicalData) -> Coordinates
 
 
 def _poly_value(algebra, ys, relation, ring, cache):
-    f = algebra.field
-    acc = [f.zero] * algebra.dim
-    for pos, c in relation:
-        val = eval_monomial(algebra, ys, ring.monomials[pos], cache)
-        acc = [f.add(a, f.mul(c, b)) for a, b in zip(acc, val)]
-    return acc
+    return combine(algebra.field, ((c, eval_monomial(algebra, ys, ring.monomials[pos], cache))
+                                   for pos, c in relation), algebra.dim)
 
 
 def _enumerate_general(algebra: StructureAlgebra, max_enum: int) -> list:

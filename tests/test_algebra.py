@@ -13,7 +13,7 @@ from algcert.algebra import (Coordinates, LieSubalgebra, StructureAlgebra,
                              is_nilpotent, is_solvable, jacobson_radical,
                              jj2_basis, load_algebra, wm_complement)
 from algcert.cli import main
-from algcert.errors import (AmbientMismatch, InternalInconsistency, LoweyMismatch,
+from algcert.errors import (AmbientMismatch, BadScalar, InternalInconsistency, LoweyMismatch,
                             NonAssociative, NotSplitBasic, NotUnital,
                             UnsupportedRadicalComputation)
 from algcert.fields import GF, QQ
@@ -39,6 +39,12 @@ def qx_mod(power, field=QQ):
 def commutator(a, b):
     """ab - ba of two dense matrices: the reference for the sparse bracket."""
     return matrix_sum(a.field, a.nrows, [(1, a.mul(b)), (-1, b.mul(a))])
+
+
+def matrix_span(lie):
+    """The span of lie's basis as flattened n x n matrices, in k^(n^2)."""
+    return Subspace.from_vectors(lie.field, lie.n ** 2,
+                                 [m.flatten() for m in lie.basis_matrices()])
 
 
 def _ref_multiply(field, table, x, y):
@@ -79,6 +85,32 @@ class TestLoad:
         with pytest.raises(NonAssociative) as err:
             load_algebra(table, [1, 0, 0], QQ)
         assert err.value.triple == (1, 1, 1)
+
+    @pytest.mark.parametrize("field", [QQ, GF7], ids=["QQ", "GF7"])
+    def test_int_fraction_and_string_tables_load_alike(self, field):
+        # the integer table is read straight off the input: ints as they
+        # are, Fractions and strings through field.coerce; an integral
+        # table given all three ways, and a rescaled one with denominators
+        integral = upper_triangular_algebra(QQ, 3)
+        scaled = _rescaled(truncated_polynomial_algebra(QQ, 2, 3),
+                           [3, Fraction(1, 2), 5, 1, Fraction(1, 2), 3])
+        assert scaled._den > 1
+        for base, kinds in ((integral, (int, Fraction, str)), (scaled, (Fraction, str))):
+            want = [[[field.coerce(x) for x in cell] for cell in row] for row in base.table]
+            loaded = [StructureAlgebra(field, [[[kind(x) for x in cell] for cell in row]
+                                              for row in base.table], base.one)
+                      for kind in kinds]
+            for a in loaded:
+                assert a.table == want
+                assert a._sparse == loaded[0]._sparse
+                assert a.commutative == base.commutative
+        assert not integral.commutative and scaled.commutative
+
+    @pytest.mark.parametrize("field", [QQ, GF7], ids=["QQ", "GF7"])
+    def test_bool_constant_is_bad_scalar(self, field):
+        table = [[[1, 0], [0, 1]], [[0, 1], [0, True]]]
+        with pytest.raises(BadScalar, match="boolean is not a scalar: True"):
+            StructureAlgebra(field, table, [1, 0])
 
     def test_multiply_bilinear(self):
         a = upper_triangular_algebra(QQ, 2)
@@ -570,7 +602,7 @@ class TestDerivations:
             [a.table[i][j][t] - a.table[j][i][t] for t in range(a.dim) for j in range(a.dim)]
             for i in range(a.dim)])
         assert der.dim == ad.dim == a.dim - center(a).dim == 3
-        assert der.space == ad
+        assert matrix_span(der) == ad
 
     def test_bracket_closed(self):
         for a in (qx_mod(3), matrix_algebra(QQ, 2),
@@ -590,9 +622,10 @@ class TestDerivations:
         rad = jacobson_radical(a)
         der = derivation_algebra(a)
         sub = der_into(a, rad, rad.square, der=der)
+        span = matrix_span(sub)
         for dm in der.basis_matrices():
-            for sm in LieSubalgebra(QQ, a.dim, sub.space).basis_matrices():
-                assert sub.space.contains(commutator(dm, sm).flatten())
+            for sm in sub.basis_matrices():
+                assert span.contains(commutator(dm, sm).flatten())
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2**31 - 1)], ids=["QQ", "GF_BIG"])
@@ -665,7 +698,7 @@ def test_sparse_der_matches_dense_rows(field, rng):
         cases.append(scaled)
     for algebra in cases:
         for basis in (algebra, transvected(algebra, rng)):
-            assert derivation_algebra(basis).space == _dense_derivations(basis)
+            assert matrix_span(derivation_algebra(basis)) == _dense_derivations(basis)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -677,7 +710,7 @@ def test_der_with_many_generators(field):
         assert len(algebra.gens) >= least
         assert sum(1 for x in algebra.one if x) > 1
         der = derivation_algebra(algebra)
-        assert der.space == _dense_derivations(algebra)
+        assert matrix_span(der) == _dense_derivations(algebra)
         assert der.dim == dim_der
 
 
@@ -773,14 +806,49 @@ def test_center_on_generators_is_canonical(field, rng):
 def _reduced_der_into(algebra, rad, target, der):
     """Reference: {D in der : D(J) <= target} with target.reduce on each D(v)."""
     f, d = algebra.field, algebra.dim
+    mats = [m.flatten() for m in der.basis_matrices()]
     rows = []
     for v in rad.radical.basis:
         residuals = [target.reduce([sum(m[a * d + c] * v[c] for c in range(d))
-                                    for a in range(d)]) for m in der.space.basis]
+                                    for a in range(d)]) for m in mats]
         rows.extend(zip(*residuals))
-    vecs = [[sum(w_i * m[k] for w_i, m in zip(w, der.space.basis)) for k in range(d * d)]
+    vecs = [[sum(w_i * m[k] for w_i, m in zip(w, mats)) for k in range(d * d)]
             for w in kernel_rows(rows, der.dim, f).basis]
     return Subspace.from_vectors(f, d * d, vecs)
+
+
+@pytest.mark.parametrize("field", [QQ, GF3], ids=["QQ", "GF3"])
+def test_der_stays_on_generator_columns(field, rng, monkeypatch):
+    # Der(A), {D : D(J) <= J^2} and the lower central series of Der(A) run
+    # on the |G| d entries D(e_g): no kernel or span in algebra.py is taken
+    # in a larger ambient, such as the d^2 entries of whole matrices
+    import algcert.algebra as algebra_module
+    ambients = []
+    kernel, from_vectors = algebra_module.kernel_rows, Subspace.from_vectors.__func__
+
+    def record(n):
+        ambients.append(n)
+        return n
+    cases = [transvected(a, rng) for a in (
+        matrix_algebra(field, 3), upper_triangular_algebra(field, 3),
+        truncated_polynomial_algebra(field, 2, 4), exterior_algebra(field, 3))]
+    assert any(len(a.gens) < a.dim for a in cases)
+    for algebra in cases:
+        try:
+            rad = jacobson_radical(algebra)
+        except UnsupportedRadicalComputation:   # non-commutative over GF(p)
+            rad = None
+        ambients.clear()
+        with monkeypatch.context() as m:
+            m.setattr(algebra_module, "kernel_rows",
+                      lambda rows, n, f: kernel(rows, record(n), f))
+            m.setattr(Subspace, "from_vectors", classmethod(
+                lambda cls, f, n, vecs: from_vectors(cls, f, record(n), vecs)))
+            der = derivation_algebra(algebra)
+            if rad is not None:
+                der_into(algebra, rad, rad.square, der=der)
+            is_nilpotent(der)
+        assert ambients and max(ambients) <= len(algebra.gens) * algebra.dim
 
 
 @pytest.mark.parametrize("field", [QQ, GF3], ids=["QQ", "GF3"])
@@ -791,7 +859,7 @@ def test_der_into_matches_reduce(field, rng):
         rad = jacobson_radical(algebra)
         der = derivation_algebra(algebra)
         for target in (rad.square, rad.radical, Subspace.zero(field, algebra.dim)):
-            assert der_into(algebra, rad, target, der=der).space \
+            assert matrix_span(der_into(algebra, rad, target, der=der)) \
                 == _reduced_der_into(algebra, rad, target, der)
 
 
@@ -800,7 +868,7 @@ def _dense_series(lie, derived):
     of n x n matrices, until it reaches 0 or repeats a dimension."""
     f, n = lie.field, lie.n
     base = lie.basis_matrices()
-    terms = [lie.space]
+    terms = [matrix_span(lie)]
     while terms[-1].dim:
         cur = LieSubalgebra(f, n, terms[-1]).basis_matrices()
         left = cur if derived else base
@@ -934,12 +1002,17 @@ def _lie_cases(rng, field):
         for shape in ("strict", "upper", "full"):
             for _ in range(2):
                 yield _random_closed(rng, field, n, shape)
+    # dense bases, where the constants are read on |G| < d columns
+    for alg in (qx_mod(4, field), upper_triangular_algebra(field, 3), matrix_algebra(field, 2),
+                truncated_polynomial_algebra(field, 2, 3)):
+        yield derivation_algebra(transvected(alg, rng))
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)])
 def test_lie_decisions_match_dense_reference(rng, field):
-    seen, scales = set(), set()
+    seen, scales, narrow = set(), set(), 0
     for lie in _lie_cases(rng, field):
+        narrow += len(lie.cols) < lie.n
         mats = lie.basis_matrices()
         # [B_i, B_j] = sum_l C B_l / scale over the pairs (l, C) in consts[i][j]
         scale, consts = lie.structure_constants
@@ -958,6 +1031,7 @@ def test_lie_decisions_match_dense_reference(rng, field):
         seen.add((is_solvable(lie), is_nilpotent(lie)))
     # every branch is exercised: nilpotent, solvable only, neither
     assert seen == {(True, True), (True, False), (False, False)}
+    assert narrow >= 4
     # over Q the canonical bases with denominators 2 and 3 give scales 4 and 9
     assert scales == {1} if field.characteristic else {4, 9} <= scales
 

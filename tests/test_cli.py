@@ -96,6 +96,19 @@ def test_text_and_json_verdicts_agree(quadric_presentation, capsys):
     assert json_set == text_set
 
 
+def test_parser_is_built_once_and_keeps_no_options(quadric_presentation, capsys):
+    # main reuses one parser; a call's flags must not reach the next call,
+    # whose output equals that of a call on a freshly built parser
+    assert cli.build_parser() is cli.build_parser()
+    flagged = main(["analyze", quadric_presentation, "--field", "GFp:7", "--format", "text"])
+    flagged_out = capsys.readouterr().out
+    plain = main(["analyze", quadric_presentation]), capsys.readouterr().out
+    cli.build_parser.cache_clear()
+    fresh = main(["analyze", quadric_presentation]), capsys.readouterr().out
+    assert plain == fresh
+    assert (flagged, flagged_out) != plain
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"kind": "structure_constants", ', encoding="utf-8")
