@@ -556,9 +556,12 @@ class LieSubalgebra:
         return s * self.den, list(map(self.lift or self._regroup, terms))
 
     def basis_matrices(self) -> list[Matrix]:
+        """The basis as matrices; only their nonzero entries are divided by s den."""
         f, n, (s, mats) = self.field, self.n, self._columns
-        return [Matrix(f, [[f.div(f.coerce(m.get(b, {}).get(a, 0)), f.coerce(s))
-                            for b in range(n)] for a in range(n)]) for m in mats]
+        cells = [{(a, b): f.div(f.coerce(x), f.coerce(s)) for b, col in m.items()
+                  for a, x in col.items()} for m in mats]
+        return [Matrix(f, [[c.get((a, b), f.zero) for b in range(n)] for a in range(n)])
+                for c in cells]
 
     def _bracket(self, x: dict, y: dict, cols) -> dict:
         """[x, y] e_c = x (y e_c) - y (x e_c) for the (pos(c), c) in cols, x

@@ -681,9 +681,6 @@ def verify_invariant_pair(q: Poly, f: Poly, lowey: int,
     sim = sim_lie(f)
     stab = stab_lie(f)
     n = f.n_vars
-    eye = Matrix.identity(f.field, n).flatten()
-    scalars = Subspace.from_vectors(f.field, n * n, [eye])
-    stab_scalars = stab.space.intersect(scalars)
     report = {
         "n_vars": n,
         "lowey": lowey,
@@ -692,7 +689,8 @@ def verify_invariant_pair(q: Poly, f: Poly, lowey: int,
         "dim_sim_lie": sim.dim,
         "dim_stab_lie": stab.dim,
         "im_phi_equals_sim": im.space == sim.space,
-        "stab_meets_scalars_trivially": stab_scalars.dim == 0,
+        "stab_meets_scalars_trivially":
+            not stab.space.contains(Matrix.identity(f.field, n).flatten()),
         "sim_is_stab_plus_scalars": sim.dim == stab.dim + 1,
     }
     if q.degree() == 2 and q.field.characteristic != 2 and q.is_homogeneous():

@@ -105,6 +105,9 @@ def _prime_entry(text: str) -> int:
 
 
 def _config_from_args(args) -> CertifyConfig:
+    for flag, bound in (("--height-bound", args.height_bound), ("--max-enum", args.max_enum)):
+        if bound is not None and bound < 0:
+            raise SchemaError(f"{flag} must be a nonnegative integer, got {bound}")
     cfg = CertifyConfig()
     if args.height_bound is not None:
         cfg.height_bound = args.height_bound

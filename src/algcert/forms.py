@@ -2,6 +2,11 @@
 isotropy and nonsingularity evidence, the linearized stabilizer/similarity
 algebras of a polynomial, the linear-change stabilizer of an ideal, and the
 rational flag search on a stable subspace.
+
+A linear change of variables acts through one linearised action, delta_M(h)
+= sum_ij M_ij X_i dh/dX_j: ``_delta_columns`` builds its n^2 columns once,
+each Lie algebra here is the kernel of a linear residual of them
+(``_lie_kernel``), and ``restricted_action`` sums the same columns.
 """
 
 from __future__ import annotations
@@ -195,13 +200,6 @@ def macaulay_rank(forms: list[Poly], degree: int) -> tuple[int, int]:
     return row_rank(rows, forms[0].field), len(cols)
 
 
-def binary_form_resultant_rank(fx: Poly, fy: Poly, degree: int) -> tuple[int, int]:
-    """(rank, size) of the Sylvester matrix of two binary forms of declared
-    equal degree, the n = 2 Macaulay matrix; rank < size iff they share a
-    projective root over the algebraic closure, i.e. the resultant vanishes."""
-    return macaulay_rank([fx, fy], degree)
-
-
 def _no_common_zero(parts: list[Poly], d: int, points: int) -> bool:
     """True when the Macaulay rank of the partials of a degree-d form is
     full, so they have no common zero over the algebraic closure.  Declines
@@ -277,7 +275,7 @@ def nonsingularity(f: Poly, height_bound: int = DEFAULT_HEIGHT_BOUND,
             return NonsingularityEvidence("SINGULAR_WITNESS", "diagonal", witness)
         return NonsingularityEvidence("NONSINGULAR_CERTIFIED", "diagonal")
     parts = _partials(f)
-    if n <= 2:
+    if n == 2:
         return _nonsingularity_binary(f, parts)
     if isinstance(fld, PrimeField):
         if fld.p**n > max_enum:
@@ -334,9 +332,6 @@ def _shell(n: int, r: int):
 def _nonsingularity_binary(f: Poly, parts: list[Poly]) -> NonsingularityEvidence:
     fld = f.field
     d = f.degree()
-    if f.n_vars == 1:
-        # f = c X1^d was handled by the diagonal rule; only f = 0 remains
-        raise NotHomogeneous("unreachable: univariate non-diagonal form")
     fx, fy = parts
     if fx.is_zero() and fy.is_zero():
         witness = [fld.one, fld.zero]
@@ -347,15 +342,13 @@ def _nonsingularity_binary(f: Poly, parts: list[Poly]) -> NonsingularityEvidence
         if witness is not None:
             return NonsingularityEvidence("SINGULAR_WITNESS", "resultant", witness)
         return NonsingularityEvidence("UNKNOWN", "resultant")
-    rank, size = binary_form_resultant_rank(fx, fy, d - 1)
+    rank, size = macaulay_rank(parts, d - 1)
     if rank == size:
         return NonsingularityEvidence("NONSINGULAR_CERTIFIED", "resultant")
     if _is_common_zero(parts, [fld.one, fld.zero]):
         return NonsingularityEvidence("SINGULAR_WITNESS", "resultant",
                                       [fld.one, fld.zero])
-    ax = _binary_coeff_vector(fx, d - 1)
-    ay = _binary_coeff_vector(fy, d - 1)
-    g = poly_gcd(ax, ay, fld)
+    g = poly_gcd(*(_binary_coeff_vector(p, d - 1) for p in parts), fld)
     if len(g) > 1:
         roots = roots_in_field(g, fld)
         if roots:
@@ -376,86 +369,70 @@ def _binary_rational_root(g: Poly) -> list | None:
     return None
 
 
-# -- linearized stabilizer / similarity algebras -----------------------------------
+# -- the linearised action delta_M ---------------------------------------------------
 
-def _delta_polys(f: Poly) -> list[list[Poly]]:
-    """q[i][j] = X_i * df/dX_j, so that delta_M(f) = sum m_ij q[i][j]."""
-    n = f.n_vars
-    parts = _partials(f)
-    out = []
-    for i in range(n):
-        xi = Poly.variable(n, f.field, i)
-        out.append([xi.mul(parts[j]) for j in range(n)])
-    return out
+def _delta_columns(h: Poly) -> list[dict]:
+    """The n^2 columns of delta_M(h) = sum_ij M_ij X_i dh/dX_j, the derivative
+    of t -> h(X (I + tM)) at t = 0: column i n + j is X_i dh/dX_j as
+    {monomial: c}, where each term c X^m with m_j > 0 gives m_j c at m with
+    one X_j traded for an X_i."""
+    if h.is_zero():
+        raise ZeroPolynomial("Lie algebra of the zero polynomial")
+    if not h.is_homogeneous():
+        raise NotHomogeneous("need a homogeneous polynomial")
+    fld, n = h.field, h.n_vars
+    cols = [{} for _ in range(n * n)]
+    for m, c in h.terms.items():
+        for j, e in enumerate(m):
+            if e and (x := fld.mul(e, c)):
+                lower = m[:j] + (e - 1,) + m[j + 1:]
+                for i in range(n):
+                    cols[i * n + j][lower[:i] + (lower[i] + 1,) + lower[i + 1:]] = x
+    return cols
 
 
-def delta_action(m: Matrix, f: Poly) -> Poly:
-    """Derivative of t -> f(X (I + tM)) at t = 0."""
-    n = f.n_vars
-    fld = f.field
-    out = Poly.zero(n, fld)
-    parts = _partials(f)
-    for j in range(n):
-        if parts[j].is_zero():
-            continue
-        form = Poly(n, fld, {tuple(1 if t == i else 0 for t in range(n)):
-                             m.rows[i][j] for i in range(n)})
-        out = out.add(form.mul(parts[j]))
-    return out
+def _lie_kernel(fld: Field, n: int, polys: list[Poly], residual) -> LieSubalgebra:
+    """{M in gl_n : residual(delta_M(h)) = 0 for each h in polys}, residual
+    a linear map of a column to a dict {coordinate: c} of its nonzeros: one
+    kernel row per (h, coordinate), holding M_ij's coefficient at i n + j."""
+    rows: dict[tuple, dict] = {}
+    for r, h in enumerate(polys):
+        for k, col in enumerate(_delta_columns(h)):
+            for c, x in residual(col).items():
+                rows.setdefault((r, c), {})[k] = x
+    return LieSubalgebra(fld, n, kernel_rows(rows.values(), n * n, fld))
 
 
 def stab_lie(f: Poly) -> LieSubalgebra:
     """Lie algebra of the stabilizer of f: {M : delta_M(f) = 0}."""
-    if f.is_zero():
-        raise ZeroPolynomial("stabilizer of the zero polynomial")
-    if not f.is_homogeneous():
-        raise NotHomogeneous("need a homogeneous polynomial")
-    fld = f.field
-    n = f.n_vars
-    q = _delta_polys(f)
-    monos = sorted({m for row in q for p in row for m in p.terms})
-    rows = [[q[i][j].coefficient(mono) for i in range(n) for j in range(n)]
-            for mono in monos]
-    return LieSubalgebra(fld, n, kernel_rows(rows, n * n, fld))
+    return _lie_kernel(f.field, f.n_vars, [f], dict)
 
 
 def sim_lie(f: Poly) -> LieSubalgebra:
-    """Lie algebra of the similarity group: {M : delta_M(f) in span{f}}."""
-    if f.is_zero():
-        raise ZeroPolynomial("similarity algebra of the zero polynomial")
-    if not f.is_homogeneous():
-        raise NotHomogeneous("need a homogeneous polynomial")
+    """Lie algebra of the similarity group: {M : delta_M(f) in span{f}}.  A
+    column's residual against span{f} is the column less the multiple of f
+    that clears it at f's first monomial."""
     fld = f.field
-    n = f.n_vars
-    q = _delta_polys(f)
-    monos = sorted({m for row in q for p in row for m in p.terms} | set(f.terms))
-    rows = []
-    for mono in monos:
-        row = [q[i][j].coefficient(mono) for i in range(n) for j in range(n)]
-        row.append(fld.neg(f.coefficient(mono)))
-        rows.append(row)
-    sol = kernel_rows(rows, n * n + 1, fld)
-    vecs = [v[:n * n] for v in sol.basis]
-    return LieSubalgebra(fld, n, Subspace.from_vectors(fld, n * n, vecs))
+
+    def residual(col: dict) -> dict:
+        mono, lead = next(iter(f.terms.items()))      # f != 0: it has columns
+        t = fld.div(col.get(mono, fld.zero), lead)
+        return {m: c for m in col.keys() | f.terms.keys()
+                if (c := fld.sub(col.get(m, fld.zero), fld.mul(t, f.coefficient(m))))}
+
+    return _lie_kernel(fld, f.n_vars, [f], residual)
 
 
 def im_phi_lie(pres: Presentation) -> LieSubalgebra:
-    """{M in gl_n : delta_M(ideal) <= ideal} for a graded presentation: for
-    each ideal basis row h, sum_ij M_ij r_ij = 0 at every coordinate where
-    some residual r_ij of X_i dh/dX_j against the ideal is nonzero."""
-    f = pres.field
-    n = pres.n_vars
+    """{M in gl_n : delta_M(ideal) <= ideal} for a graded presentation: the
+    residual of each column of each ideal basis row h against the ideal.  A
+    column has h's degree, below l, so it is its own truncation."""
     polys = [pres.row_poly(dict(row)) for row in pres.ideal._terms]
     if not all(h.is_homogeneous() for h in polys):
         raise NotGraded("presentation ideal has no homogeneous basis")
-    rows: dict[tuple, dict] = {}        # (h, c) -> {i n + j: r_ij[c]}
-    for r, h in enumerate(polys):
-        q = _delta_polys(h)
-        for k in range(n * n):
-            residual = pres.ideal.reduce(pres.ring.truncate(q[k // n][k % n]))
-            for c, x in residual.items():
-                rows.setdefault((r, c), {})[k] = x
-    return LieSubalgebra(f, n, kernel_rows(rows.values(), n * n, f))
+    index = pres.ring.index
+    return _lie_kernel(pres.field, pres.n_vars, polys,
+                       lambda col: pres.ideal.reduce({index[m]: c for m, c in col.items()}))
 
 
 # -- flag search --------------------------------------------------------------------
@@ -467,22 +444,29 @@ class FlagSearchResult:
 
 
 def restricted_action(lie: LieSubalgebra, w: MinimalDegreeSubspace) -> list[Matrix]:
-    """Matrices of delta_M acting on W for each basis M of the Lie algebra.
+    """Matrices of delta_M acting on W for each basis M of the Lie algebra:
+    delta_M(w) = sum_k M_k column_k(w) over M's nonzero entries, with W's
+    columns built once per basis vector w.
 
     Raises NotStable when some delta_M image leaves W.
     """
     f = lie.field
-    # a vector of W has its coordinates on the canonical basis at the pivots
-    pivots = w.space.pivots
+    index = {m: i for i, m in enumerate(w.monomials)}
+    columns = [[{index[m]: c for m, c in col.items()} for col in _delta_columns(wp)]
+               for wp in w.polys]
     ops = []
     for m in lie.basis_matrices():
+        entries = [(k, x) for k, x in enumerate(m.flatten()) if x]
         cols = []
-        for wp in w.polys:
-            img = delta_action(m, wp)
-            vec = [img.coefficient(mono) for mono in w.monomials]
-            if not w.space.contains(vec):
+        for wcols in columns:
+            img: dict = {}
+            for k, x in entries:
+                for pos, c in wcols[k].items():
+                    img[pos] = f.add(img.get(pos, f.zero), f.mul(x, c))
+            if not w.space.contains(img):
                 raise NotStable("subspace is not stable under the action")
-            cols.append([vec[p] for p in pivots])
+            # a vector of W has its coordinates on the canonical basis at the pivots
+            cols.append([img.get(p, f.zero) for p in w.space.pivots])
         ops.append(Matrix.from_columns(f, cols))
     return ops
 

@@ -48,12 +48,6 @@ class Poly:
         return cls(n_vars, field, {(0,) * n_vars: c})
 
     @classmethod
-    def variable(cls, n_vars: int, field: Field, i: int) -> Poly:
-        """X_{i+1} for 0-based i."""
-        mono = tuple(1 if j == i else 0 for j in range(n_vars))
-        return cls(n_vars, field, {mono: field.one})
-
-    @classmethod
     def monomial(cls, n_vars: int, field: Field, exponents, coeff=1) -> Poly:
         return cls(n_vars, field, {tuple(exponents): coeff})
 
@@ -287,12 +281,13 @@ def s_index(g: Poly) -> int | None:
 
 def degree_monomials(n_vars: int, d: int) -> list[tuple]:
     """The C(n+d-1, d) exponent tuples of degree d in n variables, in grlex order."""
-    # stars and bars: n-1 bar positions among d+n-1 slots give each tuple once
+    # stars and bars: n-1 bar positions among d+n-1 slots give each tuple
+    # once.  Bar k stands at e_1 + ... + e_(k+1) + k, so the bars in reverse
+    # lexicographic order give the exponents in reverse lexicographic order,
+    # which is grlex within one degree
     slots = d + n_vars - 1
-    level = [tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
-             for bars in itertools.combinations(range(slots), n_vars - 1)]
-    level.sort(key=grlex_key)
-    return level
+    return [tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
+            for bars in reversed(list(itertools.combinations(range(slots), n_vars - 1)))]
 
 
 class TruncatedRing:

@@ -12,8 +12,8 @@ from algcert.constructions import (componentwise_algebra, direct_sum,
 from algcert.errors import LoweyMismatch
 from algcert.fields import GF, QQ
 from algcert.linalg import Matrix
-from algcert.forms import (binary_form_resultant_rank, im_phi_lie,
-                           nonsingularity, sim_lie, stab_lie)
+from algcert.forms import (im_phi_lie, macaulay_rank, nonsingularity, sim_lie,
+                           stab_lie)
 from algcert.oracle import enumerate_automorphisms, induced_jj2_matrices
 from algcert.poly import (LinearChange, Poly, apply_linear_change,
                           partial_derivative)
@@ -209,8 +209,8 @@ def test_acceptance_8_image_equals_similarity():
 def test_acceptance_9_nonsingularity():
     fermat = pp("X1^3+X2^3", 2)
     assert nonsingularity(fermat).verdict == "NONSINGULAR_CERTIFIED"
-    rank, size = binary_form_resultant_rank(
-        partial_derivative(fermat, 0), partial_derivative(fermat, 1), 2)
+    rank, size = macaulay_rank(
+        [partial_derivative(fermat, 0), partial_derivative(fermat, 1)], 2)
     assert rank == size  # the n = 2 resultant path certifies it as well
     witness_case = nonsingularity(pp("X1^2*X2", 2))
     assert witness_case.verdict == "SINGULAR_WITNESS"

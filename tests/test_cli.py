@@ -318,6 +318,18 @@ def test_bad_primes_exit_2(tmp_path, primes, capsys):
     assert "--primes" in out.err
 
 
+@pytest.mark.parametrize("flag,value", [("--height-bound", "-3"), ("--max-enum", "-1")])
+def test_negative_bound_exit_2(tmp_path, flag, value, capsys):
+    # a negative bound is refused up front, not read as an empty search
+    path = _write(tmp_path, "quadric.json", {
+        "kind": "presentation", "field": {"type": "Q"}, "n_vars": 3,
+        "trunc_degree": 4, "generators": ["X1^2+X2^2-3*X3^2"]})
+    assert main(["analyze", path, flag, value]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert flag in out.err
+
+
 def test_good_primes_accepted(tmp_path, capsys):
     path = _write(tmp_path, "hesse.json", {
         "kind": "presentation", "field": {"type": "Q"}, "n_vars": 3,

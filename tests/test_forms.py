@@ -6,17 +6,17 @@ from math import comb
 import pytest
 
 from algcert import forms
-from algcert.algebra import DEFAULT_MAX_ENUM, der_into, derivation_algebra, jacobson_radical
+from algcert.algebra import (DEFAULT_MAX_ENUM, LieSubalgebra, der_into, derivation_algebra,
+                             jacobson_radical)
 from algcert.errors import (CharTwo, NotDegreeTwo, NotGraded, NotHomogeneous,
                             NotStable, ZeroPolynomial)
 from algcert.fields import GF, QQ
-from algcert.linalg import Matrix, Subspace, invert, rref_rows
+from algcert.linalg import Matrix, Subspace, invert, kernel, rref_rows
 from algcert.poly import (LinearChange, Poly, apply_linear_change, degree_monomials,
                           partial_derivative)
-from algcert.forms import (binary_form_resultant_rank, delta_action, diagonalize,
-                           flag_search, im_phi_lie, isotropy, macaulay_rank,
-                           nonsingularity, quadratic_from_poly, restricted_action,
-                           sim_lie, stab_lie)
+from algcert.forms import (diagonalize, flag_search, im_phi_lie, isotropy,
+                           macaulay_rank, nonsingularity, quadratic_from_poly,
+                           restricted_action, sim_lie, stab_lie)
 from algcert.presentation import (minimal_degree_subspace,
                                   presentation_from_ideal, quotient_algebra)
 from conftest import pp
@@ -120,8 +120,7 @@ class TestNonsingularity:
 
     def test_resultant_path_agrees_on_fermat_cubic(self):
         f = pp("X1^3+X2^3", 2)
-        rank, size = binary_form_resultant_rank(
-            partial_derivative(f, 0), partial_derivative(f, 1), 2)
+        rank, size = macaulay_rank([partial_derivative(f, 0), partial_derivative(f, 1)], 2)
         assert rank == size
 
     def test_coordinate_axis_witness(self):
@@ -222,7 +221,6 @@ def test_macaulay_rank_is_sylvester_for_binary_forms():
                     continue
                 want = _sylvester_rank(fx, fy, degree)
                 assert macaulay_rank([fx, fy], degree) == want
-                assert binary_form_resultant_rank(fx, fy, degree) == want
 
 
 def test_macaulay_shortcut_changes_no_evidence(monkeypatch):
@@ -350,10 +348,13 @@ class TestStabSim:
         assert stab_lie(pp("X1^3+X2^3", 2)).dim == 0
 
     def test_euler_identity(self):
+        # span{I} acts on W = span{f} as deg f times the identity
         for text, n in (("X1^2+X2^2", 2), ("X1^3+X2^3", 2), ("X1^2*X2^2+X1*X2^3", 2)):
             f = pp(text, n)
             eye = Matrix.identity(QQ, n)
-            assert delta_action(eye, f) == f.scale(f.degree())
+            w = minimal_degree_subspace(build(n, f.degree() + 1, [text]))
+            scalars = LieSubalgebra(QQ, n, Subspace.from_vectors(QQ, n * n, [eye.flatten()]))
+            assert restricted_action(scalars, w) == [Matrix(QQ, [[f.degree()]])]
             assert sim_lie(f).space.contains(eye.flatten())
 
     def test_bracket_closed_and_nested(self):
@@ -483,3 +484,104 @@ class TestWStability:
             p = build(n, l, texts)
             w = minimal_degree_subspace(p)
             restricted_action(im_phi_lie(p), w)  # must not raise
+
+
+# -- delta_M against a dense reference ------------------------------------------------
+
+def _ref_delta_polys(f):
+    """q[i][j] = X_i df/dX_j, each a product of polynomials."""
+    n = f.n_vars
+    parts = [partial_derivative(f, j) for j in range(n)]
+    xs = [Poly.monomial(n, f.field, [int(t == i) for t in range(n)]) for i in range(n)]
+    return [[xs[i].mul(parts[j]) for j in range(n)] for i in range(n)]
+
+
+def _ref_delta_action(m, f):
+    """delta_M(f) = sum_ij M_ij X_i df/dX_j for a dense matrix M."""
+    q = _ref_delta_polys(f)
+    out = Poly.zero(f.n_vars, f.field)
+    for i, j in itertools.product(range(f.n_vars), repeat=2):
+        out = out.add(q[i][j].scale(m.rows[i][j]))
+    return out
+
+
+def _ref_lie(f, span):
+    """{M : delta_M(f) in the span of the polynomials in span}: the kernel on
+    n^2 + |span| unknowns of dense rows over every monomial, projected to M."""
+    fld, n = f.field, f.n_vars
+    q = _ref_delta_polys(f)
+    monos = sorted({m for row in q for p in row for m in p.terms}
+                   | {m for g in span for m in g.terms})
+    rows = [[q[i][j].coefficient(m) for i in range(n) for j in range(n)]
+            + [fld.neg(g.coefficient(m)) for g in span] for m in monos]
+    sol = kernel(Matrix(fld, rows)) if rows else Subspace.full(fld, n * n + len(span))
+    return Subspace.from_vectors(fld, n * n, [v[:n * n] for v in sol.basis])
+
+
+def _ref_im_phi(pres):
+    """The meet over the ideal basis rows h of {M : delta_M(h) in the ideal};
+    delta_M(h) has h's degree, below l, so no truncation is needed."""
+    fld, n = pres.field, pres.n_vars
+    rows = [pres.row_poly(dict(row)) for row in pres.ideal._terms]
+    out = Subspace.full(fld, n * n)
+    for h in rows:
+        out = out.intersect(_ref_lie(h, rows))
+    return out
+
+
+def _ref_restricted_action(lie, w):
+    """The operators of delta_M on W, M read densely off the basis of lie.space."""
+    fld, n = lie.field, lie.n
+    ops = []
+    for v in lie.space.basis:
+        m = Matrix(fld, [v[i * n:(i + 1) * n] for i in range(n)])
+        cols = []
+        for wp in w.polys:
+            img = _ref_delta_action(m, wp)
+            vec = [img.coefficient(mono) for mono in w.monomials]
+            if not w.space.contains(vec):
+                raise NotStable("reference: W is not stable")
+            cols.append([vec[p] for p in w.space.pivots])
+        ops.append(Matrix.from_columns(fld, cols))
+    return ops
+
+
+def _action_or_error(lie, w, action):
+    try:
+        return action(lie, w)
+    except NotStable:
+        return NotStable
+
+
+@pytest.mark.filterwarnings("ignore::algcert.errors.LoweyMismatch")
+@pytest.mark.parametrize("field", [QQ, GF2, GF3, GF5, GF7], ids=repr)
+def test_delta_kernels_match_dense_reference(field):
+    # seeded random forms, among them char | deg ones over GF(p): there the
+    # Euler identity puts I in stab, and sim need not be stab + scalars
+    rng = random.Random(31 + field.characteristic)
+    char_divides = 0
+    for _ in range(40):
+        n, d = rng.randint(1, 4), rng.randint(2, 5)
+        monos = degree_monomials(n, d)
+        f = Poly(n, field, {m: rng.choice([-3, -2, -1, 1, 2, 3])
+                            for m in rng.sample(monos, min(len(monos), rng.randint(1, 5)))})
+        if f.is_zero():
+            continue
+        stab, sim = stab_lie(f), sim_lie(f)
+        assert stab.space == _ref_lie(f, [])
+        assert sim.space == _ref_lie(f, [f])
+        eye = Matrix.identity(field, n).flatten()
+        if field.characteristic and d % field.characteristic == 0:
+            char_divides += 1
+            assert stab.space.contains(eye)
+        else:
+            assert not stab.space.contains(eye) and sim.dim == stab.dim + 1
+        gens = [f, Poly(n, field, {m: rng.randint(-2, 2) for m in rng.sample(monos, 1)})]
+        pres = presentation_from_ideal(n, d + rng.randint(1, 2), gens[:rng.randint(1, 2)], field)
+        im = im_phi_lie(pres)
+        assert im.space == _ref_im_phi(pres)
+        w = minimal_degree_subspace(pres)
+        for lie in (im, stab):
+            assert (_action_or_error(lie, w, restricted_action)
+                    == _action_or_error(lie, w, _ref_restricted_action))
+    assert char_divides > 0 or field.characteristic not in (2, 3, 5)

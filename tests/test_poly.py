@@ -11,7 +11,8 @@ from algcert.errors import (BadScalar, NotInvertible, NotSHomogeneous,
 from algcert.fields import GF, QQ
 from algcert.linalg import Matrix
 from algcert.poly import (LinearChange, Poly, TruncatedRing,
-                          apply_linear_change, grlex_key, homogeneous_components,
+                          apply_linear_change, degree_monomials, grlex_key,
+                          homogeneous_components,
                           monomial_gcd_factor, parse_poly, partial_derivative,
                           s_index)
 from conftest import pp, random_poly
@@ -158,6 +159,16 @@ class TestOps:
                 ring = TruncatedRing(n, l)
                 assert ring.monomials == want
                 assert ring.index == {m: i for i, m in enumerate(want)}
+
+    def test_degree_monomials_in_grlex_order(self):
+        # reference: each multiset of d variables as an exponent tuple, sorted
+        for n in range(1, 7):
+            for d in range(11):
+                want = sorted({tuple(c.count(i) for i in range(n))
+                               for c in itertools.combinations_with_replacement(range(n), d)},
+                              key=grlex_key)
+                assert degree_monomials(n, d) == want
+                assert len(want) == comb(n + d - 1, d)
 
     def test_truncated_ring_many_variables(self):
         start = time.perf_counter()

@@ -51,6 +51,24 @@ def test_one_lie_bracket():
     assert found == []
 
 
+def test_one_linearised_action():
+    # forms.py builds delta_M(h) = sum M_ij X_i dh/dX_j once, as its columns;
+    # no module keeps a second construction of it beside them
+    names = {"delta_action", "_delta_polys"}
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and node.name in names)
+             or (isinstance(node, ast.Name) and node.id in names
+                 and isinstance(node.ctx, ast.Store))
+             or (isinstance(node, (ast.Import, ast.ImportFrom))
+                 and any(names & {alias.name.split(".")[-1], alias.asname}
+                         for alias in node.names))]
+    assert SOURCES
+    assert found == []
+
+
 def test_one_product_table():
     # a structure algebra multiplies on its one sparse integer table; no
     # module keeps or reads a second copy of the constants as field entries
