@@ -238,19 +238,17 @@ class Coordinates:
         return combine(self.field, zip(x, self.reps), self._ambient_dim)
 
 
-def induced_algebra(multiply, coords: Coordinates, one,
-                    known_radical: Subspace | None = None) -> StructureAlgebra:
+def induced_algebra(algebra: StructureAlgebra, coords: Coordinates, one) -> StructureAlgebra:
     """The algebra on span(coords.reps) with x * y = project(lift(x) lift(y)).
 
-    ``multiply`` is the ambient product and ``one`` the unit in ambient
-    coordinates: the quotient's unit for A/J, the subalgebra's own unit (an
-    idempotent of A) for a subalgebra or a corner eAe.
+    ``one`` is its unit in the coordinates of ``algebra``: the quotient's
+    unit for A/J, the subalgebra's own unit (an idempotent of A) for a
+    subalgebra or a corner eAe.
     """
     reps = coords.reps
-    table = [[coords.project(multiply(a, b)) for b in reps] for a in reps]
+    table = [[coords.project(algebra.multiply(a, b)) for b in reps] for a in reps]
     try:
-        return StructureAlgebra(coords.field, table, coords.project(one),
-                                known_radical=known_radical)
+        return StructureAlgebra(coords.field, table, coords.project(one))
     except (NotUnital, NonAssociative) as exc:
         raise InternalInconsistency(f"induced algebra: {exc}") from exc
 
@@ -463,7 +461,7 @@ def wm_complement(algebra: StructureAlgebra, rad: RadicalData) -> WMDecompositio
         if not j.contains(bracket):
             raise NotSplitBasic("A/J is not commutative")
     coords = Coordinates.quotient(j)
-    quot = induced_algebra(algebra.multiply, coords, algebra.one)
+    quot = induced_algebra(algebra, coords, algebra.one)
     pieces = _split_components(quot, Subspace.full(f, quot.dim))
     prims = sorted(pieces, key=lambda u: [str(c) for c in u])
     lifted = []

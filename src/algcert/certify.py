@@ -145,9 +145,7 @@ def semisimple_block_sizes(algebra: StructureAlgebra,
 
 def quotient_structure(algebra: StructureAlgebra, rad: RadicalData) -> StructureAlgebra:
     """A/J as a structure-constant algebra."""
-    coords = Coordinates.quotient(rad.radical)
-    return induced_algebra(algebra.multiply, coords, algebra.one,
-                           known_radical=Subspace.zero(algebra.field, coords.dim))
+    return induced_algebra(algebra, Coordinates.quotient(rad.radical), algebra.one)
 
 
 # -- shape reports ----------------------------------------------------------------

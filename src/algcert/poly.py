@@ -320,6 +320,13 @@ class TruncatedRing:
             raise AmbientMismatch("polynomial arity != ring arity")
         return {self.index[m]: c for m, c in f.terms.items() if sum(m) < self.trunc_degree}
 
+    def times(self, pairs, m: tuple) -> dict:
+        """The monomial m times the element with these (index, c) pairs, as
+        {index: c}: each term goes to one monomial, or past the cut."""
+        monos, cut = self.monomials, self.trunc_degree - sum(m)
+        return {self.index[tuple(a + b for a, b in zip(monos[j], m))]: c
+                for j, c in pairs if sum(monos[j]) < cut}
+
     def poly_from_vector(self, v, field: Field) -> Poly:
         """The polynomial with coordinates v, a list or a dict {index: c}."""
         pairs = v.items() if isinstance(v, dict) else enumerate(v)

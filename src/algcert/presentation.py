@@ -7,7 +7,8 @@ coordinates (the part of degree < l; the power <X>^l is implicit).  Because
 coordinates are in graded-lex order, the rows of the canonical RREF basis
 sort by valuation, which makes every degree filtration a row filter.  Only
 the sparse rows of that basis are read, and ring elements are dicts
-{index: c}: no step but ``quotient_algebra`` writes out a dense ring vector.
+{index: c}, multiplied by a monomial through ``TruncatedRing.times``.  The
+algebra T/I itself sits on the standard monomials, the indices at no pivot.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ import warnings
 from dataclasses import dataclass
 from math import comb
 
-from .algebra import (Coordinates, RadicalData, StructureAlgebra,
+from .algebra import (MAX_RING_MONOMIALS, Coordinates, RadicalData, StructureAlgebra,
                       element_idempotents, induced_algebra)
 from .errors import (InternalInconsistency, NotAdmissible, NotCommutative,
-                     NotLocal, NotSplit, LoweyMismatch)
+                     NotLocal, NotSplit, LoweyMismatch, SearchSpaceTooLarge)
 from .fields import Field
-from .linalg import Matrix, Subspace, kernel, quotient_basis, quotient_rows, rref
+from .linalg import Matrix, Subspace, kernel, quotient_basis, quotient_rows
 from .poly import (Poly, TruncatedRing, degree_monomials, monomial_gcd_factor,
                    s_index)
 
@@ -44,21 +45,10 @@ class Presentation:
         # first nonzero
         if any(pc <= self.n_vars for pc in self.ideal.pivots):
             raise NotAdmissible("ideal meets the constant/linear slice")
-        for row in self.ideal._terms:
-            for i in range(self.n_vars):
-                if not self.ideal.contains(self._x_multiple(row, i)):
-                    raise NotAdmissible("ideal is not closed under X_i multiplication")
-
-    def _x_multiple(self, terms, i: int) -> dict:
-        """X_i times the element with these (index, c) coordinates, as
-        {index: c}: each monomial goes to one monomial, or past the cut."""
-        ring = self.ring
-        out = {}
-        for pos, c in terms:
-            m = ring.monomials[pos]
-            if sum(m) < ring.trunc_degree - 1:
-                out[ring.index[m[:i] + (m[i] + 1,) + m[i + 1:]]] = c
-        return out
+        if not all(self.ideal.contains(self.ring.times(row, x))
+                   for row in self.ideal._terms
+                   for x in self.ring.monomials[1:self.n_vars + 1]):
+            raise NotAdmissible("ideal is not closed under X_i multiplication")
 
     def valuations(self) -> list[int]:
         """Degree of the leading monomial of each ideal basis row."""
@@ -97,13 +87,10 @@ def _saturate(ring: TruncatedRing, field: Field, gens: list[Poly]) -> Subspace:
     vecs = []
     l = ring.trunc_degree
     for g in gens:
-        val = min(sum(m) for m in g.terms) if not g.is_zero() else l
-        for m in ring.monomials:
-            if sum(m) + val >= l:
-                continue
-            prod = g.mul(Poly.monomial(ring.n_vars, field, m))
-            if any(sum(mm) < l for mm in prod.terms):
-                vecs.append(ring.truncate(prod))
+        pairs = ring.truncate(g).items()
+        val = min((sum(ring.monomials[j]) for j, _ in pairs), default=l)
+        vecs += [prod for m in ring.monomials
+                 if sum(m) + val < l and (prod := ring.times(pairs, m))]
     return Subspace.from_vectors(field, ring.dim, vecs)
 
 
@@ -168,8 +155,7 @@ def presentation_from_algebra(algebra: StructureAlgebra, rad: RadicalData) -> Pr
         raise NotCommutative("presentations need a commutative algebra")
     codim = algebra.dim - rad.radical.dim
     if codim > 1:
-        quot = induced_algebra(algebra.multiply, Coordinates.quotient(rad.radical),
-                               algebra.one)
+        quot = induced_algebra(algebra, Coordinates.quotient(rad.radical), algebra.one)
         for z in Subspace.full(algebra.field, quot.dim).basis:
             idems, rest = element_idempotents(quot, z, quot.one)
             if len(idems) + any(rest) > 1:
@@ -183,11 +169,9 @@ def presentation_from_algebra(algebra: StructureAlgebra, rad: RadicalData) -> Pr
     gens = quotient_basis(rad.square, rad.radical)
     images: dict[tuple, list] = {}
     cols = [eval_monomial(algebra, gens, m, images) for m in ring.monomials]
-    ev = Matrix.from_columns(algebra.field, cols)
-    _, rank, _ = rref(ev)
-    if rank != algebra.dim:
+    ideal = kernel(Matrix.from_columns(algebra.field, cols))
+    if ring.dim - ideal.dim != algebra.dim:
         raise NotAdmissible("evaluation map is not surjective")
-    ideal = kernel(ev)
     pres = Presentation(algebra.field, n, l, ring, ideal, [])
     pres.generators = normal_form(pres).generators
     return pres
@@ -315,26 +299,29 @@ def is_graded_presentation(pres: Presentation, nf: NormalForm | None = None) -> 
 
 # -- quotient algebra -------------------------------------------------------------
 
-def quotient_algebra(pres: Presentation, attach_radical: bool = True) -> StructureAlgebra:
-    """Structure constants of T(n, l)/I on a canonical complement basis.
-
-    With ``attach_radical`` the span of positive-degree monomial images is
-    recorded as the known radical.
-    """
-    f = pres.field
-    ring = pres.ring
-    coords = Coordinates.quotient(pres.ideal)
-
-    def t_multiply(u, v) -> list:
-        pu, pv = ring.poly_from_vector(u, f), ring.poly_from_vector(v, f)
-        out = [f.zero] * ring.dim
-        for j, c in ring.truncate(pu.mul(pv)).items():
-            out[j] = c
-        return out
-
-    units = Matrix.identity(f, ring.dim).rows   # units[0]: the constant monomial
-    known = None
-    if attach_radical:
-        known = Subspace.from_vectors(f, coords.dim,
-                                      [coords.project(v) for v in units[1:]])
-    return induced_algebra(t_multiply, coords, units[0], known_radical=known)
+def quotient_algebra(pres: Presentation) -> StructureAlgebra:
+    """Structure constants of T(n, l)/I on its standard monomials, the ring
+    indices at no pivot of the ideal, the positive-degree ones spanning the
+    known radical.  A pivot monomial is minus the rest of its canonical row,
+    which is 0 at every other pivot, so products are read off the rows.  A
+    table of more than MAX_RING_MONOMIALS cells is refused before it is built."""
+    f, ring = pres.field, pres.ring
+    free = sorted(set(range(ring.dim)).difference(pres.ideal.pivots))
+    d = len(free)
+    if d * d > MAX_RING_MONOMIALS:
+        raise SearchSpaceTooLarge(d * d, MAX_RING_MONOMIALS)
+    col = {j: k for k, j in enumerate(free)}
+    # each ring monomial modulo I, as (standard monomial, c) pairs; plain
+    # ints wherever they can be, which the load reads without coercion
+    normal = {j: [(k, 1)] for j, k in col.items()}
+    normal.update((row[0][0], [(col[t], f.neg(c)) for t, c in row[1:]])
+                  for row in pres.ideal._terms)
+    table = [[[0] * d for _ in free] for _ in free]
+    for i, cells in zip(free, table):
+        for j, cell in zip(free, cells):
+            for k in ring.times([(j, 1)], ring.monomials[i]):
+                for t, c in normal[k]:
+                    cell[t] = c
+    positive = [[(k, f.one)] for k in range(1, d)]
+    return StructureAlgebra(f, table, [f.one] + [f.zero] * (d - 1),
+                            known_radical=Subspace(f, d, positive))

@@ -450,7 +450,7 @@ class TestCoordinates:
                      "center": (own_coordinates(center(a)), a.one),
                      "eAe": (own_coordinates(a.product_span(e, full, e)), e)}
             for view, (coords, one) in views.items():
-                induced = induced_algebra(a.multiply, coords, one)
+                induced = induced_algebra(a, coords, one)
                 n = induced.dim
                 vecs = [_unit(field, n, i) for i in range(n)] + [
                     [field.coerce(rng.randint(-3, 3)) for _ in range(n)]
@@ -575,8 +575,7 @@ def test_quotient_commutativity_on_generators_matches_table(field, rng):
     refused = (NotSplitBasic, "A/J is not commutative")
     seen = set()
     for algebra, rad in cases:
-        quot = induced_algebra(algebra.multiply, Coordinates.quotient(rad.radical),
-                               algebra.one)
+        quot = induced_algebra(algebra, Coordinates.quotient(rad.radical), algebra.one)
         got = _wm_outcome(algebra, rad)
         assert (got == refused) == (not quot.commutative), repr(algebra)
         seen.add(quot.commutative)
@@ -1052,10 +1051,10 @@ class TestPresentedAgreement:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", LoweyMismatch)
                 pres = presentation_from_ideal(n, l, gens, QQ)
-            a = quotient_algebra(pres, attach_radical=False)
-            claimed = quotient_algebra(pres, attach_radical=True).known_radical
+            presented = quotient_algebra(pres)
+            a = StructureAlgebra(QQ, presented.table, presented.one)
             rad = jacobson_radical(a)
-            assert rad.radical == claimed
+            assert rad.radical == presented.known_radical
 
     def test_base_change_dimension_agreement(self, rng):
         # radical dimension of a presented algebra agrees with its reduction
@@ -1068,7 +1067,8 @@ class TestPresentedAgreement:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", LoweyMismatch)
                 pres_q = presentation_from_ideal(n, l, gens, QQ)
-            dim_q = jacobson_radical(quotient_algebra(pres_q, attach_radical=False)).radical.dim
+            a_q = quotient_algebra(pres_q)
+            dim_q = jacobson_radical(StructureAlgebra(QQ, a_q.table, a_q.one)).radical.dim
             for p in (3, 5, 7, 11):
                 gf = GF(p)
                 try:
@@ -1080,8 +1080,9 @@ class TestPresentedAgreement:
                     pres_p = presentation_from_ideal(n, l, gens_p, gf)
                 if pres_p.ideal.dim != pres_q.ideal.dim:
                     continue
-                a_p = quotient_algebra(pres_p, attach_radical=False)
-                assert jacobson_radical(a_p).radical.dim == dim_q
+                a_p = quotient_algebra(pres_p)
+                bare_p = StructureAlgebra(gf, a_p.table, a_p.one)
+                assert jacobson_radical(bare_p).radical.dim == dim_q
                 checked += 1
                 break
             else:

@@ -643,14 +643,14 @@ def _ref_corner_has_rank_one(alg):
             if corner.dim == 1:
                 return True
             if 1 < corner.dim < alg.dim and _ref_corner_has_rank_one(
-                    induced_algebra(alg.multiply, own_coordinates(corner), e)):
+                    induced_algebra(alg, own_coordinates(corner), e)):
                 return True
     return False
 
 
 def _ref_center_idempotents(algebra):
     zcoords = own_coordinates(center(algebra))
-    units = _ref_split_components(induced_algebra(algebra.multiply, zcoords, algebra.one))
+    units = _ref_split_components(induced_algebra(algebra, zcoords, algebra.one))
     return None if units is None else [zcoords.lift(u) for u in units]
 
 
@@ -664,7 +664,7 @@ def _ref_block_sizes(algebra):
         comp = algebra.product_span(zi, full)
         m = isqrt(comp.dim)
         if m * m != comp.dim or not _ref_corner_has_rank_one(
-                induced_algebra(algebra.multiply, own_coordinates(comp), zi)):
+                induced_algebra(algebra, own_coordinates(comp), zi)):
             return None
         sizes.append(m)
     return sorted(sizes)

@@ -365,3 +365,26 @@ def test_huge_truncated_ring_exits_3_quickly(tmp_path, capsys):
     assert main(["analyze", path]) == 3
     assert time.perf_counter() - start < 1
     assert "bound is 100000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["radical", "der", "oracle-aut"])
+def test_oversize_presentation_table_exits_3(tmp_path, capsys, command):
+    # d = 5984 standard monomials: d^2 table cells exceed the bound, so the
+    # table is refused before it is allocated
+    path = _write(tmp_path, "big.json", {
+        "kind": "presentation", "field": {"type": "Q"}, "n_vars": 4,
+        "trunc_degree": 18, "generators": ["X1^2*X2^3*X3^4*X4^8 + X1^2*X2^3*X3^12"]})
+    start = time.perf_counter()
+    assert main([command, path]) == 3
+    assert time.perf_counter() - start < 5
+    assert "needs 35808256 candidates, bound is 100000" in capsys.readouterr().err
+
+
+def test_radical_of_mid_size_presentation(tmp_path, capsys):
+    # k[X1..X3]/<X>^6: d = 56, so d^2 is under the table bound
+    path = _write(tmp_path, "mid.json", {
+        "kind": "presentation", "field": {"type": "Q"}, "n_vars": 3,
+        "trunc_degree": 6, "generators": []})
+    assert main(["radical", path]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["dim_radical"], payload["lowey_length"], payload["dim_jj2"]) == (55, 6, 3)

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from algcert.algebra import jacobson_radical
+from algcert.algebra import Coordinates, StructureAlgebra, jacobson_radical
 from algcert.certify import certify
 from algcert.constructions import (componentwise_algebra,
                                    univariate_quotient_algebra)
@@ -14,7 +14,7 @@ from algcert.errors import (LoweyMismatch, NotAdmissible, NotLocal, NotSplit,
                             NotCommutative)
 from algcert.fields import GF, QQ
 from algcert.forms import im_phi_lie
-from algcert.linalg import Matrix, Subspace, quotient_basis
+from algcert.linalg import Matrix, Subspace, invert
 from algcert.poly import LinearChange, Poly, TruncatedRing, apply_linear_change
 from algcert.presentation import (_actual_lowey, _saturate,
                                   is_graded_presentation, is_monomial_ideal,
@@ -29,6 +29,12 @@ GF2, GF3, GF5 = GF(2), GF(3), GF(5)
 
 def build(n, l, texts, field=QQ):
     return presentation_from_ideal(n, l, [pp(t, n, field) for t in texts], field)
+
+
+def bare(pres):
+    """T/I on its standard monomials, with no known radical attached."""
+    a = quotient_algebra(pres)
+    return StructureAlgebra(a.field, a.table, a.one)
 
 
 class TestFromIdeal:
@@ -66,9 +72,9 @@ class TestFromIdeal:
 
     def test_ideal_closed_under_variables(self):
         p = build(2, 4, ["X1^2+X2^3"])
-        for row in p.ideal.basis:
-            for i in range(2):
-                assert p.ideal.contains(p._x_multiple(enumerate(row), i))
+        for row in p.ideal._terms:
+            for x in [(1, 0), (0, 1)]:
+                assert p.ideal.contains(p.ring.times(row, x))
 
 
 def _actual_lowey_reference(ring, field, ideal):
@@ -122,7 +128,7 @@ class TestFromAlgebra:
     def test_recovers_relations(self):
         # basis 1, x, y, x^2 with xy = 0, y^2 = x^2, x^3 = 0
         p = build(2, 3, ["X1*X2", "X2^2 - X1^2"])
-        a = quotient_algebra(p, attach_radical=False)
+        a = bare(p)
         pres = presentation_from_algebra(a, jacobson_radical(a))
         assert pres.n_vars == 2 and pres.lowey == 3
         assert pres.ideal.dim == p.ideal.dim
@@ -131,17 +137,19 @@ class TestFromAlgebra:
 
     def test_round_trip_multiplicative(self):
         p = build(2, 3, ["X1^2+X2^2"])
-        a = quotient_algebra(p, attach_radical=False)
+        a = bare(p)
         rad = jacobson_radical(a)
         pres = presentation_from_algebra(a, rad)
-        b = quotient_algebra(pres, attach_radical=False)
+        b = bare(pres)
         assert b.dim == a.dim
         assert jacobson_radical(b).lowey_length == rad.lowey_length
         # the evaluation map (monomials at the chosen J/J^2 lifts) is an
         # algebra isomorphism from b to a: check it multiplicatively
         from algcert.algebra import jj2_basis
         lifts = jj2_basis(rad)
-        reps = quotient_basis(pres.ideal, Subspace.full(QQ, pres.ring.dim))
+        # b's basis: the standard monomials, the ring indices at no pivot
+        reps = [[QQ.one if t == j else QQ.zero for t in range(pres.ring.dim)]
+                for j in range(pres.ring.dim) if j not in pres.ideal.pivots]
 
         def evaluate(t_vec):
             out = [QQ.zero] * a.dim
@@ -360,6 +368,61 @@ class TestQuotientAlgebra:
         a = quotient_algebra(p)
         assert a.dim == 3
         assert jacobson_radical(a).radical.dim == 2
+
+    @pytest.mark.parametrize("field", [QQ, GF2, GF3, GF(7)], ids=["QQ", "GF2", "GF3", "GF7"])
+    def test_standard_monomials_match_reference(self, field):
+        # reference basis vector k -> its normal form modulo I, read at the
+        # standard monomials: a unital algebra isomorphism onto
+        # quotient_algebra that carries known radical onto known radical
+        rng = random.Random(1919)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LoweyMismatch)
+            cases = [build(3, 2, [], field),                              # l = 2
+                     build(2, 4, ["X1^2", "X1*X2^2"], field),             # monomial
+                     build(2, 3, ["X1^2+X2^2"], field),                   # non-monomial
+                     build(2, 4, ["X1^2", "X2^2"], field),                # Lowey 4 -> 3
+                     build(2, 5, ["X1^3+X2^3", "X1^2*X2"], field)]
+            for _ in range(6):
+                n, l = rng.randint(1, 3), rng.randint(2, 5)
+                g = random_poly(rng, n, field, l)
+                g = Poly(n, field, {m: c for m, c in g.terms.items() if sum(m) >= 2})
+                cases.append(presentation_from_ideal(n, l, [g] if g.terms else [], field))
+        kinds = {(p.lowey == 2, is_monomial_ideal(p)) for p in cases}
+        assert {(True, True), (False, True), (False, False)} <= kinds
+        for pres in cases:
+            coords, ref = _reference_quotient(pres)
+            got = quotient_algebra(pres)
+            free = [j for j in range(pres.ring.dim) if j not in pres.ideal.pivots]
+            images = [[r[j] for j in free] for r in map(pres.ideal.reduce, coords.reps)]
+            phi = Matrix.from_columns(field, images)
+            assert got.dim == ref.dim and invert(phi) is not None
+            assert phi.matvec(ref.one) == got.one
+            for i, x in enumerate(images):
+                e_i = [field.one if t == i else field.zero for t in range(ref.dim)]
+                for j, y in enumerate(images):
+                    e_j = [field.one if t == j else field.zero for t in range(ref.dim)]
+                    assert phi.matvec(ref.multiply(e_i, e_j)) == got.multiply(x, y)
+            mapped = [phi.matvec(v) for v in ref.known_radical.basis]
+            assert Subspace.from_vectors(field, got.dim, mapped) == got.known_radical
+
+
+def _reference_quotient(pres):
+    """T/I on canonical coset representatives, through a dense inverse and
+    Poly products: (its coordinates, the algebra with its known radical)."""
+    f, ring = pres.field, pres.ring
+    coords = Coordinates.quotient(pres.ideal)
+
+    def multiply(u, v):
+        prod = ring.poly_from_vector(u, f).mul(ring.poly_from_vector(v, f))
+        out = [f.zero] * ring.dim
+        for j, c in ring.truncate(prod).items():
+            out[j] = c
+        return out
+
+    units = Matrix.identity(f, ring.dim).rows
+    table = [[coords.project(multiply(a, b)) for b in coords.reps] for a in coords.reps]
+    known = Subspace.from_vectors(f, coords.dim, [coords.project(v) for v in units[1:]])
+    return coords, StructureAlgebra(f, table, coords.project(units[0]), known_radical=known)
 
 
 def test_presentation_layer_reads_no_dense_ring_vector(monkeypatch):

@@ -136,3 +136,21 @@ def test_parameters_are_read():
                       if name not in ("self", "cls") and name not in read]
     assert SOURCES
     assert found == []
+
+
+def test_truncated_ring_has_one_product():
+    # TruncatedRing.times is the one monomial product of the presentation
+    # layer: presentation.py multiplies no Polys, and T/I is read off the
+    # presentation alone, with no option beside it
+    tree = ast.parse((Path(algcert.__file__).parent / "presentation.py")
+                     .read_text(encoding="utf-8"))
+    found = [f"presentation.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "mul"]
+    func = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "quotient_algebra")
+    args = func.args
+    params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+              + [a for a in (args.vararg, args.kwarg) if a is not None]]
+    assert found == []
+    assert params == ["pres"]
