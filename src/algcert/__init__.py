@@ -3,8 +3,8 @@ finite-dimensional associative algebras over Q and GF(p)."""
 
 from .algebra import (LieSubalgebra, RadicalData, StructureAlgebra,
                       WMDecomposition, center, der_into, derivation_algebra,
-                      is_nilpotent, is_solvable, jacobson_radical, jj2_basis,
-                      load_algebra, wm_complement)
+                      is_nilpotent, is_solvable, jacobson_radical,
+                      wm_complement)
 from .certify import (Certificate, CertifyConfig, certify, reductive_shape,
                       verify_invariant_pair, semisimple_block_sizes,
                       torus_shape_check)
@@ -22,6 +22,6 @@ from .presentation import (NormalForm, Presentation, is_graded_presentation,
                            is_monomial_ideal,
                            minimal_degree_subspace, normal_form,
                            presentation_from_algebra, presentation_from_ideal,
-                           property_star, quotient_algebra)
+                           quotient_algebra)
 
 __version__ = "0.1.0"

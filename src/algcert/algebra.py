@@ -161,10 +161,6 @@ class StructureAlgebra:
         return f"StructureAlgebra(dim={self.dim}, field={self.field!r})"
 
 
-def load_algebra(table, one, field: Field, known_radical: Subspace | None = None) -> StructureAlgebra:
-    return StructureAlgebra(field, table, one, known_radical=known_radical)
-
-
 # -- a generating set and its word basis ---------------------------------------
 
 def _word_basis(algebra: StructureAlgebra) -> tuple[list, list, Coordinates]:
@@ -251,6 +247,14 @@ def induced_algebra(algebra: StructureAlgebra, coords: Coordinates, one) -> Stru
         return StructureAlgebra(coords.field, table, coords.project(one))
     except (NotUnital, NonAssociative) as exc:
         raise InternalInconsistency(f"induced algebra: {exc}") from exc
+
+
+def quotient_structure(algebra: StructureAlgebra,
+                       rad: RadicalData) -> tuple[StructureAlgebra, Coordinates]:
+    """A/J as a structure-constant algebra, on J's canonical coset
+    representatives, with the coordinates that lift it back into A."""
+    coords = Coordinates.quotient(rad.radical)
+    return induced_algebra(algebra, coords, algebra.one), coords
 
 
 def center(algebra: StructureAlgebra) -> Subspace:
@@ -365,17 +369,11 @@ def jacobson_radical(algebra: StructureAlgebra, scan_bound: int = DEFAULT_MAX_EN
     return _radical_data(algebra, j)
 
 
-def jj2_basis(rad: RadicalData) -> list:
-    """Lift of a basis of J/J^2 into J (extends a basis of J^2 inside J)."""
-    return quotient_basis(rad.square, rad.radical)
-
-
 # -- Wedderburn-Malcev ---------------------------------------------------------
 
 @dataclass
 class WMDecomposition:
     semisimple_part: Subspace
-    radical: Subspace
     idempotents: list
 
 
@@ -418,9 +416,9 @@ def element_idempotents(alg: StructureAlgebra, z, unit) -> tuple[list, list]:
 
 def _split_components(alg: StructureAlgebra, space: Subspace) -> list:
     """Primitive idempotents of ``space``, a commutative semisimple
-    subalgebra of alg that contains alg.one, in alg's coordinates; raises
-    NotSplitBasic when a component is a proper field extension of the base
-    field."""
+    subalgebra of alg that contains alg.one, in alg's coordinates and sorted
+    by them; raises NotSplitBasic when a component is a proper field
+    extension of the base field."""
     f = alg.field
     units = [alg.one]
     done = []
@@ -439,36 +437,20 @@ def _split_components(alg: StructureAlgebra, space: Subspace) -> list:
         else:
             raise NotSplitBasic(
                 f"a {piece.dim}-dimensional block of A/J has no eigenbasis over {f!r}")
-    return done
+    return sorted(done, key=lambda u: [str(c) for c in u])
 
 
-def wm_complement(algebra: StructureAlgebra, rad: RadicalData) -> WMDecomposition:
-    """Semisimple complement A_s with A = A_s + J for split basic algebras.
-
-    A/J must be commutative with an eigenbasis of idempotents over the base
-    field; primitive idempotents are lifted one at a time by the Newton map
-    e -> 3e^2 - 2e^3, sandwiched to stay orthogonal, until exactly idempotent.
-    Commutativity is checked before A/J's table is built, as [e_g, e_h] in J
-    for g, h in the generators G: their images generate A/J.
-    """
-    f = algebra.field
-    j = rad.radical
-    sparse = algebra._sparse
-    for g, h in itertools.combinations(algebra.gens, 2):
-        bracket = dict(sparse[g][h])    # den [e_g, e_h] on the scaled table
-        for k, c in sparse[h][g]:
-            bracket[k] = bracket.get(k, 0) - c
-        if not j.contains(bracket):
-            raise NotSplitBasic("A/J is not commutative")
-    coords = Coordinates.quotient(j)
-    quot = induced_algebra(algebra, coords, algebra.one)
-    pieces = _split_components(quot, Subspace.full(f, quot.dim))
-    prims = sorted(pieces, key=lambda u: [str(c) for c in u])
+def lift_idempotents(algebra: StructureAlgebra, rad: RadicalData, prims: list) -> WMDecomposition:
+    """The complement A_s spanned by orthogonal idempotents of A, one over
+    each of ``prims``: elements of A whose images in A/J are the primitive
+    idempotents of a split basic A/J, kept in their order.  Each is lifted by
+    the Newton map e -> 3e^2 - 2e^3, sandwiched to stay orthogonal, until
+    exactly idempotent."""
+    f, j = algebra.field, rad.radical
     lifted = []
     rest = list(algebra.one)            # 1 - E, E the sum of the lifted idempotents
     max_steps = 2 * max(1, rad.lowey_length).bit_length() + 4
-    for fbar in prims:
-        g = coords.lift(fbar)
+    for g in prims:
         # u = (1 - E) g (1 - E) keeps u orthogonal to every lifted idempotent
         u = algebra.multiply(algebra.multiply(rest, g), rest)
         for _ in range(max_steps):
@@ -480,7 +462,7 @@ def wm_complement(algebra: StructureAlgebra, rad: RadicalData) -> WMDecompositio
                  for a, b in zip(uu, uuu)]
         else:
             raise NotSplitBasic("Newton idempotent lifting failed to converge")
-        if coords.project(u) != fbar:
+        if not j.contains([f.sub(a, b) for a, b in zip(u, g)]):
             raise NotSplitBasic("lifted idempotent drifted from its coset")
         lifted.append(u)
         rest = [f.sub(a, b) for a, b in zip(rest, u)]
@@ -490,7 +472,27 @@ def wm_complement(algebra: StructureAlgebra, rad: RadicalData) -> WMDecompositio
     if a_s.dim != len(lifted) or a_s.intersect(j).dim != 0 \
             or a_s.sum(j).dim != algebra.dim:
         raise NotSplitBasic("complement does not split the algebra")
-    return WMDecomposition(a_s, j, lifted)
+    return WMDecomposition(a_s, lifted)
+
+
+def wm_complement(algebra: StructureAlgebra, rad: RadicalData) -> WMDecomposition:
+    """Semisimple complement A_s with A = A_s + J for split basic algebras.
+
+    A/J must be commutative with an eigenbasis of idempotents over the base
+    field; its primitive idempotents go to lift_idempotents.  Commutativity
+    is checked before A/J's table is built, as [e_g, e_h] in J for g, h in
+    the generators G: their images generate A/J.
+    """
+    sparse = algebra._sparse
+    for g, h in itertools.combinations(algebra.gens, 2):
+        bracket = dict(sparse[g][h])    # den [e_g, e_h] on the scaled table
+        for k, c in sparse[h][g]:
+            bracket[k] = bracket.get(k, 0) - c
+        if not rad.radical.contains(bracket):
+            raise NotSplitBasic("A/J is not commutative")
+    quot, coords = quotient_structure(algebra, rad)
+    units = _split_components(quot, Subspace.full(algebra.field, quot.dim))
+    return lift_idempotents(algebra, rad, [coords.lift(u) for u in units])
 
 
 # -- derivations and Lie structure ----------------------------------------------
@@ -673,15 +675,12 @@ def derivation_algebra(algebra: StructureAlgebra) -> LieSubalgebra:
     return LieSubalgebra(f, d, kernel_rows(map(dict, rows), w * d, f), algebra.gens, lift, delta)
 
 
-def der_into(algebra: StructureAlgebra, rad: RadicalData, target: Subspace,
-             der: LieSubalgebra | None = None) -> LieSubalgebra:
-    """{D in Der(A) : D(J) <= target}, in der's coordinates: D(v) = sum_b v_b
-    D(e_b), for each integer row v of J, is read off each basis D's columns
-    and reduced against the target by _scaled_residual.  Over GF(p) the rows
-    stay unreduced; rref_rows reduces them."""
-    if der is None:
-        der = derivation_algebra(algebra)
-    f, (_, mats) = algebra.field, der._columns
+def der_into(der: LieSubalgebra, rad: RadicalData, target: Subspace) -> LieSubalgebra:
+    """{D in der : D(J) <= target}, der = Der(A), in der's coordinates:
+    D(v) = sum_b v_b D(e_b), for each integer row v of J, is read off each
+    basis D's columns and reduced against the target by _scaled_residual.
+    Over GF(p) the rows stay unreduced; rref_rows reduces them."""
+    f, (_, mats) = der.field, der._columns
     s, scaled = _int_terms(target._terms)
     rows = []
     for v in _int_terms(rad.radical._terms)[1]:

@@ -17,11 +17,10 @@ from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
 from math import isqrt
 
-from .algebra import (DEFAULT_MAX_ENUM, Coordinates, RadicalData,
-                      StructureAlgebra, _split_components, center, der_into,
-                      derivation_algebra, element_idempotents,
-                      induced_algebra, is_nilpotent, jacobson_radical,
-                      wm_complement)
+from .algebra import (DEFAULT_MAX_ENUM, RadicalData, StructureAlgebra,
+                      WMDecomposition, _split_components, center, der_into,
+                      derivation_algebra, element_idempotents, is_nilpotent,
+                      jacobson_radical, lift_idempotents, quotient_structure)
 from .errors import (AlgcertError, DegreeOutOfRange, InternalInconsistency,
                      NotHomogeneous, NotSplitBasic, UnsupportedRadicalComputation)
 from .fields import Field, scalar_to_json
@@ -119,20 +118,16 @@ def _corner_has_rank_one(alg: StructureAlgebra, unit, space: Subspace) -> bool:
     return False
 
 
-def semisimple_block_sizes(algebra: StructureAlgebra,
-                           zed: Subspace | None = None) -> list | None:
+def semisimple_block_sizes(algebra: StructureAlgebra, units: list) -> list | None:
     """Certify a semisimple algebra as a sum of split matrix blocks.
 
-    Returns the sorted block sizes [n_1..n_m] with sum n_i^2 = dim, or None
-    when splitness could not be established over the base field.  `zed` is
-    the center of the algebra when the caller has it already.  The center
-    and the corners are split inside the algebra, in its own coordinates.
+    ``units`` are the primitive idempotents of its center, by
+    _split_components.  Returns the sorted block sizes [n_1..n_m] with
+    sum n_i^2 = dim, or None when splitness could not be established over
+    the base field.  The corners are split inside the algebra, in its own
+    coordinates.
     """
     full = Subspace.full(algebra.field, algebra.dim)
-    try:
-        units = _split_components(algebra, zed if zed is not None else center(algebra))
-    except NotSplitBasic:
-        return None
     sizes = []
     for zi in units:
         comp = algebra.product_span(zi, full)
@@ -141,11 +136,6 @@ def semisimple_block_sizes(algebra: StructureAlgebra,
             return None
         sizes.append(m)
     return sorted(sizes)
-
-
-def quotient_structure(algebra: StructureAlgebra, rad: RadicalData) -> StructureAlgebra:
-    """A/J as a structure-constant algebra."""
-    return induced_algebra(algebra, Coordinates.quotient(rad.radical), algebra.one)
 
 
 # -- shape reports ----------------------------------------------------------------
@@ -157,20 +147,12 @@ class TorusShapeReport:
     component_dims: list
 
 
-def torus_shape_check(algebra: StructureAlgebra,
-                      rad: RadicalData | None = None) -> TorusShapeReport | None:
+def torus_shape_check(algebra: StructureAlgebra, rad: RadicalData,
+                      wm: WMDecomposition) -> TorusShapeReport | None:
     """Whether A is a sum of copies of k and of k[X]/<X>^2 (the only split
-    basic commutative shapes whose automorphism group is a torus)."""
+    basic commutative shapes whose automorphism group is a torus), read off
+    the components e A of the idempotents of its complement ``wm``."""
     if not algebra.commutative:
-        return None
-    if rad is None:
-        try:
-            rad = jacobson_radical(algebra)
-        except UnsupportedRadicalComputation:
-            return None
-    try:
-        wm = wm_complement(algebra, rad)
-    except NotSplitBasic:
         return None
     full = Subspace.full(algebra.field, algebra.dim)
     dims = []
@@ -197,15 +179,12 @@ class ReductiveShapeReport:
     sandwich_dims: dict
 
 
-def reductive_shape(algebra: StructureAlgebra, rad: RadicalData) -> ReductiveShapeReport | None:
-    """Isotypic multiplicities of J as an A_s-bimodule when J^2 = 0 and the
-    algebra is split basic; the connected automorphism group is the product
-    of GL over the returned factors."""
+def reductive_shape(algebra: StructureAlgebra, rad: RadicalData,
+                    wm: WMDecomposition) -> ReductiveShapeReport | None:
+    """Isotypic multiplicities of J as a bimodule over the complement ``wm``
+    when J^2 = 0; the connected automorphism group is the product of GL over
+    the returned factors."""
     if rad.square.dim != 0:
-        return None
-    try:
-        wm = wm_complement(algebra, rad)
-    except NotSplitBasic:
         return None
     factors = []
     sandwich = {}
@@ -321,13 +300,20 @@ def _build_context_from_algebra(algebra: StructureAlgebra,
     zed = center(algebra)
     ctx.center_dim = zed.dim
     ctx.radical_central = zed.contains_space(ctx.rad.radical)
+    # A/J is built and its center split once; with every block 1 x 1 the
+    # units are A/J's primitive idempotents, taken into A for the lift
     try:
         if ctx.rad.radical.dim:
-            ctx.blocks = semisimple_block_sizes(quotient_structure(algebra, ctx.rad))
+            quot, coords = quotient_structure(algebra, ctx.rad)
+            units = _split_components(quot, center(quot))
+            prims = [coords.lift(u) for u in units]
         else:
-            ctx.blocks = semisimple_block_sizes(algebra, zed)
+            quot, units = algebra, _split_components(algebra, zed)
+            prims = units
+        ctx.blocks = semisimple_block_sizes(quot, units)
+    except NotSplitBasic:               # a block of A/J is not split over k
+        pass
     except AlgcertError as exc:
-        ctx.blocks = None
         ctx.unknown("splitness", str(exc))
     if ctx.blocks is not None:
         ctx.split = True
@@ -335,10 +321,8 @@ def _build_context_from_algebra(algebra: StructureAlgebra,
         ctx.split_local = ctx.blocks == [1]
     else:
         ctx.unknown("splitness", "A/J not certified split over the base field")
-    if ctx.split_basic and ctx.commutative:
-        ctx.torus_report = torus_shape_check(algebra, ctx.rad)
-    if ctx.split and ctx.radical_central:
-        ctx.reductive_report = reductive_shape(algebra, ctx.rad)
+    if ctx.split_basic:
+        _attach_shapes(ctx, algebra, prims)
     _attach_derivations(ctx, algebra)
     if ctx.split_local and ctx.commutative and ctx.rad.jj2_dim >= 1:
         try:
@@ -350,6 +334,23 @@ def _build_context_from_algebra(algebra: StructureAlgebra,
     return ctx
 
 
+def _attach_shapes(ctx: _Context, algebra: StructureAlgebra, prims: list):
+    """The torus and reductive shapes of a split basic A, read off one
+    Wedderburn-Malcev complement lifted from ``prims``, A/J's primitive
+    idempotents taken into A.  It is lifted only when a shape reads it: A
+    commutative, or J central with J^2 = 0."""
+    if not (ctx.commutative or ctx.radical_central and ctx.rad.square.dim == 0):
+        return
+    try:
+        wm = lift_idempotents(algebra, ctx.rad, prims)
+    except NotSplitBasic:
+        return
+    if ctx.commutative:
+        ctx.torus_report = torus_shape_check(algebra, ctx.rad, wm)
+    if ctx.radical_central:
+        ctx.reductive_report = reductive_shape(algebra, ctx.rad, wm)
+
+
 def _attach_derivations(ctx: _Context, algebra: StructureAlgebra):
     if algebra.dim > DEFAULT_MAX_STRUCTURE_DIM:
         ctx.unknown("derivations",
@@ -358,7 +359,7 @@ def _attach_derivations(ctx: _Context, algebra: StructureAlgebra):
     der = derivation_algebra(algebra)
     ctx.dim_der = der.dim
     if ctx.rad is not None:
-        ctx.dim_ker_phi = der_into(algebra, ctx.rad, ctx.rad.square, der=der).dim
+        ctx.dim_ker_phi = der_into(der, ctx.rad, ctx.rad.square).dim
     ctx.der_nilpotent = is_nilpotent(der)
 
 
@@ -376,9 +377,8 @@ def _build_context_from_presentation(pres: Presentation,
         algebra = quotient_algebra(pres)
         ctx.rad = jacobson_radical(algebra)
         ctx.radical_central = True       # commutative: the center is all of A
-        ctx.reductive_report = reductive_shape(algebra, ctx.rad)
+        _attach_shapes(ctx, algebra, [algebra.one])     # A/J = k, its one idempotent 1
         _attach_derivations(ctx, algebra)
-        ctx.torus_report = torus_shape_check(algebra, ctx.rad)
     else:
         ctx.unknown("structure_constants",
                     f"dimension {ctx.dim} exceeds limit {DEFAULT_MAX_STRUCTURE_DIM}")
@@ -391,7 +391,7 @@ def _attach_presentation_invariants(ctx: _Context, config: CertifyConfig):
     ctx.nf = normal_form(pres)
     ctx.monomial = is_monomial_ideal(pres)
     ctx.star_r = ctx.nf.property_star_r
-    ctx.graded = is_graded_presentation(pres, ctx.nf)
+    ctx.graded = is_graded_presentation(ctx.nf)
     ctx.w = minimal_degree_subspace(pres)
     gens = ctx.nf.generators
     ctx.single_generator = len(gens) == 1
@@ -409,7 +409,7 @@ def _attach_presentation_invariants(ctx: _Context, config: CertifyConfig):
             lie = im_phi_lie(pres)
             ctx.dim_im_phi = lie.dim
             ops = restricted_action(lie, ctx.w)
-            ctx.flag = flag_search(ops, ctx.field, dim_w=ctx.w.dim)
+            ctx.flag = flag_search(ops, ctx.field, ctx.w.dim)
         except AlgcertError as exc:
             ctx.unknown("flag_search", str(exc))
     elif ctx.graded:

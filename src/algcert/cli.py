@@ -160,7 +160,7 @@ def _present_report(pres: Presentation) -> dict:
             "generators": [str(g) for g in nf.generators],
             "is_monomial": is_monomial_ideal(pres),
             "property_star_r": nf.property_star_r,
-            "is_graded": is_graded_presentation(pres, nf)}
+            "is_graded": is_graded_presentation(nf)}
 
 
 def _der_report(algebra: StructureAlgebra, cfg: CertifyConfig) -> dict:
@@ -168,7 +168,7 @@ def _der_report(algebra: StructureAlgebra, cfg: CertifyConfig) -> dict:
     out = {"dim_der": der.dim}
     try:
         rad = jacobson_radical(algebra, scan_bound=cfg.max_enum)
-        out["dim_ker_phi_lie"] = der_into(algebra, rad, rad.square, der=der).dim
+        out["dim_ker_phi_lie"] = der_into(der, rad, rad.square).dim
     except UnsupportedRadicalComputation:
         out["dim_ker_phi_lie"] = None
     return out
@@ -212,10 +212,9 @@ def _run(args) -> int:
         algebra = _as_algebra(obj)
         if not isinstance(algebra.field, PrimeField):
             raise UnsupportedRadicalComputation("oracle-aut needs a GF(p) input")
-        try:
-            rad = jacobson_radical(algebra, scan_bound=cfg.max_enum)
-        except UnsupportedRadicalComputation:
-            rad = None
+        # a GF(p) radical is computed for commutative algebras only; a
+        # refused one exits 3, as from ``radical``
+        rad = jacobson_radical(algebra, scan_bound=cfg.max_enum) if algebra.commutative else None
         group = enumerate_automorphisms(algebra, rad, max_enum=cfg.max_enum)
         payload = {"order": group.order}
         if rad is not None:

@@ -122,10 +122,12 @@ class DegreeOutOfRange(AlgcertError):
 
 
 class SearchSpaceTooLarge(AlgcertError):
-    """Exhaustive enumeration would exceed the configured bound."""
+    """An exhaustive enumeration, or a table or ring about to be built,
+    would exceed its bound; ``what`` names it and ``unit`` what it counts."""
 
-    def __init__(self, needed: int, bound: int):
-        super().__init__(f"enumeration needs {needed} candidates, bound is {bound}")
+    def __init__(self, needed: int, bound: int, what: str = "enumeration",
+                 unit: str = "candidates"):
+        super().__init__(f"{what} needs {needed} {unit}, bound is {bound}")
         self.needed = needed
         self.bound = bound
 

@@ -478,18 +478,13 @@ def _bracket_closure(field: Field, n: int, ops: list[Matrix]) -> Subspace:
     return span
 
 
-def flag_search(operators: list[Matrix], field: Field,
-                dim_w: int | None = None) -> FlagSearchResult:
-    """Search a full flag of subspaces stable under all operators.
+def flag_search(operators: list[Matrix], field: Field, dim_w: int) -> FlagSearchResult:
+    """Search a full flag of subspaces of k^dim_w stable under all operators.
 
     Works over the base field only: each step needs a common eigenvector
     whose eigenvalues lie in the field; a solvable action without one yields
     NO_RATIONAL_FLAG.  Non-solvable spans are rejected outright.
     """
-    if dim_w is None:
-        if not operators:
-            raise ValueError("need dim_w when no operators are given")
-        dim_w = operators[0].nrows
     if operators:
         closure = _bracket_closure(field, dim_w, operators)
         if not is_solvable(LieSubalgebra(field, dim_w, closure)):

@@ -10,8 +10,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .algebra import (DEFAULT_MAX_ENUM, Coordinates, RadicalData, StructureAlgebra,
-                      jacobson_radical)
+from .algebra import DEFAULT_MAX_ENUM, Coordinates, RadicalData, StructureAlgebra
 from .errors import (InternalInconsistency, SearchSpaceTooLarge,
                      UnsupportedRadicalComputation)
 from .fields import PrimeField
@@ -74,26 +73,20 @@ def _is_algebra_map(algebra: StructureAlgebra, m: Matrix) -> bool:
     return True
 
 
-def enumerate_automorphisms(algebra: StructureAlgebra,
-                            rad: RadicalData | None = None,
+def enumerate_automorphisms(algebra: StructureAlgebra, rad: RadicalData | None,
                             max_enum: int = DEFAULT_MAX_ENUM) -> EnumeratedGroup:
     """All algebra automorphisms of a GF(p) algebra by exhaustive search.
 
-    Local commutative algebras enumerate generator images inside J
-    (p^(n dim J) candidates); any other algebra enumerates arbitrary images
-    of a complement of the identity (p^(d(d-1)) candidates).  Every returned
-    map is verified multiplicative, unital and invertible.
+    Local commutative algebras (by ``rad``, None when the radical is not
+    known) enumerate generator images inside J (p^(n dim J) candidates);
+    any other algebra enumerates arbitrary images of a complement of the
+    identity (p^(d(d-1)) candidates).  Every returned map is verified
+    multiplicative, unital and invertible.
     """
     f = algebra.field
     if not isinstance(f, PrimeField):
         raise UnsupportedRadicalComputation("enumeration works over GF(p) only")
-    p, d = f.p, algebra.dim
-    if rad is None:
-        try:
-            rad = jacobson_radical(algebra)
-        except UnsupportedRadicalComputation:
-            rad = None
-    elements = []
+    d = algebra.dim
     if rad is not None and algebra.commutative and rad.radical.dim == d - 1:
         elements = _enumerate_local_commutative(algebra, rad, max_enum)
     else:

@@ -299,7 +299,7 @@ class TruncatedRing:
         if n_vars < 1 or trunc_degree < 1:
             raise ValueError("need n_vars >= 1 and trunc_degree >= 1")
         if (size := comb(n_vars + trunc_degree - 1, n_vars)) > MAX_RING_MONOMIALS:
-            raise SearchSpaceTooLarge(size, MAX_RING_MONOMIALS)
+            raise SearchSpaceTooLarge(size, MAX_RING_MONOMIALS, "truncated ring", "monomials")
         self.n_vars = n_vars
         self.trunc_degree = trunc_degree
         monos = [m for d in range(trunc_degree) for m in degree_monomials(n_vars, d)]

@@ -17,8 +17,8 @@ import warnings
 from dataclasses import dataclass
 from math import comb
 
-from .algebra import (MAX_RING_MONOMIALS, Coordinates, RadicalData, StructureAlgebra,
-                      element_idempotents, induced_algebra)
+from .algebra import (MAX_RING_MONOMIALS, RadicalData, StructureAlgebra,
+                      element_idempotents, quotient_structure)
 from .errors import (InternalInconsistency, NotAdmissible, NotCommutative,
                      NotLocal, NotSplit, LoweyMismatch, SearchSpaceTooLarge)
 from .fields import Field
@@ -31,13 +31,12 @@ class Presentation:
     """Admissible ideal <X>^l + <P_1..P_m> presenting k[X1..Xn]/I."""
 
     def __init__(self, field: Field, n_vars: int, lowey: int,
-                 ring: TruncatedRing, ideal: Subspace, generators: list[Poly]):
+                 ring: TruncatedRing, ideal: Subspace):
         self.field = field
         self.n_vars = n_vars
         self.lowey = lowey
         self.ring = ring
         self.ideal = ideal
-        self.generators = generators
         self._validate()
 
     def _validate(self):
@@ -128,7 +127,7 @@ def presentation_from_ideal(n_vars: int, lowey: int, generators: list[Poly],
     if absorbed:
         warnings.warn(
             "a generator was absorbed into the implicit power ideal", LoweyMismatch)
-    return Presentation(field, n_vars, lowey, ring, ideal, truncated)
+    return Presentation(field, n_vars, lowey, ring, ideal)
 
 
 def _actual_lowey(ring: TruncatedRing, ideal: Subspace) -> int:
@@ -155,7 +154,7 @@ def presentation_from_algebra(algebra: StructureAlgebra, rad: RadicalData) -> Pr
         raise NotCommutative("presentations need a commutative algebra")
     codim = algebra.dim - rad.radical.dim
     if codim > 1:
-        quot = induced_algebra(algebra, Coordinates.quotient(rad.radical), algebra.one)
+        quot, _ = quotient_structure(algebra, rad)
         for z in Subspace.full(algebra.field, quot.dim).basis:
             idems, rest = element_idempotents(quot, z, quot.one)
             if len(idems) + any(rest) > 1:
@@ -172,9 +171,7 @@ def presentation_from_algebra(algebra: StructureAlgebra, rad: RadicalData) -> Pr
     ideal = kernel(Matrix.from_columns(algebra.field, cols))
     if ring.dim - ideal.dim != algebra.dim:
         raise NotAdmissible("evaluation map is not surjective")
-    pres = Presentation(algebra.field, n, l, ring, ideal, [])
-    pres.generators = normal_form(pres).generators
-    return pres
+    return Presentation(algebra.field, n, l, ring, ideal)
 
 
 def eval_monomial(algebra: StructureAlgebra, ys: list, m: tuple, cache: dict) -> list:
@@ -199,7 +196,6 @@ def eval_monomial(algebra: StructureAlgebra, ys: list, m: tuple, cache: dict) ->
 @dataclass
 class NormalForm:
     generators: list[Poly]
-    is_monomial: bool
     property_star_r: int | None
 
 
@@ -226,8 +222,7 @@ def normal_form(pres: Presentation) -> NormalForm:
     if span != pres.ideal:
         raise InternalInconsistency(
             "normal-form generators failed to reconstruct the ideal")
-    is_mono = all(g.is_monomial() for g in gens)
-    return NormalForm(gens, is_mono, _property_star(gens))
+    return NormalForm(gens, _property_star(gens))
 
 
 def is_monomial_ideal(pres: Presentation) -> bool:
@@ -236,6 +231,9 @@ def is_monomial_ideal(pres: Presentation) -> bool:
 
 
 def _property_star(gens: list[Poly]) -> int | None:
+    """Largest r such that every non-monomial generator is an s-monomial
+    homogeneous polynomial with s >= r (None when all generators are
+    monomials or some generator is inhomogeneous)."""
     non_monomial = [g for g in gens if not g.is_monomial()]
     if not non_monomial:
         return None
@@ -247,15 +245,6 @@ def _property_star(gens: list[Poly]) -> int | None:
             return None
         best = s if best is None else min(best, s)
     return best
-
-
-def property_star(pres: Presentation, nf: NormalForm | None = None) -> int | None:
-    """Largest r such that every non-monomial normal-form generator is an
-    s-monomial homogeneous polynomial with s >= r (None when all generators
-    are monomials or some generator is inhomogeneous)."""
-    if nf is None:
-        nf = normal_form(pres)
-    return _property_star(nf.generators)
 
 
 @dataclass
@@ -290,10 +279,8 @@ def minimal_degree_subspace(pres: Presentation) -> MinimalDegreeSubspace:
     return MinimalDegreeSubspace(d_min, monos, space, polys, False)
 
 
-def is_graded_presentation(pres: Presentation, nf: NormalForm | None = None) -> bool:
+def is_graded_presentation(nf: NormalForm) -> bool:
     """Sufficient criterion: all normal-form generators are homogeneous."""
-    if nf is None:
-        nf = normal_form(pres)
     return all(g.is_homogeneous() for g in nf.generators)
 
 
@@ -309,7 +296,7 @@ def quotient_algebra(pres: Presentation) -> StructureAlgebra:
     free = sorted(set(range(ring.dim)).difference(pres.ideal.pivots))
     d = len(free)
     if d * d > MAX_RING_MONOMIALS:
-        raise SearchSpaceTooLarge(d * d, MAX_RING_MONOMIALS)
+        raise SearchSpaceTooLarge(d * d, MAX_RING_MONOMIALS, "T/I table", "cells")
     col = {j: k for k, j in enumerate(free)}
     # each ring monomial modulo I, as (standard monomial, c) pairs; plain
     # ints wherever they can be, which the load reads without coercion

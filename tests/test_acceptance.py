@@ -5,7 +5,7 @@ import random
 import warnings
 
 from algcert.algebra import (StructureAlgebra, der_into, derivation_algebra,
-                             jacobson_radical)
+                             jacobson_radical, wm_complement)
 from algcert.certify import certify, torus_shape_check
 from algcert.constructions import (componentwise_algebra, direct_sum,
                                    truncated_polynomial_algebra,
@@ -18,9 +18,8 @@ from algcert.forms import (im_phi_lie, macaulay_rank, nonsingularity, sim_lie,
 from algcert.oracle import enumerate_automorphisms, induced_jj2_matrices
 from algcert.poly import (LinearChange, Poly, apply_linear_change,
                           partial_derivative)
-from algcert.presentation import (minimal_degree_subspace,
-                                  presentation_from_ideal, property_star,
-                                  quotient_algebra)
+from algcert.presentation import (minimal_degree_subspace, normal_form,
+                                  presentation_from_ideal, quotient_algebra)
 from conftest import pp
 
 GF2, GF3, GF5 = GF(2), GF(3), GF(5)
@@ -127,9 +126,10 @@ def test_acceptance_5_derivation_splits_along_phi():
         pres = build(n, l, texts)
         a = quotient_algebra(pres)
         rad = jacobson_radical(a)
-        dim_der = derivation_algebra(a).dim
+        der = derivation_algebra(a)
+        dim_der = der.dim
         dim_im = im_phi_lie(pres).dim
-        dim_ker = der_into(a, rad, rad.square).dim
+        dim_ker = der_into(der, rad, rad.square).dim
         assert dim_der == dim_im + dim_ker, (n, l, texts)
     _report(5, "dim Der = dim im_phi_lie + dim ker_phi_lie on 10 graded "
                "presentations (exact)")
@@ -144,7 +144,7 @@ def test_acceptance_6_star_property_diagonal_stabilization():
         (build(3, 3, ["X2*X3+X3^2"]), 2),
     ]
     for pres, expect_r in cases:
-        r = property_star(pres)
+        r = normal_form(pres).property_star_r
         assert r == expect_r
         for _ in range(5):
             entries = []
@@ -166,6 +166,11 @@ def test_acceptance_6_star_property_diagonal_stabilization():
                "generator) and D(r) diagonals stabilize each ideal exactly")
 
 
+def _torus_shape(a):
+    rad = jacobson_radical(a)
+    return torus_shape_check(a, rad, wm_complement(a, rad))
+
+
 def test_acceptance_7_certificate_scenarios():
     # (a) J^2 = 0 in six variables
     cert_a = certify(truncated_polynomial_algebra(QQ, 6, 2))
@@ -180,13 +185,13 @@ def test_acceptance_7_certificate_scenarios():
     assert cert_c.invariants["quadratic_isotropy"]["witness"] == [1, 2]
     assert "R_TRIVIAL" in {v.flag for v in cert_c.verdict_for("R-DIM5")}
     # (d) torus shapes
-    yes = torus_shape_check(direct_sum(componentwise_algebra(QQ, 1),
-                                       univariate_quotient_algebra(QQ, [0, 0, 1])))
+    yes = _torus_shape(direct_sum(componentwise_algebra(QQ, 1),
+                                  univariate_quotient_algebra(QQ, [0, 0, 1])))
     assert yes.matches and yes.torus_rank == 1
-    no = torus_shape_check(direct_sum(univariate_quotient_algebra(QQ, [0, 0, 0, 1]),
-                                      componentwise_algebra(QQ, 1)))
+    no = _torus_shape(direct_sum(univariate_quotient_algebra(QQ, [0, 0, 0, 1]),
+                                 componentwise_algebra(QQ, 1)))
     assert not no.matches
-    triv = torus_shape_check(componentwise_algebra(QQ, 3))
+    triv = _torus_shape(componentwise_algebra(QQ, 3))
     assert triv.matches and triv.torus_rank == 0
     _report(7, "certificate scenarios (a)-(d): R-J2, R-DIM5 + R-QANIS, "
                "GF(5) suppression with witness (1,2), torus shapes")

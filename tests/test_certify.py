@@ -4,6 +4,7 @@ import itertools
 import json
 import logging
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -15,14 +16,14 @@ import pytest
 import algcert
 from algcert.algebra import (StructureAlgebra, _split_components, center,
                              element_idempotents, induced_algebra,
-                             jacobson_radical)
+                             jacobson_radical, quotient_structure, wm_complement)
 from algcert.certify import (RULES, CertifyConfig,
                              _build_context_from_presentation, _run_rules,
-                             certify, quotient_structure, reductive_shape,
+                             certify, reductive_shape,
                              verify_invariant_pair, semisimple_block_sizes,
                              torus_shape_check)
 from algcert.constructions import (componentwise_algebra, direct_sum,
-                                   matrix_algebra,
+                                   exterior_algebra, matrix_algebra,
                                    truncated_polynomial_algebra,
                                    univariate_quotient_algebra,
                                    upper_triangular_algebra)
@@ -220,54 +221,65 @@ class TestW1Evaluation:
         assert w1[0].evidence["nonsingularity"] == "NONSINGULAR_CERTIFIED"
 
 
+def _shape(check, a):
+    """check(a, rad, wm) on A's radical and Wedderburn-Malcev complement."""
+    rad = jacobson_radical(a)
+    return check(a, rad, wm_complement(a, rad))
+
+
+def _block_sizes(a):
+    """semisimple_block_sizes on the split of A's center, None when it fails."""
+    try:
+        units = _split_components(a, center(a))
+    except NotSplitBasic:
+        return None
+    return semisimple_block_sizes(a, units)
+
+
 class TestShapes:
     def test_torus_shape_positive(self):
         a = direct_sum(componentwise_algebra(QQ, 1),
                        univariate_quotient_algebra(QQ, [0, 0, 1]))
-        report = torus_shape_check(a)
+        report = _shape(torus_shape_check, a)
         assert report.matches and report.torus_rank == 1
         assert report.component_dims == [1, 2]
 
     def test_torus_shape_negative(self):
-        report = torus_shape_check(univariate_quotient_algebra(QQ, [0, 0, 0, 1]))
+        report = _shape(torus_shape_check, univariate_quotient_algebra(QQ, [0, 0, 0, 1]))
         assert not report.matches and report.torus_rank is None
 
     def test_torus_shape_trivial_group(self):
-        report = torus_shape_check(componentwise_algebra(QQ, 3))
+        report = _shape(torus_shape_check, componentwise_algebra(QQ, 3))
         assert report.matches and report.torus_rank == 0
 
     def test_torus_shape_requires_commutative(self):
-        assert torus_shape_check(upper_triangular_algebra(QQ, 2)) is None
+        assert _shape(torus_shape_check, upper_triangular_algebra(QQ, 2)) is None
 
     def test_reductive_shape_gl3(self):
-        a = truncated_polynomial_algebra(QQ, 3, 2)
-        report = reductive_shape(a, jacobson_radical(a))
+        report = _shape(reductive_shape, truncated_polynomial_algebra(QQ, 3, 2))
         assert report.gl_factors == [3]
 
     def test_reductive_shape_gl1(self):
-        a = univariate_quotient_algebra(QQ, [0, 0, 1])
-        report = reductive_shape(a, jacobson_radical(a))
+        report = _shape(reductive_shape, univariate_quotient_algebra(QQ, [0, 0, 1]))
         assert report.gl_factors == [1]
 
     def test_reductive_shape_two_blocks(self):
         a = direct_sum(univariate_quotient_algebra(QQ, [0, 0, 1]),
                        truncated_polynomial_algebra(QQ, 2, 2))
-        report = reductive_shape(a, jacobson_radical(a))
+        report = _shape(reductive_shape, a)
         assert report.gl_factors == [1, 2]
         assert sum(report.gl_factors) == jacobson_radical(a).radical.dim
 
     def test_reductive_shape_requires_square_zero(self):
-        a = univariate_quotient_algebra(QQ, [0, 0, 0, 1])
-        assert reductive_shape(a, jacobson_radical(a)) is None
+        assert _shape(reductive_shape, univariate_quotient_algebra(QQ, [0, 0, 0, 1])) is None
 
     def test_block_sizes(self):
-        assert semisimple_block_sizes(matrix_algebra(QQ, 2)) == [2]
-        assert semisimple_block_sizes(componentwise_algebra(QQ, 3)) == [1, 1, 1]
-        assert semisimple_block_sizes(
+        assert _block_sizes(matrix_algebra(QQ, 2)) == [2]
+        assert _block_sizes(componentwise_algebra(QQ, 3)) == [1, 1, 1]
+        assert _block_sizes(
             direct_sum(matrix_algebra(QQ, 2), componentwise_algebra(QQ, 1))) == [1, 2]
         # Q(i) is not split
-        assert semisimple_block_sizes(
-            univariate_quotient_algebra(QQ, [1, 0, 1])) is None
+        assert _block_sizes(univariate_quotient_algebra(QQ, [1, 0, 1])) is None
 
 
 class TestSection6:
@@ -743,7 +755,7 @@ def test_structure_step_matches_eigenspace_splitter(name, build_algebra, field):
         if algebra.commutative:
             # split A/J, as certify does (t^3 - 2 = (t + 1)^3 over GF(3))
             rad = jacobson_radical(algebra)
-            semi = quotient_structure(algebra, rad)
+            semi, _ = quotient_structure(algebra, rad)
             if semi.dim > 1:
                 want_local = _ref_try_split(semi, semi.one, Subspace.full(field, semi.dim))
                 with pytest.raises(NotLocal if want_local else NotSplit):
@@ -757,7 +769,48 @@ def test_structure_step_matches_eigenspace_splitter(name, build_algebra, field):
             assert got is None
         else:
             assert got is not None and sorted(map(tuple, got)) == sorted(map(tuple, want))
-        assert semisimple_block_sizes(semi) == _ref_block_sizes(semi)
+        assert _block_sizes(semi) == _ref_block_sizes(semi)
+
+
+# the structure steps a certificate takes at most once: A/J's table, the split
+# of its center, the idempotent lift and the normal form
+ONCE = (("algcert.algebra", "induced_algebra"), ("algcert.algebra", "_split_components"),
+        ("algcert.algebra", "lift_idempotents"), ("algcert.presentation", "normal_form"))
+
+
+@pytest.mark.parametrize("make, lifts", [
+    (lambda: _k_plus_dual_numbers(QQ), 1),
+    (lambda: direct_sum(componentwise_algebra(GF5, 2),
+                        univariate_quotient_algebra(GF5, [0, 0, 1])), 1),
+    (lambda: truncated_polynomial_algebra(QQ, 2, 3), 1),
+    (lambda: build(3, 2, []), 1),
+    # no shape reads a complement: J is not central, and J^2 != 0
+    (lambda: upper_triangular_algebra(QQ, 3), 0),
+    (lambda: exterior_algebra(QQ, 3), 0),
+], ids=["k+dual_QQ", "k2+dual_GF5", "xy_m3_QQ", "pres_n3_l2", "UT3_QQ", "ext3_QQ"])
+def test_structure_invariants_computed_once(make, lifts, monkeypatch):
+    # each step is wrapped at every algcert name bound to it, so calls from
+    # any module are counted
+    obj = make()
+    calls = {}
+    mods = [importlib.import_module(f"algcert.{m.name}")
+            for m in pkgutil.iter_modules(algcert.__path__)]
+    for home, name in ONCE:
+        original = getattr(importlib.import_module(home), name)
+        calls[name] = 0
+
+        def counted(*args, _f=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        for mod in mods:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    cert = certify(obj)
+    assert calls["lift_idempotents"] == lifts
+    shapes = {"torus_shape", "reductive_shape"} & set(cert.invariants)
+    assert bool(shapes) == bool(lifts)
+    assert max(calls.values()) <= 1, calls
 
 
 def test_non_root_from_root_finder_is_inconsistent(monkeypatch):

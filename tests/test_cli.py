@@ -203,6 +203,23 @@ def test_oracle_aut_rejects_rationals(m2q_structure):
     assert main(["oracle-aut", m2q_structure]) == 3
 
 
+def test_oracle_aut_radical_obeys_max_enum(tmp_path, capsys):
+    # k[t]/(t^6) over GF(2): the radical scan needs 2^6 elements, so under
+    # --max-enum 40 oracle-aut is refused as radical is, with no radical
+    # taken under a larger bound behind the flag's back
+    path = _write(tmp_path, "t6.json", {
+        "kind": "structure_constants", "field": {"type": "GFp", "p": 2}, "dim": 6,
+        "one": [1, 0, 0, 0, 0, 0],
+        "table": [[[int(k == i + j) for k in range(6)] for j in range(6)]
+                  for i in range(6)]})
+    for command in ("radical", "oracle-aut"):
+        assert main([command, path, "--max-enum", "40"]) == 3
+        assert "scan needs 64 elements, bound is 40" in capsys.readouterr().err
+    assert main(["oracle-aut", path]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {"order", "image_order",
+                                                       "kernel_count"}
+
+
 def test_field_override(tmp_path, capsys):
     path = _write(tmp_path, "pres.json", {
         "kind": "presentation",
@@ -286,7 +303,7 @@ def test_normal_form_inconsistency_exits_4(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("module, name, document", [
-    ("algcert.presentation", "normal_form", "gf3_cubic"),
+    ("algcert.certify", "normal_form", "gf3_cubic"),
     ("algcert.certify", "semisimple_block_sizes", "gf3_cubic"),
     ("algcert.certify", "isotropy", "quadric_presentation"),
     ("algcert.certify", "flag_search", "quadric_presentation"),
@@ -377,7 +394,7 @@ def test_oversize_presentation_table_exits_3(tmp_path, capsys, command):
     start = time.perf_counter()
     assert main([command, path]) == 3
     assert time.perf_counter() - start < 5
-    assert "needs 35808256 candidates, bound is 100000" in capsys.readouterr().err
+    assert "T/I table needs 35808256 cells, bound is 100000" in capsys.readouterr().err
 
 
 def test_radical_of_mid_size_presentation(tmp_path, capsys):

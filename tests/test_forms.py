@@ -424,38 +424,38 @@ class TestImPhi:
         p = build(n, l, texts)
         a = quotient_algebra(p)
         rad = jacobson_radical(a)
-        dim_der = derivation_algebra(a).dim
-        dim_ker = der_into(a, rad, rad.square).dim
-        assert dim_der == im_phi_lie(p).dim + dim_ker
+        der = derivation_algebra(a)
+        dim_ker = der_into(der, rad, rad.square).dim
+        assert der.dim == im_phi_lie(p).dim + dim_ker
 
 
 class TestFlagSearch:
     def test_rotation_no_rational_flag(self):
-        res = flag_search([Matrix(QQ, [[0, -1], [1, 0]])], QQ)
+        res = flag_search([Matrix(QQ, [[0, -1], [1, 0]])], QQ, 2)
         assert res.status == "NO_RATIONAL_FLAG"
 
     def test_rotation_splits_over_gf5(self):
         # t^2 + 1 factors mod 5, so the flag exists there
-        res = flag_search([Matrix(GF5, [[0, 4], [1, 0]])], GF5)
+        res = flag_search([Matrix(GF5, [[0, 4], [1, 0]])], GF5, 2)
         assert res.status == "FULL_FLAG"
 
     def test_upper_triangular_flag(self):
         ops = [Matrix(QQ, [[1, 0], [0, 0]]), Matrix(QQ, [[0, 1], [0, 0]]),
                Matrix(QQ, [[0, 0], [0, 1]])]
-        res = flag_search(ops, QQ)
+        res = flag_search(ops, QQ, 2)
         assert res.status == "FULL_FLAG"
         assert res.flag[0] == [1, 0]
 
     def test_dim_one_trivial(self):
-        assert flag_search([Matrix(QQ, [[7]])], QQ).status == "FULL_FLAG"
+        assert flag_search([Matrix(QQ, [[7]])], QQ, 1).status == "FULL_FLAG"
 
     def test_gl2_not_solvable(self):
         ops = [Matrix(QQ, [[1, 0], [0, 0]]), Matrix(QQ, [[0, 1], [0, 0]]),
                Matrix(QQ, [[0, 0], [1, 0]]), Matrix(QQ, [[0, 0], [0, 1]])]
-        assert flag_search(ops, QQ).status == "NOT_SOLVABLE"
+        assert flag_search(ops, QQ, 2).status == "NOT_SOLVABLE"
 
     def test_no_operators_full_flag(self):
-        res = flag_search([], QQ, dim_w=3)
+        res = flag_search([], QQ, 3)
         assert res.status == "FULL_FLAG" and len(res.flag) == 3
 
 

@@ -37,7 +37,7 @@ class TestEnumeration:
     def test_rejects_rationals(self):
         a = univariate_quotient_algebra(QQ, [0, 0, 1])
         with pytest.raises(UnsupportedRadicalComputation):
-            enumerate_automorphisms(a)
+            enumerate_automorphisms(a, None)
 
     def test_search_space_guard(self):
         a = truncated_polynomial_algebra(GF3, 2, 3)

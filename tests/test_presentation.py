@@ -14,14 +14,13 @@ from algcert.errors import (LoweyMismatch, NotAdmissible, NotLocal, NotSplit,
                             NotCommutative)
 from algcert.fields import GF, QQ
 from algcert.forms import im_phi_lie
-from algcert.linalg import Matrix, Subspace, invert
+from algcert.linalg import Matrix, Subspace, invert, quotient_basis
 from algcert.poly import LinearChange, Poly, TruncatedRing, apply_linear_change
 from algcert.presentation import (_actual_lowey, _saturate,
                                   is_graded_presentation, is_monomial_ideal,
                                   minimal_degree_subspace, normal_form,
                                   presentation_from_algebra,
-                                  presentation_from_ideal, property_star,
-                                  quotient_algebra)
+                                  presentation_from_ideal, quotient_algebra)
 from conftest import pp, random_poly
 
 GF2, GF3, GF5 = GF(2), GF(3), GF(5)
@@ -123,7 +122,7 @@ class TestFromAlgebra:
         pres = presentation_from_algebra(a, jacobson_radical(a))
         assert pres.n_vars == 1 and pres.lowey == 3
         assert pres.ideal.dim == 0
-        assert pres.generators == []
+        assert normal_form(pres).generators == []
 
     def test_recovers_relations(self):
         # basis 1, x, y, x^2 with xy = 0, y^2 = x^2, x^3 = 0
@@ -132,7 +131,7 @@ class TestFromAlgebra:
         pres = presentation_from_algebra(a, jacobson_radical(a))
         assert pres.n_vars == 2 and pres.lowey == 3
         assert pres.ideal.dim == p.ideal.dim
-        gens = {str(g) for g in pres.generators}
+        gens = {str(g) for g in normal_form(pres).generators}
         assert gens == {"X1*X2", "X1^2 - X2^2"}
 
     def test_round_trip_multiplicative(self):
@@ -145,8 +144,7 @@ class TestFromAlgebra:
         assert jacobson_radical(b).lowey_length == rad.lowey_length
         # the evaluation map (monomials at the chosen J/J^2 lifts) is an
         # algebra isomorphism from b to a: check it multiplicatively
-        from algcert.algebra import jj2_basis
-        lifts = jj2_basis(rad)
+        lifts = quotient_basis(rad.square, rad.radical)
         # b's basis: the standard monomials, the ring indices at no pivot
         reps = [[QQ.one if t == j else QQ.zero for t in range(pres.ring.dim)]
                 for j in range(pres.ring.dim) if j not in pres.ideal.pivots]
@@ -194,17 +192,15 @@ class TestFromAlgebra:
 class TestNormalForm:
     def test_monomial_power(self):
         nf = normal_form(build(2, 3, []))
-        assert nf.generators == [] and nf.is_monomial
+        assert nf.generators == []
 
     def test_absorbed_cubic(self):
         nf = normal_form(build(2, 4, ["X1^2", "X1^3+X2^3"]))
         assert [str(g) for g in nf.generators] == ["X1^2", "X2^3"]
-        assert nf.is_monomial
 
     def test_single_quadric(self):
         nf = normal_form(build(2, 3, ["X1^2+X2^2"]))
         assert [str(g) for g in nf.generators] == ["X1^2 + X2^2"]
-        assert not nf.is_monomial
 
     def test_reconstruction_is_checked(self, rng):
         from conftest import random_poly
@@ -233,26 +229,31 @@ class TestMonomialDetection:
         for p in (build(2, 4, ["X1*X2", "X1^3"]),
                   build(2, 3, ["X1^2+X2^2"]),
                   build(2, 3, [])):
-            assert normal_form(p).is_monomial == is_monomial_ideal(p)
+            assert all(g.is_monomial() for g in normal_form(p).generators) \
+                == is_monomial_ideal(p)
+
+
+def _star(pres):
+    return normal_form(pres).property_star_r
 
 
 class TestPropertyStar:
     def test_reference_generator(self):
         p = build(4, 18, ["X1^2*X2^3*X3^4*X4^8 + X1^2*X2^3*X3^12"])
-        assert property_star(p) == 3
+        assert _star(p) == 3
 
     def test_plain_quadric(self):
-        assert property_star(build(2, 3, ["X1^2+X2^2"])) == 1
+        assert _star(build(2, 3, ["X1^2+X2^2"])) == 1
 
     def test_inhomogeneous_none(self):
-        assert property_star(build(2, 4, ["X1^2 + X2^3"])) is None
+        assert _star(build(2, 4, ["X1^2 + X2^3"])) is None
 
     def test_monomial_only_none(self):
-        assert property_star(build(2, 4, ["X1*X2"])) is None
+        assert _star(build(2, 4, ["X1*X2"])) is None
 
     def test_mixed_generators(self):
         p = build(3, 4, ["X1^3", "X2^2 + X2*X3"])
-        assert property_star(p) == 2
+        assert _star(p) == 2
 
     def test_diagonal_stabilization(self, rng):
         # forward direction: D(r) diagonals stabilize the ideal subspace
@@ -262,7 +263,7 @@ class TestPropertyStar:
             build(3, 4, ["X1^3", "X2^2 + X2*X3"]),
         ]
         for p in cases:
-            r = property_star(p)
+            r = _star(p)
             assert r is not None
             for _ in range(5):
                 diag = _random_d_matrix(rng, p.n_vars, r, p.field)
@@ -340,18 +341,18 @@ def _homogeneous_rows(pres):
 
 class TestGraded:
     def test_homogeneous_generators(self):
-        assert is_graded_presentation(build(2, 3, ["X1^2+X2^2"]))
-        assert is_graded_presentation(build(2, 3, []))
+        assert is_graded_presentation(normal_form(build(2, 3, ["X1^2+X2^2"])))
+        assert is_graded_presentation(normal_form(build(2, 3, [])))
 
     def test_inhomogeneous(self):
         p = build(2, 4, ["X1^2+X2^3"])
-        assert not is_graded_presentation(p)
+        assert not is_graded_presentation(normal_form(p))
         assert not _homogeneous_rows(p)
 
     def test_subspace_criterion_agrees(self):
         for p in (build(2, 3, ["X1^2+X2^2"]), build(2, 4, ["X1^2+X2^3"]),
                   build(2, 4, ["X1^2", "X1^3+X2^3"])):
-            assert is_graded_presentation(p) == _homogeneous_rows(p)
+            assert is_graded_presentation(normal_form(p)) == _homogeneous_rows(p)
 
 
 class TestQuotientAlgebra:
@@ -441,8 +442,7 @@ def test_presentation_layer_reads_no_dense_ring_vector(monkeypatch):
     assert pres.ring.dim == ring_dim and pres.ideal.pivots == [5603]
     gen = "X1^2*X2^3*X3^12 + X1^2*X2^3*X3^4*X4^8"
     nf = normal_form(pres)
-    assert ([str(g) for g in nf.generators], nf.is_monomial, nf.property_star_r) \
-        == ([gen], False, 3)
+    assert ([str(g) for g in nf.generators], nf.property_star_r) == ([gen], 3)
     assert not is_monomial_ideal(pres)
     w = minimal_degree_subspace(pres)
     assert (w.degree, w.dim, w.is_power_slice, len(w.monomials)) == (17, 1, False, 1140)

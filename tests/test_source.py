@@ -138,6 +138,31 @@ def test_parameters_are_read():
     assert found == []
 
 
+def test_no_recompute_defaults():
+    # a parameter that defaults to None and that the body fills in when it
+    # is left out recomputes a value its caller may hold already: make it
+    # required.  The config of the two library entry points is exempt
+    exempt = {("certify", "config"), ("verify_invariant_pair", "config")}
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+            pairs += list(zip(args.kwonlyargs, args.kw_defaults))
+            none_default = {a.arg for a, d in pairs
+                            if isinstance(d, ast.Constant) and d.value is None}
+            stored = {n.id for s in node.body for n in ast.walk(s)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            found += [f"{path.name}:{node.lineno}:{name}"
+                      for name in sorted(none_default & stored)
+                      if (node.name, name) not in exempt]
+    assert SOURCES
+    assert found == []
+
+
 def test_truncated_ring_has_one_product():
     # TruncatedRing.times is the one monomial product of the presentation
     # layer: presentation.py multiplies no Polys, and T/I is read off the
