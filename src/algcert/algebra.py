@@ -2,6 +2,9 @@
 filtration, Wedderburn-Malcev complements for split basic algebras, and the
 derivation Lie algebra with its nilpotency and solvability.
 
+Every algebra, given or induced (A/J, a corner, T/I), is loaded from its
+nonzero structure constants as cells {(i, j): [(k, c), ...]}; a dense
+tensor goes through StructureAlgebra.from_table, which drops its zeros.
 Each algebra carries a generating set G and a basis of words in it, so
 associativity, the center, the radical's ideal check and Der(A) are checked
 or solved on G alone, Der(A) on the |G| d entries D(e_g).  Every product
@@ -31,48 +34,58 @@ MAX_RING_MONOMIALS = 10**5  # largest truncated ring built, checked before alloc
 
 
 class StructureAlgebra:
-    """Finite-dimensional unital associative algebra given by a d x d x d
-    structure tensor: e_i * e_j = sum_k table[i][j][k] e_k.
+    """Finite-dimensional unital associative algebra of dimension d =
+    len(one), given by its structure constants: ``cells`` maps (i, j) to
+    the (k, c) pairs with e_i * e_j = sum c e_k, in any order and each k at
+    most once.  A missing pair (i, j), or a k that its cell lacks, is a
+    zero constant.  An index outside range(d) or a repeated k raises
+    AmbientMismatch, and a c that is not a scalar BadScalar.
 
     ``gens`` generate it, with the word basis ``words`` (see _word_basis).
     Load verifies unitality exhaustively and associativity on ``gens``
     (Light's test).  A presentation-derived one may carry ``known_radical``.
     """
 
-    def __init__(self, field: Field, table, one, known_radical: Subspace | None = None):
-        d, p = len(table), field.characteristic
+    def __init__(self, field: Field, cells, one, known_radical: Subspace | None = None):
+        p = field.characteristic
         self.field = field
-        self.dim = d
-        # ints as they are, other entries through field.coerce (BadScalar)
-        cells = [[scalars(cell, field) for cell in row] for row in table]
-        for row in cells:
-            if len(row) != d or any(len(cell) != d for cell in row):
-                raise AmbientMismatch("structure tensor is not d x d x d")
         self.one = [field.coerce(x) for x in one]
-        if len(self.one) != d:
-            raise AmbientMismatch("identity vector has wrong length")
+        self.dim = d = len(self.one)
         self.known_radical = known_radical
+        read = {}                       # (i, j) -> its (k, c) sorted by k, c read by scalars
+        for (i, j), cell in cells.items():
+            ks, cs = zip(*cell) if cell else ((), ())
+            ts = (i, j, *ks)
+            if set(map(type, ts)) != {int} or min(ts) < 0 or max(ts) >= d:
+                raise AmbientMismatch(f"structure cell ({i}, {j}) has an index outside range({d})")
+            if len(set(ks)) != len(ks):
+                raise AmbientMismatch(f"structure cell ({i}, {j}) repeats an index k")
+            read[i, j] = sorted(zip(ks, scalars(cs, field)))
         # x o y = den x y on integer coordinates: the one product table, as
-        # the nonzero (k, c) of each cell of the scaled table
-        self._den = den = 1 if p else lcm(*{x.denominator for row in cells for cell in row
-                                            for x in cell if type(x) is not int})
-        self._int_table = [[[x % p if p else x * den if type(x) is int
-                             else x.numerator * (den // x.denominator) for x in cell]
-                            for cell in row] for row in cells]
-        self._sparse = [[[(k, c) for k, c in enumerate(cell) if c]
-                         for cell in row] for row in self._int_table]
+        # the nonzero (k, c) of each cell of the scaled constants
+        self._den = den = 1 if p else lcm(*{x.denominator for cell in read.values()
+                                            for _, x in cell if type(x) is not int})
+        self._sparse = [[[(k, c) for k, x in read.get((i, j), ())
+                          if (c := x % p if p else x * den if type(x) is int
+                              else x.numerator * (den // x.denominator))]
+                         for j in range(d)] for i in range(d)]
         self._verify_unital()
         self.gens, self.edges, self.words = _word_basis(self)
         self._verify_associative()
         self.commutative = all(self._sparse[i][j] == self._sparse[j][i]
                                for i in range(d) for j in range(i + 1, d))
 
-    @cached_property
-    def table(self) -> list:
-        """The structure constants as field scalars, read off ``_int_table``."""
-        p, den = self.field.characteristic, self._den
-        return [[[x if p else Fraction(x, den) for x in cell] for cell in row]
-                for row in self._int_table]
+    @classmethod
+    def from_table(cls, field: Field, table, one) -> StructureAlgebra:
+        """The algebra of a dense d x d x d tensor, e_i * e_j = sum_k
+        table[i][j][k] e_k, loaded from the tensor's nonzero entries."""
+        d = len(table)
+        if any(len(row) != d or any(len(cell) != d for cell in row) for row in table):
+            raise AmbientMismatch("structure tensor is not d x d x d")
+        if len(one) != d:
+            raise AmbientMismatch("identity vector has wrong length")
+        return cls(field, {(i, j): [(k, c) for k, c in enumerate(scalars(cell, field)) if c]
+                           for i, row in enumerate(table) for j, cell in enumerate(row)}, one)
 
     # -- load-time checks ------------------------------------------------
 
@@ -242,9 +255,10 @@ def induced_algebra(algebra: StructureAlgebra, coords: Coordinates, one) -> Stru
     subalgebra or a corner eAe.
     """
     reps = coords.reps
-    table = [[coords.project(algebra.multiply(a, b)) for b in reps] for a in reps]
+    cells = {(i, j): [(k, c) for k, c in enumerate(coords.project(algebra.multiply(a, b))) if c]
+             for i, a in enumerate(reps) for j, b in enumerate(reps)}
     try:
-        return StructureAlgebra(coords.field, table, coords.project(one))
+        return StructureAlgebra(coords.field, cells, coords.project(one))
     except (NotUnital, NonAssociative) as exc:
         raise InternalInconsistency(f"induced algebra: {exc}") from exc
 
@@ -260,9 +274,15 @@ def quotient_structure(algebra: StructureAlgebra,
 def center(algebra: StructureAlgebra) -> Subspace:
     """Z(A) as the kernel of x -> (x e_g - e_g x)_g over the generators G:
     what commutes with G commutes with every word in G, and they span A."""
-    d, tbl = algebra.dim, algebra._int_table
-    rows = [[tbl[j][g][k] - tbl[g][j][k] for j in range(d)]
-            for g in algebra.gens for k in range(d)]
+    d, sparse, rows = algebra.dim, algebra._sparse, []
+    for g in algebra.gens:
+        by_k = [{} for _ in range(d)]   # by_k[k][j] = den (e_j e_g - e_g e_j)[k]
+        for j in range(d):
+            for k, c in sparse[j][g]:
+                by_k[k][j] = c
+            for k, c in sparse[g][j]:
+                by_k[k][j] = by_k[k].get(j, 0) - c
+        rows += by_k
     return kernel_rows(rows, d, algebra.field)
 
 
@@ -317,10 +337,11 @@ def _verify_ideal(algebra: StructureAlgebra, j: Subspace) -> bool:
 def dickson_radical(algebra: StructureAlgebra) -> Subspace:
     """Characteristic-0 radical: kernel of the Gram matrix of the trace form
     tau(x, y) = trace(L_x L_y) of the left regular representation."""
-    d, tbl = algebra.dim, algebra._int_table
-    # L_i[a][b] = c_ib^a, so trace(L_i L_j) = sum_b sum_{c_ib^a != 0} c_ib^a c_ja^b
-    gram = [[sum(x * tbl[j][a][b] for b in range(d) for a, x in algebra._sparse[i][b])
-             for j in range(d)] for i in range(d)]
+    d, sparse = algebra.dim, algebra._sparse
+    # L_x L_y = L_xy, A being associative (checked at load), so trace(L_i L_j)
+    # = sum_k c_ij^k trace(L_k), with trace(L_k) = sum_a c_ka^a
+    trace = [sum(c for a in range(d) for b, c in sparse[k][a] if b == a) for k in range(d)]
+    gram = [[sum(c * trace[k] for k, c in sparse[i][j]) for j in range(d)] for i in range(d)]
     return kernel_rows(gram, d, QQ)
 
 

@@ -68,7 +68,7 @@ def _load_structure(doc: dict, field: Field) -> StructureAlgebra:
         if not (isinstance(row, list) and len(row) == dim
                 and all(isinstance(c, list) and len(c) == dim for c in row)):
             raise SchemaError("structure tensor is not dim x dim x dim")
-    return StructureAlgebra(field, table, one)
+    return StructureAlgebra.from_table(field, table, one)
 
 
 def _load_presentation(doc: dict, field: Field) -> Presentation:

@@ -61,14 +61,16 @@ class EnumeratedGroup:
 
 
 def _is_algebra_map(algebra: StructureAlgebra, m: Matrix) -> bool:
-    f = algebra.field
+    """Whether m(e_i) m(e_j) = m(e_i e_j) for all i, j, with e_i e_j read
+    off its cell (residues: the algebra is over GF(p))."""
     d = algebra.dim
     cols = [[m.rows[r][c] for r in range(d)] for c in range(d)]
     for i in range(d):
         for j in range(d):
-            want = m.matvec(algebra.table[i][j])
-            got = algebra.multiply(cols[i], cols[j])
-            if want != got:
+            cell = [0] * d
+            for k, c in algebra._sparse[i][j]:
+                cell[k] = c
+            if m.matvec(cell) != algebra.multiply(cols[i], cols[j]):
                 return False
     return True
 

@@ -290,25 +290,22 @@ def quotient_algebra(pres: Presentation) -> StructureAlgebra:
     """Structure constants of T(n, l)/I on its standard monomials, the ring
     indices at no pivot of the ideal, the positive-degree ones spanning the
     known radical.  A pivot monomial is minus the rest of its canonical row,
-    which is 0 at every other pivot, so products are read off the rows.  A
-    table of more than MAX_RING_MONOMIALS cells is refused before it is built."""
+    which is 0 at every other pivot, so each product's cell is read off the
+    rows, and a product past the truncation has no cell.  A table of more
+    than MAX_RING_MONOMIALS cells is refused before it is built."""
     f, ring = pres.field, pres.ring
     free = sorted(set(range(ring.dim)).difference(pres.ideal.pivots))
     d = len(free)
     if d * d > MAX_RING_MONOMIALS:
         raise SearchSpaceTooLarge(d * d, MAX_RING_MONOMIALS, "T/I table", "cells")
     col = {j: k for k, j in enumerate(free)}
-    # each ring monomial modulo I, as (standard monomial, c) pairs; plain
-    # ints wherever they can be, which the load reads without coercion
-    normal = {j: [(k, 1)] for j, k in col.items()}
+    # each ring monomial modulo I, as (standard monomial, c) pairs: the cell
+    # of every product of standard monomials that is this monomial
+    normal = {j: [(k, f.one)] for j, k in col.items()}
     normal.update((row[0][0], [(col[t], f.neg(c)) for t, c in row[1:]])
                   for row in pres.ideal._terms)
-    table = [[[0] * d for _ in free] for _ in free]
-    for i, cells in zip(free, table):
-        for j, cell in zip(free, cells):
-            for k in ring.times([(j, 1)], ring.monomials[i]):
-                for t, c in normal[k]:
-                    cell[t] = c
+    cells = {(a, b): normal[k] for a, i in enumerate(free) for b, j in enumerate(free)
+             for k in ring.times([(j, 1)], ring.monomials[i])}
     positive = [[(k, f.one)] for k in range(1, d)]
-    return StructureAlgebra(f, table, [f.one] + [f.zero] * (d - 1),
+    return StructureAlgebra(f, cells, [f.one] + [f.zero] * (d - 1),
                             known_radical=Subspace(f, d, positive))

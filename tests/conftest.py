@@ -47,8 +47,17 @@ def transvected(algebra, rng, count=30):
     def coords(v):                      # e coordinates -> f coordinates
         return [sum(c * x for c, x in zip(row, v)) for row in t_inv]
     basis = [[t[a][i] for a in range(d)] for i in range(d)]
-    table = [[coords(algebra.multiply(x, y)) for y in basis] for x in basis]
-    return StructureAlgebra(algebra.field, table, coords(algebra.one))
+    cells = {(i, j): [(k, c) for k, c in enumerate(coords(algebra.multiply(x, y))) if c]
+             for i, x in enumerate(basis) for j, y in enumerate(basis)}
+    return StructureAlgebra(algebra.field, cells, coords(algebra.one))
+
+
+def dense_table(algebra):
+    """The structure constants as a dense d x d x d list of field scalars,
+    table[i][j] = e_i e_j, read off multiply on basis vectors."""
+    f, d = algebra.field, algebra.dim
+    units = [[f.one if k == i else f.zero for k in range(d)] for i in range(d)]
+    return [[algebra.multiply(x, y) for y in units] for x in units]
 
 
 def matrix_sum(field, n, terms):

@@ -20,7 +20,7 @@ from algcert.poly import (LinearChange, Poly, apply_linear_change,
                           partial_derivative)
 from algcert.presentation import (minimal_degree_subspace, normal_form,
                                   presentation_from_ideal, quotient_algebra)
-from conftest import pp
+from conftest import dense_table, pp
 
 GF2, GF3, GF5 = GF(2), GF(3), GF(5)
 
@@ -63,7 +63,7 @@ def test_acceptance_1_radical_correctness():
             warnings.simplefilter("ignore", LoweyMismatch)
             pres = presentation_from_ideal(n, l, gens, QQ)
         presented = quotient_algebra(pres)
-        bare = StructureAlgebra(QQ, presented.table, presented.one)
+        bare = StructureAlgebra.from_table(QQ, dense_table(presented), presented.one)
         dickson = jacobson_radical(bare)
         assert dickson.radical == presented.known_radical
         cases += 1

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 import warnings
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from algcert.algebra import (Coordinates, LieSubalgebra, StructureAlgebra,
                              derivation_algebra, induced_algebra,
                              is_nilpotent, is_solvable, jacobson_radical,
                              wm_complement)
+from algcert.certify import certify
 from algcert.cli import main
 from algcert.errors import (AmbientMismatch, BadScalar, InternalInconsistency, LoweyMismatch,
                             NonAssociative, NotSplitBasic, NotUnital,
@@ -26,7 +28,7 @@ from algcert.constructions import (componentwise_algebra, direct_sum,
                                    univariate_quotient_algebra,
                                    upper_triangular_algebra)
 from algcert.presentation import presentation_from_ideal, quotient_algebra
-from conftest import matrix_sum, own_coordinates, pp, random_poly, transvected
+from conftest import dense_table, matrix_sum, own_coordinates, pp, random_poly, transvected
 
 GF2, GF3, GF5, GF7 = GF(2), GF(3), GF(5), GF(7)
 GF_BIG = GF(2**31 - 1)
@@ -60,6 +62,12 @@ def _ref_multiply(field, table, x, y):
     return out
 
 
+def _cells(algebra):
+    """The algebra's constants as cells that list every k, zeros too."""
+    return {(i, j): list(enumerate(cell))
+            for i, row in enumerate(dense_table(algebra)) for j, cell in enumerate(row)}
+
+
 class TestLoad:
     def test_componentwise_loads_commutative(self):
         a = componentwise_algebra(QQ, 2)
@@ -71,8 +79,8 @@ class TestLoad:
     def test_not_unital(self):
         # e1*e1 = e2, e2*e2 = e1 has no identity among the declared one
         table = [[[0, 1], [0, 0]], [[0, 0], [1, 0]]]
-        with pytest.raises(NotUnital):
-            StructureAlgebra(QQ, table, [1, 0])
+        with pytest.raises(NotUnital, match="^declared identity fails on basis element 0$"):
+            StructureAlgebra.from_table(QQ, table, [1, 0])
 
     def test_non_associative_names_triple(self):
         # basis 1, x, y with x*x = y, x*y = 0, y*x = x: (xx)x != x(xx)
@@ -83,8 +91,9 @@ class TestLoad:
             [[0, 0, 1], [0, 1, 0], zero],
         ]
         with pytest.raises(NonAssociative) as err:
-            StructureAlgebra(QQ, table, [1, 0, 0])
+            StructureAlgebra.from_table(QQ, table, [1, 0, 0])
         assert err.value.triple == (1, 1, 1)
+        assert str(err.value) == "associativity fails on basis triple (1, 1, 1)"
 
     @pytest.mark.parametrize("field", [QQ, GF7], ids=["QQ", "GF7"])
     def test_int_fraction_and_string_tables_load_alike(self, field):
@@ -96,21 +105,40 @@ class TestLoad:
                            [3, Fraction(1, 2), 5, 1, Fraction(1, 2), 3])
         assert scaled._den > 1
         for base, kinds in ((integral, (int, Fraction, str)), (scaled, (Fraction, str))):
-            want = [[[field.coerce(x) for x in cell] for cell in row] for row in base.table]
-            loaded = [StructureAlgebra(field, [[[kind(x) for x in cell] for cell in row]
-                                              for row in base.table], base.one)
+            table = dense_table(base)
+            want = [[[field.coerce(x) for x in cell] for cell in row] for row in table]
+            loaded = [StructureAlgebra.from_table(field, [[[kind(x) for x in cell] for cell in row]
+                                                         for row in table], base.one)
                       for kind in kinds]
             for a in loaded:
-                assert a.table == want
+                assert dense_table(a) == want
                 assert a._sparse == loaded[0]._sparse
                 assert a.commutative == base.commutative
         assert not integral.commutative and scaled.commutative
 
     @pytest.mark.parametrize("field", [QQ, GF7], ids=["QQ", "GF7"])
+    def test_bad_cells_are_refused(self, field):
+        # k[x]/(x^2) from its cells, then one fault at a time: an index
+        # outside range(d), a k twice in one cell (a dense tensor cannot say
+        # that, so it must not be read as the last pair), a bad scalar
+        good = {(0, 0): [(0, 1)], (0, 1): [(1, 1)], (1, 0): [(1, 1)]}
+        assert StructureAlgebra(field, good, [1, 0]).commutative
+        outside = "has an index outside range(2)"
+        for key, cell, text in (((2, 0), [(0, 1)], outside), ((0, -1), [], outside),
+                                ((1, 1), [(2, 1)], outside), ((1, 1), [(-1, 1)], outside),
+                                ((1, 1), [(0, 1), (0, 0)], "repeats an index k"),
+                                ((0, 1), [(1, 1), (1, 1)], "repeats an index k")):
+            with pytest.raises(AmbientMismatch, match=re.escape(f"structure cell {key} {text}")):
+                StructureAlgebra(field, {**good, key: cell}, [1, 0])
+        for bad, text in ((True, "boolean is not a scalar: True"), ("x", "bad .* literal .x.$")):
+            with pytest.raises(BadScalar, match=text):
+                StructureAlgebra(field, {**good, (1, 1): [(0, bad)]}, [1, 0])
+
+    @pytest.mark.parametrize("field", [QQ, GF7], ids=["QQ", "GF7"])
     def test_bool_constant_is_bad_scalar(self, field):
         table = [[[1, 0], [0, 1]], [[0, 1], [0, True]]]
         with pytest.raises(BadScalar, match="boolean is not a scalar: True"):
-            StructureAlgebra(field, table, [1, 0])
+            StructureAlgebra.from_table(field, table, [1, 0])
 
     def test_multiply_bilinear(self):
         a = upper_triangular_algebra(QQ, 2)
@@ -134,10 +162,11 @@ class TestLoad:
         entries = [0, 1, -1, p, p + 3, -2 * p - 1, Fraction(1, 5), Fraction(-11, 25),
                    Fraction(3 * p + 1, 5)]
         for a in bases:
+            table = dense_table(a)
             for _ in range(12):
                 x, y = ([rng.choice(entries) for _ in range(a.dim)] for _ in range(2))
                 got = a.multiply(x, y)
-                assert got == _ref_multiply(field, a.table, x, y)
+                assert got == _ref_multiply(field, table, x, y)
                 assert all(type(v) is (int if field.characteristic else Fraction) for v in got)
                 if field.characteristic:
                     assert all(0 <= v < field.characteristic for v in got)
@@ -150,8 +179,9 @@ class TestLoad:
         base = upper_triangular_algebra(field, 2)
         one = [field.add(x, field.coerce(c) if k == 1 else field.zero)
                for k, x in enumerate(base.one)]
-        opposite = [[base.table[j][i] for j in range(3)] for i in range(3)]
-        for table, side in ((base.table, "right"), (opposite, "left")):
+        standard = dense_table(base)
+        opposite = [[standard[j][i] for j in range(3)] for i in range(3)]
+        for table, side in ((standard, "right"), (opposite, "left")):
             # the first e_j with 1 e_j != e_j or e_j 1 != e_j, and its sides
             fails = [(j, _ref_multiply(field, table, one, e) != e,
                       _ref_multiply(field, table, e, one) != e)
@@ -159,7 +189,7 @@ class TestLoad:
             first, left, right = next(fail for fail in fails if fail[1] or fail[2])
             assert (left, right) == (side == "left", side == "right")
             with pytest.raises(NotUnital, match=f"declared identity fails on basis element {first}$"):
-                StructureAlgebra(field, table, one)
+                StructureAlgebra.from_table(field, table, one)
 
 
 class TestSubspaceProduct:
@@ -257,7 +287,8 @@ class TestRadical:
 
 def _ref_subspace_product(a, u, v):
     """Reference: the span of the Fraction-table products of all basis pairs."""
-    return Subspace.from_vectors(a.field, a.dim, [_ref_multiply(a.field, a.table, x, y)
+    table = dense_table(a)
+    return Subspace.from_vectors(a.field, a.dim, [_ref_multiply(a.field, table, x, y)
                                                   for x in u.basis for y in v.basis])
 
 
@@ -291,10 +322,10 @@ def _candidate_ideals(a, rng):
         out += [rad.radical, rad.square]
     except UnsupportedRadicalComputation:
         pass
-    units = full.basis
+    units, table = full.basis, dense_table(a)
     commutators = Subspace.from_vectors(f, d, [
-        [f.sub(s, t) for s, t in zip(_ref_multiply(f, a.table, x, y),
-                                     _ref_multiply(f, a.table, y, x))]
+        [f.sub(s, t) for s, t in zip(_ref_multiply(f, table, x, y),
+                                     _ref_multiply(f, table, y, x))]
         for x, y in itertools.combinations(units, 2)])
     x = Subspace.from_vectors(f, d, [[rng.randint(-3, 3) for _ in range(d)]])
     left = _ref_subspace_product(a, full, x)
@@ -362,9 +393,9 @@ def test_crafted_non_ideals_are_refused(field):
     for a, j in crafted:
         assert not _verify_ideal(a, j) and not _ref_verify_ideal(a, j)
         with pytest.raises(UnsupportedRadicalComputation, match="computed radical is not an ideal"):
-            jacobson_radical(StructureAlgebra(field, a.table, a.one, known_radical=j))
+            jacobson_radical(StructureAlgebra(field, _cells(a), a.one, known_radical=j))
     with pytest.raises(AmbientMismatch):
-        jacobson_radical(StructureAlgebra(field, ut.table, ut.one,
+        jacobson_radical(StructureAlgebra(field, _cells(ut), ut.one,
                                           known_radical=Subspace.zero(field, 5)))
 
 
@@ -596,9 +627,9 @@ class TestDerivations:
         # every derivation of M_2 is inner: Der = span{ad_x}, of dimension
         # dim A - dim Z(A)
         a = matrix_algebra(QQ, 2)
-        der = derivation_algebra(a)
+        der, table = derivation_algebra(a), dense_table(a)
         ad = Subspace.from_vectors(QQ, a.dim ** 2, [
-            [a.table[i][j][t] - a.table[j][i][t] for t in range(a.dim) for j in range(a.dim)]
+            [table[i][j][t] - table[j][i][t] for t in range(a.dim) for j in range(a.dim)]
             for i in range(a.dim)])
         assert der.dim == ad.dim == a.dim - center(a).dim == 3
         assert matrix_span(der) == ad
@@ -635,8 +666,8 @@ def test_der_in_dense_basis(field, rng):
              (truncated_polynomial_algebra(field, 2, 4), 18, 14)]
     for algebra, dim_der, dim_into in cases:
         dense = transvected(algebra, rng)
-        assert sum(1 for row in dense.table for cell in row for x in cell if x) \
-            > 2 * sum(1 for row in algebra.table for cell in row for x in cell if x)
+        assert sum(1 for row in dense_table(dense) for cell in row for x in cell if x) \
+            > 2 * sum(1 for row in dense_table(algebra) for cell in row for x in cell if x)
         der = derivation_algebra(dense)
         assert der.dim == derivation_algebra(algebra).dim == dim_der
         if field == QQ:
@@ -650,7 +681,7 @@ def _dense_derivations(algebra):
     (i, j, t), plus the rows of D(1) = 0: the reference for the system in
     the images of the generators."""
     d = algebra.dim
-    tbl = algebra._int_table
+    tbl = dense_table(algebra)
     rows = set()
     for i in range(d):
         for j in range(d):
@@ -670,12 +701,59 @@ def _dense_derivations(algebra):
 
 
 def _rescaled(algebra, scales):
-    """algebra in the basis f_i = scales[i] e_i."""
-    f, d = algebra.field, algebra.dim
+    """algebra in the basis f_i = scales[i] e_i, from its nonzero cells:
+    f_i f_j = sum_k scales[i] scales[j] c_ij^k / scales[k] f_k."""
+    f = algebra.field
     lam = [f.coerce(x) for x in scales]
-    table = [[[f.div(f.mul(f.mul(lam[i], lam[j]), algebra.table[i][j][k]), lam[k])
-               for k in range(d)] for j in range(d)] for i in range(d)]
-    return StructureAlgebra(f, table, [f.div(x, y) for x, y in zip(algebra.one, lam)])
+    cells = {(i, j): [(k, f.div(f.mul(f.mul(lam[i], lam[j]), c), lam[k]))
+                      for k, c in enumerate(cell) if c]
+             for i, row in enumerate(dense_table(algebra)) for j, cell in enumerate(row)}
+    return StructureAlgebra(f, cells, [f.div(x, y) for x, y in zip(algebra.one, lam)])
+
+
+def _load(algebra) -> tuple:
+    """What a load decides: the scaled table, its scale, the generators
+    with their word tree and word coordinates, and commutativity."""
+    words = algebra.words
+    return (algebra._sparse, algebra._den, algebra.gens, algebra.edges, words.reps,
+            words._terms, algebra.commutative)
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF7, GF_BIG], ids=["QQ", "GF2", "GF7", "GF_BIG"])
+def test_dense_load_matches_builder_cells(field, rng):
+    # the CLI loads a dense tensor through from_table; the builders hand
+    # over their nonzero cells.  Every construction, in its standard basis,
+    # a transvected one and a rescaled one (Fraction scales), loads the
+    # same from its tensor written as an input may write it (explicit
+    # zeros; over GF(p) entries < 0 and >= p; over Q also strings), and
+    # from cells that list the zeros too, in no order
+    p = field.characteristic
+    scales = [3, Fraction(1, 5), 5, 1, Fraction(3, 5), Fraction(1, 3), 9, Fraction(5, 3)]
+    cases = [componentwise_algebra(field, 3), matrix_algebra(field, 2),
+             upper_triangular_algebra(field, 3), truncated_polynomial_algebra(field, 2, 3),
+             univariate_quotient_algebra(field, _poly_times([1, 0, 1], [-1, 1], [-1, 1])),
+             exterior_algebra(field, 3),
+             direct_sum(upper_triangular_algebra(field, 2), qx_mod(2, field))]
+    cases += [transvected(a, rng) for a in cases] + [_rescaled(a, scales[:a.dim]) for a in cases]
+
+    def written(x):
+        if p:
+            return x + p * rng.randint(-2, 2)
+        return rng.choice([x, str(x)] + [int(x)] * (x.denominator == 1))
+    dens = set()
+    for a in cases:
+        table = [[[written(x) for x in cell] for cell in row] for row in dense_table(a)]
+        one = [written(x) for x in a.one]
+        loads = [StructureAlgebra.from_table(field, table, one),
+                 StructureAlgebra(field, {(i, j): rng.sample(list(enumerate(cell)), len(cell))
+                                          for i, row in enumerate(table)
+                                          for j, cell in enumerate(row)}, one)]
+        for b in loads:
+            assert _load(b) == _load(a)
+            assert json.dumps(certify(b).to_dict(), sort_keys=True) \
+                == json.dumps(certify(a).to_dict(), sort_keys=True)
+        dens.add(a._den)
+    assert p or max(dens) > 1
 
 
 FIELDS = [QQ, GF2, GF3, GF7, GF_BIG]
@@ -692,7 +770,7 @@ def test_sparse_der_matches_dense_rows(field, rng):
         # Fraction constants and an identity with denominators, 1/3 and 2
         scaled = _rescaled(truncated_polynomial_algebra(QQ, 2, 3),
                            [3, Fraction(1, 2), 3, 1, Fraction(1, 2), 3])
-        assert any(x.denominator > 1 for row in scaled.table for cell in row for x in cell)
+        assert any(x.denominator > 1 for row in dense_table(scaled) for cell in row for x in cell)
         assert scaled.one[0] == Fraction(1, 3)
         cases.append(scaled)
     for algebra in cases:
@@ -762,12 +840,12 @@ def test_non_associative_triple_matches_full_scan(field, monkeypatch):
     middles = []                        # (first bad middle, G) of each failure
     for base in bases + [transvected(b, rng) for b in bases]:
         for _ in range(8):
-            table = [[list(cell) for cell in row] for row in base.table]
+            table = dense_table(base)
             i, j, k = (rng.randrange(base.dim) for _ in range(3))
             table[i][j][k] = field.add(table[i][j][k], field.one)
             want = _first_bad_triple(field, table)
             try:
-                StructureAlgebra(field, table, base.one)
+                StructureAlgebra.from_table(field, table, base.one)
             except NotUnital:
                 continue
             except NonAssociative as err:
@@ -777,7 +855,7 @@ def test_non_associative_triple_matches_full_scan(field, monkeypatch):
                 continue
             with monkeypatch.context() as m:  # the generators, read without the check
                 m.setattr(StructureAlgebra, "_verify_associative", lambda self: None)
-                middles.append((want[1], StructureAlgebra(field, table, base.one).gens))
+                middles.append((want[1], StructureAlgebra.from_table(field, table, base.one).gens))
     # both kinds occur: a first bad middle in G, and one outside it, found
     # only by the full scan that follows the check on G
     assert any(j in gens for j, gens in middles)
@@ -786,7 +864,7 @@ def test_non_associative_triple_matches_full_scan(field, monkeypatch):
 
 def _dense_center(algebra):
     """Z(A) from the d^2 rows of x e_i = e_i x over all basis elements."""
-    d, tbl = algebra.dim, algebra._int_table
+    d, tbl = algebra.dim, dense_table(algebra)
     rows = [[tbl[j][i][k] - tbl[i][j][k] for j in range(d)]
             for i in range(d) for k in range(d)]
     return kernel_rows(rows, d, algebra.field)
@@ -1052,7 +1130,7 @@ class TestPresentedAgreement:
                 warnings.simplefilter("ignore", LoweyMismatch)
                 pres = presentation_from_ideal(n, l, gens, QQ)
             presented = quotient_algebra(pres)
-            a = StructureAlgebra(QQ, presented.table, presented.one)
+            a = StructureAlgebra.from_table(QQ, dense_table(presented), presented.one)
             rad = jacobson_radical(a)
             assert rad.radical == presented.known_radical
 
@@ -1068,7 +1146,8 @@ class TestPresentedAgreement:
                 warnings.simplefilter("ignore", LoweyMismatch)
                 pres_q = presentation_from_ideal(n, l, gens, QQ)
             a_q = quotient_algebra(pres_q)
-            dim_q = jacobson_radical(StructureAlgebra(QQ, a_q.table, a_q.one)).radical.dim
+            dim_q = jacobson_radical(StructureAlgebra.from_table(
+                QQ, dense_table(a_q), a_q.one)).radical.dim
             for p in (3, 5, 7, 11):
                 gf = GF(p)
                 try:
@@ -1081,7 +1160,7 @@ class TestPresentedAgreement:
                 if pres_p.ideal.dim != pres_q.ideal.dim:
                     continue
                 a_p = quotient_algebra(pres_p)
-                bare_p = StructureAlgebra(gf, a_p.table, a_p.one)
+                bare_p = StructureAlgebra.from_table(gf, dense_table(a_p), a_p.one)
                 assert jacobson_radical(bare_p).radical.dim == dim_q
                 checked += 1
                 break

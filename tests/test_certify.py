@@ -688,12 +688,12 @@ def _quaternion_algebra(field, a, b):
     rule = {(1, 1): (a, 0), (2, 2): (b, 0), (3, 3): (-a * b, 0),
             (1, 2): (1, 3), (2, 1): (-1, 3), (1, 3): (a, 2), (3, 1): (-a, 2),
             (2, 3): (-b, 1), (3, 2): (b, 1)}
-    table = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+    cells = {}
     for x in range(4):
         for y in range(4):
             c, k = (1, x + y) if 0 in (x, y) else rule[(x, y)]
-            table[x][y][k] = c
-    return StructureAlgebra(field, table, [1, 0, 0, 0])
+            cells[x, y] = [(k, c)]
+    return StructureAlgebra(field, cells, [1, 0, 0, 0])
 
 
 def _m3_in_turn_basis(field):
@@ -725,8 +725,8 @@ def _m3_in_turn_basis(field):
         return solve(cols, [x for row in m for x in row])
     mats = [[b[3 * i:3 * i + 3] for i in range(3)] for b in basis]
     table = [[coords(mul(x, y)) for y in mats] for x in mats]
-    return StructureAlgebra(field, table, coords([[int(i == j) for j in range(3)]
-                                                  for i in range(3)]))
+    return StructureAlgebra.from_table(field, table, coords([[int(i == j) for j in range(3)]
+                                                             for i in range(3)]))
 
 
 def _splitter_cases():

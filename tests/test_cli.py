@@ -126,6 +126,26 @@ def test_wrong_dimensions_exit_2(tmp_path):
     assert main(["analyze", path]) == 2
 
 
+@pytest.mark.parametrize("change, text", [
+    ({"one": [1, 0, 0]}, "structure-constant dimensions are inconsistent"),
+    ({"table": [[[1, 0], [0, 1]], [[0, 1]]]}, "structure tensor is not dim x dim x dim"),
+    ({"table": [[[1, 0], [0, 1]], [[0, 1], [0, "x"]]]}, "bad rational literal 'x'"),
+    ({"one": [0, 1]}, "declared identity fails on basis element 0"),
+    ({"dim": 3, "one": [1, 0, 0],
+      "table": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
+                [[0, 0, 1], [0, 1, 0], [0, 0, 0]]]},
+     "associativity fails on basis triple (1, 1, 1)"),
+], ids=["dims", "shape", "scalar", "unital", "associative"])
+def test_bad_structure_document_exit_2_text(tmp_path, capsys, change, text):
+    # each fault of a structure-constant document, on k[x]/(x^2), exits 2
+    # with its own one-line message
+    path = _write(tmp_path, "bad.json", {
+        "kind": "structure_constants", "field": {"type": "Q"}, "dim": 2,
+        "one": [1, 0], "table": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], **change})
+    assert main(["analyze", path]) == 2
+    assert capsys.readouterr().err == f"error: {text}\n"
+
+
 def test_present_on_product_exits_3(tmp_path):
     # Q x Q is not local
     path = _write(tmp_path, "qxq.json", {

@@ -21,7 +21,7 @@ from algcert.presentation import (_actual_lowey, _saturate,
                                   minimal_degree_subspace, normal_form,
                                   presentation_from_algebra,
                                   presentation_from_ideal, quotient_algebra)
-from conftest import pp, random_poly
+from conftest import dense_table, pp, random_poly
 
 GF2, GF3, GF5 = GF(2), GF(3), GF(5)
 
@@ -33,7 +33,7 @@ def build(n, l, texts, field=QQ):
 def bare(pres):
     """T/I on its standard monomials, with no known radical attached."""
     a = quotient_algebra(pres)
-    return StructureAlgebra(a.field, a.table, a.one)
+    return StructureAlgebra.from_table(a.field, dense_table(a), a.one)
 
 
 class TestFromIdeal:
@@ -421,9 +421,10 @@ def _reference_quotient(pres):
         return out
 
     units = Matrix.identity(f, ring.dim).rows
-    table = [[coords.project(multiply(a, b)) for b in coords.reps] for a in coords.reps]
+    cells = {(i, j): list(enumerate(coords.project(multiply(a, b))))
+             for i, a in enumerate(coords.reps) for j, b in enumerate(coords.reps)}
     known = Subspace.from_vectors(f, coords.dim, [coords.project(v) for v in units[1:]])
-    return coords, StructureAlgebra(f, table, coords.project(units[0]), known_radical=known)
+    return coords, StructureAlgebra(f, cells, coords.project(units[0]), known_radical=known)
 
 
 def test_presentation_layer_reads_no_dense_ring_vector(monkeypatch):

@@ -71,11 +71,13 @@ def test_one_linearised_action():
 
 def test_one_product_table():
     # a structure algebra multiplies on its one sparse integer table; no
-    # module keeps or reads a second copy of the constants as field entries
-    found = [f"{path.name}:{node.lineno}"
+    # module keeps or reads a second copy of the constants, as field entries
+    # or as a dense d x d x d tensor
+    found = [f"{path.name}:{node.lineno}: {node.attr}"
              for path in SOURCES
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if isinstance(node, ast.Attribute) and node.attr == "_cells"]
+             if isinstance(node, ast.Attribute)
+             and node.attr in {"_cells", "_int_table", "table"}]
     assert SOURCES
     assert found == []
 
