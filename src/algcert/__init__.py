@@ -5,7 +5,7 @@ from .algebra import (LieSubalgebra, RadicalData, StructureAlgebra,
                       WMDecomposition, center, der_into, derivation_algebra,
                       is_nilpotent, is_solvable, jacobson_radical,
                       wm_complement)
-from .certify import (Certificate, CertifyConfig, certify, reductive_shape,
+from .certify import (Certificate, CertifyConfig, reductive_shape,
                       verify_invariant_pair, semisimple_block_sizes,
                       torus_shape_check)
 from .fields import GF, QQ, Field, PrimeField, RationalField
@@ -13,7 +13,7 @@ from .forms import (IsotropyEvidence, NonsingularityEvidence, QuadraticForm,
                     diagonalize, flag_search, im_phi_lie, isotropy,
                     nonsingularity, quadratic_from_poly, restricted_action,
                     sim_lie, stab_lie)
-from .linalg import Matrix, Subspace, kernel, quotient_basis, rref, solve
+from .linalg import Subspace, quotient_basis, solve
 from .oracle import EnumeratedGroup, enumerate_automorphisms, induced_jj2_matrices
 from .poly import (LinearChange, Poly, TruncatedRing, apply_linear_change,
                    homogeneous_components, monomial_gcd_factor, parse_poly,

@@ -25,7 +25,7 @@ from math import lcm
 from .errors import (AmbientMismatch, InternalInconsistency, NonAssociative,
                      NotSplitBasic, NotUnital, UnsupportedRadicalComputation)
 from .fields import Field, PrimeField, QQ
-from .linalg import (Echelon, Matrix, Subspace, combine, invert, kernel_rows,
+from .linalg import (Echelon, Subspace, combine, invert, kernel_rows,
                      quotient_basis, scalars)
 from .roots import minimal_polynomial, poly_divmod, poly_eval, roots_in_field
 
@@ -187,10 +187,11 @@ def _word_basis(algebra: StructureAlgebra) -> tuple[list, list, Coordinates]:
     so far, which then grows breadth first by the products word o e_g, g in
     G, that the span lacks.  The Echelon only chooses the words: Coordinates
     inverts them once, and raises InternalInconsistency unless they are a
-    basis."""
+    basis.  Each word is held by its nonzeros {index: int}, and written out
+    densely only for Coordinates."""
     f, d, p = algebra.field, algebra.dim, algebra.field.characteristic
     s = lcm(*[x.denominator for x in algebra.one])
-    one = [x.numerator * (s // x.denominator) for x in algebra.one]
+    one = {i: x.numerator * (s // x.denominator) for i, x in enumerate(algebra.one) if x}
     grown = Echelon(Subspace.zero(f, d))
     words = [one] if grown.add(one) else []
     gens, edges, pending = [], [], []
@@ -201,12 +202,12 @@ def _word_basis(algebra: StructureAlgebra) -> tuple[list, list, Coordinates]:
         pending.extend((k, i) for k in range(len(words)))
         while pending and grown.dim < d:
             k, g = pending.pop(0)
-            prod = algebra._times([(u, c) for u, c in enumerate(words[k]) if c], [(g, 1)])
-            if grown.add(word := [prod.get(t, 0) % p if p else prod.get(t, 0) for t in range(d)]):
+            prod = algebra._times(words[k].items(), [(g, 1)])
+            if grown.add(word := {t: r for t, c in prod.items() if (r := c % p if p else c)}):
                 pending.extend((len(words), h) for h in gens)
                 words.append(word)
                 edges.append((k, g))
-    return gens, edges, Coordinates(f, words, [])
+    return gens, edges, Coordinates(f, [[w.get(t, 0) for t in range(d)] for w in words], [])
 
 
 # -- induced algebras: quotients, subalgebras, corners -------------------------
@@ -224,14 +225,13 @@ class Coordinates:
         self.field = field
         self.reps = [list(r) for r in reps]
         self.dim = len(self.reps)
-        stacked = Matrix(field, self.reps + [list(r) for r in rest])
-        self._ambient_dim = stacked.ncols
-        binv = invert(stacked.transpose()) if stacked.nrows == stacked.ncols else None
+        stacked = self.reps + [list(r) for r in rest]
+        self._ambient_dim = n = len(stacked[0]) if stacked else 0
+        binv = invert(list(zip(*stacked)), field) if len(stacked) == n else None
         if binv is None:
             raise InternalInconsistency("coordinate vectors are not a basis")
         # row i of the inverse yields coefficient i; keep the reps' rows, sparse
-        self._terms = [[(k, c) for k, c in enumerate(row) if c]
-                       for row in binv.rows[:self.dim]]
+        self._terms = [[(k, c) for k, c in enumerate(row) if c] for row in binv[:self.dim]]
 
     @classmethod
     def quotient(cls, j: Subspace) -> Coordinates:
@@ -576,13 +576,13 @@ class LieSubalgebra:
         s, terms = _int_terms(self.space._terms)
         return s * self.den, list(map(self.lift or self._regroup, terms))
 
-    def basis_matrices(self) -> list[Matrix]:
-        """The basis as matrices; only their nonzero entries are divided by s den."""
+    def basis_matrices(self) -> list[list]:
+        """The basis as n x n lists of rows; only their nonzero entries are
+        divided by s den."""
         f, n, (s, mats) = self.field, self.n, self._columns
         cells = [{(a, b): f.div(f.coerce(x), f.coerce(s)) for b, col in m.items()
                   for a, x in col.items()} for m in mats]
-        return [Matrix(f, [[c.get((a, b), f.zero) for b in range(n)] for a in range(n)])
-                for c in cells]
+        return [[[c.get((a, b), f.zero) for b in range(n)] for a in range(n)] for c in cells]
 
     def _bracket(self, x: dict, y: dict, cols) -> dict:
         """[x, y] e_c = x (y e_c) - y (x e_c) for the (pos(c), c) in cols, x

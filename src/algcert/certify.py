@@ -28,7 +28,7 @@ from .forms import (DEFAULT_HEIGHT_BOUND, DEFAULT_PRIMES, FlagSearchResult,
                     IsotropyEvidence, NonsingularityEvidence, flag_search,
                     im_phi_lie, isotropy, nonsingularity, quadratic_from_poly,
                     restricted_action, sim_lie, stab_lie)
-from .linalg import Matrix, Subspace, kernel
+from .linalg import Subspace, kernel_rows
 from .poly import Poly
 from .presentation import (MinimalDegreeSubspace, NormalForm, Presentation,
                            is_graded_presentation, is_monomial_ideal,
@@ -398,7 +398,7 @@ def _attach_presentation_invariants(ctx: _Context, config: CertifyConfig):
     if ctx.single_generator and gens[0].is_homogeneous() \
             and gens[0].degree() == 2 and ctx.field.characteristic != 2:
         q = quadratic_from_poly(gens[0])
-        ctx.quad_nondegenerate = kernel(q.gram).dim == 0
+        ctx.quad_nondegenerate = kernel_rows(q.gram, q.n, q.field).dim == 0
         try:
             ctx.quad = isotropy(q, height_bound=config.height_bound,
                                 max_enum=config.max_enum)
@@ -688,7 +688,7 @@ def verify_invariant_pair(q: Poly, f: Poly, lowey: int,
         "dim_stab_lie": stab.dim,
         "im_phi_equals_sim": im.space == sim.space,
         "stab_meets_scalars_trivially":
-            not stab.space.contains(Matrix.identity(f.field, n).flatten()),
+            not stab.space.contains({i * (n + 1): 1 for i in range(n)}),
         "sim_is_stab_plus_scalars": sim.dim == stab.dim + 1,
     }
     if q.degree() == 2 and q.field.characteristic != 2 and q.is_homogeneous():
@@ -696,5 +696,5 @@ def verify_invariant_pair(q: Poly, f: Poly, lowey: int,
         ev = isotropy(quad, height_bound=config.height_bound,
                       max_enum=config.max_enum)
         report["q_isotropy"] = ev.verdict
-        report["q_nondegenerate"] = kernel(quad.gram).dim == 0
+        report["q_nondegenerate"] = kernel_rows(quad.gram, quad.n, quad.field).dim == 0
     return report

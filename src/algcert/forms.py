@@ -7,6 +7,10 @@ A linear change of variables acts through one linearised action, delta_M(h)
 = sum_ij M_ij X_i dh/dX_j: ``_delta_columns`` builds its n^2 columns once,
 each Lie algebra here is the kernel of a linear residual of them
 (``_lie_kernel``), and ``restricted_action`` sums the same columns.
+
+Every matrix here is a list of rows of field scalars: a Gram matrix, the
+congruence that ``diagonalize`` returns, and the operators on W that
+``restricted_action`` writes and ``flag_search`` reads.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .algebra import DEFAULT_MAX_ENUM, Coordinates, LieSubalgebra, is_solvable
 from .errors import (CharTwo, NotDegreeTwo, NotGraded, NotHomogeneous,
                      NotStable, SearchSpaceTooLarge, ZeroPolynomial)
 from .fields import Field, PrimeField
-from .linalg import Matrix, Subspace, combine, kernel, kernel_rows, row_rank
+from .linalg import Subspace, combine, kernel_rows, row_rank
 from .poly import Poly, degree_monomials, partial_derivative
 from .presentation import MinimalDegreeSubspace, Presentation
 from .roots import (minimal_polynomial, operator_power_sequence, poly_gcd,
@@ -34,23 +38,22 @@ DEFAULT_PRIMES = (5, 7, 11, 13)
 
 @dataclass
 class QuadraticForm:
-    gram: Matrix
+    gram: list                    # the symmetric Gram matrix, as its rows
     poly: Poly
 
     @property
     def n(self) -> int:
-        return self.gram.nrows
+        return len(self.gram)
 
     @property
     def field(self) -> Field:
-        return self.gram.field
+        return self.poly.field
 
     def evaluate(self, v):
         f = self.field
         v = [f.coerce(x) for x in v]
-        gv = self.gram.matvec(v)
         s = f.zero
-        for a, b in zip(v, gv):
+        for a, b in zip(v, combine(f, zip(v, self.gram), self.n)):
             s = f.add(s, f.mul(a, b))
         return s
 
@@ -74,14 +77,15 @@ def quadratic_from_poly(f: Poly) -> QuadraticForm:
             i, j = support
             gram[i][j] = fld.mul(half, c)
             gram[j][i] = gram[i][j]
-    return QuadraticForm(Matrix(fld, gram), f)
+    return QuadraticForm(gram, f)
 
 
-def diagonalize(q: QuadraticForm) -> tuple[Matrix, list]:
-    """Congruence transformation P with P^T G P diagonal; returns (P, diagonal)."""
+def diagonalize(q: QuadraticForm) -> tuple[list, list]:
+    """Congruence transformation P with P^T G P diagonal; returns (P's rows,
+    diagonal)."""
     f = q.field
     n = q.n
-    g = [list(row) for row in q.gram.rows]
+    g = [list(row) for row in q.gram]
     p = [[f.one if i == j else f.zero for j in range(n)] for i in range(n)]
 
     def add_col(dst, src, c):
@@ -113,7 +117,7 @@ def diagonalize(q: QuadraticForm) -> tuple[Matrix, list]:
         for j in range(i + 1, n):
             if not f.is_zero(g[i][j]):
                 add_col(j, i, f.neg(f.div(g[i][j], pivot)))
-    return Matrix(f, p), [g[i][i] for i in range(n)]
+    return p, [g[i][i] for i in range(n)]
 
 
 @dataclass
@@ -141,7 +145,7 @@ def isotropy(q: QuadraticForm, height_bound: int = DEFAULT_HEIGHT_BOUND,
                 return IsotropyEvidence("ISOTROPIC_WITNESS",
                                         "exhaustive_finite_field", list(vec))
         return IsotropyEvidence("ANISOTROPIC_CERTIFIED", "exhaustive_finite_field")
-    rad = kernel(q.gram)
+    rad = kernel_rows(q.gram, n, f)
     if rad.dim > 0:
         return IsotropyEvidence("ISOTROPIC_WITNESS", "degenerate",
                                 list(rad.basis[0]))
@@ -443,8 +447,9 @@ class FlagSearchResult:
     flag: list | None = None      # chain vectors in the W coordinates
 
 
-def restricted_action(lie: LieSubalgebra, w: MinimalDegreeSubspace) -> list[Matrix]:
-    """Matrices of delta_M acting on W for each basis M of the Lie algebra:
+def restricted_action(lie: LieSubalgebra, w: MinimalDegreeSubspace) -> list[list]:
+    """Matrices (lists of rows) of delta_M acting on W for each basis M of
+    the Lie algebra:
     delta_M(w) = sum_k M_k column_k(w) over M's nonzero entries, with W's
     columns built once per basis vector w.
 
@@ -456,7 +461,7 @@ def restricted_action(lie: LieSubalgebra, w: MinimalDegreeSubspace) -> list[Matr
                for wp in w.polys]
     ops = []
     for m in lie.basis_matrices():
-        entries = [(k, x) for k, x in enumerate(m.flatten()) if x]
+        entries = [(k, x) for k, x in enumerate(itertools.chain(*m)) if x]
         cols = []
         for wcols in columns:
             img: dict = {}
@@ -467,19 +472,20 @@ def restricted_action(lie: LieSubalgebra, w: MinimalDegreeSubspace) -> list[Matr
                 raise NotStable("subspace is not stable under the action")
             # a vector of W has its coordinates on the canonical basis at the pivots
             cols.append([img.get(p, f.zero) for p in w.space.pivots])
-        ops.append(Matrix.from_columns(f, cols))
+        ops.append(list(map(list, zip(*cols))))
     return ops
 
 
-def _bracket_closure(field: Field, n: int, ops: list[Matrix]) -> Subspace:
-    span = Subspace.from_vectors(field, n * n, [m.flatten() for m in ops])
+def _bracket_closure(field: Field, n: int, ops: list[list]) -> Subspace:
+    span = Subspace.from_vectors(field, n * n, [list(itertools.chain(*m)) for m in ops])
     while (grown := LieSubalgebra(field, n, span).bracket_span()).dim > span.dim:
         span = grown
     return span
 
 
-def flag_search(operators: list[Matrix], field: Field, dim_w: int) -> FlagSearchResult:
-    """Search a full flag of subspaces of k^dim_w stable under all operators.
+def flag_search(operators: list[list], field: Field, dim_w: int) -> FlagSearchResult:
+    """Search a full flag of subspaces of k^dim_w stable under all operators,
+    each a dim_w x dim_w list of rows of the field's scalars.
 
     Works over the base field only: each step needs a common eigenvector
     whose eigenvalues lie in the field; a solvable action without one yields
@@ -490,20 +496,19 @@ def flag_search(operators: list[Matrix], field: Field, dim_w: int) -> FlagSearch
         if not is_solvable(LieSubalgebra(field, dim_w, closure)):
             return FlagSearchResult("NOT_SOLVABLE")
     flag: list[list] = []
-    reps = Matrix.identity(field, dim_w).rows
-    ops = [Matrix(field, m.rows) for m in operators]
+    reps = [[field.one if i == j else field.zero for j in range(dim_w)] for i in range(dim_w)]
+    ops = operators
     cur = dim_w
     while cur > 0:
         candidates = [Subspace.full(field, cur)]
         for op in ops:
-            mp = minimal_polynomial(operator_power_sequence(op), field)
+            mp = minimal_polynomial(operator_power_sequence(op, field), field)
             eigi = roots_in_field(mp, field)
             refined = []
             for lam in eigi:
-                shifted = Matrix(field, [[field.sub(x, lam if i == j else field.zero)
-                                          for j, x in enumerate(row)]
-                                         for i, row in enumerate(op.rows)])
-                eig = kernel(shifted)
+                shifted = [[field.sub(x, lam if i == j else field.zero)
+                            for j, x in enumerate(row)] for i, row in enumerate(op)]
+                eig = kernel_rows(shifted, cur, field)
                 for s in candidates:
                     meet = s.intersect(eig)
                     if meet.dim > 0:
@@ -517,9 +522,9 @@ def flag_search(operators: list[Matrix], field: Field, dim_w: int) -> FlagSearch
             break
         # continue on the quotient by the line through v
         coords = Coordinates.quotient(Subspace.from_vectors(field, cur, [v]))
-        ops = [Matrix.from_columns(field, [coords.project(op.matvec(w))
-                                           for w in coords.reps])
-               for op in ops]
+        images = [[coords.project(combine(field, zip(w, zip(*op)), cur)) for w in coords.reps]
+                  for op in ops]
+        ops = [list(map(list, zip(*cols))) for cols in images]
         reps = [combine(field, zip(w, reps), len(reps[0])) for w in coords.reps]
         cur -= 1
     return FlagSearchResult("FULL_FLAG", flag)

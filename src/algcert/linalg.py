@@ -1,11 +1,14 @@
 """Exact linear algebra over Q and GF(p) on one elimination core.
 
-Matrices are row-major lists of scalars (Fraction over Q, int residues over
-GF(p)).  Every full elimination is ``_canonical``, one sparse reduced echelon
-for both fields: rows go in as they are (lists of ints, or over Q ints and
-Fractions, or dicts {col: entry} of such entries), become dicts of their
-nonzero integers and are reduced one at a time against pivot rows kept fully
-reduced.  The field decides only how a row is kept (primitive over Z for Q,
+A matrix is the list of its rows, each a list of scalars (Fraction over Q,
+int residues over GF(p)); there is no matrix class.  ``solve``, ``invert``
+and ``kernel_rows`` take the rows, and row i of a product AB is the
+``combine`` of B's rows with the entries of A's row i.  Every full
+elimination is ``_canonical``, one sparse reduced echelon for both fields:
+rows go in as they are (lists of ints, or over Q ints and Fractions, or
+dicts {col: entry} of such entries), become dicts of their nonzero integers
+and are reduced one at a time against pivot rows kept fully reduced.  The
+field decides only how a row is kept (primitive over Z for Q,
 monic pivot mod p for GF(p)) and how the leading 1 is written.  The RREF is
 unique, so it is the canonical one; the core hands it out as the sorted
 (column, entry) pairs of each row's nonzeros, and ``rref_rows`` writes them
@@ -165,102 +168,7 @@ def row_rank(rows, field: Field) -> int:
     return len(_canonical(rows, field))
 
 
-# -- matrices -----------------------------------------------------------------
-
-class Matrix:
-    """Immutable-by-convention dense matrix over a fixed field."""
-
-    __slots__ = ("field", "rows", "nrows", "ncols")
-
-    def __init__(self, field: Field, rows):
-        self.field = field
-        self.rows = [[field.coerce(x) for x in r] for r in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        for r in self.rows:
-            if len(r) != self.ncols:
-                raise AmbientMismatch("ragged matrix rows")
-
-    @classmethod
-    def identity(cls, field: Field, n: int) -> Matrix:
-        one, zero = field.one, field.zero
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_columns(cls, field: Field, cols) -> Matrix:
-        cols = [list(c) for c in cols]
-        n = len(cols[0]) if cols else 0
-        return cls(field, [[cols[j][i] for j in range(len(cols))] for i in range(n)])
-
-    def transpose(self) -> Matrix:
-        return Matrix(self.field, [[self.rows[i][j] for i in range(self.nrows)]
-                                   for j in range(self.ncols)])
-
-    def mul(self, other: Matrix) -> Matrix:
-        if self.ncols != other.nrows or self.field != other.field:
-            raise AmbientMismatch("matrix product shape/field mismatch")
-        f = self.field
-        ot = other.rows
-        out = []
-        for row in self.rows:
-            acc = [f.zero] * other.ncols
-            for k, a in enumerate(row):
-                if f.is_zero(a):
-                    continue
-                rk = ot[k]
-                for j, b in enumerate(rk):
-                    if not f.is_zero(b):
-                        acc[j] = f.add(acc[j], f.mul(a, b))
-            out.append(acc)
-        return Matrix(f, out)
-
-    def matvec(self, v) -> list:
-        if len(v) != self.ncols:
-            raise AmbientMismatch("matvec length mismatch")
-        f = self.field
-        out = []
-        for row in self.rows:
-            s = f.zero
-            for a, b in zip(row, v):
-                if not (f.is_zero(a) or f.is_zero(b)):
-                    s = f.add(s, f.mul(a, b))
-            out.append(s)
-        return out
-
-    def flatten(self) -> list:
-        return [x for row in self.rows for x in row]
-
-    def is_zero(self) -> bool:
-        f = self.field
-        return all(f.is_zero(x) for r in self.rows for x in r)
-
-    def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.field == other.field
-                and self.rows == other.rows)
-
-    def __hash__(self):
-        return hash((self.field, tuple(tuple(r) for r in self.rows)))
-
-    def __repr__(self):
-        return f"Matrix({self.field!r}, {self.rows!r})"
-
-
-def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
-    """Reduced row-echelon form; returns (rref matrix, rank, pivot columns).
-
-    The returned matrix has the same shape as the input, zero rows at the
-    bottom, so re-running rref is idempotent.
-    """
-    rows, pivots = rref_rows(m.rows, m.ncols, m.field)
-    zero = m.field.zero
-    padded = rows + [[zero] * m.ncols for _ in range(m.nrows - len(rows))]
-    return Matrix(m.field, padded), len(pivots), pivots
-
-
-def kernel(m: Matrix) -> "Subspace":
-    """Exact right kernel {v : m v = 0}."""
-    return kernel_rows(m.rows, m.ncols, m.field)
-
+# -- systems -----------------------------------------------------------------
 
 def kernel_rows(rows, ncols: int, field: Field) -> "Subspace":
     """Exact right kernel of the matrix with these rows, taken as rref_rows
@@ -275,33 +183,33 @@ def kernel_rows(rows, ncols: int, field: Field) -> "Subspace":
     return Subspace(field, ncols, _canonical(basis.values(), field))
 
 
-def solve(m: Matrix, b) -> list | None:
-    """One solution of m x = b, or None when inconsistent."""
-    if len(b) != m.nrows:
+def solve(rows, b, field: Field) -> list | None:
+    """One solution x of the system with these rows and right side b, or
+    None when it is inconsistent."""
+    if len(b) != len(rows):
         raise AmbientMismatch("rhs length mismatch")
-    f = m.field
-    aug = [list(row) + [bv] for row, bv in zip(m.rows, b)]
-    rows, pivots = rref_rows(aug, m.ncols + 1, f)
-    if m.ncols in pivots:
+    n = len(rows[0]) if rows else 0
+    out, pivots = rref_rows([[*row, c] for row, c in zip(rows, b)], n + 1, field)
+    if n in pivots:
         return None
-    x = [f.zero] * m.ncols
-    for row, pc in zip(rows, pivots):
-        x[pc] = row[m.ncols]
+    x = [field.zero] * n
+    for row, pc in zip(out, pivots):
+        x[pc] = row[n]
     return x
 
 
-def invert(m: Matrix) -> Matrix | None:
-    """Inverse of a square matrix, or None when singular."""
-    if m.nrows != m.ncols:
+def invert(rows, field: Field) -> list | None:
+    """The rows of the inverse of the square matrix with these rows, or None
+    when it is singular."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise AmbientMismatch("inverse of a non-square matrix")
-    n = m.nrows
-    f = m.field
-    eye = Matrix.identity(f, n)
-    aug = [list(r) + list(e) for r, e in zip(m.rows, eye.rows)]
-    rows, pivots = rref_rows(aug, 2 * n, f)
+    aug = [[*row, *(field.one if j == i else field.zero for j in range(n))]
+           for i, row in enumerate(rows)]
+    out, pivots = rref_rows(aug, 2 * n, field)
     if pivots[:n] != list(range(n)) or len(pivots) < n:
         return None
-    return Matrix(f, [r[n:] for r in rows[:n]])
+    return [row[n:] for row in out[:n]]
 
 
 # -- subspaces ----------------------------------------------------------------

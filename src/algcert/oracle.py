@@ -2,6 +2,8 @@
 by element scan, automorphism enumeration and the action on J/J^2.
 
 Deliberately naive; a candidate-count guard is the only optimization.
+Automorphisms and their J/J^2 blocks are matrices held as lists of rows,
+whose columns are the images of the basis vectors.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from .algebra import DEFAULT_MAX_ENUM, Coordinates, RadicalData, StructureAlgebr
 from .errors import (InternalInconsistency, SearchSpaceTooLarge,
                      UnsupportedRadicalComputation)
 from .fields import PrimeField
-from .linalg import (Echelon, Matrix, Subspace, combine, invert, kernel,
-                     quotient_basis, rref, rref_rows)
+from .linalg import (Echelon, Subspace, combine, invert, kernel_rows,
+                     quotient_basis, rref_rows)
 from .poly import TruncatedRing
 from .presentation import eval_monomial
 
@@ -56,21 +58,20 @@ def nilpotent_scan_radical(algebra: StructureAlgebra, bound: int = DEFAULT_MAX_E
 
 @dataclass
 class EnumeratedGroup:
-    elements: list          # automorphism matrices, sorted by entry tuples
+    elements: list          # automorphism matrices as lists of rows, sorted by entries
     order: int
 
 
-def _is_algebra_map(algebra: StructureAlgebra, m: Matrix) -> bool:
-    """Whether m(e_i) m(e_j) = m(e_i e_j) for all i, j, with e_i e_j read
-    off its cell (residues: the algebra is over GF(p))."""
-    d = algebra.dim
-    cols = [[m.rows[r][c] for r in range(d)] for c in range(d)]
+def _is_algebra_map(algebra: StructureAlgebra, m: list) -> bool:
+    """Whether m(e_i) m(e_j) = m(e_i e_j) for all i, j, for m the rows of a
+    matrix, with e_i e_j read off its cell (residues: the algebra is over
+    GF(p))."""
+    f, d = algebra.field, algebra.dim
+    cols = list(map(list, zip(*m)))
     for i in range(d):
         for j in range(d):
-            cell = [0] * d
-            for k, c in algebra._sparse[i][j]:
-                cell[k] = c
-            if m.matvec(cell) != algebra.multiply(cols[i], cols[j]):
+            image = combine(f, ((c, cols[k]) for k, c in algebra._sparse[i][j]), d)
+            if image != algebra.multiply(cols[i], cols[j]):
                 return False
     return True
 
@@ -93,7 +94,7 @@ def enumerate_automorphisms(algebra: StructureAlgebra, rad: RadicalData | None,
         elements = _enumerate_local_commutative(algebra, rad, max_enum)
     else:
         elements = _enumerate_general(algebra, max_enum)
-    elements.sort(key=lambda m: tuple(x for row in m.rows for x in row))
+    elements.sort(key=lambda m: tuple(x for row in m for x in row))
     group = EnumeratedGroup(elements, len(elements))
     if group.order <= 1000:
         _verify_group(algebra, group)
@@ -115,16 +116,16 @@ def _enumerate_local_commutative(algebra: StructureAlgebra, rad: RadicalData,
     ring = TruncatedRing(n, rad.lowey_length)
     images: dict = {}
     cols = [eval_monomial(algebra, gens, m, images) for m in ring.monomials]
-    ev = Matrix.from_columns(f, cols)
-    _, rank, pivots = rref(ev)
-    if rank != d:
+    ev = list(map(list, zip(*cols)))
+    _, pivots = rref_rows(ev, len(cols), f)
+    if len(pivots) != d:
         raise InternalInconsistency("lifts of a J/J^2 basis do not generate the algebra")
     basis_monos = [ring.monomials[c] for c in pivots]
-    binv = invert(Matrix.from_columns(f, [cols[c] for c in pivots]))
+    binv = invert([[row[c] for c in pivots] for row in ev], f)
     if binv is None:
         raise InternalInconsistency("pivot monomials are not a basis")
     relations = [[(pos, c) for pos, c in enumerate(row) if c]
-                 for row in kernel(ev).basis]
+                 for row in kernel_rows(ev, len(cols), f).basis]
     jbasis = rad.radical.basis
     # J/J^2 coordinates of every radical basis vector, for the linear block
     jj2_coords = [jj2.project(row) for row in jbasis]
@@ -145,8 +146,8 @@ def _enumerate_local_commutative(algebra: StructureAlgebra, rad: RadicalData,
         if any(any(_poly_value(algebra, ys, rel, ring, vals)) for rel in relations):
             continue
         img_cols = [eval_monomial(algebra, ys, m, vals) for m in basis_monos]
-        cand = Matrix.from_columns(f, img_cols).mul(binv)
-        if invert(cand) is None:
+        cand = [combine(f, zip(row, binv), d) for row in zip(*img_cols)]
+        if invert(cand, f) is None:
             continue
         if _is_algebra_map(algebra, cand):
             out.append(cand)
@@ -175,7 +176,7 @@ def _enumerate_general(algebra: StructureAlgebra, max_enum: int) -> list:
     count = p**(d * free)
     if count > max_enum:
         raise SearchSpaceTooLarge(count, max_enum)
-    binv = invert(Matrix.from_columns(f, [algebra.one] + comp))
+    binv = invert(list(zip(algebra.one, *comp)), f)
     if binv is None:
         raise InternalInconsistency("identity and its complement are not a basis")
     out = []
@@ -183,8 +184,8 @@ def _enumerate_general(algebra: StructureAlgebra, max_enum: int) -> list:
         img_cols = [list(algebra.one)]
         for t in range(free):
             img_cols.append(list(assign[t * d:(t + 1) * d]))
-        cand = Matrix.from_columns(f, img_cols).mul(binv)
-        if invert(cand) is None:
+        cand = [combine(f, zip(row, binv), d) for row in zip(*img_cols)]
+        if invert(cand, f) is None:
             continue
         if _is_algebra_map(algebra, cand):
             out.append(cand)
@@ -195,16 +196,15 @@ def _verify_group(algebra: StructureAlgebra, group: EnumeratedGroup) -> None:
     """Sanity checks: identity and inverses always, composition closure in
     full for small groups and on a seeded sample of pairs beyond that
     (closure is implied by exhaustiveness; the check guards against bugs)."""
-    p, d = algebra.field.p, algebra.dim
-    mats = [tuple(tuple(int(x) for x in row) for row in m.rows)
-            for m in group.elements]
+    f, d = algebra.field, algebra.dim
+    mats = [tuple(tuple(int(x) for x in row) for row in m) for m in group.elements]
     keys = set(mats)
     eye = tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
     if eye not in keys:
         raise InternalInconsistency("automorphism group: identity missing")
     for m in group.elements:
-        inv = invert(m)
-        if inv is None or tuple(tuple(int(x) for x in row) for row in inv.rows) not in keys:
+        inv = invert(m, f)
+        if inv is None or tuple(tuple(int(x) for x in row) for row in inv) not in keys:
             raise InternalInconsistency("automorphism group: inverse missing")
     order = len(mats)
     if order * order <= 40000:
@@ -214,7 +214,7 @@ def _verify_group(algebra: StructureAlgebra, group: EnumeratedGroup) -> None:
         pairs = ((rng.choice(mats), rng.choice(mats)) for _ in range(40000))
     for a, b in pairs:
         prod = tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(d)) % p
+            tuple(sum(a[i][k] * b[k][j] for k in range(d)) % f.p
                   for j in range(d))
             for i in range(d))
         if prod not in keys:
@@ -234,11 +234,13 @@ def induced_jj2_matrices(group: EnumeratedGroup, algebra: StructureAlgebra,
     f = algebra.field
     coords = _jj2_coordinates(algebra, rad)
 
-    def block(m: Matrix) -> Matrix:
-        return Matrix.from_columns(f, [coords.project(m.matvec(x)) for x in coords.reps])
+    def block(m: list) -> list:
+        cols = list(zip(*m))
+        return list(map(list, zip(*[coords.project(combine(f, zip(x, cols), algebra.dim))
+                                    for x in coords.reps])))
 
-    eye = Matrix.identity(f, coords.dim)
+    eye = [[f.one if i == j else f.zero for j in range(coords.dim)] for i in range(coords.dim)]
     mats = [block(m) for m in group.elements]
     kernel_count = sum(1 for b in mats if b == eye)
-    distinct = {tuple(x for row in b.rows for x in row) for b in mats}
+    distinct = {tuple(x for row in b for x in row) for b in mats}
     return InducedAction(mats, kernel_count, len(distinct))

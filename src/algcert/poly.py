@@ -15,7 +15,7 @@ from .algebra import MAX_RING_MONOMIALS
 from .errors import (AmbientMismatch, NotInvertible, NotSHomogeneous, OutOfRangeVariable,
                      PolySyntaxError, SearchSpaceTooLarge, ZeroInput)
 from .fields import Field, PrimeField
-from .linalg import Matrix, invert
+from .linalg import row_rank
 
 
 def grlex_key(m: tuple):
@@ -209,23 +209,29 @@ def partial_derivative(f: Poly, i: int) -> Poly:
 
 
 class LinearChange:
-    """Invertible linear substitution X_j -> sum_i m[i][j] X_i, i.e. f -> f(XM)."""
+    """Invertible linear substitution X_j -> sum_i m[i][j] X_i, i.e. f -> f(XM),
+    for M given by its rows.  Each entry goes through field.coerce, so a bad
+    scalar raises BadScalar; ragged rows raise AmbientMismatch, and rows
+    that are not square or are singular NotInvertible."""
 
-    __slots__ = ("matrix",)
+    __slots__ = ("field", "rows")
 
-    def __init__(self, matrix: Matrix):
-        if matrix.nrows != matrix.ncols:
+    def __init__(self, field: Field, rows):
+        self.field = field
+        self.rows = [[field.coerce(x) for x in row] for row in rows]
+        if len({len(row) for row in self.rows}) > 1:
+            raise AmbientMismatch("ragged change-of-variables rows")
+        if any(len(row) != len(self.rows) for row in self.rows):
             raise NotInvertible("change-of-variables matrix must be square")
-        if invert(matrix) is None:
+        if row_rank(self.rows, field) < len(self.rows):
             raise NotInvertible("change-of-variables matrix is singular")
-        self.matrix = matrix
 
     @property
     def n_vars(self) -> int:
-        return self.matrix.nrows
+        return len(self.rows)
 
     def __repr__(self):
-        return f"LinearChange({self.matrix.rows!r})"
+        return f"LinearChange({self.field!r}, {self.rows!r})"
 
 
 def apply_linear_change(change: LinearChange, f: Poly) -> Poly:
@@ -237,7 +243,7 @@ def apply_linear_change(change: LinearChange, f: Poly) -> Poly:
     images = []
     for j in range(n):
         img = Poly(n, fld, {tuple(1 if t == i else 0 for t in range(n)):
-                            change.matrix.rows[i][j] for i in range(n)})
+                            change.rows[i][j] for i in range(n)})
         images.append(img)
     out = Poly.zero(n, fld)
     power_cache: dict[tuple[int, int], Poly] = {}

@@ -12,7 +12,7 @@ from math import gcd
 
 from .errors import InternalInconsistency
 from .fields import QQ, Field, PrimeField
-from .linalg import Echelon, Matrix, Subspace, solve
+from .linalg import Echelon, Subspace, combine, solve
 
 
 def minimal_polynomial(vectors, field: Field) -> list:
@@ -29,18 +29,20 @@ def minimal_polynomial(vectors, field: Field) -> list:
     while seen.add(v):
         collected.append(v)
         v = [field.coerce(x) for x in next(it)]
-    coeffs = solve(Matrix.from_columns(field, collected), v)
+    coeffs = solve(list(zip(*collected)), v, field)
     if coeffs is None:
         raise InternalInconsistency("a dependent power is not a combination of earlier ones")
     return [field.neg(c) for c in coeffs] + [field.one]
 
 
-def operator_power_sequence(mat: Matrix):
-    """Yields flatten(I), flatten(M), flatten(M^2), ..."""
-    cur = Matrix.identity(mat.field, mat.nrows)
+def operator_power_sequence(rows, field: Field):
+    """Yields I, M, M^2, ... flattened row by row, for M the square matrix
+    with these rows of the field's scalars."""
+    n = len(rows)
+    cur = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
     while True:
-        yield cur.flatten()
-        cur = cur.mul(mat)
+        yield [x for row in cur for x in row]
+        cur = [combine(field, zip(row, rows), n) for row in cur]
 
 
 def _divisors_bounded(n: int, trial_bound: int = 10**6) -> list[int]:

@@ -4,7 +4,7 @@ import pytest
 
 from algcert.algebra import Coordinates, StructureAlgebra
 from algcert.fields import QQ
-from algcert.linalg import Matrix, Subspace, quotient_basis
+from algcert.linalg import Subspace, combine, quotient_basis
 from algcert.poly import Poly, parse_poly
 
 
@@ -61,14 +61,30 @@ def dense_table(algebra):
 
 
 def matrix_sum(field, n, terms):
-    """The n x n matrix sum of c m over the pairs (c, m) in terms."""
+    """The n x n matrix sum of c m over the pairs (c, m) in terms, each m a
+    list of rows."""
     rows = [[field.zero] * n for _ in range(n)]
     for c, m in terms:
         c = field.coerce(c)
-        for out, row in zip(rows, m.rows):
+        for out, row in zip(rows, m):
             for k, x in enumerate(row):
-                out[k] = field.add(out[k], field.mul(c, x))
-    return Matrix(field, rows)
+                out[k] = field.add(out[k], field.mul(c, field.coerce(x)))
+    return rows
+
+
+def matmul(field, a, b):
+    """The product of the matrices with rows a and b."""
+    return [combine(field, zip(row, b), len(b[0])) for row in a]
+
+
+def flatten(m):
+    """The entries of a matrix, row by row."""
+    return [x for row in m for x in row]
+
+
+def identity(field, n):
+    """The rows of the n x n identity matrix."""
+    return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
 
 
 def own_coordinates(s):

@@ -12,7 +12,6 @@ from algcert.constructions import (componentwise_algebra, direct_sum,
                                    univariate_quotient_algebra)
 from algcert.errors import LoweyMismatch
 from algcert.fields import GF, QQ
-from algcert.linalg import Matrix
 from algcert.forms import (im_phi_lie, macaulay_rank, nonsingularity, sim_lie,
                            stab_lie)
 from algcert.oracle import enumerate_automorphisms, induced_jj2_matrices
@@ -154,11 +153,9 @@ def test_acceptance_6_star_property_diagonal_stabilization():
                 else:
                     entries.append(None)
             shared = rng.choice([1, 2, 3, 7])
-            diag = Matrix(QQ, [[(entries[i] if entries[i] is not None else shared)
-                                if i == j else 0
-                                for j in range(pres.n_vars)]
-                               for i in range(pres.n_vars)])
-            change = LinearChange(diag)
+            diag = [[(entries[i] if entries[i] is not None else shared) if i == j else 0
+                     for j in range(pres.n_vars)] for i in range(pres.n_vars)]
+            change = LinearChange(QQ, diag)
             for row in pres.ideal.basis:
                 assert pres.contains_poly(
                     apply_linear_change(change, pres.row_poly(row)))

@@ -20,7 +20,7 @@ from algcert.errors import (AmbientMismatch, BadScalar, InternalInconsistency, L
                             UnsupportedRadicalComputation)
 from algcert.fields import GF, QQ
 from algcert.forms import _bracket_closure
-from algcert.linalg import Matrix, Subspace, invert, kernel_rows, quotient_basis
+from algcert.linalg import Subspace, invert, kernel_rows, quotient_basis
 from algcert.oracle import nilpotent_scan_radical
 from algcert.constructions import (componentwise_algebra, direct_sum,
                                    exterior_algebra, matrix_algebra,
@@ -28,7 +28,8 @@ from algcert.constructions import (componentwise_algebra, direct_sum,
                                    univariate_quotient_algebra,
                                    upper_triangular_algebra)
 from algcert.presentation import presentation_from_ideal, quotient_algebra
-from conftest import dense_table, matrix_sum, own_coordinates, pp, random_poly, transvected
+from conftest import (dense_table, flatten, matmul, matrix_sum, own_coordinates, pp,
+                      random_poly, transvected)
 
 GF2, GF3, GF5, GF7 = GF(2), GF(3), GF(5), GF(7)
 GF_BIG = GF(2**31 - 1)
@@ -38,15 +39,15 @@ def qx_mod(power, field=QQ):
     return univariate_quotient_algebra(field, [0] * power + [1])
 
 
-def commutator(a, b):
+def commutator(field, a, b):
     """ab - ba of two dense matrices: the reference for the sparse bracket."""
-    return matrix_sum(a.field, a.nrows, [(1, a.mul(b)), (-1, b.mul(a))])
+    return matrix_sum(field, len(a), [(1, matmul(field, a, b)), (-1, matmul(field, b, a))])
 
 
 def matrix_span(lie):
     """The span of lie's basis as flattened n x n matrices, in k^(n^2)."""
     return Subspace.from_vectors(lie.field, lie.n ** 2,
-                                 [m.flatten() for m in lie.basis_matrices()])
+                                 [flatten(m) for m in lie.basis_matrices()])
 
 
 def _ref_multiply(field, table, x, y):
@@ -655,7 +656,7 @@ class TestDerivations:
         span = matrix_span(sub)
         for dm in der.basis_matrices():
             for sm in sub.basis_matrices():
-                assert span.contains(commutator(dm, sm).flatten())
+                assert span.contains(flatten(commutator(QQ, dm, sm)))
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2**31 - 1)], ids=["QQ", "GF_BIG"])
@@ -883,7 +884,7 @@ def test_center_on_generators_is_canonical(field, rng):
 def _reduced_der_into(algebra, rad, target, der):
     """Reference: {D in der : D(J) <= target} with target.reduce on each D(v)."""
     f, d = algebra.field, algebra.dim
-    mats = [m.flatten() for m in der.basis_matrices()]
+    mats = [flatten(m) for m in der.basis_matrices()]
     rows = []
     for v in rad.radical.basis:
         residuals = [target.reduce([sum(m[a * d + c] * v[c] for c in range(d))
@@ -950,7 +951,7 @@ def _dense_series(lie, derived):
         cur = LieSubalgebra(f, n, terms[-1]).basis_matrices()
         left = cur if derived else base
         nxt = Subspace.from_vectors(
-            f, n * n, [commutator(a, b).flatten() for a in left for b in cur])
+            f, n * n, [flatten(commutator(f, a, b)) for a in left for b in cur])
         if nxt.dim == terms[-1].dim:
             break
         terms.append(nxt)
@@ -961,8 +962,8 @@ def _random_ops(rng, field, n, shape):
     """Two random n x n matrices; shape restricts their support to the
     strict upper triangle, the upper triangle, or nothing."""
     lowest = {"strict": 1, "upper": 0, "full": -n}[shape]
-    return [Matrix(field, [[rng.randint(-2, 2) if c - r >= lowest else 0
-                            for c in range(n)] for r in range(n)])
+    return [[[field.coerce(rng.randint(-2, 2) if c - r >= lowest else 0)
+              for c in range(n)] for r in range(n)]
             for _ in range(2)]
 
 
@@ -974,11 +975,11 @@ def _random_closed(rng, field, n, shape):
 def _dense_closure(field, n, ops):
     """Reference for _bracket_closure: add dense commutators of basis pairs
     until the span stops growing."""
-    span = Subspace.from_vectors(field, n * n, [m.flatten() for m in ops])
+    span = Subspace.from_vectors(field, n * n, [flatten(m) for m in ops])
     while True:
         mats = LieSubalgebra(field, n, span).basis_matrices()
         grown = span.sum(Subspace.from_vectors(field, n * n, [
-            commutator(a, b).flatten() for a, b in itertools.combinations(mats, 2)]))
+            flatten(commutator(field, a, b)) for a, b in itertools.combinations(mats, 2)]))
         if grown.dim == span.dim:
             return span
         span = grown
@@ -996,8 +997,7 @@ def test_bracket_closure_matches_dense_commutators(rng, field):
     # span{E_01, E_10} misses [E_01, E_10] = E_00 - E_11
     open_span = Subspace.from_vectors(field, 4, [[0, 1, 0, 0], [0, 0, 1, 0]])
     assert not LieSubalgebra(field, 2, open_span).is_bracket_closed()
-    assert _bracket_closure(field, 2, [Matrix(field, [[0, 1], [0, 0]]),
-                                       Matrix(field, [[0, 0], [1, 0]])]).dim == 3
+    assert _bracket_closure(field, 2, [[[0, 1], [0, 0]], [[0, 0], [1, 0]]]).dim == 3
 
 
 class TestLieSeries:
@@ -1027,13 +1027,12 @@ class TestLieSeries:
     def test_heisenberg_nilpotent_not_abelian(self, field):
         # the Heisenberg algebra in a non-triangular 3 x 3 realisation:
         # e_01, e_02, e_12 conjugated by an invertible matrix
-        t = Matrix(field, [[1, 2, 0], [0, 1, 1], [1, 0, 1]])
-        t_inv = invert(t)
+        t = [[1, 2, 0], [0, 1, 1], [1, 0, 1]]
+        t_inv = invert(t, field)
         vecs = []
         for (r, c) in [(0, 1), (0, 2), (1, 2)]:
-            e = Matrix(field, [[1 if (i, j) == (r, c) else 0 for j in range(3)]
-                               for i in range(3)])
-            vecs.append(t.mul(e).mul(t_inv).flatten())
+            e = [[1 if (i, j) == (r, c) else 0 for j in range(3)] for i in range(3)]
+            vecs.append(flatten(matmul(field, matmul(field, t, e), t_inv)))
         lie = LieSubalgebra(field, 3, Subspace.from_vectors(field, 9, vecs))
         assert lie.dim == 3 and lie.is_bracket_closed()
         assert is_nilpotent(lie) and is_solvable(lie)
@@ -1098,7 +1097,7 @@ def test_lie_decisions_match_dense_reference(rng, field):
             for j, b in enumerate(mats):
                 total = matrix_sum(field, lie.n, [(Fraction(v, scale), mats[l])
                                                   for l, v in consts[i][j]])
-                assert total == commutator(a, b)
+                assert total == commutator(field, a, b)
         derived = _dense_series(lie, derived=True)
         lower = _dense_series(lie, derived=False)
         assert is_solvable(lie) == (derived[-1].dim == 0)

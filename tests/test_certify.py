@@ -8,6 +8,7 @@ import pkgutil
 import random
 import subprocess
 import sys
+import types
 from math import isqrt
 from pathlib import Path
 
@@ -30,11 +31,11 @@ from algcert.constructions import (componentwise_algebra, direct_sum,
 from algcert.errors import (DegreeOutOfRange, InternalInconsistency, NotLocal,
                             NotSplit, NotSplitBasic)
 from algcert.fields import GF, QQ
-from algcert.linalg import Matrix, Subspace, invert, kernel, solve
+from algcert.linalg import Subspace, invert, kernel_rows, solve
 from algcert.oracle import enumerate_automorphisms, induced_jj2_matrices
 from algcert.presentation import presentation_from_algebra, presentation_from_ideal
 from algcert.roots import minimal_polynomial, roots_in_field
-from conftest import matrix_sum, own_coordinates, pp, transvected
+from conftest import identity, matmul, matrix_sum, own_coordinates, pp, transvected
 
 GF3, GF5, GF7 = GF(3), GF(5), GF(7)
 
@@ -320,7 +321,7 @@ class TestBruteForceAgreement:
         rad = jacobson_radical(a)
         group = enumerate_automorphisms(a, rad)
         act = induced_jj2_matrices(group, a, rad)
-        keys = {tuple(x for row in b.rows for x in row) for b in act.matrices}
+        keys = {tuple(x for row in b for x in row) for b in act.matrices}
         for a1 in (1, 2):
             for a2 in (1, 2):
                 assert (a1, 0, 0, a2) in keys
@@ -337,7 +338,7 @@ class TestBruteForceAgreement:
         group = enumerate_automorphisms(a, rad)
         act = induced_jj2_matrices(group, a, rad)
         assert act.image_order * act.kernel_count == group.order
-        keys = {tuple(x for row in b.rows for x in row) for b in act.matrices}
+        keys = {tuple(x for row in b for x in row) for b in act.matrices}
         for c in (1, 2):
             assert (c, 0, 0, c) in keys
 
@@ -359,6 +360,14 @@ def test_crossed_rank_bounds_raise_under_optimize():
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == ["False",
                                        "rank bounds crossed: lower 3 > upper 2"]
+
+
+def test_certify_module_is_not_shadowed():
+    # the package exports no name that rebinds algcert.certify from the
+    # module to its function
+    import algcert.certify as m
+    assert isinstance(m, types.ModuleType)
+    assert m.RULES
 
 
 def test_full_flag_fires_r_flag():
@@ -562,15 +571,13 @@ def _ref_try_split(alg, unit, space):
         roots = roots_in_field(mp, f)
         if not roots:
             continue
-        mz = Matrix.from_columns(f, [alg.multiply(z, e)
-                                     for e in Matrix.identity(f, alg.dim).rows])
+        mz = list(map(list, zip(*[alg.multiply(z, e) for e in identity(f, alg.dim)])))
         parts = []
         remaining = mp
         for lam in roots:
-            shifted = Matrix(f, [[f.sub(x, lam if i == j else f.zero)
-                                  for j, x in enumerate(row)]
-                                 for i, row in enumerate(mz.rows)])
-            eig = kernel(shifted).intersect(space)
+            shifted = [[f.sub(x, lam if i == j else f.zero) for j, x in enumerate(row)]
+                       for i, row in enumerate(mz)]
+            eig = kernel_rows(shifted, alg.dim, f).intersect(space)
             if eig.dim > 0:
                 parts.append(eig)
             deflated = [f.zero] * (len(remaining) - 1)
@@ -584,15 +591,15 @@ def _ref_try_split(alg, unit, space):
                 return None
             acc = matrix_sum(f, alg.dim, [])
             for c in reversed(remaining):
-                acc = matrix_sum(f, alg.dim, [(f.one, acc.mul(mz)),
-                                              (c, Matrix.identity(f, alg.dim))])
-            rest = kernel(acc).intersect(space)
+                acc = matrix_sum(f, alg.dim, [(f.one, matmul(f, acc, mz)),
+                                              (c, identity(f, alg.dim))])
+            rest = kernel_rows(acc, alg.dim, f).intersect(space)
             if rest.dim in (0, space.dim):
                 return None
             parts.append(rest)
         if len(parts) < 2:
             continue
-        coeffs = solve(Matrix(f, [r for p in parts for r in p.basis]).transpose(), unit)
+        coeffs = solve(list(zip(*[r for p in parts for r in p.basis])), unit, f)
         assert coeffs is not None
         out, offset = [], 0
         for p in parts:
@@ -716,13 +723,13 @@ def _m3_in_turn_basis(field):
             s = rng.choice((-1, 1))
             for row in p:
                 row[j] += s * row[i]
-        cand = [x for row in mul(mul(p, turn), invert(Matrix(QQ, p)).rows) for x in row]
+        cand = [x for row in mul(mul(p, turn), invert(p, QQ)) for x in row]
         if Subspace.from_vectors(field, 9, basis + [cand]).dim > len(basis):
             basis.append(cand)
-    cols = Matrix.from_columns(field, basis)
+    cols = list(zip(*basis))
 
     def coords(m):
-        return solve(cols, [x for row in m for x in row])
+        return solve(cols, [x for row in m for x in row], field)
     mats = [[b[3 * i:3 * i + 3] for i in range(3)] for b in basis]
     table = [[coords(mul(x, y)) for y in mats] for x in mats]
     return StructureAlgebra.from_table(field, table, coords([[int(i == j) for j in range(3)]

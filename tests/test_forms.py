@@ -11,7 +11,7 @@ from algcert.algebra import (DEFAULT_MAX_ENUM, LieSubalgebra, der_into, derivati
 from algcert.errors import (CharTwo, NotDegreeTwo, NotGraded, NotHomogeneous,
                             NotStable, ZeroPolynomial)
 from algcert.fields import GF, QQ
-from algcert.linalg import Matrix, Subspace, invert, kernel, rref_rows
+from algcert.linalg import Subspace, invert, kernel_rows, rref_rows
 from algcert.poly import (LinearChange, Poly, apply_linear_change, degree_monomials,
                           partial_derivative)
 from algcert.forms import (diagonalize, flag_search, im_phi_lie, isotropy,
@@ -19,7 +19,7 @@ from algcert.forms import (diagonalize, flag_search, im_phi_lie, isotropy,
                            restricted_action, sim_lie, stab_lie)
 from algcert.presentation import (minimal_degree_subspace,
                                   presentation_from_ideal, quotient_algebra)
-from conftest import pp
+from conftest import flatten, identity, matmul, pp
 
 GF2, GF3, GF5, GF7 = GF(2), GF(3), GF(5), GF(7)
 
@@ -31,15 +31,15 @@ def build(n, l, texts, field=QQ):
 class TestQuadraticForm:
     def test_identity_gram(self):
         q = quadratic_from_poly(pp("X1^2+X2^2", 2))
-        assert q.gram.rows == [[1, 0], [0, 1]]
+        assert q.gram == [[1, 0], [0, 1]]
 
     def test_hyperbolic_gram(self):
         q = quadratic_from_poly(pp("X1*X2", 2))
-        assert q.gram.rows == [[0, Fraction(1, 2)], [Fraction(1, 2), 0]]
+        assert q.gram == [[0, Fraction(1, 2)], [Fraction(1, 2), 0]]
 
     def test_gf5_gram(self):
         q = quadratic_from_poly(pp("2*X1^2+3*X1*X2", 2, GF5))
-        assert q.gram.rows == [[2, 4], [4, 0]]
+        assert q.gram == [[2, 4], [4, 0]]
 
     def test_char_two_rejected(self):
         with pytest.raises(CharTwo):
@@ -75,10 +75,10 @@ class TestDiagonalize:
 
     def _check_congruence(self, q, p, diag):
         n = q.n
-        got = p.transpose().mul(q.gram).mul(p)
+        got = matmul(q.field, matmul(q.field, list(map(list, zip(*p))), q.gram), p)
         want = [[diag[i] if i == j else Fraction(0) for j in range(n)]
                 for i in range(n)]
-        assert got.rows == want
+        assert got == want
 
 
 class TestIsotropy:
@@ -351,11 +351,11 @@ class TestStabSim:
         # span{I} acts on W = span{f} as deg f times the identity
         for text, n in (("X1^2+X2^2", 2), ("X1^3+X2^3", 2), ("X1^2*X2^2+X1*X2^3", 2)):
             f = pp(text, n)
-            eye = Matrix.identity(QQ, n)
+            eye = flatten(identity(QQ, n))
             w = minimal_degree_subspace(build(n, f.degree() + 1, [text]))
-            scalars = LieSubalgebra(QQ, n, Subspace.from_vectors(QQ, n * n, [eye.flatten()]))
-            assert restricted_action(scalars, w) == [Matrix(QQ, [[f.degree()]])]
-            assert sim_lie(f).space.contains(eye.flatten())
+            scalars = LieSubalgebra(QQ, n, Subspace.from_vectors(QQ, n * n, [eye]))
+            assert restricted_action(scalars, w) == [[[f.degree()]]]
+            assert sim_lie(f).space.contains(eye)
 
     def test_bracket_closed_and_nested(self):
         for text in ("X1^2+X2^2+X3^2", "X1*X2", "X1^3+X2^3"):
@@ -369,12 +369,12 @@ class TestStabSim:
     def test_conjugation_covariance(self):
         # for g(X) = f(XA): Stab(g) = A Stab(f) A^{-1}
         f = pp("X1^2+X2^2", 2)
-        m = Matrix(QQ, [[1, 2], [0, 1]])
-        g = apply_linear_change(LinearChange(m), f)
-        minv = invert(m)
+        m = [[1, 2], [0, 1]]
+        g = apply_linear_change(LinearChange(QQ, m), f)
+        minv = invert(m, QQ)
         conj = []
         for b in stab_lie(f).basis_matrices():
-            conj.append(m.mul(b).mul(minv).flatten())
+            conj.append(flatten(matmul(QQ, matmul(QQ, m, b), minv)))
         assert stab_lie(g).space == Subspace.from_vectors(QQ, 4, conj)
 
     def test_zero_rejected(self):
@@ -431,27 +431,25 @@ class TestImPhi:
 
 class TestFlagSearch:
     def test_rotation_no_rational_flag(self):
-        res = flag_search([Matrix(QQ, [[0, -1], [1, 0]])], QQ, 2)
+        res = flag_search([[[0, -1], [1, 0]]], QQ, 2)
         assert res.status == "NO_RATIONAL_FLAG"
 
     def test_rotation_splits_over_gf5(self):
         # t^2 + 1 factors mod 5, so the flag exists there
-        res = flag_search([Matrix(GF5, [[0, 4], [1, 0]])], GF5, 2)
+        res = flag_search([[[0, 4], [1, 0]]], GF5, 2)
         assert res.status == "FULL_FLAG"
 
     def test_upper_triangular_flag(self):
-        ops = [Matrix(QQ, [[1, 0], [0, 0]]), Matrix(QQ, [[0, 1], [0, 0]]),
-               Matrix(QQ, [[0, 0], [0, 1]])]
+        ops = [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [0, 1]]]
         res = flag_search(ops, QQ, 2)
         assert res.status == "FULL_FLAG"
         assert res.flag[0] == [1, 0]
 
     def test_dim_one_trivial(self):
-        assert flag_search([Matrix(QQ, [[7]])], QQ, 1).status == "FULL_FLAG"
+        assert flag_search([[[7]]], QQ, 1).status == "FULL_FLAG"
 
     def test_gl2_not_solvable(self):
-        ops = [Matrix(QQ, [[1, 0], [0, 0]]), Matrix(QQ, [[0, 1], [0, 0]]),
-               Matrix(QQ, [[0, 0], [1, 0]]), Matrix(QQ, [[0, 0], [0, 1]])]
+        ops = [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 1]]]
         assert flag_search(ops, QQ, 2).status == "NOT_SOLVABLE"
 
     def test_no_operators_full_flag(self):
@@ -467,7 +465,7 @@ class TestWStability:
         ops = restricted_action(lie, w)
         assert len(ops) == lie.dim
         for op in ops:
-            assert op.nrows == w.dim
+            assert len(op) == w.dim
 
     def test_unstable_rejected(self):
         # a made-up operator outside im(Phi) moves W out of itself
@@ -501,7 +499,7 @@ def _ref_delta_action(m, f):
     q = _ref_delta_polys(f)
     out = Poly.zero(f.n_vars, f.field)
     for i, j in itertools.product(range(f.n_vars), repeat=2):
-        out = out.add(q[i][j].scale(m.rows[i][j]))
+        out = out.add(q[i][j].scale(m[i][j]))
     return out
 
 
@@ -514,7 +512,7 @@ def _ref_lie(f, span):
                    | {m for g in span for m in g.terms})
     rows = [[q[i][j].coefficient(m) for i in range(n) for j in range(n)]
             + [fld.neg(g.coefficient(m)) for g in span] for m in monos]
-    sol = kernel(Matrix(fld, rows)) if rows else Subspace.full(fld, n * n + len(span))
+    sol = kernel_rows(rows, n * n + len(span), fld)
     return Subspace.from_vectors(fld, n * n, [v[:n * n] for v in sol.basis])
 
 
@@ -534,7 +532,7 @@ def _ref_restricted_action(lie, w):
     fld, n = lie.field, lie.n
     ops = []
     for v in lie.space.basis:
-        m = Matrix(fld, [v[i * n:(i + 1) * n] for i in range(n)])
+        m = [v[i * n:(i + 1) * n] for i in range(n)]
         cols = []
         for wp in w.polys:
             img = _ref_delta_action(m, wp)
@@ -542,7 +540,7 @@ def _ref_restricted_action(lie, w):
             if not w.space.contains(vec):
                 raise NotStable("reference: W is not stable")
             cols.append([vec[p] for p in w.space.pivots])
-        ops.append(Matrix.from_columns(fld, cols))
+        ops.append(list(map(list, zip(*cols))))
     return ops
 
 
@@ -570,7 +568,7 @@ def test_delta_kernels_match_dense_reference(field):
         stab, sim = stab_lie(f), sim_lie(f)
         assert stab.space == _ref_lie(f, [])
         assert sim.space == _ref_lie(f, [f])
-        eye = Matrix.identity(field, n).flatten()
+        eye = flatten(identity(field, n))
         if field.characteristic and d % field.characteristic == 0:
             char_divides += 1
             assert stab.space.contains(eye)

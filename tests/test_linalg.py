@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from algcert.constructions import componentwise_algebra
 from algcert.errors import AmbientMismatch, BadScalar, NotContained
 from algcert.fields import GF, QQ
-from algcert.linalg import (Echelon, Matrix, Subspace, invert, kernel,
-                            kernel_rows, quotient_basis, rref, rref_rows, solve)
+from algcert.linalg import (Echelon, Subspace, invert, kernel_rows, quotient_basis,
+                            rref_rows, solve)
 from algcert.roots import minimal_polynomial, operator_power_sequence
-from conftest import matrix_sum
+from conftest import identity, matmul, matrix_sum
 
 GF2 = GF(2)
 GF3 = GF(3)
@@ -19,56 +19,52 @@ GF_BIG = GF(2**31 - 1)
 
 
 def test_rref_proportional_rows():
-    m = Matrix(QQ, [[1, 2], [2, 4]])
-    r, rank, pivots = rref(m)
-    assert rank == 1
+    r, pivots = rref_rows([[1, 2], [2, 4]], 2, QQ)
     assert pivots == [0]
-    assert r.rows[0] == [Fraction(1), Fraction(2)]
+    assert r[0] == [Fraction(1), Fraction(2)]
 
 
 def test_rref_identity_fixed_point():
-    m = Matrix(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    r, rank, _ = rref(m)
-    assert rank == 3
-    assert r.rows == m.rows
+    m = identity(QQ, 3)
+    r, pivots = rref_rows(m, 3, QQ)
+    assert len(pivots) == 3
+    assert r == m
 
 
 def test_rref_gf2():
     # [[1,1],[1,2]] = [[1,1],[1,0]] mod 2 reduces to the identity
-    m = Matrix(GF2, [[1, 1], [1, 2]])
-    r, rank, _ = rref(m)
-    assert rank == 2
-    assert r.rows == [[1, 0], [0, 1]]
+    r, pivots = rref_rows([[1, 1], [1, 2]], 2, GF2)
+    assert len(pivots) == 2
+    assert r == [[1, 0], [0, 1]]
 
 
 def test_rref_idempotent():
-    m = Matrix(QQ, [[2, 4, 1], [3, 1, 0], [5, 5, 1]])
-    r1, _, _ = rref(m)
-    r2, _, _ = rref(r1)
-    assert r1.rows == r2.rows
+    r1, _ = rref_rows([[2, 4, 1], [3, 1, 0], [5, 5, 1]], 3, QQ)
+    r2, _ = rref_rows(r1, 3, QQ)
+    assert r1 == r2
 
 
 def test_kernel_single_relation():
-    k = kernel(Matrix(QQ, [[1, 2]]))
+    k = kernel_rows([[1, 2]], 2, QQ)
     assert k.dim == 1
     assert k.contains([-2, 1])
 
 
 def test_kernel_invertible_is_zero():
-    assert kernel(Matrix(QQ, [[1, 2], [3, 4]])).dim == 0
+    assert kernel_rows([[1, 2], [3, 4]], 2, QQ).dim == 0
 
 
 def test_kernel_gf3_nullity():
-    k = kernel(Matrix(GF3, [[1, 1, 1], [0, 0, 0]]))
+    k = kernel_rows([[1, 1, 1], [0, 0, 0]], 3, GF3)
     assert k.dim == 2
     for v in k.basis:
         assert sum(v) % 3 == 0
 
 
 def test_solve_examples():
-    assert solve(Matrix(QQ, [[2]]), [1]) == [Fraction(1, 2)]
-    assert solve(Matrix(QQ, [[1], [1]]), [0, 1]) is None
-    assert solve(Matrix(QQ, [[1, 1], [0, 1]]), [3, 1]) == [Fraction(2), Fraction(1)]
+    assert solve([[2]], [1], QQ) == [Fraction(1, 2)]
+    assert solve([[1], [1]], [0, 1], QQ) is None
+    assert solve([[1, 1], [0, 1]], [3, 1], QQ) == [Fraction(2), Fraction(1)]
 
 
 def test_subspace_sum_intersect():
@@ -108,10 +104,10 @@ def test_ambient_mismatch():
 
 
 def test_invert_round_trip():
-    m = Matrix(QQ, [[1, 2], [3, 4]])
-    inv = invert(m)
-    assert m.mul(inv).rows == Matrix.identity(QQ, 2).rows
-    assert invert(Matrix(QQ, [[1, 2], [2, 4]])) is None
+    m = [[1, 2], [3, 4]]
+    inv = invert(m, QQ)
+    assert matmul(QQ, m, inv) == identity(QQ, 2)
+    assert invert([[1, 2], [2, 4]], QQ) is None
 
 
 def _random_subspace(draw, field, ambient):
@@ -146,11 +142,10 @@ def test_grassmann_identity_gf5(pair):
 @given(st.lists(st.lists(st.integers(-6, 6), min_size=4, max_size=4),
                 min_size=1, max_size=5))
 def test_kernel_vectors_annihilate(rows):
-    m = Matrix(QQ, rows)
-    k = kernel(m)
-    assert k.dim == m.ncols - rref(m)[1]
+    k = kernel_rows(rows, 4, QQ)
+    assert k.dim == 4 - len(rref_rows(rows, 4, QQ)[1])
     for v in k.basis:
-        assert all(x == 0 for x in m.matvec(v))
+        assert matmul(QQ, rows, [[x] for x in v]) == [[0]] * len(rows)
 
 
 @settings(max_examples=40, deadline=None)
@@ -160,20 +155,18 @@ def test_kernel_vectors_annihilate(rows):
 def test_solve_substitutes_exactly(rows, b):
     if len(b) != len(rows):
         b = (b + [0] * len(rows))[:len(rows)]
-    m = Matrix(QQ, rows)
-    x = solve(m, b)
+    x = solve(rows, b, QQ)
     if x is not None:
-        assert m.matvec(x) == [Fraction(t) for t in b]
+        assert matmul(QQ, rows, [[t] for t in x]) == [[Fraction(t)] for t in b]
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.lists(st.integers(0, 4), min_size=3, max_size=3),
                 min_size=1, max_size=4))
 def test_rref_idempotence_gf5(rows):
-    m = Matrix(GF5, rows)
-    r1, _, _ = rref(m)
-    r2, _, _ = rref(r1)
-    assert r1.rows == r2.rows
+    r1, _ = rref_rows(rows, 3, GF5)
+    r2, _ = rref_rows(r1, 3, GF5)
+    assert r1 == r2
 
 
 # -- differential checks against textbook elimination -------------------------
@@ -428,7 +421,7 @@ def _minimal_polynomial_reference(vectors, field):
         v = [field.coerce(x) for x in v]
         cand, _ = _textbook_rref(seen + [v], len(v), field)
         if len(cand) == len(seen):
-            coeffs = solve(Matrix.from_columns(field, collected), v)
+            coeffs = solve(list(zip(*collected)), v, field)
             return [field.neg(c) for c in coeffs] + [field.one]
         seen = cand
         collected.append(v)
@@ -439,18 +432,20 @@ def _minimal_polynomial_reference(vectors, field):
 @given(data=st.data())
 def test_minimal_polynomial_matches_one_rref_per_power(field, entry, data):
     n = data.draw(st.integers(1, 4))
-    m = Matrix(field, data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
-                                         min_size=n, max_size=n)))
-    got = minimal_polynomial(operator_power_sequence(m), field)
-    assert got == _minimal_polynomial_reference(operator_power_sequence(m), field)
-    value = matrix_sum(field, n, [(c, Matrix(field, [power[i * n:(i + 1) * n] for i in range(n)]))
-                                  for c, power in zip(got, operator_power_sequence(m))])
-    assert value.is_zero()
+    m = [[field.coerce(x) for x in row]
+         for row in data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                       min_size=n, max_size=n))]
+    got = minimal_polynomial(operator_power_sequence(m, field), field)
+    assert got == _minimal_polynomial_reference(operator_power_sequence(m, field), field)
+    value = matrix_sum(field, n, [(c, [power[i * n:(i + 1) * n] for i in range(n)])
+                                  for c, power in zip(got, operator_power_sequence(m, field))])
+    assert not any(map(any, value))
 
 
 def test_kernel_rows_without_rows_is_full():
     assert kernel_rows([], 3, QQ) == Subspace.full(QQ, 3)
-    assert kernel_rows([[0, 2, 4]], 3, GF5) == kernel(Matrix(GF5, [[0, 2, 4]]))
+    assert kernel_rows([[0, 2, 4]], 3, GF5) == Subspace.from_vectors(GF5, 3, [[1, 0, 0],
+                                                                           [0, 3, 1]])
 
 
 # -- dict and list vectors against dense references ---------------------------

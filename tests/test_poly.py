@@ -6,16 +6,15 @@ from math import comb
 
 import pytest
 
-from algcert.errors import (BadScalar, NotInvertible, NotSHomogeneous,
+from algcert.errors import (AmbientMismatch, BadScalar, NotInvertible, NotSHomogeneous,
                             OutOfRangeVariable, PolySyntaxError, ZeroInput)
 from algcert.fields import GF, QQ
-from algcert.linalg import Matrix
 from algcert.poly import (LinearChange, Poly, TruncatedRing,
                           apply_linear_change, degree_monomials, grlex_key,
                           homogeneous_components,
                           monomial_gcd_factor, parse_poly, partial_derivative,
                           s_index)
-from conftest import pp, random_poly
+from conftest import identity, matmul, pp, random_poly
 
 GF3 = GF(3)
 
@@ -93,24 +92,38 @@ class TestOps:
 
     def test_linear_change_identity(self):
         f = pp("X1^2*X2 + X2^3", 2)
-        ident = LinearChange(Matrix.identity(QQ, 2))
+        ident = LinearChange(QQ, identity(QQ, 2))
         assert apply_linear_change(ident, f) == f
 
     def test_linear_change_diagonal(self):
-        change = LinearChange(Matrix(QQ, [[2, 0], [0, 1]]))
+        change = LinearChange(QQ, [[2, 0], [0, 1]])
         assert apply_linear_change(change, pp("X1*X2", 2)) == pp("2*X1*X2", 2)
 
     def test_linear_change_swap(self):
-        change = LinearChange(Matrix(QQ, [[0, 1], [1, 0]]))
+        change = LinearChange(QQ, [[0, 1], [1, 0]])
         assert apply_linear_change(change, pp("X1^2", 2)) == pp("X2^2", 2)
 
     def test_linear_change_rejects_singular(self):
         with pytest.raises(NotInvertible):
-            LinearChange(Matrix(QQ, [[1, 2], [2, 4]]))
+            LinearChange(QQ, [[1, 2], [2, 4]])
+        with pytest.raises(NotInvertible):
+            LinearChange(GF3, [[1, 2], [2, 1]])
+        with pytest.raises(NotInvertible):
+            LinearChange(QQ, [[1, 0, 0], [0, 1, 0]])
+
+    def test_linear_change_rejects_ragged_rows(self):
+        for rows in ([[1, 0], [0]], [[1], [0, 1]], [[1, 0], [0, 1, 0]]):
+            with pytest.raises(AmbientMismatch):
+                LinearChange(QQ, rows)
+
+    def test_linear_change_rejects_bad_scalar(self):
+        for field, bad in ((QQ, "x"), (QQ, True), (QQ, 0.5), (GF3, "1/3"), (GF3, None)):
+            with pytest.raises(BadScalar):
+                LinearChange(field, [[1, 0], [0, bad]])
 
     def test_linear_change_degree_and_linearity(self):
         rng = random.Random(3)
-        change = LinearChange(Matrix(QQ, [[1, 2], [1, 3]]))
+        change = LinearChange(QQ, [[1, 2], [1, 3]])
         for _ in range(20):
             f = random_poly(rng, 2, QQ, 3)
             g = random_poly(rng, 2, QQ, 3)
@@ -124,10 +137,10 @@ class TestOps:
 
     def test_linear_change_right_action(self):
         rng = random.Random(5)
-        mf = Matrix(QQ, [[1, 1], [0, 1]])
-        mg = Matrix(QQ, [[2, 0], [1, 1]])
-        composed = LinearChange(mg.mul(mf))
-        cf, cg = LinearChange(mf), LinearChange(mg)
+        mf = [[1, 1], [0, 1]]
+        mg = [[2, 0], [1, 1]]
+        composed = LinearChange(QQ, matmul(QQ, mg, mf))
+        cf, cg = LinearChange(QQ, mf), LinearChange(QQ, mg)
         for _ in range(10):
             f = random_poly(rng, 2, QQ, 3)
             assert apply_linear_change(composed, f) == \

@@ -14,14 +14,14 @@ from algcert.errors import (LoweyMismatch, NotAdmissible, NotLocal, NotSplit,
                             NotCommutative)
 from algcert.fields import GF, QQ
 from algcert.forms import im_phi_lie
-from algcert.linalg import Matrix, Subspace, invert, quotient_basis
+from algcert.linalg import Subspace, combine, invert, quotient_basis
 from algcert.poly import LinearChange, Poly, TruncatedRing, apply_linear_change
 from algcert.presentation import (_actual_lowey, _saturate,
                                   is_graded_presentation, is_monomial_ideal,
                                   minimal_degree_subspace, normal_form,
                                   presentation_from_algebra,
                                   presentation_from_ideal, quotient_algebra)
-from conftest import dense_table, pp, random_poly
+from conftest import dense_table, identity, pp, random_poly
 
 GF2, GF3, GF5 = GF(2), GF(3), GF(5)
 
@@ -163,12 +163,11 @@ class TestFromAlgebra:
             return out
 
         images = [evaluate(r) for r in reps]
-        mat = Matrix.from_columns(QQ, images)
         for i in range(b.dim):
             for j in range(b.dim):
                 ei = [QQ.one if t == i else QQ.zero for t in range(b.dim)]
                 ej = [QQ.one if t == j else QQ.zero for t in range(b.dim)]
-                via_b = mat.matvec(b.multiply(ei, ej))
+                via_b = combine(QQ, zip(b.multiply(ei, ej), images), a.dim)
                 via_a = a.multiply(images[i], images[j])
                 assert via_b == via_a
 
@@ -267,7 +266,7 @@ class TestPropertyStar:
             assert r is not None
             for _ in range(5):
                 diag = _random_d_matrix(rng, p.n_vars, r, p.field)
-                change = LinearChange(diag)
+                change = LinearChange(p.field, diag)
                 for row in p.ideal.basis:
                     image = apply_linear_change(change, p.row_poly(row))
                     assert p.contains_poly(image)
@@ -277,7 +276,7 @@ class TestPropertyStar:
         assert is_monomial_ideal(p)
         for _ in range(5):
             diag = _random_d_matrix(rng, 2, 2, QQ)
-            change = LinearChange(diag)
+            change = LinearChange(QQ, diag)
             for row in p.ideal.basis:
                 assert p.contains_poly(apply_linear_change(change, p.row_poly(row)))
 
@@ -292,8 +291,7 @@ def _random_d_matrix(rng, n, r, field):
             entries.append(None)
     shared = rng.choice([1, 2, 3, 7, -3])
     vals = [field.coerce(e if e is not None else shared) for e in entries]
-    rows = [[vals[i] if i == j else field.zero for j in range(n)] for i in range(n)]
-    return Matrix(field, rows)
+    return [[vals[i] if i == j else field.zero for j in range(n)] for i in range(n)]
 
 
 class TestMinimalDegreeSubspace:
@@ -395,15 +393,16 @@ class TestQuotientAlgebra:
             got = quotient_algebra(pres)
             free = [j for j in range(pres.ring.dim) if j not in pres.ideal.pivots]
             images = [[r[j] for j in free] for r in map(pres.ideal.reduce, coords.reps)]
-            phi = Matrix.from_columns(field, images)
-            assert got.dim == ref.dim and invert(phi) is not None
-            assert phi.matvec(ref.one) == got.one
+            def phi(v):
+                return combine(field, zip(v, images), got.dim)
+            assert got.dim == ref.dim and invert(list(zip(*images)), field) is not None
+            assert phi(ref.one) == got.one
             for i, x in enumerate(images):
                 e_i = [field.one if t == i else field.zero for t in range(ref.dim)]
                 for j, y in enumerate(images):
                     e_j = [field.one if t == j else field.zero for t in range(ref.dim)]
-                    assert phi.matvec(ref.multiply(e_i, e_j)) == got.multiply(x, y)
-            mapped = [phi.matvec(v) for v in ref.known_radical.basis]
+                    assert phi(ref.multiply(e_i, e_j)) == got.multiply(x, y)
+            mapped = [phi(v) for v in ref.known_radical.basis]
             assert Subspace.from_vectors(field, got.dim, mapped) == got.known_radical
 
 
@@ -420,7 +419,7 @@ def _reference_quotient(pres):
             out[j] = c
         return out
 
-    units = Matrix.identity(f, ring.dim).rows
+    units = identity(f, ring.dim)
     cells = {(i, j): list(enumerate(coords.project(multiply(a, b))))
              for i, a in enumerate(coords.reps) for j, b in enumerate(coords.reps)}
     known = Subspace.from_vectors(f, coords.dim, [coords.project(v) for v in units[1:]])

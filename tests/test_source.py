@@ -4,6 +4,8 @@ import ast
 import dataclasses
 from pathlib import Path
 
+import pytest
+
 import algcert
 from algcert.certify import CertifyConfig
 
@@ -34,31 +36,22 @@ def test_elimination_stays_in_linalg():
     assert found == []
 
 
-def test_one_lie_bracket():
+@pytest.mark.parametrize("names", [
     # brackets of matrix Lie algebras are taken on sparse integer rows in
     # algebra.py; no module keeps a dense commutator beside them
-    found = [f"{path.name}:{node.lineno}"
-             for path in SOURCES
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                 and node.name == "mat_bracket")
-             or (isinstance(node, ast.Name) and node.id == "mat_bracket"
-                 and isinstance(node.ctx, ast.Store))
-             or (isinstance(node, (ast.Import, ast.ImportFrom))
-                 and any("mat_bracket" in (alias.name.split(".")[-1], alias.asname)
-                         for alias in node.names))]
-    assert SOURCES
-    assert found == []
-
-
-def test_one_linearised_action():
+    pytest.param({"mat_bracket"}, id="lie_bracket"),
     # forms.py builds delta_M(h) = sum M_ij X_i dh/dX_j once, as its columns;
     # no module keeps a second construction of it beside them
-    names = {"delta_action", "_delta_polys"}
+    pytest.param({"delta_action", "_delta_polys"}, id="linearised_action"),
+    # a matrix is the list of its rows, eliminated by rref_rows and
+    # kernel_rows; no module keeps a matrix class or wrappers beside them
+    pytest.param({"Matrix", "rref", "kernel"}, id="matrix_format"),
+])
+def test_one_construction(names):
     found = [f"{path.name}:{node.lineno}"
              for path in SOURCES
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                  and node.name in names)
              or (isinstance(node, ast.Name) and node.id in names
                  and isinstance(node.ctx, ast.Store))
