@@ -293,7 +293,11 @@ class RadicalData:
     radical: Subspace
     powers: list          # [J, J^2, ..., J^l] with the last entry zero
     lowey_length: int
-    jj2_dim: int
+    lifts: list           # rows of J extending a basis of J^2: a J/J^2 basis, lifted
+
+    @property
+    def jj2_dim(self) -> int:
+        return len(self.lifts)
 
     @property
     def square(self) -> Subspace:
@@ -301,19 +305,37 @@ class RadicalData:
 
 
 def _radical_data(algebra: StructureAlgebra, j: Subspace) -> RadicalData:
-    """J's powers J, J^2, ... until 0, each J^(k+1) = J^k J the span of the
-    products of their integer basis rows on the scaled table, by
-    subspace_product, with no Fraction vector in between."""
-    powers = [j]
-    while powers[-1].dim > 0:
-        nxt = algebra.subspace_product(powers[-1], j)
-        if nxt.dim >= powers[-1].dim:
-            # not nilpotent: cannot happen for a genuine radical
+    """J's powers J, J^2, ... until 0.  J^2 = J J, and the lifts L of a
+    J/J^2 basis are the quotient rows of J^2 in J.  Then the words L^k =
+    L^(k-1) L run until 0, and J^k = L^k + J^(k+1) comes from the top down:
+    far fewer products than J^k J, each of integer basis rows on the scaled
+    table by subspace_product.
+
+    That also checks that J is nilpotent.  A nilpotent J = L + J^2 is the
+    span S of the words in L (J = L + J^2 = L + L^2 + J^3 = ...), so L^k =
+    0 once k > dim J, and J^k = S^k = L^k + L^(k+1) + ....  Conversely, if
+    L^m = 0 then S is nilpotent, and L^2 + L^3 + ... = J^2 gives S = J."""
+    f, d = algebra.field, algebra.dim
+    square = algebra.subspace_product(j, j)
+    lifts = quotient_basis(square, j)
+    # rows of J's canonical basis, so canonical themselves
+    words = [span := Subspace(f, d, lifts)]     # L, L^2, ..., the last 0
+    while words[-1].dim:
+        if len(words) > j.dim:
             raise UnsupportedRadicalComputation("candidate radical is not nilpotent")
-        powers.append(nxt)
-    lowey = len(powers)  # J^lowey = 0, and J^(lowey-1) != 0 (or J = 0, lowey = 1)
-    jj2 = powers[0].dim - (powers[1].dim if len(powers) > 1 else 0)
-    return RadicalData(j, powers, lowey, jj2)
+        # L^2 <= J^2, so J^2 = 0 ends the words at L
+        words.append(algebra.subspace_product(words[-1], span) if square.dim else square)
+    powers = [words.pop()]
+    while len(words) > 1:               # J^k = L^k + J^(k+1) for k >= 2
+        word = words.pop()
+        powers.insert(0, word.sum(powers[0]) if powers[0].dim else word)
+    # L^2 + L^3 + ... <= J^2, with equality iff J = L + L^2 + ... is nilpotent
+    if powers[0] != square:
+        raise UnsupportedRadicalComputation("candidate radical is not nilpotent")
+    if j.dim:
+        powers.insert(0, j)
+    # J^lowey = 0, and J^(lowey-1) != 0 (or J = 0, lowey = 1)
+    return RadicalData(j, powers, len(powers), lifts)
 
 
 def _verify_ideal(algebra: StructureAlgebra, j: Subspace) -> bool:
@@ -682,32 +704,49 @@ def derivation_algebra(algebra: StructureAlgebra) -> LieSubalgebra:
             rows.add(tuple(sorted((col, r) for col, x in row.items()
                                   if (r := x % p if p else x))))
 
+    by_column: dict[int, list] = {}     # X column -> its (m, a, c) in the forms
+
     def lift(x) -> dict:
-        """delta D by columns {b: {a: int}} for D with the entries x on G."""
-        x, out = dict(x), {}
-        for m, row in enumerate(inverse):
-            image = [(a, v) for a, form in enumerate(forms[m])
-                     if (v := sum(c * x[col] for col, c in form.items() if col in x))]
+        """delta D by columns {b: {a: int}} for D with the entries x on G.
+
+        D(v_m)[a] is the form forms[m][a] at x, sum c x_col.  The forms are
+        indexed by column once, at the first lift, so a lift reads only the
+        (m, a, c) under the columns of x, not every entry of every form."""
+        if not by_column:
+            for m, a in itertools.product(range(len(words)), range(d)):
+                for col, c in forms[m][a].items():
+                    by_column.setdefault(col, []).append((m, a, c))
+        images: list[dict] = [{} for _ in words]   # images[m][a] = D(v_m)[a]
+        for col, xc in x:
+            for m, a, c in by_column.get(col, ()):
+                images[m][a] = images[m].get(a, 0) + c * xc
+        out = {}
+        for row, image in zip(inverse, images):
             for b, mb in row:
                 col = out.setdefault(b, {})
-                for a, v in image:
+                for a, v in image.items():
                     col[a] = col.get(a, 0) + mb * v
         return {b: {a: v % p for a, v in col.items()} for b, col in out.items()} if p else out
     return LieSubalgebra(f, d, kernel_rows(map(dict, rows), w * d, f), algebra.gens, lift, delta)
 
 
-def der_into(der: LieSubalgebra, rad: RadicalData, target: Subspace) -> LieSubalgebra:
-    """{D in der : D(J) <= target}, der = Der(A), in der's coordinates:
-    D(v) = sum_b v_b D(e_b), for each integer row v of J, is read off each
-    basis D's columns and reduced against the target by _scaled_residual.
-    Over GF(p) the rows stay unreduced; rref_rows reduces them."""
-    f, (_, mats) = der.field, der._columns
-    s, scaled = _int_terms(target._terms)
+def der_into(der: LieSubalgebra, rad: RadicalData) -> LieSubalgebra:
+    """{D in der : D(J) <= J^2}, der = Der(A), in der's coordinates.
+
+    It reads D on the lifts L of a J/J^2 basis alone, jj2_dim vectors and
+    not dim J.  J is nilpotent and J = L + J^2, so J = sum_{m >= 1} L^m,
+    and D(l_1 ... l_m) = sum_i l_1 ... D(l_i) ... l_m has the factor D(l_i)
+    in each term; J^2 being an ideal, D(J) <= J^2 iff D(L) <= J^2.  D(v) =
+    sum_b v_b D(e_b), for each integer row v of L, is read off each basis
+    D's columns and reduced against J^2 by _scaled_residual.  Over GF(p)
+    the rows stay unreduced; rref_rows reduces them."""
+    f, (_, mats), square = der.field, der._columns, rad.square
+    s, scaled = _int_terms(square._terms)
     rows = []
-    for v in _int_terms(rad.radical._terms)[1]:
+    for v in _int_terms([[(k, x) for k, x in enumerate(u) if x] for u in rad.lifts])[1]:
         by_coefficient: dict[int, dict] = {}    # e_t coefficient -> {l: residual}
         for l, m in enumerate(mats):
-            for t, r in _scaled_residual(_apply(m, v), target, s, scaled).items():
+            for t, r in _scaled_residual(_apply(m, v), square, s, scaled).items():
                 by_coefficient.setdefault(t, {})[l] = r
         rows.extend(by_coefficient.values())
     entries = dict(enumerate(map(dict, _int_terms(der.space._terms)[1])))
@@ -744,9 +783,27 @@ def _series_limit(lie: LieSubalgebra, derived: bool) -> int:
     return len(term)
 
 
+def _killing_diagonal(lie: LieSubalgebra):
+    """kappa(B_i, B_i) = tr (ad B_i)^2 = sum_{j, l} C_ij^l C_il^j for each
+    basis element B_i, on the integer structure constants: over Q times
+    scale^2, a nonzero integer, and over GF(p) (scale 1) mod p.  So each is
+    0 exactly when the Killing form's value is."""
+    p = lie.field.characteristic
+    for row in lie.structure_constants[1]:
+        ad = [dict(cell) for cell in row]      # ad[l][j] = C_il^j
+        k = sum(x * ad[l].get(j, 0) for j, cell in enumerate(row) for l, x in cell)
+        yield k % p if p else k
+
+
 def is_nilpotent(lie: LieSubalgebra) -> bool:
-    """Whether the lower central series of the bracket-closed lie reaches 0."""
-    return _series_limit(lie, derived=False) == 0
+    """Whether the lower central series of the bracket-closed lie reaches 0.
+
+    A Killing-form witness is read first.  In a nilpotent Lie algebra each
+    (ad x)^k maps into the k+1-th term of the series, so ad x is nilpotent,
+    and so is (ad x)^2: kappa(x, x) = 0 in every characteristic (Humphreys,
+    Introduction to Lie Algebras, ch. I).  A basis element with kappa(B_i,
+    B_i) != 0 therefore says no; when there is none, the series decides."""
+    return not any(_killing_diagonal(lie)) and _series_limit(lie, derived=False) == 0
 
 
 def is_solvable(lie: LieSubalgebra) -> bool:

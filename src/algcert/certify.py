@@ -359,7 +359,7 @@ def _attach_derivations(ctx: _Context, algebra: StructureAlgebra):
     der = derivation_algebra(algebra)
     ctx.dim_der = der.dim
     if ctx.rad is not None:
-        ctx.dim_ker_phi = der_into(der, ctx.rad, ctx.rad.square).dim
+        ctx.dim_ker_phi = der_into(der, ctx.rad).dim
     ctx.der_nilpotent = is_nilpotent(der)
 
 

@@ -168,7 +168,7 @@ def _der_report(algebra: StructureAlgebra, cfg: CertifyConfig) -> dict:
     out = {"dim_der": der.dim}
     try:
         rad = jacobson_radical(algebra, scan_bound=cfg.max_enum)
-        out["dim_ker_phi_lie"] = der_into(der, rad, rad.square).dim
+        out["dim_ker_phi_lie"] = der_into(der, rad).dim
     except UnsupportedRadicalComputation:
         out["dim_ker_phi_lie"] = None
     return out
@@ -184,11 +184,11 @@ def _run(args) -> int:
     field_override = parse_field_flag(args.field) if args.field else None
     cfg = _config_from_args(args)
     obj, _doc = _load_document(args.input, field_override)
+    if isinstance(obj, dict) and args.command != "invariant-pair":
+        # an invariant-pair document is read by invariant-pair alone
+        raise SchemaError(f"{args.command} expects structure constants or a presentation")
     if args.command == "analyze":
-        target = obj if not isinstance(obj, dict) else None
-        if target is None:
-            raise SchemaError("analyze expects structure constants or a presentation")
-        cert = certify(target, cfg)
+        cert = certify(obj, cfg)
         payload = cert.to_dict()
         _emit(payload, args.format)
         if any(u.get("invariant") == "radical" for u in cert.unknowns):

@@ -157,8 +157,7 @@ def _enumerate_local_commutative(algebra: StructureAlgebra, rad: RadicalData,
 def _jj2_coordinates(algebra: StructureAlgebra, rad: RadicalData) -> Coordinates:
     """Coordinates along lifts of a J/J^2 basis, modulo J^2 and a complement of J."""
     f = algebra.field
-    lifts = quotient_basis(rad.square, rad.radical)
-    return Coordinates(f, lifts, list(rad.square.basis) + quotient_basis(
+    return Coordinates(f, rad.lifts, list(rad.square.basis) + quotient_basis(
         rad.radical, Subspace.full(f, algebra.dim)))
 
 

@@ -22,7 +22,7 @@ from .algebra import (MAX_RING_MONOMIALS, RadicalData, StructureAlgebra,
 from .errors import (InternalInconsistency, NotAdmissible, NotCommutative,
                      NotLocal, NotSplit, LoweyMismatch, SearchSpaceTooLarge)
 from .fields import Field
-from .linalg import Subspace, kernel_rows, quotient_basis, quotient_rows
+from .linalg import Subspace, kernel_rows, quotient_rows
 from .poly import (Poly, TruncatedRing, degree_monomials, monomial_gcd_factor,
                    s_index)
 
@@ -165,9 +165,8 @@ def presentation_from_algebra(algebra: StructureAlgebra, rad: RadicalData) -> Pr
     n = rad.jj2_dim
     l = rad.lowey_length
     ring = TruncatedRing(n, l)
-    gens = quotient_basis(rad.square, rad.radical)
     images: dict[tuple, list] = {}
-    cols = [eval_monomial(algebra, gens, m, images) for m in ring.monomials]
+    cols = [eval_monomial(algebra, rad.lifts, m, images) for m in ring.monomials]
     ideal = kernel_rows(zip(*cols), len(cols), algebra.field)
     if ring.dim - ideal.dim != algebra.dim:
         raise NotAdmissible("evaluation map is not surjective")

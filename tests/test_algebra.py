@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from algcert.algebra import (Coordinates, LieSubalgebra, StructureAlgebra,
-                             _radical_data, _series_limit, _verify_ideal,
+                             _killing_diagonal, _radical_data, _series_limit,
+                             _verify_ideal,
                              center, der_into,
                              derivation_algebra, induced_algebra,
                              is_nilpotent, is_solvable, jacobson_radical,
@@ -644,7 +645,7 @@ class TestDerivations:
         a = qx_mod(3)
         rad = jacobson_radical(a)
         der = derivation_algebra(a)
-        sub = der_into(der, rad, rad.square)
+        sub = der_into(der, rad)
         assert sub.dim == 1
         assert der.space.contains_space(sub.space)
 
@@ -652,7 +653,7 @@ class TestDerivations:
         a = truncated_polynomial_algebra(QQ, 2, 3)
         rad = jacobson_radical(a)
         der = derivation_algebra(a)
-        sub = der_into(der, rad, rad.square)
+        sub = der_into(der, rad)
         span = matrix_span(sub)
         for dm in der.basis_matrices():
             for sm in sub.basis_matrices():
@@ -673,8 +674,8 @@ def test_der_in_dense_basis(field, rng):
         assert der.dim == derivation_algebra(algebra).dim == dim_der
         if field == QQ:
             rad, dense_rad = jacobson_radical(algebra), jacobson_radical(dense)
-            assert der_into(der, dense_rad, dense_rad.square).dim \
-                == der_into(derivation_algebra(algebra), rad, rad.square).dim == dim_into
+            assert der_into(der, dense_rad).dim \
+                == der_into(derivation_algebra(algebra), rad).dim == dim_into
 
 
 def _dense_derivations(algebra):
@@ -881,13 +882,14 @@ def test_center_on_generators_is_canonical(field, rng):
         assert repr(got.basis) == repr(want.basis)
 
 
-def _reduced_der_into(algebra, rad, target, der):
-    """Reference: {D in der : D(J) <= target} with target.reduce on each D(v)."""
-    f, d = algebra.field, algebra.dim
+def _reduced_der_into(algebra, rad, der):
+    """Reference: {D in der : D(J) <= J^2} with J^2.reduce on D(v) for every
+    basis vector v of J, not only the lifts of a J/J^2 basis."""
+    f, d, square = algebra.field, algebra.dim, rad.square
     mats = [flatten(m) for m in der.basis_matrices()]
     rows = []
     for v in rad.radical.basis:
-        residuals = [target.reduce([sum(m[a * d + c] * v[c] for c in range(d))
+        residuals = [square.reduce([sum(m[a * d + c] * v[c] for c in range(d))
                                     for a in range(d)]) for m in mats]
         rows.extend(zip(*residuals))
     vecs = [[sum(w_i * m[k] for w_i, m in zip(w, mats)) for k in range(d * d)]
@@ -924,7 +926,7 @@ def test_der_stays_on_generator_columns(field, rng, monkeypatch):
                 lambda cls, f, n, vecs: from_vectors(cls, f, record(n), vecs)))
             der = derivation_algebra(algebra)
             if rad is not None:
-                der_into(der, rad, rad.square)
+                der_into(der, rad)
             is_nilpotent(der)
         assert ambients and max(ambients) <= len(algebra.gens) * algebra.dim
 
@@ -936,9 +938,38 @@ def test_der_into_matches_reduce(field, rng):
     for algebra in cases + [transvected(a, rng) for a in cases]:
         rad = jacobson_radical(algebra)
         der = derivation_algebra(algebra)
-        for target in (rad.square, rad.radical, Subspace.zero(field, algebra.dim)):
-            assert matrix_span(der_into(der, rad, target)) \
-                == _reduced_der_into(algebra, rad, target, der)
+        assert matrix_span(der_into(der, rad)) == _reduced_der_into(algebra, rad, der)
+
+
+@pytest.mark.parametrize("field", [QQ, GF3], ids=["QQ", "GF3"])
+def test_der_into_reads_only_the_lifts(field, rng, monkeypatch):
+    # each basis derivation is applied to the jj2_dim lifts of a J/J^2
+    # basis, not to a basis of J
+    import algcert.algebra as algebra_module
+    applied = []
+    apply = algebra_module._apply
+
+    def record(m, v):
+        applied.append(id(m))
+        return apply(m, v)
+    cases = [qx_mod(4, field), truncated_polynomial_algebra(field, 2, 4),
+             truncated_polynomial_algebra(field, 3, 3)]
+    if field == QQ:     # GF(p) radicals are computed for commutative algebras
+        cases += [truncated_polynomial_algebra(field, 2, 5), exterior_algebra(field, 3),
+                  upper_triangular_algebra(field, 4)]
+    cases += [transvected(a, rng) for a in cases]
+    fewer = 0
+    for algebra in cases:
+        rad, der = jacobson_radical(algebra), derivation_algebra(algebra)
+        fewer += rad.jj2_dim < rad.radical.dim
+        mats = der._columns[1]
+        applied.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(algebra_module, "_apply", record)
+            der_into(der, rad)
+        assert rad.jj2_dim == len(rad.lifts) == rad.radical.dim - rad.square.dim
+        assert [applied.count(id(m)) for m in mats] == [rad.jj2_dim] * len(mats)
+    assert fewer >= 4
 
 
 def _dense_series(lie, derived):
@@ -1023,6 +1054,42 @@ class TestLieSeries:
         assert _series_limit(gl2, derived=True) == 3
         assert _dense_series(gl2, derived=True)[-1].dim == 3
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_killing_witness_silent_on_strictly_upper(self, n):
+        vecs = [[int(k == r * n + c) for k in range(n * n)]
+                for r in range(n) for c in range(r + 1, n)]
+        lie = LieSubalgebra(QQ, n, Subspace.from_vectors(QQ, n * n, vecs))
+        assert list(_killing_diagonal(lie)) == [0] * lie.dim
+        assert is_nilpotent(lie)
+
+    @pytest.mark.parametrize("make", [
+        lambda: LieSubalgebra(QQ, 2, Subspace.full(QQ, 4)),
+        lambda: derivation_algebra(truncated_polynomial_algebra(QQ, 2, 2))],
+        ids=["gl2", "der_m2"])
+    def test_killing_witness_fires(self, make, monkeypatch):
+        # a nonzero kappa(B_i, B_i) decides: the series is not run
+        import algcert.algebra as algebra_module
+        lie = make()
+        assert lie.dim == 4 and any(_killing_diagonal(lie))
+        with monkeypatch.context() as m:
+            m.setattr(algebra_module, "_series_limit",
+                      lambda lie, derived: pytest.fail("the series ran"))
+            assert not is_nilpotent(lie)
+
+    def test_series_decides_when_killing_is_silent(self, monkeypatch):
+        # over GF(2) every kappa(B_i, B_i) of Der(k[x,y]/m^5) is 0, though
+        # Der holds the Euler derivation: the lower central series decides
+        import algcert.algebra as algebra_module
+        der = derivation_algebra(truncated_polynomial_algebra(GF2, 2, 5))
+        assert der.dim == 28 and not any(_killing_diagonal(der))
+        calls = []
+        series = algebra_module._series_limit
+        with monkeypatch.context() as m:
+            m.setattr(algebra_module, "_series_limit",
+                      lambda lie, derived: calls.append(derived) or series(lie, derived))
+            assert not is_nilpotent(der)
+        assert calls == [False]
+
     @pytest.mark.parametrize("field", [QQ, GF5])
     def test_heisenberg_nilpotent_not_abelian(self, field):
         # the Heisenberg algebra in a non-triangular 3 x 3 realisation:
@@ -1036,6 +1103,7 @@ class TestLieSeries:
         lie = LieSubalgebra(field, 3, Subspace.from_vectors(field, 9, vecs))
         assert lie.dim == 3 and lie.is_bracket_closed()
         assert is_nilpotent(lie) and is_solvable(lie)
+        assert list(_killing_diagonal(lie)) == [0, 0, 0]
         assert [s.dim for s in _dense_series(lie, derived=False)] == [3, 1, 0]
 
     def test_der_dual_numbers_nilpotent(self):
@@ -1102,6 +1170,7 @@ def test_lie_decisions_match_dense_reference(rng, field):
         lower = _dense_series(lie, derived=False)
         assert is_solvable(lie) == (derived[-1].dim == 0)
         assert is_nilpotent(lie) == (lower[-1].dim == 0)
+        assert is_nilpotent(lie) == (_series_limit(lie, derived=False) == 0)
         assert _series_limit(lie, derived=True) == derived[-1].dim
         assert _series_limit(lie, derived=False) == lower[-1].dim
         seen.add((is_solvable(lie), is_nilpotent(lie)))

@@ -291,6 +291,18 @@ def test_invariant_pair_degree_out_of_range(tmp_path):
     assert main(["invariant-pair", path]) == 3
 
 
+@pytest.mark.parametrize("command", ["analyze", "radical", "present", "der", "oracle-aut"])
+def test_invariant_pair_document_elsewhere_exits_2(tmp_path, capsys, command):
+    # only invariant-pair reads an invariant-pair document; every other
+    # command refuses it as a schema error, with no traceback
+    path = _write(tmp_path, "pair.json", {
+        "kind": "invariant_pair", "field": {"type": "GFp", "p": 3}, "n_vars": 2,
+        "trunc_degree": 4, "q": "X1^2+X2^2", "f": "X1^4+X2^4"})
+    assert main([command, path]) == 2
+    assert f"{command} expects structure constants or a presentation" \
+        in capsys.readouterr().err
+
+
 def test_bad_generator_syntax_exits_2(tmp_path):
     path = _write(tmp_path, "pres.json", {
         "kind": "presentation",

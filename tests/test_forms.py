@@ -425,7 +425,7 @@ class TestImPhi:
         a = quotient_algebra(p)
         rad = jacobson_radical(a)
         der = derivation_algebra(a)
-        dim_ker = der_into(der, rad, rad.square).dim
+        dim_ker = der_into(der, rad).dim
         assert der.dim == im_phi_lie(p).dim + dim_ker
 
 

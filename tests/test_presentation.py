@@ -14,7 +14,7 @@ from algcert.errors import (LoweyMismatch, NotAdmissible, NotLocal, NotSplit,
                             NotCommutative)
 from algcert.fields import GF, QQ
 from algcert.forms import im_phi_lie
-from algcert.linalg import Subspace, combine, invert, quotient_basis
+from algcert.linalg import Subspace, combine, invert
 from algcert.poly import LinearChange, Poly, TruncatedRing, apply_linear_change
 from algcert.presentation import (_actual_lowey, _saturate,
                                   is_graded_presentation, is_monomial_ideal,
@@ -144,7 +144,7 @@ class TestFromAlgebra:
         assert jacobson_radical(b).lowey_length == rad.lowey_length
         # the evaluation map (monomials at the chosen J/J^2 lifts) is an
         # algebra isomorphism from b to a: check it multiplicatively
-        lifts = quotient_basis(rad.square, rad.radical)
+        lifts = rad.lifts
         # b's basis: the standard monomials, the ring indices at no pivot
         reps = [[QQ.one if t == j else QQ.zero for t in range(pres.ring.dim)]
                 for j in range(pres.ring.dim) if j not in pres.ideal.pivots]

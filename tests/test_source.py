@@ -75,6 +75,23 @@ def test_one_product_table():
     assert found == []
 
 
+def test_jj2_lifts_taken_once():
+    # _radical_data takes the quotient rows of J^2 in J once, as
+    # RadicalData.lifts; every other reader of a J/J^2 basis reads those
+    found = [f"{path.name}:{call.lineno}"
+             for path in SOURCES
+             for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and func.name != "_radical_data"
+             for call in ast.walk(func)
+             if isinstance(call, ast.Call)
+             and getattr(call.func, "id", getattr(call.func, "attr", None))
+             in {"quotient_rows", "quotient_basis"}
+             and call.args and ast.unparse(call.args[0]).endswith((".square", ".powers[1]"))]
+    assert SOURCES
+    assert found == []
+
+
 def test_defaults_defined_once():
     # each DEFAULT_* bound is assigned in one module and imported elsewhere,
     # and CertifyConfig takes its field defaults from those names
