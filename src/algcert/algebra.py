@@ -739,7 +739,7 @@ def der_into(der: LieSubalgebra, rad: RadicalData) -> LieSubalgebra:
     in each term; J^2 being an ideal, D(J) <= J^2 iff D(L) <= J^2.  D(v) =
     sum_b v_b D(e_b), for each integer row v of L, is read off each basis
     D's columns and reduced against J^2 by _scaled_residual.  Over GF(p)
-    the rows stay unreduced; rref_rows reduces them."""
+    the rows stay unreduced; kernel_rows reduces them."""
     f, (_, mats), square = der.field, der._columns, rad.square
     s, scaled = _int_terms(square._terms)
     rows = []

@@ -21,7 +21,7 @@ from .errors import (AlgcertError, BadScalar, InternalInconsistency,
                      UnsupportedRadicalComputation)
 from .fields import Field, PrimeField, field_from_json, parse_field_flag
 from .oracle import enumerate_automorphisms, induced_jj2_matrices
-from .poly import parse_poly
+from .poly import check_ring, parse_poly
 from .presentation import (Presentation, is_graded_presentation,
                            is_monomial_ideal, normal_form,
                            presentation_from_algebra, presentation_from_ideal,
@@ -80,6 +80,9 @@ def _load_presentation(doc: dict, field: Field) -> Presentation:
         raise SchemaError(f"bad presentation document: {exc}") from exc
     if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
         raise SchemaError("presentation generators must be strings")
+    # refuse the ring before reading text in n variables; a degree below 2
+    # is refused later, so n is bounded as at degree 2
+    check_ring(n, max(trunc, 2))
     polys = [parse_poly(g, n, field) for g in gens]
     return presentation_from_ideal(n, trunc, polys, field)
 
@@ -92,6 +95,9 @@ def _load_invariant_pair(doc: dict, field: Field):
         f_text = doc["f"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad invariant-pair document: {exc}") from exc
+    if not (isinstance(q_text, str) and isinstance(f_text, str)):
+        raise SchemaError("invariant-pair q and f must be strings")
+    check_ring(n, max(trunc, 2))  # as for a presentation
     return {"q": parse_poly(q_text, n, field),
             "f": parse_poly(f_text, n, field),
             "trunc_degree": trunc}

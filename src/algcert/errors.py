@@ -70,7 +70,9 @@ class NotSplitBasic(AlgcertError):
 # -- presentations -----------------------------------------------------------
 
 class NotAdmissible(AlgcertError):
-    """A generator has a constant or linear component after truncation."""
+    """A presentation's data is not admissible: a ring with no variables, a
+    truncation degree below 2, or a generator with a constant or linear
+    component after truncation."""
 
 
 class NotLocal(AlgcertError):
@@ -119,6 +121,10 @@ class NotStable(AlgcertError):
 
 class DegreeOutOfRange(AlgcertError):
     """User-supplied polynomial degree violates 2 < deg f < l."""
+
+
+class UnfactoredInteger(AlgcertError):
+    """An integer cofactor could be neither split nor proved prime."""
 
 
 class SearchSpaceTooLarge(AlgcertError):

@@ -1,5 +1,5 @@
-"""Brute-force ground truth over small finite fields: a commutative radical
-by element scan, automorphism enumeration and the action on J/J^2.
+"""Brute-force ground truth over small finite fields: automorphism
+enumeration and the action on J/J^2.
 
 Deliberately naive; a candidate-count guard is the only optimization.
 Automorphisms and their J/J^2 blocks are matrices held as lists of rows,
@@ -16,44 +16,9 @@ from .algebra import DEFAULT_MAX_ENUM, Coordinates, RadicalData, StructureAlgebr
 from .errors import (InternalInconsistency, SearchSpaceTooLarge,
                      UnsupportedRadicalComputation)
 from .fields import PrimeField
-from .linalg import (Echelon, Subspace, combine, invert, kernel_rows,
-                     quotient_basis, rref_rows)
+from .linalg import Subspace, combine, invert, kernel_rows, quotient_basis, rref_rows
 from .poly import TruncatedRing
 from .presentation import eval_monomial
-
-
-def nilpotent_scan_radical(algebra: StructureAlgebra, bound: int = DEFAULT_MAX_ENUM) -> Subspace:
-    """Span of all nilpotent elements of a commutative GF(p) algebra,
-    found by exhaustive enumeration (guarded by ``bound``)."""
-    f = algebra.field
-    if not isinstance(f, PrimeField):
-        raise UnsupportedRadicalComputation("the nilpotent scan needs a GF(p) algebra")
-    p, d = f.p, algebra.dim
-    total = p**d
-    if total > bound:
-        raise UnsupportedRadicalComputation(
-            f"scan needs {total} elements, bound is {bound}")
-    steps = max(1, (d - 1).bit_length())  # x^(2^steps) >= x^d
-    span = Echelon(Subspace.zero(f, d))
-    nilpotents = []
-    for vec in itertools.product(range(p), repeat=d):
-        if not any(vec):
-            continue
-        v = list(vec)
-        if not any(span.reduce(v)):
-            continue
-        y = v
-        for _ in range(steps):
-            y = algebra.multiply(y, y)
-            if not any(y):
-                break
-        if not any(y):
-            span.add(v)
-            nilpotents.append(v)
-            if span.dim == d - 1:
-                # cannot exceed codimension 1 in a unital algebra
-                break
-    return Subspace.from_vectors(f, d, nilpotents)
 
 
 @dataclass

@@ -9,11 +9,12 @@ degree first, higher X1-power first within a degree).
 from __future__ import annotations
 
 import itertools
+import re
 from math import comb
 
 from .algebra import MAX_RING_MONOMIALS
-from .errors import (AmbientMismatch, NotInvertible, NotSHomogeneous, OutOfRangeVariable,
-                     PolySyntaxError, SearchSpaceTooLarge, ZeroInput)
+from .errors import (AmbientMismatch, NotAdmissible, NotInvertible, NotSHomogeneous,
+                     OutOfRangeVariable, PolySyntaxError, SearchSpaceTooLarge, ZeroInput)
 from .fields import Field, PrimeField
 from .linalg import row_rank
 
@@ -296,16 +297,22 @@ def degree_monomials(n_vars: int, d: int) -> list[tuple]:
             for bars in reversed(list(itertools.combinations(range(slots), n_vars - 1)))]
 
 
+def check_ring(n_vars: int, trunc_degree: int) -> None:
+    """Refuse k[X1..Xn]/<X1..Xn>^l when n or l is below 1 or it has more than
+    MAX_RING_MONOMIALS monomials, before anything of that size is built."""
+    if n_vars < 1 or trunc_degree < 1:
+        raise NotAdmissible(f"need n_vars >= 1, trunc_degree >= 1; got {n_vars}, {trunc_degree}")
+    if (size := comb(n_vars + trunc_degree - 1, n_vars)) > MAX_RING_MONOMIALS:
+        raise SearchSpaceTooLarge(size, MAX_RING_MONOMIALS, "truncated ring", "monomials")
+
+
 class TruncatedRing:
     """k[X1..Xn]/<X1..Xn>^l with the graded-lex monomial coordinate system."""
 
     __slots__ = ("n_vars", "trunc_degree", "monomials", "index")
 
     def __init__(self, n_vars: int, trunc_degree: int):
-        if n_vars < 1 or trunc_degree < 1:
-            raise ValueError("need n_vars >= 1 and trunc_degree >= 1")
-        if (size := comb(n_vars + trunc_degree - 1, n_vars)) > MAX_RING_MONOMIALS:
-            raise SearchSpaceTooLarge(size, MAX_RING_MONOMIALS, "truncated ring", "monomials")
+        check_ring(n_vars, trunc_degree)
         self.n_vars = n_vars
         self.trunc_degree = trunc_degree
         monos = [m for d in range(trunc_degree) for m in degree_monomials(n_vars, d)]
@@ -314,7 +321,7 @@ class TruncatedRing:
 
     @property
     def dim(self) -> int:
-        return comb(self.n_vars + self.trunc_degree - 1, self.n_vars)
+        return len(self.monomials)
 
     def degree_slice(self, d: int) -> list[int]:
         """Coordinate positions of the degree-d monomials."""
@@ -344,110 +351,61 @@ class TruncatedRing:
 
 # -- parser --------------------------------------------------------------------
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str | None:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def take(self) -> str:
-        ch = self.peek()
-        if ch is None:
-            raise PolySyntaxError("unexpected end of input", self.pos)
-        self.pos += 1
-        return ch
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise PolySyntaxError("expected an integer", start)
-        return int(self.text[start:self.pos])
+_TOKEN = re.compile(r"\d+|\S")  # a run of decimal digits, or one other character
 
 
 def parse_poly(text: str, n_vars: int, field: Field) -> Poly:
     """Parse 'expr := term (('+'|'-') term)*' with X<i>[^e] factors.
 
-    Coefficients are integers or integer ratios 'a/b'; over GF(p) the
-    denominator is inverted mod p.  A unary minus may prefix the first term.
+    A term is a coefficient 'a' or 'a/b', a '*'-product of factors, or a
+    coefficient '*' such a product; the field reads the coefficient, so over
+    GF(p) b is inverted mod p.  Digits are decimal digits, the characters
+    ``int`` reads.  A unary sign may prefix the first term.
     """
-    toks = _Tokens(text)
-    result = Poly.zero(n_vars, field)
-    negate = False
-    if toks.peek() == "-":
-        toks.take()
-        negate = True
-    elif toks.peek() == "+":
-        toks.take()
+    toks = [(m.group(), m.start()) for m in _TOKEN.finditer(text)] + [("", len(text))]
+    at = 0
+
+    def integer() -> int:
+        nonlocal at
+        tok, pos = toks[at]
+        at += 1
+        try:
+            return int(tok)
+        except ValueError:
+            raise PolySyntaxError("expected an integer", pos) from None
+
+    def skip(ch: str) -> bool:
+        nonlocal at
+        at += (found := toks[at][0] == ch)
+        return found
+
+    terms: dict = {}
+    sign = toks[0][0]
     while True:
-        term = _parse_term(toks, n_vars, field)
-        result = result.sub(term) if negate else result.add(term)
-        ch = toks.peek()
-        if ch is None:
-            break
-        if ch == "+":
-            toks.take()
-            negate = False
-        elif ch == "-":
-            toks.take()
-            negate = True
-        else:
-            raise PolySyntaxError(f"unexpected character {ch!r}", toks.pos)
-    return result
-
-
-def _parse_coeff(toks: _Tokens, field: Field):
-    num = toks.integer()
-    if toks.peek() == "/":
-        toks.take()
-        den = toks.integer()
-        from fractions import Fraction
-        from .errors import BadScalar
-        if den == 0:
-            raise BadScalar("zero denominator in coefficient")
-        return field.coerce(Fraction(num, den)) if not isinstance(field, PrimeField) \
-            else field._from_ratio(num, den)
-    return field.coerce(num)
-
-
-def _parse_factor(toks: _Tokens, n_vars: int, field: Field) -> Poly:
-    ch = toks.peek()
-    if ch != "X":
-        raise PolySyntaxError("expected a variable like X1", toks.pos)
-    toks.take()
-    idx = toks.integer()
-    if not 1 <= idx <= n_vars:
-        raise OutOfRangeVariable(f"variable X{idx} exceeds n_vars={n_vars}")
-    exp = 1
-    if toks.peek() == "^":
-        toks.take()
-        exp = toks.integer()
-    mono = tuple(exp if j == idx - 1 else 0 for j in range(n_vars))
-    return Poly(n_vars, field, {mono: field.one})
-
-
-def _parse_term(toks: _Tokens, n_vars: int, field: Field) -> Poly:
-    ch = toks.peek()
-    if ch is None:
-        raise PolySyntaxError("expected a term", toks.pos)
-    if ch.isdigit():
-        coeff = _parse_coeff(toks, field)
-        term = Poly.constant(n_vars, field, coeff)
-        while toks.peek() == "*":
-            toks.take()
-            term = term.mul(_parse_factor(toks, n_vars, field))
-        return term
-    term = _parse_factor(toks, n_vars, field)
-    while toks.peek() == "*":
-        toks.take()
-        term = term.mul(_parse_factor(toks, n_vars, field))
-    return term
+        at += sign in ("+", "-")
+        tok, pos = toks[at]
+        if not tok:
+            raise PolySyntaxError("expected a term", pos)
+        exps, coeff, more = [0] * n_vars, field.one, True
+        if tok.isdecimal():
+            num = integer()
+            coeff = field.coerce(f"{num}/{integer()}" if skip("/") else str(num))
+            more = skip("*")
+        while more:
+            if not skip("X"):
+                raise PolySyntaxError("expected a variable like X1", toks[at][1])
+            idx = integer()
+            if not 1 <= idx <= n_vars:
+                raise OutOfRangeVariable(f"variable X{idx} exceeds n_vars={n_vars}")
+            exps[idx - 1] += integer() if skip("^") else 1
+            more = skip("*")
+        mono = tuple(exps)
+        terms[mono] = field.add(terms.get(mono, field.zero),
+                                field.neg(coeff) if sign == "-" else coeff)
+        if field.is_zero(terms[mono]):
+            del terms[mono]  # as Poly.add drops it: a later term re-enters at the end
+        sign, pos = toks[at]
+        if not sign:
+            return Poly(n_vars, field, terms)
+        if sign not in ("+", "-"):
+            raise PolySyntaxError(f"unexpected character {sign[0]!r}", pos)

@@ -10,8 +10,8 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from .errors import InternalInconsistency
-from .fields import QQ, Field, PrimeField
+from .errors import InternalInconsistency, UnfactoredInteger
+from .fields import MR_EXACT_BELOW, QQ, Field, PrimeField, is_prime
 from .linalg import Echelon, Subspace, combine, solve
 
 
@@ -45,32 +45,56 @@ def operator_power_sequence(rows, field: Field):
         cur = [combine(field, zip(row, rows), n) for row in cur]
 
 
-def _divisors_bounded(n: int, trial_bound: int = 10**6) -> list[int]:
-    """All positive divisors of |n|; trial division with a cofactor fallback.
+_TRIAL_BOUND = 10**6
+_RHO_STEPS = 1 << 18  # longest cycle one rho walk looks for
 
-    If a composite cofactor above the trial bound remains, it is kept as a
-    single candidate factor (its internal splits are not enumerated).
-    """
-    n = abs(n)
-    if n == 0:
-        return []
-    factors: list[tuple[int, int]] = []
-    m = n
-    d = 2
-    while d * d <= m and d <= trial_bound:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            factors.append((d, e))
+
+def factor_integer(n: int) -> dict[int, int]:
+    """{prime: exponent} of the nonzero n, by trial division to _TRIAL_BOUND,
+    then seeded Brent-Pollard rho.  Each prime is proved so (below the next
+    trial divisor squared, or by ``is_prime`` below MR_EXACT_BELOW); a
+    cofactor neither split nor proved prime raises UnfactoredInteger."""
+    n, factors, d = abs(n), {}, 2
+    while d * d <= n and d <= _TRIAL_BOUND:
+        while n % d == 0:
+            n //= d
+            factors[d] = factors.get(d, 0) + 1
         d += 1 if d == 2 else 2
-    if m > 1:
-        factors.append((m, 1))
+    rng, rest = random.Random(0x5eed), [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if m < d * d or (m < MR_EXACT_BELOW and is_prime(m)):
+            factors[m] = factors.get(m, 0) + 1
+        elif f := _rho_factor(m, rng):
+            rest += [f, m // f]
+        else:
+            raise UnfactoredInteger(f"cofactor {m} could be neither split nor proved prime")
+    return dict(sorted(factors.items()))
+
+
+def _rho_factor(n: int, rng: random.Random) -> int | None:
+    """A proper factor of the odd n by Brent's cycle search on y -> y^2 + c,
+    or None when two walks of up to _RHO_STEPS steps find none."""
+    for _ in range(2):
+        c, y, r, g = rng.randrange(1, n), rng.randrange(n), 1, 1
+        while g == 1 and r <= _RHO_STEPS:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                if (g := gcd(x - y, n)) != 1:
+                    break
+            r *= 2
+        if 1 < g < n:
+            return g
+    return None
+
+
+def _divisors(n: int) -> list[int]:
+    """All positive divisors of the nonzero integer n."""
     divs = [1]
-    for prime, e in factors:
+    for prime, e in factor_integer(n).items():
         divs = [dv * prime**k for dv in divs for k in range(e + 1)]
-    return sorted(set(divs))
+    return divs
 
 
 def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
@@ -84,8 +108,8 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     ints = ints[low:]
     if len(ints) == 1:
         return roots
-    for p in _divisors_bounded(ints[0]):
-        for q in _divisors_bounded(ints[-1]):
+    for p in _divisors(ints[0]):
+        for q in _divisors(ints[-1]):
             if gcd(p, q) == 1:
                 roots += [c for c in (Fraction(p, q), Fraction(-p, q))
                           if poly_eval(ints, c, QQ) == 0]

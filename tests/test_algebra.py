@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from algcert.algebra import (Coordinates, LieSubalgebra, StructureAlgebra,
+from algcert.algebra import (DEFAULT_MAX_ENUM, Coordinates, LieSubalgebra, StructureAlgebra,
                              _killing_diagonal, _radical_data, _series_limit,
                              _verify_ideal,
                              center, der_into,
@@ -19,10 +19,9 @@ from algcert.cli import main
 from algcert.errors import (AmbientMismatch, BadScalar, InternalInconsistency, LoweyMismatch,
                             NonAssociative, NotSplitBasic, NotUnital,
                             UnsupportedRadicalComputation)
-from algcert.fields import GF, QQ
+from algcert.fields import GF, QQ, PrimeField
 from algcert.forms import _bracket_closure
-from algcert.linalg import Subspace, invert, kernel_rows, quotient_basis
-from algcert.oracle import nilpotent_scan_radical
+from algcert.linalg import Echelon, Subspace, invert, kernel_rows, quotient_basis
 from algcert.constructions import (componentwise_algebra, direct_sum,
                                    exterior_algebra, matrix_algebra,
                                    truncated_polynomial_algebra,
@@ -34,6 +33,40 @@ from conftest import (dense_table, flatten, matmul, matrix_sum, own_coordinates,
 
 GF2, GF3, GF5, GF7 = GF(2), GF(3), GF(5), GF(7)
 GF_BIG = GF(2**31 - 1)
+
+
+def nilpotent_scan_radical(algebra: StructureAlgebra, bound: int = DEFAULT_MAX_ENUM) -> Subspace:
+    """Span of all nilpotent elements of a commutative GF(p) algebra,
+    found by exhaustive enumeration (guarded by ``bound``)."""
+    f = algebra.field
+    if not isinstance(f, PrimeField):
+        raise UnsupportedRadicalComputation("the nilpotent scan needs a GF(p) algebra")
+    p, d = f.p, algebra.dim
+    total = p**d
+    if total > bound:
+        raise UnsupportedRadicalComputation(
+            f"scan needs {total} elements, bound is {bound}")
+    steps = max(1, (d - 1).bit_length())  # x^(2^steps) >= x^d
+    span = Echelon(Subspace.zero(f, d))
+    nilpotents = []
+    for vec in itertools.product(range(p), repeat=d):
+        if not any(vec):
+            continue
+        v = list(vec)
+        if not any(span.reduce(v)):
+            continue
+        y = v
+        for _ in range(steps):
+            y = algebra.multiply(y, y)
+            if not any(y):
+                break
+        if not any(y):
+            span.add(v)
+            nilpotents.append(v)
+            if span.dim == d - 1:
+                # cannot exceed codimension 1 in a unital algebra
+                break
+    return Subspace.from_vectors(f, d, nilpotents)
 
 
 def qx_mod(power, field=QQ):

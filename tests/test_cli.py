@@ -314,6 +314,55 @@ def test_bad_generator_syntax_exits_2(tmp_path):
     assert main(["analyze", path]) == 2
 
 
+@pytest.mark.parametrize("generator", ["X1^\u00b2", "\u00b2*X1"])
+def test_superscript_digit_exits_2(tmp_path, capsys, generator):
+    # str.isdigit accepts a superscript two, but int does not read it
+    path = _write(tmp_path, "pres.json", {
+        "kind": "presentation", "field": {"type": "Q"}, "n_vars": 2,
+        "trunc_degree": 3, "generators": [generator]})
+    assert main(["present", path]) == 2
+    assert "expected" in capsys.readouterr().err
+
+
+def _ring_document(tmp_path, command, n_vars):
+    if command == "invariant-pair":
+        return _write(tmp_path, "pair.json", {
+            "kind": "invariant_pair", "field": {"type": "Q"}, "n_vars": n_vars,
+            "trunc_degree": 4, "q": "X1^2", "f": "X1^3"})
+    return _write(tmp_path, "pres.json", {
+        "kind": "presentation", "field": {"type": "Q"}, "n_vars": n_vars,
+        "trunc_degree": 3, "generators": ["X1^2"]})
+
+
+@pytest.mark.parametrize("n_vars", [0, -2])
+@pytest.mark.parametrize("command", ["analyze", "radical", "present", "der", "oracle-aut",
+                                     "invariant-pair"])
+def test_ring_without_variables_exits_2(tmp_path, capsys, command, n_vars):
+    assert main([command, _ring_document(tmp_path, command, n_vars)]) == 2
+    assert "need n_vars >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "invariant-pair"])
+def test_oversize_ring_is_refused_before_its_text_is_read(tmp_path, capsys, monkeypatch,
+                                                         command):
+    # read in 10^9 variables, "X1^2" would build exponent vectors of 10^9
+    # entries; the ring bound must refuse the document first
+    def unread(*args):
+        pytest.fail("polynomial text was read before the ring was checked")
+
+    monkeypatch.setattr(cli, "parse_poly", unread)
+    assert main([command, _ring_document(tmp_path, command, 10**9)]) == 3
+    assert "truncated ring needs" in capsys.readouterr().err
+
+
+def test_invariant_pair_text_must_be_strings(tmp_path, capsys):
+    path = _write(tmp_path, "pair.json", {
+        "kind": "invariant_pair", "field": {"type": "Q"}, "n_vars": 2,
+        "trunc_degree": 4, "q": 2, "f": "X1^3"})
+    assert main(["invariant-pair", path]) == 2
+    assert "must be strings" in capsys.readouterr().err
+
+
 def test_normal_form_inconsistency_exits_4(tmp_path, monkeypatch, capsys):
     # keep only X1^2+X2^2 of the l=4 ideal slice: normal_form's generators
     # then span more than the slice and its reconstruction check fails

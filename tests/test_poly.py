@@ -5,9 +5,10 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from algcert.errors import (AmbientMismatch, BadScalar, NotInvertible, NotSHomogeneous,
-                            OutOfRangeVariable, PolySyntaxError, ZeroInput)
+from algcert.errors import (AlgcertError, AmbientMismatch, BadScalar, NotInvertible,
+                            NotSHomogeneous, OutOfRangeVariable, PolySyntaxError, ZeroInput)
 from algcert.fields import GF, QQ
 from algcert.poly import (LinearChange, Poly, TruncatedRing,
                           apply_linear_change, degree_monomials, grlex_key,
@@ -65,6 +66,45 @@ class TestParser:
                 if f.is_zero():
                     continue
                 assert parse_poly(str(f), 3, field) == f
+
+
+@pytest.mark.parametrize("text, field, error, position", [
+    ("", QQ, PolySyntaxError, 0),
+    ("X1 +", QQ, PolySyntaxError, 4),
+    ("--X1", QQ, PolySyntaxError, 1),
+    ("X1 X2", QQ, PolySyntaxError, 3),
+    ("3X1", QQ, PolySyntaxError, 1),
+    ("2*3", QQ, PolySyntaxError, 2),
+    ("X1*2", QQ, PolySyntaxError, 3),
+    ("X1^", QQ, PolySyntaxError, 3),
+    ("x1", QQ, PolySyntaxError, 0),
+    ("X0", QQ, OutOfRangeVariable, None),
+    ("X3", QQ, OutOfRangeVariable, None),
+    ("1/0*X1", QQ, BadScalar, None),
+    ("1/3*X1", GF3, BadScalar, None),
+    # digits are decimal digits: a superscript two is str.isdigit but not int
+    ("X1^\u00b2", QQ, PolySyntaxError, 3),
+    ("\u00b2*X1", QQ, PolySyntaxError, 0),
+])
+def test_text_that_is_not_a_polynomial(text, field, error, position):
+    with pytest.raises(error) as err:
+        parse_poly(text, 2, field)
+    assert getattr(err.value, "position", None) == position
+
+
+def test_decimal_digits_of_any_script_are_read():
+    # Arabic-Indic three is a decimal digit, which int reads
+    assert parse_poly("\u0663*X1^\u0662", 2, QQ) == parse_poly("3*X1^2", 2, QQ)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="X0123456789\u00b2\u0663+-*/^x ", max_size=24),
+       st.sampled_from([QQ, GF3]))
+def test_parser_raises_only_its_own_errors(text, field):
+    try:
+        assert isinstance(parse_poly(text, 2, field), Poly)
+    except AlgcertError:
+        pass
 
 
 class TestOps:

@@ -2,12 +2,16 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algcert.fields import GF, QQ
-from algcert.roots import poly_divmod, poly_eval, poly_gcd, roots_in_field
+from algcert.certify import certify
+from algcert.constructions import univariate_quotient_algebra
+from algcert.errors import UnfactoredInteger
+from algcert.fields import GF, QQ, is_prime
+from algcert.roots import factor_integer, poly_divmod, poly_eval, poly_gcd, roots_in_field
 
 GF_BIG = GF(2**31 - 1)
 
@@ -79,6 +83,55 @@ def test_rational_roots():
     assert roots_in_field([7], QQ) == []
     with pytest.raises(ValueError):
         roots_in_field([0, 0], QQ)
+
+
+# two primes just above the trial-division bound of factor_integer
+P, Q = 1000003, 1000033
+MERSENNE_89 = 2**89 - 1  # prime, above the range where is_prime is a proof
+
+
+def test_rational_roots_behind_a_composite_cofactor():
+    assert roots_in_field([P * Q, -(P + Q), 1], QQ) == [P, Q]
+
+
+def test_split_quotient_behind_a_composite_cofactor():
+    # Q[t]/((t - P)(t - Q)) is Q x Q, certified as Q[t]/((t - 2)(t - 3)) is
+    certs = [certify(univariate_quotient_algebra(QQ, [a * b, -(a + b), 1])).to_dict()
+             for a, b in ((2, 3), (P, Q))]
+    assert certs[0] == certs[1]
+    assert "R-SEMI" in {v["rule"] for v in certs[1]["verdicts"]}
+
+
+@pytest.mark.parametrize("n, factors", [
+    (1, {}),
+    (-12, {2: 2, 3: 1}),
+    (P * Q, {P: 1, Q: 1}),
+    (P**2 * Q * 10, {2: 1, 5: 1, P: 2, Q: 1}),
+    (1000000007 * 10000000019, {1000000007: 1, 10000000019: 1}),
+    (2**61 - 1, {2**61 - 1: 1}),
+])
+def test_factor_integer(n, factors):
+    assert factor_integer(n) == factors
+
+
+def test_unproved_cofactor_is_refused_and_certify_records_it():
+    with pytest.raises(UnfactoredInteger, match=str(MERSENNE_89)):
+        factor_integer(MERSENNE_89)
+    cert = certify(univariate_quotient_algebra(QQ, [MERSENNE_89, -(MERSENNE_89 + 1), 1]))
+    assert {"invariant": "splitness",
+            "reason": f"cofactor {MERSENNE_89} could be neither split nor proved prime"} \
+        in cert.to_dict()["unknowns"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(2, 3000), max_size=6))
+def test_factor_integer_multiplies_back_to_primes(ks):
+    n = 1
+    for k in ks:
+        n *= k
+    factors = factor_integer(n)
+    assert all(is_prime(p) for p in factors)
+    assert n == prod(p**e for p, e in factors.items())
 
 
 _FIELDS = [

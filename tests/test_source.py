@@ -46,6 +46,10 @@ def test_elimination_stays_in_linalg():
     # a matrix is the list of its rows, eliminated by rref_rows and
     # kernel_rows; no module keeps a matrix class or wrappers beside them
     pytest.param({"Matrix", "rref", "kernel"}, id="matrix_format"),
+    # parse_poly reads polynomial text in one pass over its token list; no
+    # module keeps a token class or per-rule parsers beside it
+    pytest.param({"_Tokens", "_parse_term", "_parse_factor", "_parse_coeff"},
+                 id="poly_parser"),
 ])
 def test_one_construction(names):
     found = [f"{path.name}:{node.lineno}"
