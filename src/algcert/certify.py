@@ -302,6 +302,7 @@ def _build_context_from_algebra(algebra: StructureAlgebra,
     ctx.radical_central = zed.contains_space(ctx.rad.radical)
     # A/J is built and its center split once; with every block 1 x 1 the
     # units are A/J's primitive idempotents, taken into A for the lift
+    reason = "A/J not certified split over the base field"
     try:
         if ctx.rad.radical.dim:
             quot, coords = quotient_structure(algebra, ctx.rad)
@@ -313,14 +314,14 @@ def _build_context_from_algebra(algebra: StructureAlgebra,
         ctx.blocks = semisimple_block_sizes(quot, units)
     except NotSplitBasic:               # a block of A/J is not split over k
         pass
-    except AlgcertError as exc:
-        ctx.unknown("splitness", str(exc))
+    except AlgcertError as exc:         # its reason replaces the generic one
+        reason = str(exc)
     if ctx.blocks is not None:
         ctx.split = True
         ctx.split_basic = all(n == 1 for n in ctx.blocks)
         ctx.split_local = ctx.blocks == [1]
     else:
-        ctx.unknown("splitness", "A/J not certified split over the base field")
+        ctx.unknown("splitness", reason)
     if ctx.split_basic:
         _attach_shapes(ctx, algebra, prims)
     _attach_derivations(ctx, algebra)

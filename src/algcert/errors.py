@@ -128,10 +128,12 @@ class UnfactoredInteger(AlgcertError):
 
 
 class SearchSpaceTooLarge(AlgcertError):
-    """An exhaustive enumeration, or a table or ring about to be built,
-    would exceed its bound; ``what`` names it and ``unit`` what it counts."""
+    """An exhaustive enumeration, a search, or a table or ring about to be
+    built would exceed its bound; ``what`` names it, ``unit`` what it counts,
+    and ``needed`` is the count or, where counting stopped at the bound,
+    the text "more than" the bound."""
 
-    def __init__(self, needed: int, bound: int, what: str = "enumeration",
+    def __init__(self, needed: int | str, bound: int, what: str = "enumeration",
                  unit: str = "candidates"):
         super().__init__(f"{what} needs {needed} {unit}, bound is {bound}")
         self.needed = needed

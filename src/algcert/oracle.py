@@ -1,9 +1,10 @@
-"""Brute-force ground truth over small finite fields: automorphism
-enumeration and the action on J/J^2.
+"""Ground truth over small finite fields: the automorphism group of a GF(p)
+algebra by a backtracking search on the images of its generators, and its
+action on J/J^2.
 
-Deliberately naive; a candidate-count guard is the only optimization.
-Automorphisms and their J/J^2 blocks are matrices held as lists of rows,
-whose columns are the images of the basis vectors.
+A branch is cut at the first product its images break; ``max_enum`` bounds
+the images tried.  Automorphisms and their J/J^2 blocks are matrices held as
+lists of rows, whose columns are the images of the basis vectors.
 """
 
 from __future__ import annotations
@@ -11,14 +12,13 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from operator import mul
 
 from .algebra import DEFAULT_MAX_ENUM, Coordinates, RadicalData, StructureAlgebra
 from .errors import (InternalInconsistency, SearchSpaceTooLarge,
                      UnsupportedRadicalComputation)
 from .fields import PrimeField
-from .linalg import Subspace, combine, invert, kernel_rows, quotient_basis, rref_rows
-from .poly import TruncatedRing
-from .presentation import eval_monomial
+from .linalg import Subspace, combine, invert, quotient_basis, row_rank
 
 
 @dataclass
@@ -27,96 +27,103 @@ class EnumeratedGroup:
     order: int
 
 
+def _product(algebra: StructureAlgebra, x: dict, y: dict) -> dict:
+    """x y for x, y as {index: residue}, its zeros dropped."""
+    p = algebra.field.p
+    return {k: r for k, c in algebra._times(x.items(), y.items()).items() if (r := c % p)}
+
+
+def _sum(p: int, pairs) -> dict:
+    """sum c v mod p over the (c, v) in pairs, each v as {index: residue}."""
+    out: dict[int, int] = {}
+    for c, v in pairs:
+        for k, x in v.items():
+            out[k] = out.get(k, 0) + c * x
+    return {k: r for k, x in out.items() if (r := x % p)}
+
+
 def _is_algebra_map(algebra: StructureAlgebra, m: list) -> bool:
     """Whether m(e_i) m(e_j) = m(e_i e_j) for all i, j, for m the rows of a
     matrix, with e_i e_j read off its cell (residues: the algebra is over
     GF(p))."""
-    f, d = algebra.field, algebra.dim
-    cols = list(map(list, zip(*m)))
-    for i in range(d):
-        for j in range(d):
-            image = combine(f, ((c, cols[k]) for k, c in algebra._sparse[i][j]), d)
-            if image != algebra.multiply(cols[i], cols[j]):
-                return False
-    return True
+    p, d = algebra.field.p, algebra.dim
+    cols = [{a: x for a, x in enumerate(col) if x} for col in zip(*m)]
+    return all(_sum(p, ((c, cols[k]) for k, c in algebra._sparse[i][j]))
+               == _product(algebra, cols[i], cols[j]) for i in range(d) for j in range(d))
 
 
 def enumerate_automorphisms(algebra: StructureAlgebra, rad: RadicalData | None,
                             max_enum: int = DEFAULT_MAX_ENUM) -> EnumeratedGroup:
-    """All algebra automorphisms of a GF(p) algebra by exhaustive search.
+    """All algebra automorphisms of a GF(p) algebra, by backtracking on the
+    images of its generators G (Holt, Eick & O'Brien, Handbook of
+    Computational Group Theory, 2005, ch. 4).
 
-    Local commutative algebras (by ``rad``, None when the radical is not
-    known) enumerate generator images inside J (p^(n dim J) candidates);
-    any other algebra enumerates arbitrary images of a complement of the
-    identity (p^(d(d-1)) candidates).  Every returned map is verified
-    multiplicative, unital and invertible.
+    phi(1) = 1, and phi(e_g) is tried for one g in G after another: over the
+    vectors of J when ``rad`` (None when the radical is not known) puts e_g
+    in J, as phi(J) = J, and over all p^d vectors otherwise.  Word k = w_m
+    e_g takes the image phi(w_m) phi(e_g) once every generator on its path
+    has one.  Each non-tree pair (k, g), w_k e_g = sum c_m w_m, is checked,
+    phi(w_k) phi(e_g) = sum c_m phi(w_m), at the first generator after which
+    all its words have images.  That is enough, by derivation_algebra's
+    argument: the b with phi(x b) = phi(x) phi(b) for all x are closed under
+    products and hold 1 and G, so they hold every word.  A leaf, phi(e_b) =
+    sum_m M_mb phi(w_m), is kept when it is invertible.  Each image tried is
+    one search node, and more than ``max_enum`` of them raise
+    SearchSpaceTooLarge.  Every returned map is verified multiplicative,
+    unital and invertible.
     """
     f = algebra.field
     if not isinstance(f, PrimeField):
         raise UnsupportedRadicalComputation("enumeration works over GF(p) only")
-    d = algebra.dim
-    if rad is not None and algebra.commutative and rad.radical.dim == d - 1:
-        elements = _enumerate_local_commutative(algebra, rad, max_enum)
-    else:
-        elements = _enumerate_general(algebra, max_enum)
-    elements.sort(key=lambda m: tuple(x for row in m for x in row))
-    group = EnumeratedGroup(elements, len(elements))
+    p, d, gens, words = f.p, algebra.dim, algebra.gens, algebra.words
+    full = Subspace.full(f, d)
+    units = full.basis
+    pos = {g: i for i, g in enumerate(gens)}
+    level = [-1]                        # the last generator on each word's path
+    grown: list = [[] for _ in gens]    # (k, m, i): w_k = w_m e_(gens[i]), per level
+    for k, (m, g) in enumerate(algebra.edges, 1):
+        level.append(max(level[m], pos[g]))
+        grown[level[k]].append((k, m, pos[g]))
+    checks: list = [[] for _ in gens]   # (k, i, the (c, m) of w_k e_(gens[i])), per level
+    tree = set(algebra.edges)
+    for k, g in itertools.product(range(d), gens):
+        if (k, g) not in tree:
+            prod = words.project(algebra.multiply(words.reps[k], units[g]))
+            terms = [(c, m) for m, c in enumerate(prod) if c]
+            last = max(level[k], pos[g], *(level[m] for _, m in terms))
+            checks[last].append((k, pos[g], terms))
+    inside = [rad is not None and rad.radical.contains(units[g]) for g in gens]
+    spans = [[dict(row) for row in (rad.radical if j else full)._terms] for j in inside]
+    inverse = [[(m, c) for m, c in enumerate(words.project(e)) if c] for e in units]
+    images = [{a: x for a, x in enumerate(algebra.one) if x}] + [{}] * (d - 1)
+    ys, out, nodes = [{}] * len(gens), [], 0
+
+    def search(i: int) -> None:
+        nonlocal nodes
+        if i == len(gens):              # column b: phi(e_b) = sum_m M_mb phi(w_m)
+            cols = [_sum(p, ((c, images[m]) for m, c in row)) for row in inverse]
+            cand = [[col.get(a, 0) for col in cols] for a in range(d)]
+            if row_rank(cand, f) == d:
+                if not _is_algebra_map(algebra, cand):
+                    raise InternalInconsistency("a search leaf is not an algebra map")
+                out.append(cand)
+            return
+        for cs in itertools.product(range(p), repeat=len(spans[i])):
+            if (nodes := nodes + 1) > max_enum:
+                raise SearchSpaceTooLarge(f"more than {max_enum}", max_enum,
+                                          "automorphism search", "nodes")
+            ys[i] = _sum(p, zip(cs, spans[i]))
+            for k, m, t in grown[i]:
+                images[k] = _product(algebra, images[m], ys[t])
+            if all(_product(algebra, images[k], ys[t])
+                   == _sum(p, ((c, images[m]) for c, m in terms)) for k, t, terms in checks[i]):
+                search(i + 1)
+    search(0)
+    out.sort(key=lambda m: tuple(x for row in m for x in row))
+    group = EnumeratedGroup(out, len(out))
     if group.order <= 1000:
         _verify_group(algebra, group)
     return group
-
-
-def _enumerate_local_commutative(algebra: StructureAlgebra, rad: RadicalData,
-                                 max_enum: int) -> list:
-    f = algebra.field
-    p, d = f.p, algebra.dim
-    jj2 = _jj2_coordinates(algebra, rad)
-    gens = jj2.reps
-    n = len(gens)
-    jdim = rad.radical.dim
-    count = p**(n * jdim)
-    if count > max_enum:
-        raise SearchSpaceTooLarge(count, max_enum)
-    # monomial basis of the algebra: pivots of the evaluation map
-    ring = TruncatedRing(n, rad.lowey_length)
-    images: dict = {}
-    cols = [eval_monomial(algebra, gens, m, images) for m in ring.monomials]
-    ev = list(map(list, zip(*cols)))
-    _, pivots = rref_rows(ev, len(cols), f)
-    if len(pivots) != d:
-        raise InternalInconsistency("lifts of a J/J^2 basis do not generate the algebra")
-    basis_monos = [ring.monomials[c] for c in pivots]
-    binv = invert([[row[c] for c in pivots] for row in ev], f)
-    if binv is None:
-        raise InternalInconsistency("pivot monomials are not a basis")
-    relations = [[(pos, c) for pos, c in enumerate(row) if c]
-                 for row in kernel_rows(ev, len(cols), f).basis]
-    jbasis = rad.radical.basis
-    # J/J^2 coordinates of every radical basis vector, for the linear block
-    jj2_coords = [jj2.project(row) for row in jbasis]
-    out = []
-    for assign in itertools.product(range(p), repeat=n * jdim):
-        block = []
-        for i in range(n):
-            chunk = assign[i * jdim:(i + 1) * jdim]
-            block.append([sum(c * jc[t] for c, jc in zip(chunk, jj2_coords))
-                          for t in range(n)])
-        _, piv = rref_rows(block, n, f)
-        if len(piv) < n:
-            continue
-        ys = [combine(f, zip(assign[i * jdim:(i + 1) * jdim], jbasis), d) for i in range(n)]
-        # a generator assignment defines an endomorphism iff every ideal
-        # relation evaluates to zero on it
-        vals: dict = {}
-        if any(any(_poly_value(algebra, ys, rel, ring, vals)) for rel in relations):
-            continue
-        img_cols = [eval_monomial(algebra, ys, m, vals) for m in basis_monos]
-        cand = [combine(f, zip(row, binv), d) for row in zip(*img_cols)]
-        if invert(cand, f) is None:
-            continue
-        if _is_algebra_map(algebra, cand):
-            out.append(cand)
-    return out
 
 
 def _jj2_coordinates(algebra: StructureAlgebra, rad: RadicalData) -> Coordinates:
@@ -124,36 +131,6 @@ def _jj2_coordinates(algebra: StructureAlgebra, rad: RadicalData) -> Coordinates
     f = algebra.field
     return Coordinates(f, rad.lifts, list(rad.square.basis) + quotient_basis(
         rad.radical, Subspace.full(f, algebra.dim)))
-
-
-def _poly_value(algebra, ys, relation, ring, cache):
-    return combine(algebra.field, ((c, eval_monomial(algebra, ys, ring.monomials[pos], cache))
-                                   for pos, c in relation), algebra.dim)
-
-
-def _enumerate_general(algebra: StructureAlgebra, max_enum: int) -> list:
-    f = algebra.field
-    p, d = f.p, algebra.dim
-    one_line = Subspace.from_vectors(f, d, [algebra.one])
-    comp = quotient_basis(one_line, Subspace.full(f, d))
-    free = len(comp)
-    count = p**(d * free)
-    if count > max_enum:
-        raise SearchSpaceTooLarge(count, max_enum)
-    binv = invert(list(zip(algebra.one, *comp)), f)
-    if binv is None:
-        raise InternalInconsistency("identity and its complement are not a basis")
-    out = []
-    for assign in itertools.product(range(p), repeat=d * free):
-        img_cols = [list(algebra.one)]
-        for t in range(free):
-            img_cols.append(list(assign[t * d:(t + 1) * d]))
-        cand = [combine(f, zip(row, binv), d) for row in zip(*img_cols)]
-        if invert(cand, f) is None:
-            continue
-        if _is_algebra_map(algebra, cand):
-            out.append(cand)
-    return out
 
 
 def _verify_group(algebra: StructureAlgebra, group: EnumeratedGroup) -> None:
@@ -177,11 +154,8 @@ def _verify_group(algebra: StructureAlgebra, group: EnumeratedGroup) -> None:
         rng = random.Random(0xa11c)
         pairs = ((rng.choice(mats), rng.choice(mats)) for _ in range(40000))
     for a, b in pairs:
-        prod = tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(d)) % f.p
-                  for j in range(d))
-            for i in range(d))
-        if prod not in keys:
+        cols = list(zip(*b))
+        if tuple(tuple(sum(map(mul, row, col)) % f.p for col in cols) for row in a) not in keys:
             raise InternalInconsistency("automorphism group: not closed under composition")
 
 

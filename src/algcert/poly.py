@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from math import comb
 
 from .algebra import MAX_RING_MONOMIALS
 from .errors import (AmbientMismatch, NotAdmissible, NotInvertible, NotSHomogeneous,
@@ -297,13 +296,21 @@ def degree_monomials(n_vars: int, d: int) -> list[tuple]:
             for bars in reversed(list(itertools.combinations(range(slots), n_vars - 1)))]
 
 
-def check_ring(n_vars: int, trunc_degree: int) -> None:
-    """Refuse k[X1..Xn]/<X1..Xn>^l when n or l is below 1 or it has more than
-    MAX_RING_MONOMIALS monomials, before anything of that size is built."""
+def check_ring(n_vars: int, trunc_degree: int) -> int:
+    """The number C(n+l-1, k), k = min(n, l-1), of monomials of
+    k[X1..Xn]/<X1..Xn>^l.  The ring is refused when n or l is below 1 or
+    that number is above MAX_RING_MONOMIALS, before anything of that size
+    is built.  C(N, i) = C(N, i-1) (N-i+1)/i grows with i up to k <= N/2,
+    so the product stops once it passes the bound, and the refusal then
+    names the bound as a lower bound."""
     if n_vars < 1 or trunc_degree < 1:
         raise NotAdmissible(f"need n_vars >= 1, trunc_degree >= 1; got {n_vars}, {trunc_degree}")
-    if (size := comb(n_vars + trunc_degree - 1, n_vars)) > MAX_RING_MONOMIALS:
-        raise SearchSpaceTooLarge(size, MAX_RING_MONOMIALS, "truncated ring", "monomials")
+    top, k, size = n_vars + trunc_degree - 1, min(n_vars, trunc_degree - 1), 1
+    for i in range(1, k + 1):
+        if (size := size * (top - i + 1) // i) > MAX_RING_MONOMIALS:
+            raise SearchSpaceTooLarge(size if i == k else f"more than {MAX_RING_MONOMIALS}",
+                                      MAX_RING_MONOMIALS, "truncated ring", "monomials")
+    return size
 
 
 class TruncatedRing:

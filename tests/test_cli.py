@@ -6,8 +6,11 @@ import pytest
 
 from algcert import cli
 from algcert.cli import main
+from algcert.constructions import upper_triangular_algebra
 from algcert.errors import InternalInconsistency
+from algcert.fields import GF
 from algcert.linalg import Subspace
+from conftest import dense_table
 
 
 def _write(tmp_path, name, payload):
@@ -238,6 +241,27 @@ def test_oracle_aut_radical_obeys_max_enum(tmp_path, capsys):
     assert main(["oracle-aut", path]) == 0
     assert set(json.loads(capsys.readouterr().out)) == {"order", "image_order",
                                                        "kernel_count"}
+
+
+def test_oracle_aut_reaches_ut3_over_gf2(tmp_path, capsys):
+    # UT_3 over GF(2), d = 6: the search finds the 8 inner automorphisms,
+    # where trying every image of a complement of 1 would take 2^30 maps
+    a = upper_triangular_algebra(GF(2), 3)
+    path = _write(tmp_path, "ut3.json", {
+        "kind": "structure_constants", "field": {"type": "GFp", "p": 2}, "dim": a.dim,
+        "one": a.one, "table": dense_table(a)})
+    assert main(["oracle-aut", path]) == 0
+    assert json.loads(capsys.readouterr().out) == {"order": 8}
+
+
+def test_oracle_aut_search_obeys_max_enum(tmp_path, capsys):
+    # k[x,y]/m^3 over GF(3) as a presentation, so its radical is known and
+    # no scan runs: the refusal is the search's, after 10 generator images
+    path = _write(tmp_path, "xy3.json", {
+        "kind": "presentation", "field": {"type": "GFp", "p": 3}, "n_vars": 2,
+        "trunc_degree": 3, "generators": []})
+    assert main(["oracle-aut", path, "--max-enum", "10"]) == 3
+    assert "automorphism search needs more than 10 nodes, bound is 10" in capsys.readouterr().err
 
 
 def test_field_override(tmp_path, capsys):

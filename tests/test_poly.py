@@ -7,11 +7,13 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from algcert import poly
 from algcert.errors import (AlgcertError, AmbientMismatch, BadScalar, NotInvertible,
-                            NotSHomogeneous, OutOfRangeVariable, PolySyntaxError, ZeroInput)
+                            NotSHomogeneous, OutOfRangeVariable, PolySyntaxError,
+                            SearchSpaceTooLarge, ZeroInput)
 from algcert.fields import GF, QQ
 from algcert.poly import (LinearChange, Poly, TruncatedRing,
-                          apply_linear_change, degree_monomials, grlex_key,
+                          apply_linear_change, check_ring, degree_monomials, grlex_key,
                           homogeneous_components,
                           monomial_gcd_factor, parse_poly, partial_derivative,
                           s_index)
@@ -222,6 +224,23 @@ class TestOps:
                               key=grlex_key)
                 assert degree_monomials(n, d) == want
                 assert len(want) == comb(n + d - 1, d)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("l", range(1, 6))
+    def test_check_ring_counts_the_monomials(self, n, l):
+        assert check_ring(n, l) == TruncatedRing(n, l).dim == comb(n + l - 1, n)
+
+    def test_check_ring_refuses_a_huge_ring_at_once(self, monkeypatch):
+        # C(2 10^6 - 1, 10^6) has about 600,000 digits; the count stops at
+        # the bound instead, and names it as a lower bound
+        def uncalled(*args):
+            pytest.fail("the exact binomial was computed")
+
+        monkeypatch.setattr(poly, "comb", uncalled, raising=False)
+        start = time.perf_counter()
+        with pytest.raises(SearchSpaceTooLarge, match="needs more than 100000 monomials"):
+            check_ring(10**6, 10**6)
+        assert time.perf_counter() - start < 1.0
 
     def test_truncated_ring_many_variables(self):
         start = time.perf_counter()

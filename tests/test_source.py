@@ -50,6 +50,10 @@ def test_elimination_stays_in_linalg():
     # module keeps a token class or per-rule parsers beside it
     pytest.param({"_Tokens", "_parse_term", "_parse_factor", "_parse_coeff"},
                  id="poly_parser"),
+    # enumerate_automorphisms is one backtracking search on generator
+    # images; no module keeps a candidate enumeration or its evaluator beside it
+    pytest.param({"_enumerate_general", "_enumerate_local_commutative", "_poly_value"},
+                 id="oracle_search"),
 ])
 def test_one_construction(names):
     found = [f"{path.name}:{node.lineno}"
