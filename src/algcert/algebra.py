@@ -6,27 +6,27 @@ Every algebra, given or induced (A/J, a corner, T/I), is loaded from its
 nonzero structure constants as cells {(i, j): [(k, c), ...]}; a dense
 tensor goes through StructureAlgebra.from_table, which drops its zeros.
 Each algebra carries a generating set G and a basis of words in it, so
-associativity, the center, the radical's ideal check and Der(A) are checked
-or solved on G alone, Der(A) on the |G| d entries D(e_g).  Every product
-runs on one sparse integer table, the structure constants times their common
-denominator; spans of products, Leibniz rows and Lie series go to the
+associativity, the center and the radical's ideal check run on G alone, and
+Der(A) is solved in word coordinates on the |G| d entries D(g).  Every
+product runs on one sparse integer table, the structure constants times their
+common denominator; spans of products, Leibniz rows and Lie series go to the
 elimination core as dict rows {column: int}, and a Lie algebra's structure
 constants are computed once, on its determining columns, under one scale.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (AmbientMismatch, InternalInconsistency, NonAssociative,
                      NotSplitBasic, NotUnital, UnsupportedRadicalComputation)
 from .fields import Field, PrimeField, QQ
-from .linalg import (Echelon, Subspace, combine, invert, kernel_rows,
-                     quotient_basis, scalars)
+from .linalg import Echelon, Subspace, combine, kernel_rows, quotient_basis, scalars
 from .roots import minimal_polynomial, poly_divmod, poly_eval, roots_in_field
 
 DEFAULT_MAX_ENUM = 10**7   # largest search space enumerated by default
@@ -41,7 +41,7 @@ class StructureAlgebra:
     zero constant.  An index outside range(d) or a repeated k raises
     AmbientMismatch, and a c that is not a scalar BadScalar.
 
-    ``gens`` generate it, with the word basis ``words`` (see _word_basis).
+    ``gens`` generate it, with the word basis ``words`` (see Words).
     Load verifies unitality exhaustively and associativity on ``gens``
     (Light's test).  A presentation-derived one may carry ``known_radical``.
     """
@@ -70,7 +70,9 @@ class StructureAlgebra:
                               else x.numerator * (den // x.denominator))]
                          for j in range(d)] for i in range(d)]
         self._verify_unital()
-        self.gens, self.edges, self.words = _word_basis(self)
+        self.words = Words(self, ())
+        self.gens = [min(g) for g in self.words.gens]
+        self.edges = [(m, self.gens[i]) for m, i in self.words.edges]
         self._verify_associative()
         self.commutative = all(self._sparse[i][j] == self._sparse[j][i]
                                for i in range(d) for j in range(i + 1, d))
@@ -174,43 +176,7 @@ class StructureAlgebra:
         return f"StructureAlgebra(dim={self.dim}, field={self.field!r})"
 
 
-# -- a generating set and its word basis ---------------------------------------
-
-def _word_basis(algebra: StructureAlgebra) -> tuple[list, list, Coordinates]:
-    """(G, edges, words): left-normed words in {1} and generators G, a basis
-    of A, and their coordinates, with the words as its reps.
-
-    Words are integer vectors in the scaled product x o e_g = den x e_g of
-    ``_sparse``: word 0 is a multiple of 1, and word k >= 1 is words[m] o e_g
-    for its tree edge edges[k - 1] = (m, g).  G is taken among the basis
-    indices in order: e_i joins G when it lies outside the span of the words
-    so far, which then grows breadth first by the products word o e_g, g in
-    G, that the span lacks.  The Echelon only chooses the words: Coordinates
-    inverts them once, and raises InternalInconsistency unless they are a
-    basis.  Each word is held by its nonzeros {index: int}, and written out
-    densely only for Coordinates."""
-    f, d, p = algebra.field, algebra.dim, algebra.field.characteristic
-    s = lcm(*[x.denominator for x in algebra.one])
-    one = {i: x.numerator * (s // x.denominator) for i, x in enumerate(algebra.one) if x}
-    grown = Echelon(Subspace.zero(f, d))
-    words = [one] if grown.add(one) else []
-    gens, edges, pending = [], [], []
-    for i in range(d):
-        if grown.dim == d or not grown.reduce({i: 1}):
-            continue
-        gens.append(i)
-        pending.extend((k, i) for k in range(len(words)))
-        while pending and grown.dim < d:
-            k, g = pending.pop(0)
-            prod = algebra._times(words[k].items(), [(g, 1)])
-            if grown.add(word := {t: r for t, c in prod.items() if (r := c % p if p else c)}):
-                pending.extend((len(words), h) for h in gens)
-                words.append(word)
-                edges.append((k, g))
-    return gens, edges, Coordinates(f, [[w.get(t, 0) for t in range(d)] for w in words], [])
-
-
-# -- induced algebras: quotients, subalgebras, corners -------------------------
+# -- coordinates: quotients, subalgebras, corners, and a word basis ------------
 
 class Coordinates:
     """Coordinates along ``reps`` for the direct sum k^d = span(reps) + span(rest).
@@ -218,33 +184,98 @@ class Coordinates:
     ``project`` keeps a vector's coefficients on ``reps`` and drops its part
     in span(rest); ``lift`` maps coefficients back to sum x_i reps_i, so
     project(lift(x)) = x.  With rest a basis of an ideal J this is A -> A/J;
-    with reps a basis of a subalgebra, that subalgebra's own coordinates.
-    """
+    with reps a basis of a subalgebra, that subalgebra's own coordinates.  No
+    inverse is formed: the vectors times their common denominator ``_scale``
+    are ``vecs`` {index: int}, and ``_terms`` an echelon of them, each pivot
+    row (primitive over Q, 1 at its pivot mod p) with the combination it is."""
 
     def __init__(self, field: Field, reps, rest):
-        self.field = field
-        self.reps = [list(r) for r in reps]
-        self.dim = len(self.reps)
-        stacked = self.reps + [list(r) for r in rest]
-        self._ambient_dim = n = len(stacked[0]) if stacked else 0
-        binv = invert(list(zip(*stacked)), field) if len(stacked) == n else None
-        if binv is None:
+        self.field, self.p, self.reps = field, field.characteristic, [list(r) for r in reps]
+        self._terms, self.vecs, stacked = [], {}, self.reps + [list(r) for r in rest]
+        self.dim, self._ambient_dim = len(self.reps), len(stacked[0]) if stacked else 0
+        self._scale, rows = _int_terms([[(k, x) for k, x in enumerate(r) if x] for r in stacked])
+        if len(stacked) != self._ambient_dim or not all(self._add(dict(r)) for r in rows):
             raise InternalInconsistency("coordinate vectors are not a basis")
-        # row i of the inverse yields coefficient i; keep the reps' rows, sparse
-        self._terms = [[(k, c) for k, c in enumerate(row) if c] for row in binv[:self.dim]]
 
     @classmethod
     def quotient(cls, j: Subspace) -> Coordinates:
         """k^d / j through its canonical coset representatives."""
-        full = Subspace.full(j.field, j.ambient_dim)
-        return cls(j.field, quotient_basis(j, full), j.basis)
+        return cls(j.field, quotient_basis(j, Subspace.full(j.field, j.ambient_dim)), j.basis)
 
     def project(self, v) -> list:
-        f = self.field
-        return [f.coerce(sum(c * v[k] for k, c in row if v[k])) for row in self._terms]
+        f, (s, (terms,)) = self.field, _int_terms([[(k, x) for k, x in enumerate(v) if x]])
+        c, comb = self.coords(dict(terms))      # c s v = sum comb_k _scale vecs_k
+        return [f.div(f.coerce(comb.get(k, 0) * self._scale), f.coerce(c * s))
+                for k in range(self.dim)]
 
     def lift(self, x) -> list:
         return combine(self.field, zip(x, self.reps), self._ambient_dim)
+
+    def _reduce(self, v: dict) -> tuple[int, dict, dict]:
+        """(s, res, comb): s v = res + sum_k comb[k] vecs[k], res 0 at the pivots."""
+        p, s, res, comb = self.p, 1, dict(v), {}
+        for pc, row, record in self._terms:
+            if not (c := res.get(pc, 0) % p if p else res.get(pc, 0)):
+                continue
+            if not p and row[pc] != 1:
+                a, c = row[pc] // gcd(row[pc], c), c // gcd(row[pc], c)
+                s, res, comb = a * s, _axpy({}, a, res), _axpy({}, a, comb)
+            _axpy(res, -c, row)
+            _axpy(comb, c, record)
+        return s, _mod(res, p), comb
+
+    def _add(self, v: dict) -> bool:
+        """Keep v as the next vector when it is independent of those so far."""
+        s, res, comb = self._reduce(v)
+        if res:
+            record, p, lead = _axpy({len(self.vecs): s}, -1, comb), self.p, min(res)
+            a, g = (pow(res[lead], -1, p), 1) if p else (1, gcd(*res.values(), *record.values()))
+            self._terms.append((lead, *({j: x * a % p if p else x // g for j, x in r.items()}
+                                        for r in (res, record))))
+            self.vecs[len(self.vecs)] = v
+        return bool(res)
+
+    def coords(self, v: dict) -> tuple[int, dict]:
+        """(s, c) with s v = sum_k c[k] vecs[k], c the nonzeros, for an
+        integer v: residues and s = 1 over GF(p), coprime integers over Q."""
+        s, _, comb = self._reduce(v)
+        p, g = self.p, 1 if self.p else gcd(s, *comb.values())
+        return s // g, {k: r for k, x in comb.items() if (r := x % p if p else x // g)}
+
+
+class Words(Coordinates):
+    """The Coordinates of A along left-normed words ``vecs`` in {1} and
+    generators G, in the scaled product x o y = den x y: word 0 is a multiple
+    of 1, and word k >= 1 is vecs[m] o gens[i] for its tree edge edges[k - 1]
+    = (m, i).  G is taken from ``lifts``, then from the e_i: each joins when
+    outside the span of the words so far, which then grows breadth first by
+    the products word o g, g in G, that the span lacks."""
+
+    def __init__(self, algebra: StructureAlgebra, lifts):
+        super().__init__(algebra.field, [], [])
+        d, self.algebra, self.gens, self.edges, self.products = algebra.dim, algebra, [], [], {}
+        self.depth, pending = [0], collections.deque()     # generators in each word; pairs to try
+        self._add(dict(_int_terms([[(i, x) for i, x in enumerate(algebra.one) if x]])[1][0]))
+        for g in itertools.chain(lifts, ({i: 1} for i in range(d))):
+            if len(self.vecs) == d or not self._reduce(g)[1]:
+                continue
+            self.gens.append(g)
+            pending.extend((k, len(self.gens) - 1) for k in range(len(self.vecs)))
+            while pending and len(self.vecs) < d:
+                k, i = pending.popleft()
+                if self._add(self.product(k, i)):
+                    pending.extend((len(self.vecs) - 1, h) for h in range(len(self.gens)))
+                    self.edges.append((k, i))
+                    self.depth.append(self.depth[k] + 1)
+        self.reps = [[w.get(t, 0) for t in range(d)] for w in self.vecs.values()]
+        self.dim = self._ambient_dim = d
+
+    def product(self, k: int, i: int, left: bool = False) -> dict:
+        """vecs[k] o gens[i] (gens[i] o vecs[k] if ``left``) mod p, formed once."""
+        if (key := (k, i, left)) not in self.products:
+            x, y = self.vecs[k].items(), self.gens[i].items()
+            self.products[key] = _mod(self.algebra._times(*((y, x) if left else (x, y))), self.p)
+        return self.products[key]
 
 
 def induced_algebra(algebra: StructureAlgebra, coords: Coordinates, one) -> StructureAlgebra:
@@ -305,20 +336,25 @@ class RadicalData:
 
 
 def _radical_data(algebra: StructureAlgebra, j: Subspace) -> RadicalData:
-    """J's powers J, J^2, ... until 0.  J^2 = J J, and the lifts L of a
-    J/J^2 basis are the quotient rows of J^2 in J.  Then the words L^k =
-    L^(k-1) L run until 0, and J^k = L^k + J^(k+1) comes from the top down:
-    far fewer products than J^k J, each of integer basis rows on the scaled
-    table by subspace_product.
+    """J's powers J, J^2, ... until 0.  A row of J joins B' when it lies
+    outside span B' + J B' so far; then J = span B' + J B' and J^2 = J B' +
+    J^2 B' = J B', |B'| products per row of J.  The lifts L of a J/J^2 basis
+    are the quotient rows of J^2 in J.  The words L^k = L^(k-1) L run until
+    0, and J^k = L^k + J^(k+1) comes from the top down, on integer rows.
 
     That also checks that J is nilpotent.  A nilpotent J = L + J^2 is the
     span S of the words in L (J = L + J^2 = L + L^2 + J^3 = ...), so L^k =
     0 once k > dim J, and J^k = S^k = L^k + L^(k+1) + ....  Conversely, if
     L^m = 0 then S is nilpotent, and L^2 + L^3 + ... = J^2 gives S = J."""
     f, d = algebra.field, algebra.dim
-    square = algebra.subspace_product(j, j)
-    lifts = quotient_basis(square, j)
-    # rows of J's canonical basis, so canonical themselves
+    rows, grown, products = _int_terms(j._terms)[1], Echelon(Subspace.zero(f, d)), []
+    for b in rows:
+        if grown.dim < j.dim and grown.add(dict(b)):
+            products += [algebra._times(a, b) for a in rows]
+            for v in products[-len(rows):]:
+                grown.add(v)
+    square = Subspace.from_vectors(f, d, products)
+    lifts = quotient_basis(square, j)   # rows of J's canonical basis, so canonical themselves
     words = [span := Subspace(f, d, lifts)]     # L, L^2, ..., the last 0
     while words[-1].dim:
         if len(words) > j.dim:
@@ -559,13 +595,24 @@ def _scaled_residual(v: dict, space: Subspace, s: int, scaled: list) -> dict:
     return res
 
 
+def _mod(v: dict, p: int) -> dict:
+    """The nonzero entries of the integer vector v, taken mod p over GF(p)."""
+    return {k: r for k, x in v.items() if (r := x % p if p else x)}
+
+
+def _axpy(out: dict, c: int, v: dict) -> dict:
+    """out + c v, in place, for int vectors {k: int}."""
+    for k, x in v.items():
+        out[k] = out.get(k, 0) + c * x
+    return out
+
+
 def _apply(m: dict, v) -> dict:
     """m v as {a: int}, m held by its nonzero columns {b: {a: int}} and v
     given by its (b, int) pairs."""
     out: dict[int, int] = {}
     for b, x in v:
-        for a, y in m.get(b, {}).items():
-            out[a] = out.get(a, 0) + x * y
+        _axpy(out, x, m.get(b, {}))
     return out
 
 
@@ -574,12 +621,13 @@ class LieSubalgebra:
     columns in C (all n unless ``cols`` names them): ``space`` holds entry
     (a, c) at a |C| + pos(c).  ``lift`` maps such integer entries, as pairs,
     to ``den`` times the whole matrix by columns {b: {a: int}}; brackets
-    read the lifted canonical basis B_l times its least common denominator."""
+    read the lifted canonical basis B_l times its least common denominator,
+    in the basis ``frame`` (Words) if given; basis_matrices is in e_i's."""
 
-    def __init__(self, field: Field, n: int, space: Subspace, cols=None, lift=None, den=1):
+    def __init__(self, field: Field, n: int, space: Subspace, cols=None, lift=None, den=1,
+                 frame=None):
         self.field, self.n, self.space, self.den = field, n, space, den
-        self.cols = list(range(n)) if cols is None else cols
-        self.lift = lift
+        self.cols, self.lift, self.frame = list(range(n)) if cols is None else cols, lift, frame
 
     @property
     def dim(self) -> int:
@@ -601,8 +649,12 @@ class LieSubalgebra:
     def basis_matrices(self) -> list[list]:
         """The basis as n x n lists of rows; only their nonzero entries are
         divided by s den."""
-        f, n, (s, mats) = self.field, self.n, self._columns
-        cells = [{(a, b): f.div(f.coerce(x), f.coerce(s)) for b, col in m.items()
+        f, n, (s, mats), scales = self.field, self.n, self._columns, [1] * self.n
+        if self.frame is not None:      # s_b e_b = sum c_k w_k: M e_b = sum c_k M w_k / s_b
+            scales, at = zip(*[self.frame.coords({b: 1}) for b in range(n)])
+            mats = [{b: _apply(self.frame.vecs, _apply(m, at[b].items()).items())
+                     for b in range(n)} for m in mats]
+        cells = [{(a, b): f.div(f.coerce(x), f.coerce(s * scales[b])) for b, col in m.items()
                   for a, x in col.items()} for m in mats]
         return [[[c.get((a, b), f.zero) for b in range(n)] for a in range(n)] for c in cells]
 
@@ -654,80 +706,62 @@ class LieSubalgebra:
         return self.bracket_span().dim == self.dim
 
 
-def derivation_algebra(algebra: StructureAlgebra) -> LieSubalgebra:
-    """Der(A): matrices D with D(e_i e_j) = D(e_i) e_j + e_i D(e_j), kept as
-    the kernel in the |G| d unknowns X_g = D(e_g), g in the generators G.
-
-    D(1) = 0 and D(v_k) = D(v_m) e_g + v_m X_g along the word tree give D on
-    the word basis as sparse integer linear forms in X.  Each non-tree pair
-    (v_k, g) adds the d rows of D(v_k e_g) = D(v_k) e_g + v_k X_g, v_k e_g
-    read in the word basis.  That is enough: S' = {b : D(x b) = D(x) b +
-    x D(b) for all x} is closed under products, as D(x b b') = D(x b) b' +
-    x b D(b') = D(x) b b' + x D(b b') for b, b' in S'; it holds 1 and G, so
-    it holds the words, which span A.  A whole matrix, delta D(e_b) =
-    sum_m M_mb D(v_m), is read off the same forms when a bracket needs it.
-    """
+def derivation_algebra(algebra: StructureAlgebra, rad: RadicalData | None = None) -> LieSubalgebra:
+    """Der(A) as the kernel in the |G| d unknowns Y_g = D(w_0 o g) = den s
+    D(g) in word coordinates: of Words grown from the J/J^2 lifts of ``rad``
+    (a graded A gets its standard table back), else of ``algebra.words``.
+    Only R_g: w -> w o g and, unless A is commutative, L_g: w -> g o w are
+    read: 2 |G| d products.  D(w_0) = 0, and along the tree D(w_m o g) =
+    R_g D(w_m) + L'_m Y_g, with L'_m = L_h1 ... L_hr for w_m = w_0 o h1 o
+    ... o hr composed edge by edge and dropped once w_m is done; each
+    non-tree pair (w_m, g) adds the rows sum_k R_g[k, m] D(w_k) = R_g D(w_m)
+    + L'_m Y_g.  That is enough: S' = {b : D(x b) = D(x) b + x D(b) for all
+    x} holds 1 and G and is closed under products, as D(x b b') = D(x b) b'
+    + x b D(b') = D(x) b b' + x D(b b'), so it holds the words, which span
+    A.  Over Q, R_g and L_g are integers over delta, and forms[k] =
+    delta^depth(k) D(w_k), by Y column, too."""
     f, d, p = algebra.field, algebra.dim, algebra.field.characteristic
-    sparse, words = algebra._sparse, algebra.words.reps
-    w, pos = len(algebra.gens), {g: i for i, g in enumerate(algebra.gens)}
-    left = [[{} for _ in range(d)] for _ in words]  # left[k][t][a] = (v_k o e_a)[t]
-    for rows, word in zip(left, words):
-        for (s, x), a in itertools.product(enumerate(word), range(d)):
-            for t, c in sparse[s][a] if x else ():
-                rows[t][a] = rows[t].get(a, 0) + x * c
-    # delta e_b = sum_m M_mb v_m, the M_mb integers in inverse[m]
-    delta, inverse = _int_terms(algebra.words._terms)
+    words = algebra.words if rad is None else Words(algebra, (dict(v) for v in _int_terms(
+        [[(k, x) for k, x in enumerate(u) if x] for u in rad.lifts])[1]))
+    n, tree = len(words.gens), {e: k for k, e in enumerate(words.edges, 1)}
+    left = not algebra.commutative      # L_g = R_g when A is commutative
+    cols = {(m, i, side): (1, {tree[m, i]: 1}) if (m, i) in tree and not side
+            else words.coords(words.product(m, i, side))
+            for m, i, side in itertools.product(range(d), range(n), {False, left})}
+    delta = lcm(*[s for s, _ in cols.values()])
+    mat = {key: {k: c * (delta // s) for k, c in cs.items()} for key, (s, cs) in cols.items()}
+    right = [{m: mat[m, i, False] for m in range(d)} for i in range(n)]
+    weight = [delta ** (max(words.depth) - a) for a in words.depth]   # den D(w_k) : forms[k]
+    forms, lefts = [{}] + [None] * (d - 1), {0: {j: {j: 1} for j in range(d)}}
+    pending, rows = [], set()           # rows: sorted (column, entry) pairs, mod p, each once
 
-    def leibniz(k: int, g: int) -> list:
-        """The forms of D(v_k) o e_g + v_k o X_g, one per e_t coefficient."""
-        out = [{a * w + pos[g]: c for a, c in row.items()} for row in left[k]]
-        for u, form in enumerate(forms[k]):
-            for t, c in sparse[u][g]:
-                for col, x in form.items():
-                    out[t][col] = out[t].get(col, 0) + c * x
-        return [{col: x % p for col, x in row.items()} for row in out] if p else out
+    def add_rows(m: int, i: int, new: dict):    # those of the non-tree pair (w_m, g_i)
+        by_t, terms = {}, [(c * weight[k], forms[k]) for k, c in right[i][m].items()]
+        for c, form in terms + [(-weight[m], new)]:
+            for col, v in form.items():
+                for t, x in v.items():
+                    by_t.setdefault(t, {})[col] = by_t.get(t, {}).get(col, 0) + c * x
+        rows.update(tuple(r) for row in by_t.values() if (r := sorted(_mod(row, p).items())))
+    for m in range(d):                  # a word's parent comes before it
+        lm = lefts.pop(m)               # delta^depth(m) L'_m by columns
+        for i in range(n):              # delta^(depth(m) + 1) (R_g D(w_m) + L'_m Y_g)
+            new = {col: _apply(right[i], v.items()) for col, v in forms[m].items()}
+            for j, v in lm.items():
+                _axpy(new.setdefault(j * n + i, {}), delta, v)
+            if (m, i) in tree:
+                forms[k := tree[m, i]] = {col: _mod(v, p) for col, v in new.items()}
+                lefts[k] = {j: _mod(_apply(lm, mat[j, i, left].items()), p) for j in range(d)}
+            elif any(forms[k] is None for k in right[i][m]):    # a word of w_m o g comes later
+                pending.append((m, i, new))
+            else:
+                add_rows(m, i, new)
+    for m, i, new in pending:
+        add_rows(m, i, new)
 
-    forms = [[{} for _ in range(d)] for _ in words[:1]]    # D(v_0) = D(1) = 0
-    for k, g in algebra.edges:          # a word's parent comes before it
-        forms.append(leibniz(k, g))
-    tree, rows = set(algebra.edges), set()  # sorted (column, entry) pairs, mod p, each once
-    for k, g in itertools.product(range(len(words)), algebra.gens):
-        if (k, g) in tree:
-            continue
-        y = {b: row[g] for b, row in enumerate(left[k]) if g in row}   # v_k o e_g
-        coords = [sum(x * y.get(b, 0) for b, x in row) for row in inverse]
-        for t, rhs in enumerate(leibniz(k, g)):
-            row = {col: -delta * x for col, x in rhs.items()}
-            for m, c in enumerate(coords):
-                for col, x in forms[m][t].items() if c else ():
-                    row[col] = row.get(col, 0) + c * x
-            rows.add(tuple(sorted((col, r) for col, x in row.items()
-                                  if (r := x % p if p else x))))
-
-    by_column: dict[int, list] = {}     # X column -> its (m, a, c) in the forms
-
-    def lift(x) -> dict:
-        """delta D by columns {b: {a: int}} for D with the entries x on G.
-
-        D(v_m)[a] is the form forms[m][a] at x, sum c x_col.  The forms are
-        indexed by column once, at the first lift, so a lift reads only the
-        (m, a, c) under the columns of x, not every entry of every form."""
-        if not by_column:
-            for m, a in itertools.product(range(len(words)), range(d)):
-                for col, c in forms[m][a].items():
-                    by_column.setdefault(col, []).append((m, a, c))
-        images: list[dict] = [{} for _ in words]   # images[m][a] = D(v_m)[a]
-        for col, xc in x:
-            for m, a, c in by_column.get(col, ()):
-                images[m][a] = images[m].get(a, 0) + c * xc
-        out = {}
-        for row, image in zip(inverse, images):
-            for b, mb in row:
-                col = out.setdefault(b, {})
-                for a, v in image.items():
-                    col[a] = col.get(a, 0) + mb * v
-        return {b: {a: v % p for a, v in col.items()} for b, col in out.items()} if p else out
-    return LieSubalgebra(f, d, kernel_rows(map(dict, rows), w * d, f), algebra.gens, lift, delta)
+    def lift(x) -> dict:                # den D by columns {m: {t: int}}, D with entries x on Y
+        return {m: _mod(_axpy({}, weight[m], _apply(form, x)), p) for m, form in enumerate(forms)}
+    return LieSubalgebra(f, d, kernel_rows(map(dict, rows), n * d, f),
+                         [tree[0, i] for i in range(n)], lift, delta ** max(words.depth), words)
 
 
 def der_into(der: LieSubalgebra, rad: RadicalData) -> LieSubalgebra:
@@ -736,23 +770,23 @@ def der_into(der: LieSubalgebra, rad: RadicalData) -> LieSubalgebra:
     It reads D on the lifts L of a J/J^2 basis alone, jj2_dim vectors and
     not dim J.  J is nilpotent and J = L + J^2, so J = sum_{m >= 1} L^m,
     and D(l_1 ... l_m) = sum_i l_1 ... D(l_i) ... l_m has the factor D(l_i)
-    in each term; J^2 being an ideal, D(J) <= J^2 iff D(L) <= J^2.  D(v) =
-    sum_b v_b D(e_b), for each integer row v of L, is read off each basis
-    D's columns and reduced against J^2 by _scaled_residual.  Over GF(p)
-    the rows stay unreduced; kernel_rows reduces them."""
-    f, (_, mats), square = der.field, der._columns, rad.square
-    s, scaled = _int_terms(square._terms)
-    rows = []
+    in each term; J^2 being an ideal, D(J) <= J^2 iff D(L) <= J^2.  D(v) is
+    read at v's word coordinates (Y_v alone when the words grew from L), and
+    reduced against J^2 by _scaled_residual, unreduced mod p until kernel_rows."""
+    f, (_, mats), square, words = der.field, der._columns, rad.square, der.frame
+    (s, scaled), rows = _int_terms(square._terms), []
     for v in _int_terms([[(k, x) for k, x in enumerate(u) if x] for u in rad.lifts])[1]:
+        at = words.coords(dict(v))[1].items()
         by_coefficient: dict[int, dict] = {}    # e_t coefficient -> {l: residual}
         for l, m in enumerate(mats):
-            for t, r in _scaled_residual(_apply(m, v), square, s, scaled).items():
+            image = _apply(words.vecs, _apply(m, at).items())
+            for t, r in _scaled_residual(image, square, s, scaled).items():
                 by_coefficient.setdefault(t, {})[l] = r
         rows.extend(by_coefficient.values())
     entries = dict(enumerate(map(dict, _int_terms(der.space._terms)[1])))
     vecs = [_apply(entries, u) for u in _int_terms(kernel_rows(rows, der.dim, f)._terms)[1]]
     space = Subspace.from_vectors(f, der.space.ambient_dim, vecs)
-    return LieSubalgebra(f, der.n, space, der.cols, der.lift, der.den)
+    return LieSubalgebra(f, der.n, space, der.cols, der.lift, der.den, der.frame)
 
 
 def _series_limit(lie: LieSubalgebra, derived: bool) -> int:

@@ -357,10 +357,8 @@ def _attach_derivations(ctx: _Context, algebra: StructureAlgebra):
         ctx.unknown("derivations",
                     f"dimension {algebra.dim} exceeds limit {DEFAULT_MAX_STRUCTURE_DIM}")
         return
-    der = derivation_algebra(algebra)
-    ctx.dim_der = der.dim
-    if ctx.rad is not None:
-        ctx.dim_ker_phi = der_into(der, ctx.rad).dim
+    der = derivation_algebra(algebra, ctx.rad)     # the radical is known on both paths here
+    ctx.dim_der, ctx.dim_ker_phi = der.dim, der_into(der, ctx.rad).dim
     ctx.der_nilpotent = is_nilpotent(der)
 
 

@@ -170,14 +170,12 @@ def _present_report(pres: Presentation) -> dict:
 
 
 def _der_report(algebra: StructureAlgebra, cfg: CertifyConfig) -> dict:
-    der = derivation_algebra(algebra)
-    out = {"dim_der": der.dim}
     try:
         rad = jacobson_radical(algebra, scan_bound=cfg.max_enum)
-        out["dim_ker_phi_lie"] = der_into(der, rad).dim
     except UnsupportedRadicalComputation:
-        out["dim_ker_phi_lie"] = None
-    return out
+        rad = None
+    der = derivation_algebra(algebra, rad)
+    return {"dim_der": der.dim, "dim_ker_phi_lie": None if rad is None else der_into(der, rad).dim}
 
 
 def _as_algebra(obj) -> StructureAlgebra:

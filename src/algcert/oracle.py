@@ -77,7 +77,6 @@ def enumerate_automorphisms(algebra: StructureAlgebra, rad: RadicalData | None,
         raise UnsupportedRadicalComputation("enumeration works over GF(p) only")
     p, d, gens, words = f.p, algebra.dim, algebra.gens, algebra.words
     full = Subspace.full(f, d)
-    units = full.basis
     pos = {g: i for i, g in enumerate(gens)}
     level = [-1]                        # the last generator on each word's path
     grown: list = [[] for _ in gens]    # (k, m, i): w_k = w_m e_(gens[i]), per level
@@ -88,13 +87,12 @@ def enumerate_automorphisms(algebra: StructureAlgebra, rad: RadicalData | None,
     tree = set(algebra.edges)
     for k, g in itertools.product(range(d), gens):
         if (k, g) not in tree:
-            prod = words.project(algebra.multiply(words.reps[k], units[g]))
-            terms = [(c, m) for m, c in enumerate(prod) if c]
+            terms = [(c, m) for m, c in words.coords(words.product(k, pos[g]))[1].items()]
             last = max(level[k], pos[g], *(level[m] for _, m in terms))
             checks[last].append((k, pos[g], terms))
-    inside = [rad is not None and rad.radical.contains(units[g]) for g in gens]
+    inside = [rad is not None and rad.radical.contains({g: 1}) for g in gens]
     spans = [[dict(row) for row in (rad.radical if j else full)._terms] for j in inside]
-    inverse = [[(m, c) for m, c in enumerate(words.project(e)) if c] for e in units]
+    inverse = [words.coords({b: 1})[1].items() for b in range(d)]
     images = [{a: x for a, x in enumerate(algebra.one) if x}] + [{}] * (d - 1)
     ys, out, nodes = [{}] * len(gens), [], 0
 

@@ -45,7 +45,8 @@ def transvected(algebra, rng, count=30):
         t_inv[i] = [a - s * b for a, b in zip(t_inv[i], t_inv[j])]
 
     def coords(v):                      # e coordinates -> f coordinates
-        return [sum(c * x for c, x in zip(row, v)) for row in t_inv]
+        nonzero = [(k, x) for k, x in enumerate(v) if x]
+        return [sum(row[k] * x for k, x in nonzero) for row in t_inv]
     basis = [[t[a][i] for a in range(d)] for i in range(d)]
     cells = {(i, j): [(k, c) for k, c in enumerate(coords(algebra.multiply(x, y))) if c]
              for i, x in enumerate(basis) for j, y in enumerate(basis)}

@@ -1005,6 +1005,89 @@ def test_der_into_reads_only_the_lifts(field, rng, monkeypatch):
     assert fewer >= 4
 
 
+def _dense_der_outcome(algebra, rad):
+    """Reference (dim Der, dim {D : D(J) <= J^2} or None, Der nilpotent):
+    Der(A) from the d^3 dense Leibniz rows of _dense_derivations as whole
+    matrices in the standard basis, D(J) <= J^2 checked on every basis
+    vector of J.  Its nilpotency is decided on those matrices (the Lie
+    decisions themselves are checked in test_lie_decisions_match_dense_reference)."""
+    der = LieSubalgebra(algebra.field, algebra.dim, _dense_derivations(algebra))
+    into = None if rad is None else _reduced_der_into(algebra, rad, der).dim
+    return der.dim, into, is_nilpotent(der)
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3, GF_BIG], ids=["QQ", "GF2", "GF3", "GF_BIG"])
+def test_der_solver_matches_dense_reference(field):
+    # the solver in word coordinates, grown from the J/J^2 lifts when the
+    # radical is known and from the load-time generators when it is not,
+    # gives the certificate's dim_der, dim_ker_phi_lie and R-NILP input of
+    # the dense reference: every construction, in its standard basis and in
+    # two transvected ones
+    rng = random.Random(17)
+    cases = [componentwise_algebra(field, 2), matrix_algebra(field, 2),
+             upper_triangular_algebra(field, 3), upper_triangular_algebra(field, 4),
+             truncated_polynomial_algebra(field, 2, 3),
+             univariate_quotient_algebra(field, [1, 0, 1]), qx_mod(3, field),
+             exterior_algebra(field, 3), direct_sum(upper_triangular_algebra(field, 2),
+                                                    qx_mod(2, field))]
+    known = 0
+    for algebra in cases + [transvected(a, rng) for a in cases for _ in range(2)]:
+        try:
+            rad = jacobson_radical(algebra)
+        except UnsupportedRadicalComputation:   # non-commutative, or too large a scan
+            rad = None
+        der = derivation_algebra(algebra, rad)
+        got = der.dim, None if rad is None else der_into(der, rad).dim, is_nilpotent(der)
+        assert got == _dense_der_outcome(algebra, rad), repr(algebra)
+        known += rad is not None
+    assert known >= (24 if field == QQ else 0 if field == GF_BIG else 12)
+
+
+def _count_products(monkeypatch) -> list:
+    """A list that records each StructureAlgebra._times call from now on."""
+    calls, times = [], StructureAlgebra._times
+    monkeypatch.setattr(StructureAlgebra, "_times",
+                        lambda self, x, y: calls.append(1) or times(self, x, y))
+    return calls
+
+
+def test_square_is_j_times_few_rows(monkeypatch):
+    # J^2 = J B' for the rows B' of J that span J modulo J B': on
+    # k[X1..X4]/m^7 (d = 210) B' is the 4 variables, so J^2 takes 4 dim J
+    # products and not dim J^2 = 43,681, and the words in the lifts as many
+    a = truncated_polynomial_algebra(QQ, 4, 7)
+    j = Subspace.from_vectors(QQ, a.dim, [_unit(QQ, a.dim, i) for i in range(1, a.dim)])
+    calls = _count_products(monkeypatch)
+    rad = _radical_data(a, j)
+    assert [p.dim for p in rad.powers] == [209, 205, 195, 175, 140, 84, 0]
+    assert rad.jj2_dim == 4
+    assert len(calls) <= 2 * rad.jj2_dim * j.dim
+
+
+@pytest.mark.parametrize("field", [QQ, GF3], ids=["QQ", "GF3"])
+def test_der_solver_reads_generator_products(field, monkeypatch):
+    # the solver reads R_g and, unless A is commutative, L_g in word
+    # coordinates: at most 2 |G| d products, and on the transvected
+    # k[X1..X3]/m^5 (d = 35) far fewer than the d^2 of the table.  Over
+    # GF(3) its radical scan is out of bounds, so the load-time G serves
+    rng = random.Random(23)
+    cases = [(transvected(truncated_polynomial_algebra(field, 3, 5), rng), 102)]
+    if field == QQ:
+        cases.append((transvected(upper_triangular_algebra(field, 4), rng), 9))
+    for algebra, dim_der in cases:
+        rad = jacobson_radical(algebra) if field == QQ else None
+        with monkeypatch.context() as patch:
+            calls = _count_products(patch)
+            der = derivation_algebra(algebra, rad)
+        width = 1 if algebra.commutative else 2
+        assert len(calls) <= width * len(der.cols) * algebra.dim
+        if algebra.commutative:
+            assert len(calls) * 10 < algebra.dim ** 2
+            # a local A with its radical known: G is the lifts of a J/J^2 basis
+            assert len(der.cols) == (rad.jj2_dim if rad else len(algebra.gens))
+        assert der.dim == dim_der
+
+
 def _dense_series(lie, derived):
     """Reference: the derived or lower central series of lie as bracket spans
     of n x n matrices, until it reaches 0 or repeats a dimension."""

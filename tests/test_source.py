@@ -54,6 +54,10 @@ def test_elimination_stays_in_linalg():
     # images; no module keeps a candidate enumeration or its evaluator beside it
     pytest.param({"_enumerate_general", "_enumerate_local_commutative", "_poly_value"},
                  id="oracle_search"),
+    # Der(A) has one solver, derivation_algebra, in the coordinates of the
+    # words that Words grows; no module keeps a second word-basis builder or
+    # Leibniz forms in the standard basis beside it
+    pytest.param({"_word_basis", "leibniz"}, id="derivation_solver"),
 ])
 def test_one_construction(names):
     found = [f"{path.name}:{node.lineno}"
