@@ -26,7 +26,7 @@ from math import gcd, lcm
 from .errors import (AmbientMismatch, InternalInconsistency, NonAssociative,
                      NotSplitBasic, NotUnital, UnsupportedRadicalComputation)
 from .fields import Field, PrimeField, QQ
-from .linalg import Echelon, Subspace, combine, kernel_rows, quotient_basis, scalars
+from .linalg import Subspace, combine, kernel_rows, quotient_basis, scalars
 from .roots import minimal_polynomial, poly_divmod, poly_eval, roots_in_field
 
 DEFAULT_MAX_ENUM = 10**7   # largest search space enumerated by default
@@ -113,18 +113,33 @@ class StructureAlgebra:
             raise NonAssociative(*self._bad_triple(range(self.dim)))
 
     def _bad_triple(self, middles):
-        """The first (i, j, k), j in middles, with (e_i e_j) e_k != e_i (e_j e_k)."""
-        d, sparse, p = self.dim, self._sparse, self.field.characteristic
-        for i, j, k in itertools.product(range(d), middles, range(d)):
-            diff: dict[int, int] = {}
-            for t, c in sparse[i][j]:
-                for s, c2 in sparse[t][k]:
-                    diff[s] = diff.get(s, 0) + c * c2
-            for t, c in sparse[j][k]:
-                for s, c2 in sparse[i][t]:
-                    diff[s] = diff.get(s, 0) - c * c2
-            if any(x % p for x in diff.values()) if p else any(diff.values()):
-                return i, j, k
+        """The first (i, j, k), j in middles, with (e_i e_j) e_k != e_i (e_j e_k).
+
+        Each product e_a e_b is read as the integer sum_s c_s 2^(w s)
+        (Kronecker substitution; Harvey, J. Symbolic Comput. 44, 2009), c on
+        balanced residues over GF(p).  For each pair (i, j) the d columns of
+        L_(e_i e_j) and L_(e_i) L_(e_j) are compared as integers: a digit of
+        their difference is at most 2 d m^2 < 2^(w-1) in size, m the largest
+        |c|, so a column is 0 iff its integer is, and over GF(p) a nonzero
+        one is read digit by digit mod p."""
+        d, p = self.dim, self.field.characteristic
+        sparse = [[cell and [(k, c - p if 2 * c > p else c) for k, c in cell] for cell in row]
+                  for row in self._sparse] if p else self._sparse
+        m = max((abs(c) for row in sparse for cell in row for _, c in cell), default=0)
+        w = (2 * d * m * m).bit_length() + 1
+        packed = [[sum([c << w * s for s, c in cell]) if cell else 0 for cell in row]
+                  for row in sparse]
+        by_k = {j: [(k, t, c) for k, cell in enumerate(sparse[j]) for t, c in cell]
+                for j in middles}
+        for i, j in itertools.product(range(d), middles):
+            lhs, rhs, row = [0] * d, [0] * d, packed[i]
+            for t, c in sparse[i][j]:                # column k: (e_i e_j) e_k
+                lhs = [x + c * y for x, y in zip(lhs, packed[t])]
+            for k, t, c in by_k[j]:                  # column k: e_i (e_j e_k)
+                rhs[k] += c * row[t]
+            for k, x in enumerate([x - y for x, y in zip(lhs, rhs)] if lhs != rhs else ()):
+                if x and (not p or any(r % p for r in _digits(x, w))):
+                    return i, j, k
         return None
 
     # -- arithmetic --------------------------------------------------------
@@ -347,12 +362,13 @@ def _radical_data(algebra: StructureAlgebra, j: Subspace) -> RadicalData:
     0 once k > dim J, and J^k = S^k = L^k + L^(k+1) + ....  Conversely, if
     L^m = 0 then S is nilpotent, and L^2 + L^3 + ... = J^2 gives S = J."""
     f, d = algebra.field, algebra.dim
-    rows, grown, products = _int_terms(j._terms)[1], Echelon(Subspace.zero(f, d)), []
+    rows, grown, products = _int_terms(j._terms)[1], Coordinates(f, [], []), []
     for b in rows:
-        if grown.dim < j.dim and grown.add(dict(b)):
+        if len(grown.vecs) < j.dim and grown._add(dict(b)):
             products += [algebra._times(a, b) for a in rows]
             for v in products[-len(rows):]:
-                grown.add(v)
+                if len(grown.vecs) < j.dim:
+                    grown._add(v)
     square = Subspace.from_vectors(f, d, products)
     lifts = quotient_basis(square, j)   # rows of J's canonical basis, so canonical themselves
     words = [span := Subspace(f, d, lifts)]     # L, L^2, ..., the last 0
@@ -593,6 +609,14 @@ def _scaled_residual(v: dict, space: Subspace, s: int, scaled: list) -> dict:
         for k, x in row if v.get(pc) else ():
             res[k] = res.get(k, 0) - v[pc] * x
     return res
+
+
+def _digits(x: int, w: int):
+    """The base-2^w digits of x, each in [-2^(w-1), 2^(w-1)), lowest first."""
+    while x:
+        q = (x + (1 << w - 1)) >> w
+        yield x - (q << w)
+        x = q
 
 
 def _mod(v: dict, p: int) -> dict:

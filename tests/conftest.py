@@ -43,6 +43,13 @@ def transvected(algebra, rng, count=30):
         for row in t:                   # T <- T (I + s E_ij)
             row[j] += s * row[i]
         t_inv[i] = [a - s * b for a, b in zip(t_inv[i], t_inv[j])]
+    return in_basis(algebra, t, t_inv)
+
+
+def in_basis(algebra, t, t_inv):
+    """algebra in the basis f_i = sum_a t[a][i] e_a, for an invertible t
+    with inverse t_inv."""
+    d = algebra.dim
 
     def coords(v):                      # e coordinates -> f coordinates
         nonzero = [(k, x) for k, x in enumerate(v) if x]

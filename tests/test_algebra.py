@@ -28,7 +28,7 @@ from algcert.constructions import (componentwise_algebra, direct_sum,
                                    univariate_quotient_algebra,
                                    upper_triangular_algebra)
 from algcert.presentation import presentation_from_ideal, quotient_algebra
-from conftest import (dense_table, flatten, matmul, matrix_sum, own_coordinates, pp,
+from conftest import (dense_table, flatten, in_basis, matmul, matrix_sum, own_coordinates, pp,
                       random_poly, transvected)
 
 GF2, GF3, GF5, GF7 = GF(2), GF(3), GF(5), GF(7)
@@ -382,6 +382,10 @@ def test_ideal_check_and_powers_match_all_basis_reference(field, rng):
              exterior_algebra(field, 3),
              direct_sum(upper_triangular_algebra(field, 2), qx_mod(2, field))]
     cases += [transvected(a, rng) for a in cases]
+    if field in (QQ, GF3):
+        # dense bases (3d transvections), where B' grows from mixed rows of J
+        cases += [transvected(a, rng, 3 * a.dim) for a in (
+            truncated_polynomial_algebra(field, 3, 3), upper_triangular_algebra(field, 4))]
     if field == QQ:
         # Fraction constants, and an identity with denominators 1/3 and 2
         scaled = _rescaled(truncated_polynomial_algebra(QQ, 2, 3),
@@ -867,34 +871,79 @@ def _first_bad_triple(field, table):
     return None
 
 
-@pytest.mark.parametrize("field", [QQ, GF3], ids=["QQ", "GF3"])
+@pytest.mark.parametrize("field", [QQ, GF2, GF3, GF_BIG], ids=["QQ", "GF2", "GF3", "GF_BIG"])
 def test_non_associative_triple_matches_full_scan(field, monkeypatch):
-    rng = random.Random(11)
+    # one perturbed constant (two, now and then) in the standard, a
+    # transvected and, over Q, a rescaled basis: over Q with denominators
+    # and constants of 2^40 and more, added 1, -1/3 or 2^41; over GF(p)
+    # added 1 or a random residue, so residues lie on both sides of p/2
+    rng, p = random.Random(11), field.characteristic
     bases = [matrix_algebra(field, 2), upper_triangular_algebra(field, 3),
              truncated_polynomial_algebra(field, 2, 3), exterior_algebra(field, 3)]
-    middles = []                        # (first bad middle, G) of each failure
-    for base in bases + [transvected(b, rng) for b in bases]:
+    bases += [transvected(b, rng) for b in bases]
+    if not p:
+        scales = [2**21, 3, Fraction(1, 2**20), 5, 2**22, Fraction(7, 3), 1, Fraction(1, 2)]
+        bases += [_rescaled(b, scales[:b.dim]) for b in bases[:4]]
+        assert max(abs(x) for b in bases for row in dense_table(b) for cell in row
+                   for x in cell) >= 2**40
+    middles, residues = [], set()       # (first bad middle, G) of each failure
+    for base in bases:
         for _ in range(8):
             table = dense_table(base)
-            i, j, k = (rng.randrange(base.dim) for _ in range(3))
-            table[i][j][k] = field.add(table[i][j][k], field.one)
+            for _ in range(rng.choice([1, 1, 2])):
+                i, j, k = (rng.randrange(base.dim) for _ in range(3))
+                bump = rng.choice([1, Fraction(-1, 3), 2**41] if not p else [1, rng.randrange(p)])
+                table[i][j][k] = field.add(table[i][j][k], field.coerce(bump))
             want = _first_bad_triple(field, table)
+            with monkeypatch.context() as m:  # the generators, read without the check
+                m.setattr(StructureAlgebra, "_verify_associative", lambda self: None)
+                try:
+                    unchecked = StructureAlgebra.from_table(field, table, base.one)
+                except NotUnital:
+                    continue
+            residues |= {2 * c > p for row in unchecked._sparse for cell in row for _, c in cell}
+            assert unchecked._bad_triple(range(base.dim)) == want
             try:
                 StructureAlgebra.from_table(field, table, base.one)
-            except NotUnital:
-                continue
             except NonAssociative as err:
                 assert err.triple == want
             else:
                 assert want is None
                 continue
-            with monkeypatch.context() as m:  # the generators, read without the check
-                m.setattr(StructureAlgebra, "_verify_associative", lambda self: None)
-                middles.append((want[1], StructureAlgebra.from_table(field, table, base.one).gens))
+            middles.append((want[1], unchecked.gens))
     # both kinds occur: a first bad middle in G, and one outside it, found
     # only by the full scan that follows the check on G
     assert any(j in gens for j, gens in middles)
     assert any(j not in gens for j, gens in middles)
+    assert residues == ({False} if p == 2 else {True, False})
+
+
+@pytest.mark.parametrize("field, kind", [(GF_BIG, "transvected"), (GF_BIG, "random"),
+                                         (GF7, "random")], ids=["GF_BIG-transvected",
+                                                                "GF_BIG-random", "GF7-random"])
+def test_associative_loads_on_both_residue_paths(field, kind, monkeypatch):
+    # over GF(p) Light's test packs balanced residues.  A transvected table
+    # over GF(2^31 - 1) is a small integer table reduced mod p, so every
+    # column difference is 0 over Z and no digit is read; in a random basis
+    # the differences are 0 only mod p, and their digits are read.  Each
+    # table loads, and the full scan finds no bad triple either
+    import algcert.algebra as algebra_module
+    rng = random.Random(31)
+    digits, real = [], algebra_module._digits
+    monkeypatch.setattr(algebra_module, "_digits", lambda x, w: digits.append(x) or real(x, w))
+    for base in [matrix_algebra(field, 2), upper_triangular_algebra(field, 3),
+                 truncated_polynomial_algebra(field, 2, 3), exterior_algebra(field, 3)]:
+        if kind == "transvected":
+            a = transvected(base, rng, 3 * base.dim)
+        else:
+            t, t_inv = None, None
+            while t_inv is None:
+                t = [[rng.randrange(field.p) for _ in range(base.dim)] for _ in range(base.dim)]
+                t_inv = invert(t, field)
+            a = in_basis(base, t, t_inv)
+        assert a._bad_triple(range(a.dim)) is None
+        assert bool(digits) == (kind == "random"), repr(base)
+        del digits[:]
 
 
 def _dense_center(algebra):

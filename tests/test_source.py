@@ -104,6 +104,19 @@ def test_jj2_lifts_taken_once():
     assert found == []
 
 
+def test_algebra_grows_bases_in_integers():
+    # algebra.py grows a basis (the words, and J's rows B' in _radical_data)
+    # on the fraction-free echelon that Coordinates keeps; it neither
+    # imports nor names linalg's Fraction Echelon
+    tree = ast.parse((Path(algcert.__file__).parent / "algebra.py").read_text(encoding="utf-8"))
+    found = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.ImportFrom)
+                 and any(alias.name == "Echelon" for alias in node.names))
+             or (isinstance(node, ast.Name) and node.id == "Echelon")
+             or (isinstance(node, ast.Attribute) and node.attr == "Echelon")]
+    assert found == []
+
+
 def test_defaults_defined_once():
     # each DEFAULT_* bound is assigned in one module and imported elsewhere,
     # and CertifyConfig takes its field defaults from those names
