@@ -239,11 +239,12 @@ class Coordinates:
             _axpy(comb, c, record)
         return s, _mod(res, p), comb
 
-    def _add(self, v: dict) -> bool:
+    def _add(self, v: dict, records: bool = True) -> bool:
         """Keep v as the next vector when it is independent of those so far."""
         s, res, comb = self._reduce(v)
-        if res:
-            record, p, lead = _axpy({len(self.vecs): s}, -1, comb), self.p, min(res)
+        if res:                         # a scan that reads no coordinates keeps no records
+            record = _axpy({len(self.vecs): s}, -1, comb) if records else {}
+            p, lead = self.p, min(res)
             a, g = (pow(res[lead], -1, p), 1) if p else (1, gcd(*res.values(), *record.values()))
             self._terms.append((lead, *({j: x * a % p if p else x // g for j, x in r.items()}
                                         for r in (res, record))))
@@ -364,11 +365,11 @@ def _radical_data(algebra: StructureAlgebra, j: Subspace) -> RadicalData:
     f, d = algebra.field, algebra.dim
     rows, grown, products = _int_terms(j._terms)[1], Coordinates(f, [], []), []
     for b in rows:
-        if len(grown.vecs) < j.dim and grown._add(dict(b)):
+        if len(grown.vecs) < j.dim and grown._add(dict(b), records=False):
             products += [algebra._times(a, b) for a in rows]
             for v in products[-len(rows):]:
                 if len(grown.vecs) < j.dim:
-                    grown._add(v)
+                    grown._add(v, records=False)
     square = Subspace.from_vectors(f, d, products)
     lifts = quotient_basis(square, j)   # rows of J's canonical basis, so canonical themselves
     words = [span := Subspace(f, d, lifts)]     # L, L^2, ..., the last 0
@@ -646,12 +647,14 @@ class LieSubalgebra:
     (a, c) at a |C| + pos(c).  ``lift`` maps such integer entries, as pairs,
     to ``den`` times the whole matrix by columns {b: {a: int}}; brackets
     read the lifted canonical basis B_l times its least common denominator,
-    in the basis ``frame`` (Words) if given; basis_matrices is in e_i's."""
+    in the basis ``frame`` (Words) if given; basis_matrices is in e_i's;
+    ``image`` takes v's frame coordinates, as pairs, to den D(v) by entry."""
 
     def __init__(self, field: Field, n: int, space: Subspace, cols=None, lift=None, den=1,
-                 frame=None):
+                 frame=None, image=None):
         self.field, self.n, self.space, self.den = field, n, space, den
         self.cols, self.lift, self.frame = list(range(n)) if cols is None else cols, lift, frame
+        self.image, self._rows = image, {}      # rows of the structure constants formed so far
 
     @property
     def dim(self) -> int:
@@ -694,7 +697,7 @@ class LieSubalgebra:
                         out[a * w + i] = out.get(a * w + i, 0) + t * z
         return out
 
-    @cached_property
+    @property
     def structure_constants(self) -> tuple[int, list]:
         """(scale, c) with [B_i, B_j] = sum_l C B_l / scale over the nonzero
         pairs (l, C) in c[i][j]; scale = (s den)^2, C is an int (read mod p
@@ -706,17 +709,21 @@ class LieSubalgebra:
         the commutator of derivations is a derivation, and
         forms._bracket_closure closes its span by construction.
         """
-        s, mats = self._columns
-        p, w = self.field.characteristic, len(self.cols)
-        where = {q: l for l, q in enumerate(self.space.pivots)}
-        cols = [(i, self.cols[i]) for i in sorted({q % w for q in where})]
-        c = [[[] for _ in mats] for _ in mats]
-        for i, j in itertools.combinations(range(len(mats)), 2):
-            for q, v in self._bracket(mats[i], mats[j], cols).items():
-                if q in where and (v := v % p if p else v):
-                    c[i][j].append((where[q], v))
-                    c[j][i].append((where[q], -v))
-        return s * s, c
+        return self._columns[0] ** 2, [self._constants_row(i) for i in range(self.dim)]
+
+    def _constants_row(self, i: int) -> list:
+        """c[i] of structure_constants, formed on first use: each pair is
+        bracketed once, and a row formed before this one gives its cell for
+        i back with the sign flipped."""
+        if i not in self._rows:
+            (_, mats), p, w = self._columns, self.field.characteristic, len(self.cols)
+            where = {q: l for l, q in enumerate(self.space.pivots)}
+            cols = [(a, self.cols[a]) for a in sorted({q % w for q in where})]
+            self._rows[i] = [
+                [(l, -v) for l, v in self._rows[j][i]] if j in self._rows else [] if j == i else
+                [(where[q], r) for q, v in self._bracket(mats[i], y, cols).items()
+                 if q in where and (r := v % p if p else v)] for j, y in enumerate(mats)]
+        return self._rows[i]
 
     def bracket_span(self) -> Subspace:
         """The span of the basis and the brackets of its pairs."""
@@ -743,9 +750,10 @@ def derivation_algebra(algebra: StructureAlgebra, rad: RadicalData | None = None
     x} holds 1 and G and is closed under products, as D(x b b') = D(x b) b'
     + x b D(b') = D(x) b b' + x D(b b'), so it holds the words, which span
     A.  Over Q, R_g and L_g are integers over delta, and forms[k] =
-    delta^depth(k) D(w_k), by Y column, too."""
+    delta^depth(k) D(w_k) by rows {t: {Y column: int}}, so R_g D(w_m) and a
+    pair's rows are sums of rows; ``lift`` and ``image`` read them by column."""
     f, d, p = algebra.field, algebra.dim, algebra.field.characteristic
-    words = algebra.words if rad is None else Words(algebra, (dict(v) for v in _int_terms(
+    words = algebra.words if rad is None or not rad.lifts else Words(algebra, map(dict, _int_terms(
         [[(k, x) for k, x in enumerate(u) if x] for u in rad.lifts])[1]))
     n, tree = len(words.gens), {e: k for k, e in enumerate(words.edges, 1)}
     left = not algebra.commutative      # L_g = R_g when A is commutative
@@ -762,18 +770,22 @@ def derivation_algebra(algebra: StructureAlgebra, rad: RadicalData | None = None
     def add_rows(m: int, i: int, new: dict):    # those of the non-tree pair (w_m, g_i)
         by_t, terms = {}, [(c * weight[k], forms[k]) for k, c in right[i][m].items()]
         for c, form in terms + [(-weight[m], new)]:
-            for col, v in form.items():
-                for t, x in v.items():
-                    by_t.setdefault(t, {})[col] = by_t.get(t, {}).get(col, 0) + c * x
+            for t, row in form.items():
+                _axpy(by_t.setdefault(t, {}), c, row)
         rows.update(tuple(r) for row in by_t.values() if (r := sorted(_mod(row, p).items())))
     for m in range(d):                  # a word's parent comes before it
         lm = lefts.pop(m)               # delta^depth(m) L'_m by columns
         for i in range(n):              # delta^(depth(m) + 1) (R_g D(w_m) + L'_m Y_g)
-            new = {col: _apply(right[i], v.items()) for col, v in forms[m].items()}
+            new = {}
+            for t, row in forms[m].items():
+                for a, c in right[i][t].items():
+                    _axpy(new.setdefault(a, {}), c, row)
             for j, v in lm.items():
-                _axpy(new.setdefault(j * n + i, {}), delta, v)
+                for t, x in v.items():
+                    row = new.setdefault(t, {})
+                    row[j * n + i] = row.get(j * n + i, 0) + delta * x
             if (m, i) in tree:
-                forms[k := tree[m, i]] = {col: _mod(v, p) for col, v in new.items()}
+                forms[k := tree[m, i]] = {t: _mod(row, p) for t, row in new.items()}
                 lefts[k] = {j: _mod(_apply(lm, mat[j, i, left].items()), p) for j in range(d)}
             elif any(forms[k] is None for k in right[i][m]):    # a word of w_m o g comes later
                 pending.append((m, i, new))
@@ -782,10 +794,23 @@ def derivation_algebra(algebra: StructureAlgebra, rad: RadicalData | None = None
     for m, i, new in pending:
         add_rows(m, i, new)
 
+    columns = [{} for _ in forms]       # forms[k] by Y column {col: {t: int}}
+    for form, by_col in zip(forms, columns):
+        for t, row in form.items():
+            for col, x in row.items():
+                by_col.setdefault(col, {})[t] = x
+
     def lift(x) -> dict:                # den D by columns {m: {t: int}}, D with entries x on Y
-        return {m: _mod(_axpy({}, weight[m], _apply(form, x)), p) for m, form in enumerate(forms)}
+        return {m: _mod(_axpy({}, weight[m], _apply(c, x)), p) for m, c in enumerate(columns)}
+
+    def image(at) -> dict:              # den D(v) = sum_k at_k weight_k forms[k], by Y column
+        out: dict[int, dict] = {}
+        for k, a in at:
+            for col, v in columns[k].items():
+                _axpy(out.setdefault(col, {}), a * weight[k], v)
+        return out
     return LieSubalgebra(f, d, kernel_rows(map(dict, rows), n * d, f),
-                         [tree[0, i] for i in range(n)], lift, delta ** max(words.depth), words)
+                         [tree[0, i] for i in range(n)], lift, weight[0], words, image)
 
 
 def der_into(der: LieSubalgebra, rad: RadicalData) -> LieSubalgebra:
@@ -795,22 +820,25 @@ def der_into(der: LieSubalgebra, rad: RadicalData) -> LieSubalgebra:
     not dim J.  J is nilpotent and J = L + J^2, so J = sum_{m >= 1} L^m,
     and D(l_1 ... l_m) = sum_i l_1 ... D(l_i) ... l_m has the factor D(l_i)
     in each term; J^2 being an ideal, D(J) <= J^2 iff D(L) <= J^2.  D(v) is
-    read at v's word coordinates (Y_v alone when the words grew from L), and
-    reduced against J^2 by _scaled_residual, unreduced mod p until kernel_rows."""
-    f, (_, mats), square, words = der.field, der._columns, rad.square, der.frame
-    (s, scaled), rows = _int_terms(square._terms), []
+    formed once per lift on the Y entries, from v's word coordinates (Y_v
+    alone when the words grew from L), and reduced against J^2 through its
+    words' _scaled_residual; each basis derivation reads it, unreduced mod p
+    until kernel_rows."""
+    f, square, words = der.field, rad.square, der.frame
+    (s, scaled), basis, rows = _int_terms(square._terms), _int_terms(der.space._terms)[1], []
+    residuals = {t: _scaled_residual(w, square, s, scaled) for t, w in words.vecs.items()}
     for v in _int_terms([[(k, x) for k, x in enumerate(u) if x] for u in rad.lifts])[1]:
-        at = words.coords(dict(v))[1].items()
+        reduced = {col: _apply(residuals, image.items())    # Y entry -> residual of den D(v)
+                   for col, image in der.image(words.coords(dict(v))[1].items()).items()}
         by_coefficient: dict[int, dict] = {}    # e_t coefficient -> {l: residual}
-        for l, m in enumerate(mats):
-            image = _apply(words.vecs, _apply(m, at).items())
-            for t, r in _scaled_residual(image, square, s, scaled).items():
+        for l, b in enumerate(basis):
+            for t, r in _apply(reduced, b).items():
                 by_coefficient.setdefault(t, {})[l] = r
         rows.extend(by_coefficient.values())
-    entries = dict(enumerate(map(dict, _int_terms(der.space._terms)[1])))
+    entries = dict(enumerate(map(dict, basis)))
     vecs = [_apply(entries, u) for u in _int_terms(kernel_rows(rows, der.dim, f)._terms)[1]]
     space = Subspace.from_vectors(f, der.space.ambient_dim, vecs)
-    return LieSubalgebra(f, der.n, space, der.cols, der.lift, der.den, der.frame)
+    return LieSubalgebra(f, der.n, space, der.cols, der.lift, der.den, der.frame, der.image)
 
 
 def _series_limit(lie: LieSubalgebra, derived: bool) -> int:
@@ -847,7 +875,7 @@ def _killing_diagonal(lie: LieSubalgebra):
     scale^2, a nonzero integer, and over GF(p) (scale 1) mod p.  So each is
     0 exactly when the Killing form's value is."""
     p = lie.field.characteristic
-    for row in lie.structure_constants[1]:
+    for row in map(lie._constants_row, range(lie.dim)):    # each formed as it is read
         ad = [dict(cell) for cell in row]      # ad[l][j] = C_il^j
         k = sum(x * ad[l].get(j, 0) for j, cell in enumerate(row) for l, x in cell)
         yield k % p if p else k

@@ -109,14 +109,14 @@ def _eliminate(row: dict, found: dict, cols, p: int) -> dict:
     return _normalise(row, None, p)
 
 
-def _canonical(rows, field: Field) -> list[list]:
+def _canonical(rows, field: Field, last: bool = False) -> list[list]:
     """Canonical RREF of raw rows, each row the sorted (column, entry) pairs
     of its nonzeros, with a leading 1 in the field's scalar type.
 
     Rows (lists of ints, or over Q ints and Fractions, or dicts {col: entry}
     of such entries) are reduced sparsest first; a row left nonzero becomes a
-    pivot row at its first nonzero column, which is then cleared from the
-    earlier pivot rows.
+    pivot row at its first nonzero column (its last with ``last``), which is
+    then cleared from the earlier pivot rows.
     """
     p = field.characteristic
     found: dict[int, dict] = {}         # pivot column -> row, 0 at the other pivots
@@ -126,7 +126,7 @@ def _canonical(rows, field: Field) -> list[list]:
             row = _eliminate(row, found, cols, p)
         if not row:
             continue
-        lead = min(row)
+        lead = max(row) if last else min(row)
         found[lead] = row = _normalise(row, lead, p)
         for col, prow in found.items():
             if lead in prow and col != lead:
@@ -172,15 +172,16 @@ def row_rank(rows, field: Field) -> int:
 
 def kernel_rows(rows, ncols: int, field: Field) -> "Subspace":
     """Exact right kernel of the matrix with these rows, taken as rref_rows
-    takes them; with no rows it is the whole space.  Free column fc gives
-    e_fc - sum_pc row[fc] e_pc over the pivot rows, as a dict row."""
-    terms = _canonical(rows, field)
-    pivots = {row[0][0] for row in terms}
-    basis = {fc: {fc: 1} for fc in range(ncols) if fc not in pivots}
+    takes them; with no rows it is the whole space.  With each pivot at its
+    row's last column, free column fc gives e_fc - sum_pc row[fc] e_pc over
+    pivots pc > fc, 0 at the other free ones: the kernel's canonical rows."""
+    terms, p = _canonical(rows, field, last=True), field.characteristic
+    pivots = {row[-1][0] for row in terms}
+    basis = {fc: [(fc, field.one)] for fc in range(ncols) if fc not in pivots}
     for row in terms:                   # 0 at the other pivots: the rest are free
-        for j, x in row[1:]:
-            basis[j][row[0][0]] = -x
-    return Subspace(field, ncols, _canonical(basis.values(), field))
+        for j, x in row[:-1]:
+            basis[j].append((row[-1][0], -x % p if p else -x))
+    return Subspace(field, ncols, list(basis.values()))
 
 
 def solve(rows, b, field: Field) -> list | None:

@@ -1024,16 +1024,10 @@ def test_der_into_matches_reduce(field, rng):
 
 
 @pytest.mark.parametrize("field", [QQ, GF3], ids=["QQ", "GF3"])
-def test_der_into_reads_only_the_lifts(field, rng, monkeypatch):
-    # each basis derivation is applied to the jj2_dim lifts of a J/J^2
-    # basis, not to a basis of J
-    import algcert.algebra as algebra_module
-    applied = []
-    apply = algebra_module._apply
-
-    def record(m, v):
-        applied.append(id(m))
-        return apply(m, v)
+def test_der_into_reads_only_the_lifts(field, rng):
+    # D is formed on the Y entries once for each of the jj2_dim lifts of a
+    # J/J^2 basis, not for a basis of J, and der_into never lifts Der's basis
+    # to matrices; Der is built on the lifts' words and on the load-time ones
     cases = [qx_mod(4, field), truncated_polynomial_algebra(field, 2, 4),
              truncated_polynomial_algebra(field, 3, 3)]
     if field == QQ:     # GF(p) radicals are computed for commutative algebras
@@ -1042,16 +1036,95 @@ def test_der_into_reads_only_the_lifts(field, rng, monkeypatch):
     cases += [transvected(a, rng) for a in cases]
     fewer = 0
     for algebra in cases:
-        rad, der = jacobson_radical(algebra), derivation_algebra(algebra)
+        rad = jacobson_radical(algebra)
         fewer += rad.jj2_dim < rad.radical.dim
-        mats = der._columns[1]
-        applied.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(algebra_module, "_apply", record)
-            der_into(der, rad)
         assert rad.jj2_dim == len(rad.lifts) == rad.radical.dim - rad.square.dim
-        assert [applied.count(id(m)) for m in mats] == [rad.jj2_dim] * len(mats)
+        for der in (derivation_algebra(algebra), derivation_algebra(algebra, rad)):
+            forms, image = [], der.image
+            der.image = lambda at, image=image: forms.append(at) or image(at)
+            der_into(der, rad)
+            assert len(forms) == rad.jj2_dim
+            assert "_columns" not in vars(der)
     assert fewer >= 4
+
+
+def _double_loop_constants(lie):
+    """Reference: every structure constant from one bracket per unordered
+    pair i < j, the pair's cell for (j, i) the same with the sign flipped."""
+    s, mats = lie._columns
+    p, w = lie.field.characteristic, len(lie.cols)
+    where = {q: l for l, q in enumerate(lie.space.pivots)}
+    cols = [(i, lie.cols[i]) for i in sorted({q % w for q in where})]
+    c = [[[] for _ in mats] for _ in mats]
+    for i, j in itertools.combinations(range(len(mats)), 2):
+        for q, v in lie._bracket(mats[i], mats[j], cols).items():
+            if q in where and (v := v % p if p else v):
+                c[i][j].append((where[q], v))
+                c[j][i].append((where[q], -v))
+    return s * s, c
+
+
+def _benchmark_algebras(field):
+    """The structure-constant and presented algebras that the benchmark
+    certifies over Q (field QQ) or GF(p) (field None)."""
+    if field is not None:
+        made = [truncated_polynomial_algebra(field, 2, 5),
+                truncated_polynomial_algebra(field, 3, 3), exterior_algebra(field, 3),
+                upper_triangular_algebra(field, 5), matrix_algebra(field, 4)]
+        given = [(field, 6, 2, []), (field, 2, 5, ["X1^3+X2^3"])]
+    else:
+        made = [truncated_polynomial_algebra(GF5, 2, 4), truncated_polynomial_algebra(GF2, 2, 5),
+                truncated_polynomial_algebra(GF3, 3, 3)]
+        given = [(GF7, 3, 4, ["X1^2+X2^2+X3^2"]), (GF5, 2, 4, ["X1^3+X2^3"])]
+    return made + [quotient_algebra(presentation_from_ideal(
+        n, trunc, [pp(g, n, f) for g in gens], f)) for f, n, trunc, gens in given]
+
+
+@pytest.mark.parametrize("field", [QQ, None], ids=["QQ", "GFp"])
+def test_structure_constants_match_double_loop(field, rng):
+    # the rows, formed one at a time (the Killing witness first), equal the
+    # constants of one bracket per pair, entry for entry: on the benchmark's
+    # certify algebras and in a transvected basis of each
+    cases = _benchmark_algebras(field)
+    for algebra in cases + [transvected(a, rng) for a in cases]:
+        try:
+            rad = jacobson_radical(algebra)
+        except UnsupportedRadicalComputation:
+            rad = None
+        der = derivation_algebra(algebra, rad)
+        is_nilpotent(der)
+        assert der.structure_constants == _double_loop_constants(der)
+
+
+@pytest.mark.parametrize("make, rows", [
+    (lambda: truncated_polynomial_algebra(QQ, 2, 5), [0]),
+    (lambda: matrix_algebra(QQ, 4), list(range(7)))], ids=["trunc_q_2_5", "matrix_q_4"])
+def test_killing_witness_forms_only_its_rows(make, rows):
+    # the witness fires at B_0 on k[x, y]/m^5 and at B_6 on M_4, having formed
+    # only the rows of the structure constants that it read
+    algebra = make()
+    der = derivation_algebra(algebra, jacobson_radical(algebra))
+    assert not is_nilpotent(der)
+    assert sorted(der._rows) == rows < list(range(der.dim))
+
+
+def test_der_without_radical_words_reuses_the_load_words(monkeypatch):
+    # J = 0 has no lifts, so Der is solved on the words that loading grew
+    import algcert.algebra as algebra_module
+    built, init = [], algebra_module.Words.__init__
+    monkeypatch.setattr(algebra_module.Words, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    for algebra in (matrix_algebra(QQ, 3), transvected(matrix_algebra(QQ, 3), random.Random(3)),
+                    componentwise_algebra(GF3, 3)):
+        rad = jacobson_radical(algebra)
+        del built[:]
+        der = derivation_algebra(algebra, rad)
+        assert not rad.lifts and not built and der.frame is algebra.words
+    algebra = truncated_polynomial_algebra(QQ, 2, 3)
+    rad = jacobson_radical(algebra)
+    del built[:]
+    derivation_algebra(algebra, rad)
+    assert len(built) == 1 and rad.lifts
 
 
 def _dense_der_outcome(algebra, rad):

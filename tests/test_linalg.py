@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from algcert.constructions import componentwise_algebra
 from algcert.errors import AmbientMismatch, BadScalar, NotContained
 from algcert.fields import GF, QQ
-from algcert.linalg import (Echelon, Subspace, invert, kernel_rows, quotient_basis,
-                            rref_rows, solve)
+from algcert.linalg import (Echelon, Subspace, _canonical, invert, kernel_rows,
+                            quotient_basis, rref_rows, solve)
 from algcert.roots import minimal_polynomial, operator_power_sequence
 from conftest import identity, matmul, matrix_sum
 
@@ -440,6 +440,47 @@ def test_minimal_polynomial_matches_one_rref_per_power(field, entry, data):
     value = matrix_sum(field, n, [(c, [power[i * n:(i + 1) * n] for i in range(n)])
                                   for c, power in zip(got, operator_power_sequence(m, field))])
     assert not any(map(any, value))
+
+
+def _two_pass_kernel(rows, ncols, field):
+    """Reference: the kernel's canonical rows from a second elimination of
+    e_fc - sum_pc row[fc] e_pc, the pivots pc read at each row's first
+    nonzero column."""
+    terms = _canonical(rows, field)
+    pivots = {row[0][0] for row in terms}
+    basis = {fc: {fc: 1} for fc in range(ncols) if fc not in pivots}
+    for row in terms:
+        for j, x in row[1:]:
+            basis[j][row[0][0]] = -x
+    return _canonical(basis.values(), field)
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF(7), GF_BIG], ids=["QQ", "GF2", "GF7", "GF_BIG"])
+def test_kernel_rows_matches_two_pass_reference(field):
+    # one elimination on reversed columns gives the same canonical rows, with
+    # the same entry types, as the kernel taken again through the core: low
+    # rank and random rows, list and dict rows, explicit zeros, empty rows,
+    # entries >= p or negative, Fractions over Q, and no rows at all
+    rnd, p = random.Random(29), field.characteristic
+    big = p or 2**40
+
+    def entry():
+        x = rnd.choice([0, 0, 1, -1, rnd.randrange(-big, big)])
+        return Fraction(x, rnd.randrange(1, 9)) if not p and rnd.random() < 0.3 else x
+    for _ in range(400):
+        nrows, ncols, rank = rnd.randrange(9), rnd.randrange(1, 10), rnd.randrange(1, 5)
+        basis = [[entry() for _ in range(ncols)] for _ in range(rank)]
+        rows = [[sum(c * x for c, x in zip(coeffs, col)) for col in zip(*basis)]
+                for coeffs in ([rnd.choice([0, 1, -1, 2]) for _ in basis]
+                               for _ in range(nrows))] if rnd.random() < 0.5 else \
+            [[entry() for _ in range(ncols)] for _ in range(nrows)]
+        if rnd.random() < 0.5:
+            rows = [{j: x for j, x in enumerate(r) if x or rnd.random() < 0.3} for r in rows]
+        if rows and rnd.random() < 0.3:
+            rows.insert(rnd.randrange(len(rows)), {} if isinstance(rows[0], dict) else [0] * ncols)
+        got, want = kernel_rows(rows, ncols, field)._terms, _two_pass_kernel(rows, ncols, field)
+        assert got == want
+        assert [type(x) for row in got for _, x in row] == [type(x) for row in want for _, x in row]
 
 
 def test_kernel_rows_without_rows_is_full():

@@ -216,3 +216,17 @@ def test_truncated_ring_has_one_product():
               + [a for a in (args.vararg, args.kwarg) if a is not None]]
     assert found == []
     assert params == ["pres"]
+
+
+def test_der_into_reads_no_matrices():
+    # der_into forms D(v) on the Y entries once per J/J^2 lift, through
+    # Der's image map; it neither lifts Der's basis to matrices nor reads
+    # the structure constants
+    tree = ast.parse((Path(algcert.__file__).parent / "algebra.py").read_text(encoding="utf-8"))
+    func = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "der_into")
+    names = {"_columns", "structure_constants", "basis_matrices"}
+    found = [node.lineno for node in ast.walk(func)
+             if (isinstance(node, ast.Attribute) and node.attr in names)
+             or (isinstance(node, ast.Name) and node.id in names)]
+    assert found == []
