@@ -21,12 +21,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 
 from .errors import (AmbientMismatch, InternalInconsistency, NonAssociative,
                      NotSplitBasic, NotUnital, UnsupportedRadicalComputation)
 from .fields import Field, PrimeField, QQ
-from .linalg import Subspace, combine, kernel_rows, quotient_basis, scalars
+from .linalg import (Coordinates, Subspace, axpy, combine, int_terms, kernel_rows,
+                     mod_p, quotient_basis, scalars)
 from .roots import minimal_polynomial, poly_divmod, poly_eval, roots_in_field
 
 DEFAULT_MAX_ENUM = 10**7   # largest search space enumerated by default
@@ -147,7 +148,7 @@ class StructureAlgebra:
     def _int_vector(self, x) -> tuple[int, list]:
         """(s, the nonzero (i, s x_i)), x read as rref_rows reads a row and s
         its least common denominator (1 over GF(p))."""
-        s, (terms,) = _int_terms([[(i, a) for i, a in enumerate(scalars(x, self.field)) if a]])
+        s, (terms,) = int_terms([[(i, a) for i, a in enumerate(scalars(x, self.field)) if a]])
         return s, terms
 
     def _times(self, x, y) -> dict:
@@ -174,14 +175,14 @@ class StructureAlgebra:
 
     def subspace_product(self, u: Subspace, v: Subspace) -> Subspace:
         """span{a b : a in u, b in v}, from their integer basis rows."""
-        us, vs = _int_terms(u._terms)[1], _int_terms(v._terms)[1]
+        us, vs = int_terms(u._terms)[1], int_terms(v._terms)[1]
         rows = (self._times(a, b) for a in us for b in vs)
         return Subspace.from_vectors(self.field, self.dim, rows)
 
     def product_span(self, left, space: Subspace, right=None) -> Subspace:
         """span{left v right : v in space}; without ``right``, span{left v}."""
         lefts = self._int_vector(left)[1]
-        rows = (self._times(lefts, v) for v in _int_terms(space._terms)[1])
+        rows = (self._times(lefts, v) for v in int_terms(space._terms)[1])
         if right is not None:
             rights = self._int_vector(right)[1]
             rows = (self._times(row.items(), rights) for row in rows)
@@ -192,72 +193,6 @@ class StructureAlgebra:
 
 
 # -- coordinates: quotients, subalgebras, corners, and a word basis ------------
-
-class Coordinates:
-    """Coordinates along ``reps`` for the direct sum k^d = span(reps) + span(rest).
-
-    ``project`` keeps a vector's coefficients on ``reps`` and drops its part
-    in span(rest); ``lift`` maps coefficients back to sum x_i reps_i, so
-    project(lift(x)) = x.  With rest a basis of an ideal J this is A -> A/J;
-    with reps a basis of a subalgebra, that subalgebra's own coordinates.  No
-    inverse is formed: the vectors times their common denominator ``_scale``
-    are ``vecs`` {index: int}, and ``_terms`` an echelon of them, each pivot
-    row (primitive over Q, 1 at its pivot mod p) with the combination it is."""
-
-    def __init__(self, field: Field, reps, rest):
-        self.field, self.p, self.reps = field, field.characteristic, [list(r) for r in reps]
-        self._terms, self.vecs, stacked = [], {}, self.reps + [list(r) for r in rest]
-        self.dim, self._ambient_dim = len(self.reps), len(stacked[0]) if stacked else 0
-        self._scale, rows = _int_terms([[(k, x) for k, x in enumerate(r) if x] for r in stacked])
-        if len(stacked) != self._ambient_dim or not all(self._add(dict(r)) for r in rows):
-            raise InternalInconsistency("coordinate vectors are not a basis")
-
-    @classmethod
-    def quotient(cls, j: Subspace) -> Coordinates:
-        """k^d / j through its canonical coset representatives."""
-        return cls(j.field, quotient_basis(j, Subspace.full(j.field, j.ambient_dim)), j.basis)
-
-    def project(self, v) -> list:
-        f, (s, (terms,)) = self.field, _int_terms([[(k, x) for k, x in enumerate(v) if x]])
-        c, comb = self.coords(dict(terms))      # c s v = sum comb_k _scale vecs_k
-        return [f.div(f.coerce(comb.get(k, 0) * self._scale), f.coerce(c * s))
-                for k in range(self.dim)]
-
-    def lift(self, x) -> list:
-        return combine(self.field, zip(x, self.reps), self._ambient_dim)
-
-    def _reduce(self, v: dict) -> tuple[int, dict, dict]:
-        """(s, res, comb): s v = res + sum_k comb[k] vecs[k], res 0 at the pivots."""
-        p, s, res, comb = self.p, 1, dict(v), {}
-        for pc, row, record in self._terms:
-            if not (c := res.get(pc, 0) % p if p else res.get(pc, 0)):
-                continue
-            if not p and row[pc] != 1:
-                a, c = row[pc] // gcd(row[pc], c), c // gcd(row[pc], c)
-                s, res, comb = a * s, _axpy({}, a, res), _axpy({}, a, comb)
-            _axpy(res, -c, row)
-            _axpy(comb, c, record)
-        return s, _mod(res, p), comb
-
-    def _add(self, v: dict, records: bool = True) -> bool:
-        """Keep v as the next vector when it is independent of those so far."""
-        s, res, comb = self._reduce(v)
-        if res:                         # a scan that reads no coordinates keeps no records
-            record = _axpy({len(self.vecs): s}, -1, comb) if records else {}
-            p, lead = self.p, min(res)
-            a, g = (pow(res[lead], -1, p), 1) if p else (1, gcd(*res.values(), *record.values()))
-            self._terms.append((lead, *({j: x * a % p if p else x // g for j, x in r.items()}
-                                        for r in (res, record))))
-            self.vecs[len(self.vecs)] = v
-        return bool(res)
-
-    def coords(self, v: dict) -> tuple[int, dict]:
-        """(s, c) with s v = sum_k c[k] vecs[k], c the nonzeros, for an
-        integer v: residues and s = 1 over GF(p), coprime integers over Q."""
-        s, _, comb = self._reduce(v)
-        p, g = self.p, 1 if self.p else gcd(s, *comb.values())
-        return s // g, {k: r for k, x in comb.items() if (r := x % p if p else x // g)}
-
 
 class Words(Coordinates):
     """The Coordinates of A along left-normed words ``vecs`` in {1} and
@@ -271,7 +206,7 @@ class Words(Coordinates):
         super().__init__(algebra.field, [], [])
         d, self.algebra, self.gens, self.edges, self.products = algebra.dim, algebra, [], [], {}
         self.depth, pending = [0], collections.deque()     # generators in each word; pairs to try
-        self._add(dict(_int_terms([[(i, x) for i, x in enumerate(algebra.one) if x]])[1][0]))
+        self.add(dict(int_terms([[(i, x) for i, x in enumerate(algebra.one) if x]])[1][0]))
         for g in itertools.chain(lifts, ({i: 1} for i in range(d))):
             if len(self.vecs) == d or not self._reduce(g)[1]:
                 continue
@@ -279,7 +214,7 @@ class Words(Coordinates):
             pending.extend((k, len(self.gens) - 1) for k in range(len(self.vecs)))
             while pending and len(self.vecs) < d:
                 k, i = pending.popleft()
-                if self._add(self.product(k, i)):
+                if self.add(self.product(k, i)):
                     pending.extend((len(self.vecs) - 1, h) for h in range(len(self.gens)))
                     self.edges.append((k, i))
                     self.depth.append(self.depth[k] + 1)
@@ -290,7 +225,7 @@ class Words(Coordinates):
         """vecs[k] o gens[i] (gens[i] o vecs[k] if ``left``) mod p, formed once."""
         if (key := (k, i, left)) not in self.products:
             x, y = self.vecs[k].items(), self.gens[i].items()
-            self.products[key] = _mod(self.algebra._times(*((y, x) if left else (x, y))), self.p)
+            self.products[key] = mod_p(self.algebra._times(*((y, x) if left else (x, y))), self.p)
         return self.products[key]
 
 
@@ -363,13 +298,13 @@ def _radical_data(algebra: StructureAlgebra, j: Subspace) -> RadicalData:
     0 once k > dim J, and J^k = S^k = L^k + L^(k+1) + ....  Conversely, if
     L^m = 0 then S is nilpotent, and L^2 + L^3 + ... = J^2 gives S = J."""
     f, d = algebra.field, algebra.dim
-    rows, grown, products = _int_terms(j._terms)[1], Coordinates(f, [], []), []
+    rows, grown, products = int_terms(j._terms)[1], Coordinates(f, [], []), []
     for b in rows:
-        if len(grown.vecs) < j.dim and grown._add(dict(b), records=False):
+        if len(grown.vecs) < j.dim and grown.add(dict(b), records=False):
             products += [algebra._times(a, b) for a in rows]
             for v in products[-len(rows):]:
                 if len(grown.vecs) < j.dim:
-                    grown._add(v, records=False)
+                    grown.add(v, records=False)
     square = Subspace.from_vectors(f, d, products)
     lifts = quotient_basis(square, j)   # rows of J's canonical basis, so canonical themselves
     words = [span := Subspace(f, d, lifts)]     # L, L^2, ..., the last 0
@@ -399,7 +334,7 @@ def _verify_ideal(algebra: StructureAlgebra, j: Subspace) -> bool:
     words span A.  The same goes for J a on the right.  Each product of
     integer rows is reduced against J by _scaled_residual."""
     Subspace.zero(algebra.field, algebra.dim)._check_compatible(j)  # J must lie in A
-    s, scaled = _int_terms(j._terms)
+    s, scaled = int_terms(j._terms)
     units = [[(g, 1)] for g in algebra.gens]
     products = [algebra._times(u, b) for u in units for b in scaled]
     if not algebra.commutative:
@@ -593,17 +528,9 @@ def wm_complement(algebra: StructureAlgebra, rad: RadicalData) -> WMDecompositio
 
 # -- derivations and Lie structure ----------------------------------------------
 
-def _int_terms(rows) -> tuple[int, list]:
-    """(s, [the (column, s x) of each row]) for rows of (column, x) pairs,
-    as a Subspace or Coordinates keeps them in ``_terms``; s the least
-    common denominator (1 over GF(p))."""
-    s = lcm(*[x.denominator for row in rows for _, x in row])
-    return s, [[(k, x.numerator * (s // x.denominator)) for k, x in row] for row in rows]
-
-
 def _scaled_residual(v: dict, space: Subspace, s: int, scaled: list) -> dict:
     """s v - sum_l v[p_l] s B_l, s times the residual of the integer row v
-    against the canonical rows B_l of ``space``, (s, [s B_l]) by _int_terms:
+    against the canonical rows B_l of ``space``, (s, [s B_l]) by int_terms:
     B_l is 1 at its pivot p_l and 0 at the others.  0 (mod p) iff v is in."""
     res = {k: s * x for k, x in v.items()}
     for pc, row in zip(space.pivots, scaled):
@@ -620,24 +547,12 @@ def _digits(x: int, w: int):
         x = q
 
 
-def _mod(v: dict, p: int) -> dict:
-    """The nonzero entries of the integer vector v, taken mod p over GF(p)."""
-    return {k: r for k, x in v.items() if (r := x % p if p else x)}
-
-
-def _axpy(out: dict, c: int, v: dict) -> dict:
-    """out + c v, in place, for int vectors {k: int}."""
-    for k, x in v.items():
-        out[k] = out.get(k, 0) + c * x
-    return out
-
-
 def _apply(m: dict, v) -> dict:
     """m v as {a: int}, m held by its nonzero columns {b: {a: int}} and v
     given by its (b, int) pairs."""
     out: dict[int, int] = {}
     for b, x in v:
-        _axpy(out, x, m.get(b, {}))
+        axpy(out, x, m.get(b, {}))
     return out
 
 
@@ -670,7 +585,7 @@ class LieSubalgebra:
     @cached_property
     def _columns(self) -> tuple[int, list]:
         """(s den, [s den B_l by columns])."""
-        s, terms = _int_terms(self.space._terms)
+        s, terms = int_terms(self.space._terms)
         return s * self.den, list(map(self.lift or self._regroup, terms))
 
     def basis_matrices(self) -> list[list]:
@@ -753,7 +668,7 @@ def derivation_algebra(algebra: StructureAlgebra, rad: RadicalData | None = None
     delta^depth(k) D(w_k) by rows {t: {Y column: int}}, so R_g D(w_m) and a
     pair's rows are sums of rows; ``lift`` and ``image`` read them by column."""
     f, d, p = algebra.field, algebra.dim, algebra.field.characteristic
-    words = algebra.words if rad is None or not rad.lifts else Words(algebra, map(dict, _int_terms(
+    words = algebra.words if rad is None or not rad.lifts else Words(algebra, map(dict, int_terms(
         [[(k, x) for k, x in enumerate(u) if x] for u in rad.lifts])[1]))
     n, tree = len(words.gens), {e: k for k, e in enumerate(words.edges, 1)}
     left = not algebra.commutative      # L_g = R_g when A is commutative
@@ -771,22 +686,22 @@ def derivation_algebra(algebra: StructureAlgebra, rad: RadicalData | None = None
         by_t, terms = {}, [(c * weight[k], forms[k]) for k, c in right[i][m].items()]
         for c, form in terms + [(-weight[m], new)]:
             for t, row in form.items():
-                _axpy(by_t.setdefault(t, {}), c, row)
-        rows.update(tuple(r) for row in by_t.values() if (r := sorted(_mod(row, p).items())))
+                axpy(by_t.setdefault(t, {}), c, row)
+        rows.update(tuple(r) for row in by_t.values() if (r := sorted(mod_p(row, p).items())))
     for m in range(d):                  # a word's parent comes before it
         lm = lefts.pop(m)               # delta^depth(m) L'_m by columns
         for i in range(n):              # delta^(depth(m) + 1) (R_g D(w_m) + L'_m Y_g)
             new = {}
             for t, row in forms[m].items():
                 for a, c in right[i][t].items():
-                    _axpy(new.setdefault(a, {}), c, row)
+                    axpy(new.setdefault(a, {}), c, row)
             for j, v in lm.items():
                 for t, x in v.items():
                     row = new.setdefault(t, {})
                     row[j * n + i] = row.get(j * n + i, 0) + delta * x
             if (m, i) in tree:
-                forms[k := tree[m, i]] = {t: _mod(row, p) for t, row in new.items()}
-                lefts[k] = {j: _mod(_apply(lm, mat[j, i, left].items()), p) for j in range(d)}
+                forms[k := tree[m, i]] = {t: mod_p(row, p) for t, row in new.items()}
+                lefts[k] = {j: mod_p(_apply(lm, mat[j, i, left].items()), p) for j in range(d)}
             elif any(forms[k] is None for k in right[i][m]):    # a word of w_m o g comes later
                 pending.append((m, i, new))
             else:
@@ -801,13 +716,13 @@ def derivation_algebra(algebra: StructureAlgebra, rad: RadicalData | None = None
                 by_col.setdefault(col, {})[t] = x
 
     def lift(x) -> dict:                # den D by columns {m: {t: int}}, D with entries x on Y
-        return {m: _mod(_axpy({}, weight[m], _apply(c, x)), p) for m, c in enumerate(columns)}
+        return {m: mod_p(axpy({}, weight[m], _apply(c, x)), p) for m, c in enumerate(columns)}
 
     def image(at) -> dict:              # den D(v) = sum_k at_k weight_k forms[k], by Y column
         out: dict[int, dict] = {}
         for k, a in at:
             for col, v in columns[k].items():
-                _axpy(out.setdefault(col, {}), a * weight[k], v)
+                axpy(out.setdefault(col, {}), a * weight[k], v)
         return out
     return LieSubalgebra(f, d, kernel_rows(map(dict, rows), n * d, f),
                          [tree[0, i] for i in range(n)], lift, weight[0], words, image)
@@ -825,9 +740,9 @@ def der_into(der: LieSubalgebra, rad: RadicalData) -> LieSubalgebra:
     words' _scaled_residual; each basis derivation reads it, unreduced mod p
     until kernel_rows."""
     f, square, words = der.field, rad.square, der.frame
-    (s, scaled), basis, rows = _int_terms(square._terms), _int_terms(der.space._terms)[1], []
+    (s, scaled), basis, rows = int_terms(square._terms), int_terms(der.space._terms)[1], []
     residuals = {t: _scaled_residual(w, square, s, scaled) for t, w in words.vecs.items()}
-    for v in _int_terms([[(k, x) for k, x in enumerate(u) if x] for u in rad.lifts])[1]:
+    for v in int_terms([[(k, x) for k, x in enumerate(u) if x] for u in rad.lifts])[1]:
         reduced = {col: _apply(residuals, image.items())    # Y entry -> residual of den D(v)
                    for col, image in der.image(words.coords(dict(v))[1].items()).items()}
         by_coefficient: dict[int, dict] = {}    # e_t coefficient -> {l: residual}
@@ -836,7 +751,7 @@ def der_into(der: LieSubalgebra, rad: RadicalData) -> LieSubalgebra:
                 by_coefficient.setdefault(t, {})[l] = r
         rows.extend(by_coefficient.values())
     entries = dict(enumerate(map(dict, basis)))
-    vecs = [_apply(entries, u) for u in _int_terms(kernel_rows(rows, der.dim, f)._terms)[1]]
+    vecs = [_apply(entries, u) for u in int_terms(kernel_rows(rows, der.dim, f)._terms)[1]]
     space = Subspace.from_vectors(f, der.space.ambient_dim, vecs)
     return LieSubalgebra(f, der.n, space, der.cols, der.lift, der.den, der.frame, der.image)
 
@@ -865,7 +780,7 @@ def _series_limit(lie: LieSubalgebra, derived: bool) -> int:
         span = Subspace.from_vectors(f, m, brackets)
         if span.dim == len(term):
             break
-        term = _int_terms(span._terms)[1]
+        term = int_terms(span._terms)[1]
     return len(term)
 
 

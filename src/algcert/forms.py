@@ -20,11 +20,11 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import comb
 
-from .algebra import DEFAULT_MAX_ENUM, Coordinates, LieSubalgebra, is_solvable
+from .algebra import DEFAULT_MAX_ENUM, LieSubalgebra, is_solvable
 from .errors import (CharTwo, NotDegreeTwo, NotGraded, NotHomogeneous,
                      NotStable, SearchSpaceTooLarge, ZeroPolynomial)
 from .fields import Field, PrimeField
-from .linalg import Subspace, combine, kernel_rows, row_rank
+from .linalg import Coordinates, Subspace, combine, kernel_rows, row_rank
 from .poly import Poly, degree_monomials, partial_derivative
 from .presentation import MinimalDegreeSubspace, Presentation
 from .roots import (minimal_polynomial, operator_power_sequence, poly_gcd,

@@ -17,9 +17,15 @@ out as dense rows; ``row_rank`` only counts them.
 A ``Subspace`` keeps those sparse rows as they come from the core, with the
 pivot column of each (its first pair); reducing a vector reads only their
 nonzeros, and a vector may be a list or a dict {col: entry}.  Its dense
-``basis`` is a view built the first time something reads it.  An
-``Echelon`` grows such a basis one vector at a time, for scans that keep a
-vector when it is independent of the ones before it.
+``basis`` is a view built the first time something reads it.
+
+A basis grows one vector at a time on ``Coordinates``' fraction-free
+echelon of integer vectors {col: int} (``int_terms`` scales rows to them):
+``add`` keeps a vector when it is independent of those before it, and,
+unless told not to, records each pivot row as the combination of the
+vectors it is, so ``coords`` reads a vector's coordinates in one pass.
+``quotient_rows`` and the minimal polynomials of ``roots`` grow on it, and
+so do the words and J's rows in ``algebra``.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from fractions import Fraction
 from itertools import compress, count
 from math import gcd, lcm
 
-from .errors import AmbientMismatch, NotContained
+from .errors import AmbientMismatch, InternalInconsistency, NotContained
 from .fields import Field
 
 
@@ -215,41 +221,11 @@ def invert(rows, field: Field) -> list | None:
 
 # -- subspaces ----------------------------------------------------------------
 
-class _Rows:
-    """Rows given by pivot and sorted nonzero (column, entry) pairs, each row
-    1 at its pivot and 0 at the pivots of the rows before it."""
-
-    __slots__ = ("field", "ambient_dim", "pivots", "_terms")
-
-    @property
-    def dim(self) -> int:
-        return len(self._terms)
-
-    def _residual(self, v) -> dict:
-        """The nonzero entries of v's residual against the rows, for v a list
-        or a dict {col: entry}.  Over GF(p) any int is taken as it is and
-        the residual holds residues; over Q it holds Fractions."""
-        _check_ambient(v, self.ambient_dim)
-        res, p = dict(_entries(v, self.field, ints=False)), self.field.characteristic
-        for pc, row in zip(self.pivots, self._terms):
-            c = res.get(pc, 0) % p if p else res.get(pc)
-            if c:
-                for j, x in row:
-                    res[j] = res.get(j, 0) - c * x
-        return {j: r for j, x in res.items() if (r := x % p if p else x)}
-
-    def reduce(self, v):
-        """Residual of v after elimination against the rows (0 iff in their
-        span): a list for a list v, a dict of its nonzeros for a dict v."""
-        res = self._residual(v)
-        return res if isinstance(v, dict) else _dense(res.items(), len(v), self.field.zero)
-
-
-class Subspace(_Rows):
+class Subspace:
     """Row space in canonical RREF form: the sorted (column, entry) pairs of
     each basis row, whose first pair is at the row's pivot column."""
 
-    __slots__ = ("_basis",)
+    __slots__ = ("field", "ambient_dim", "pivots", "_terms", "_basis")
 
     def __init__(self, field: Field, ambient_dim: int, canonical_rows):
         """``canonical_rows`` as the core hands them out, or as dense lists
@@ -275,6 +251,29 @@ class Subspace(_Rows):
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> Subspace:
         return cls(field, ambient_dim, [[(i, field.one)] for i in range(ambient_dim)])
+
+    @property
+    def dim(self) -> int:
+        return len(self._terms)
+
+    def _residual(self, v) -> dict:
+        """The nonzero entries of v's residual against the rows, for v a list
+        or a dict {col: entry}.  Over GF(p) any int is taken as it is and
+        the residual holds residues; over Q it holds Fractions."""
+        _check_ambient(v, self.ambient_dim)
+        res, p = dict(_entries(v, self.field, ints=False)), self.field.characteristic
+        for pc, row in zip(self.pivots, self._terms):
+            c = res.get(pc, 0) % p if p else res.get(pc)
+            if c:
+                for j, x in row:
+                    res[j] = res.get(j, 0) - c * x
+        return {j: r for j, x in res.items() if (r := x % p if p else x)}
+
+    def reduce(self, v):
+        """Residual of v after elimination against the rows (0 iff in their
+        span): a list for a list v, a dict of its nonzeros for a dict v."""
+        res = self._residual(v)
+        return res if isinstance(v, dict) else _dense(res.items(), len(v), self.field.zero)
 
     @property
     def basis(self) -> list:
@@ -330,50 +329,112 @@ class Subspace(_Rows):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-class Echelon(_Rows):
-    """A basis grown one vector at a time, starting from a subspace's.
+# -- growing a basis on integer vectors -----------------------------------------
 
-    ``add`` keeps the residual of an independent vector scaled to a leading
-    1, so every row is 0 at the pivots of the rows before it and reducing in
-    insertion order clears all pivot columns.
-    """
+def int_terms(rows) -> tuple[int, list]:
+    """(s, [the (column, s x) of each row]) for rows of (column, x) pairs,
+    as a Subspace or Coordinates keeps them in ``_terms``; s the least
+    common denominator (1 over GF(p))."""
+    s = lcm(*[x.denominator for row in rows for _, x in row])
+    return s, [[(k, x.numerator * (s // x.denominator)) for k, x in row] for row in rows]
 
-    __slots__ = ()
 
-    def __init__(self, space: Subspace):
-        self.field = space.field
-        self.ambient_dim = space.ambient_dim
-        self.pivots = list(space.pivots)
-        self._terms = list(space._terms)
+def mod_p(v: dict, p: int) -> dict:
+    """The nonzero entries of the integer vector v, taken mod p over GF(p)."""
+    return {k: r for k, x in v.items() if (r := x % p if p else x)}
 
-    def add(self, v) -> bool:
-        """Add v when it is independent of the rows so far; say whether it was."""
-        res = self._residual(v)
-        if not res:
-            return False
-        lead = min(res)
-        inv = self.field.inv(res[lead])
-        self.pivots.append(lead)
-        self._terms.append([(j, self.field.mul(inv, res[j])) for j in sorted(res)])
-        return True
+
+def axpy(out: dict, c: int, v: dict) -> dict:
+    """out + c v, in place, for int vectors {k: int}."""
+    for k, x in v.items():
+        out[k] = out.get(k, 0) + c * x
+    return out
+
+
+class Coordinates:
+    """Coordinates along ``reps`` for the direct sum k^d = span(reps) + span(rest).
+
+    ``project`` keeps a vector's coefficients on ``reps`` and drops its part
+    in span(rest); ``lift`` maps coefficients back to sum x_i reps_i, so
+    project(lift(x)) = x.  With rest a basis of an ideal J this is A -> A/J;
+    with reps a basis of a subalgebra, that subalgebra's own coordinates.  No
+    inverse is formed: the vectors times their common denominator ``_scale``
+    are ``vecs`` {index: int}, and ``_terms`` an echelon of them, each pivot
+    row (primitive over Q, 1 at its pivot mod p) with the combination it is.
+    ``Coordinates(field, [], [])`` is an empty echelon that ``add`` grows."""
+
+    def __init__(self, field: Field, reps, rest):
+        self.field, self.p, self.reps = field, field.characteristic, [list(r) for r in reps]
+        self._terms, self.vecs, stacked = [], {}, self.reps + [list(r) for r in rest]
+        self.dim, self._ambient_dim = len(self.reps), len(stacked[0]) if stacked else 0
+        self._scale, rows = int_terms([[(k, x) for k, x in enumerate(r) if x] for r in stacked])
+        if len(stacked) != self._ambient_dim or not all(self.add(dict(r)) for r in rows):
+            raise InternalInconsistency("coordinate vectors are not a basis")
+
+    @classmethod
+    def quotient(cls, j: Subspace) -> Coordinates:
+        """k^d / j through its canonical coset representatives."""
+        return cls(j.field, quotient_basis(j, Subspace.full(j.field, j.ambient_dim)), j.basis)
+
+    def project(self, v) -> list:
+        f, (s, (terms,)) = self.field, int_terms([[(k, x) for k, x in enumerate(v) if x]])
+        c, comb = self.coords(dict(terms))      # c s v = sum comb_k _scale vecs_k
+        return [f.div(f.coerce(comb.get(k, 0) * self._scale), f.coerce(c * s))
+                for k in range(self.dim)]
+
+    def lift(self, x) -> list:
+        return combine(self.field, zip(x, self.reps), self._ambient_dim)
+
+    def _reduce(self, v: dict) -> tuple[int, dict, dict]:
+        """(s, res, comb): s v = res + sum_k comb[k] vecs[k], res 0 at the pivots."""
+        p, s, res, comb = self.p, 1, dict(v), {}
+        for pc, row, record in self._terms:
+            if not (c := res.get(pc, 0) % p if p else res.get(pc, 0)):
+                continue
+            if not p and row[pc] != 1:
+                a, c = row[pc] // gcd(row[pc], c), c // gcd(row[pc], c)
+                s, res, comb = a * s, axpy({}, a, res), axpy({}, a, comb)
+            axpy(res, -c, row)
+            axpy(comb, c, record)
+        return s, mod_p(res, p), comb
+
+    def add(self, v: dict, records: bool = True) -> bool:
+        """Keep the integer vector v as the next vector when it is independent
+        of those so far; say whether it was.  A scan that reads no
+        coordinates keeps no records."""
+        s, res, comb = self._reduce(v)
+        if res:
+            record = axpy({len(self.vecs): s}, -1, comb) if records else {}
+            p, lead = self.p, min(res)
+            a, g = (pow(res[lead], -1, p), 1) if p else (1, gcd(*res.values(), *record.values()))
+            self._terms.append((lead, *({j: x * a % p if p else x // g for j, x in r.items()}
+                                        for r in (res, record))))
+            self.vecs[len(self.vecs)] = v
+        return bool(res)
+
+    def coords(self, v: dict) -> tuple[int, dict]:
+        """(s, c) with s v = sum_k c[k] vecs[k], c the nonzeros, for an
+        integer v: residues and s = 1 over GF(p), coprime integers over Q."""
+        s, _, comb = self._reduce(v)
+        p, g = self.p, 1 if self.p else gcd(s, *comb.values())
+        return s // g, {k: r for k, x in comb.items() if (r := x % p if p else x // g)}
 
 
 def quotient_rows(u: Subspace, v: Subspace) -> list[dict]:
     """Rows of V extending a basis of U, as dicts {col: entry} of their
     nonzeros; length = dim V - dim U.
 
-    Raises NotContained unless U <= V.  Deterministic: V's canonical basis
+    Deterministic: on an echelon grown from U's rows, V's canonical basis
     rows are scanned in order and kept when independent from U and the rows
-    kept before them.
+    kept before them.  The scan reads all of V, so U + V has dim U + (rows
+    kept), which is dim V iff U <= V: NotContained is raised otherwise.
     """
     u._check_compatible(v)
-    if not v.contains_space(u):
+    grown = Coordinates(u.field, [], [])
+    kept = [grown.add(dict(row), records=False) for row in int_terms(u._terms + v._terms)[1]]
+    out = list(map(dict, compress(v._terms, kept[u.dim:])))
+    if len(out) != v.dim - u.dim:
         raise NotContained("first subspace is not contained in the second")
-    grown = Echelon(u)
-    out = []
-    for row in map(dict, v._terms):
-        if grown.dim < v.dim and grown.add(row):
-            out.append(row)
     return out
 
 

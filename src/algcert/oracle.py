@@ -14,11 +14,11 @@ import random
 from dataclasses import dataclass
 from operator import mul
 
-from .algebra import DEFAULT_MAX_ENUM, Coordinates, RadicalData, StructureAlgebra
+from .algebra import DEFAULT_MAX_ENUM, RadicalData, StructureAlgebra
 from .errors import (InternalInconsistency, SearchSpaceTooLarge,
                      UnsupportedRadicalComputation)
 from .fields import PrimeField
-from .linalg import Subspace, combine, invert, quotient_basis, row_rank
+from .linalg import Coordinates, Subspace, combine, invert, quotient_basis, row_rank
 
 
 @dataclass

@@ -12,27 +12,27 @@ from math import gcd
 
 from .errors import InternalInconsistency, UnfactoredInteger
 from .fields import MR_EXACT_BELOW, QQ, Field, PrimeField, is_prime
-from .linalg import Echelon, Subspace, combine, solve
+from .linalg import Coordinates, combine, int_terms, scalars
 
 
 def minimal_polynomial(vectors, field: Field) -> list:
     """Monic minimal polynomial (ascending coefficients) of a power sequence.
 
     ``vectors`` yields v0, v1, v2, ... where v_{k+1} is the image of v_k
-    under a fixed linear map; the minimal k with v_k dependent on the
-    earlier ones gives the polynomial sum(c_i t^i) + t^k.
+    under a fixed linear map.  Each v_k, times its least common denominator
+    s_k, joins one echelon that records combinations, until the first v_n
+    dependent on the earlier ones: its coordinates r s_n v_n = sum c_k s_k
+    v_k give the polynomial t^n - sum (c_k s_k / (r s_n)) t^k.
     """
-    it = iter(vectors)
-    v = [field.coerce(x) for x in next(it)]
-    seen = Echelon(Subspace.zero(field, len(v)))
-    collected: list[list] = []
-    while seen.add(v):
-        collected.append(v)
-        v = [field.coerce(x) for x in next(it)]
-    coeffs = solve(list(zip(*collected)), v, field)
-    if coeffs is None:
-        raise InternalInconsistency("a dependent power is not a combination of earlier ones")
-    return [field.neg(c) for c in coeffs] + [field.one]
+    grown, scales = Coordinates(field, [], []), []
+    for v in vectors:
+        s, (terms,) = int_terms([[(k, x) for k, x in enumerate(scalars(v, field)) if x]])
+        if not grown.add(dict(terms)):
+            r, c = grown.coords(dict(terms))
+            return [field.div(field.coerce(-c.get(k, 0) * a), field.coerce(r * s))
+                    for k, a in enumerate(scales)] + [field.one]
+        scales.append(s)
+    raise InternalInconsistency("a power sequence ended with no dependent power")
 
 
 def operator_power_sequence(rows, field: Field):

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from algcert.algebra import Coordinates, StructureAlgebra
+from algcert.algebra import StructureAlgebra
 from algcert.fields import QQ
-from algcert.linalg import Subspace, combine, quotient_basis
+from algcert.linalg import Coordinates, Subspace, combine, quotient_basis
 from algcert.poly import Poly, parse_poly
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from algcert.algebra import (DEFAULT_MAX_ENUM, Coordinates, LieSubalgebra, StructureAlgebra,
+from algcert.algebra import (DEFAULT_MAX_ENUM, LieSubalgebra, StructureAlgebra,
                              _killing_diagonal, _radical_data, _series_limit,
                              _verify_ideal,
                              center, der_into,
@@ -21,7 +21,7 @@ from algcert.errors import (AmbientMismatch, BadScalar, InternalInconsistency, L
                             UnsupportedRadicalComputation)
 from algcert.fields import GF, QQ, PrimeField
 from algcert.forms import _bracket_closure
-from algcert.linalg import Echelon, Subspace, invert, kernel_rows, quotient_basis
+from algcert.linalg import Coordinates, Subspace, invert, kernel_rows, quotient_basis
 from algcert.constructions import (componentwise_algebra, direct_sum,
                                    exterior_algebra, matrix_algebra,
                                    truncated_polynomial_algebra,
@@ -47,13 +47,13 @@ def nilpotent_scan_radical(algebra: StructureAlgebra, bound: int = DEFAULT_MAX_E
         raise UnsupportedRadicalComputation(
             f"scan needs {total} elements, bound is {bound}")
     steps = max(1, (d - 1).bit_length())  # x^(2^steps) >= x^d
-    span = Echelon(Subspace.zero(f, d))
+    span = Coordinates(f, [], [])
     nilpotents = []
     for vec in itertools.product(range(p), repeat=d):
         if not any(vec):
             continue
-        v = list(vec)
-        if not any(span.reduce(v)):
+        v, row = list(vec), {k: x for k, x in enumerate(vec) if x}
+        if not span._reduce(row)[1]:
             continue
         y = v
         for _ in range(steps):
@@ -61,9 +61,9 @@ def nilpotent_scan_radical(algebra: StructureAlgebra, bound: int = DEFAULT_MAX_E
             if not any(y):
                 break
         if not any(y):
-            span.add(v)
+            span.add(row, records=False)
             nilpotents.append(v)
-            if span.dim == d - 1:
+            if len(span.vecs) == d - 1:
                 # cannot exceed codimension 1 in a unital algebra
                 break
     return Subspace.from_vectors(f, d, nilpotents)

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from algcert.constructions import componentwise_algebra
 from algcert.errors import AmbientMismatch, BadScalar, NotContained
 from algcert.fields import GF, QQ
-from algcert.linalg import (Echelon, Subspace, _canonical, invert, kernel_rows,
-                            quotient_basis, rref_rows, solve)
+from algcert.linalg import (Coordinates, Subspace, _canonical, _sparse_row, invert,
+                            kernel_rows, quotient_basis, rref_rows, solve)
 from algcert.roots import minimal_polynomial, operator_power_sequence
 from conftest import identity, matmul, matrix_sum
 
@@ -331,11 +331,13 @@ def test_q_spaces_from_ints_hold_fractions():
     assert all(type(x) is Fraction for x in space.reduce([1, 1, 1]))
     assert all(type(x) is Fraction for row in kernel_rows([[0, 3, 1]], 3, QQ).basis
                for x in row)
-    grown = Echelon(Subspace.zero(QQ, 3))
-    assert grown.add([0, 3, 1]) and grown.add([2, 4, 0])
-    residual = grown.reduce([0, 1, 0])
-    assert residual == [0, 0, Fraction(-1, 3)]
-    assert all(type(x) is Fraction for x in residual)
+    # coordinates along int vectors: (0, 1, 0) = (0, 3, 1) / 3 - (0, 0, 1) / 3
+    coords = Coordinates(QQ, [[0, 3, 1], [2, 4, 0]], [[0, 0, 1]])
+    projected = coords.project([0, 1, 0])
+    lifted = coords.lift(projected)
+    assert projected == [Fraction(1, 3), 0]
+    assert [x - y for x, y in zip([0, 1, 0], lifted)] == [0, 0, Fraction(-1, 3)]
+    assert all(type(x) is Fraction for x in projected + lifted)
 
 
 def test_scalar_types_read_or_rejected():
@@ -384,6 +386,13 @@ def test_subspace_reduce_matches_textbook(field, entry, data):
     assert space.contains_space(Subspace.from_vectors(field, ncols, [inside]))
 
 
+def _grown(u):
+    """The integer echelon grown from U's rows, as the core reads them."""
+    grown = Coordinates(u.field, [], [])
+    assert all(grown.add(_sparse_row(row, u.field)) for row in u.basis)
+    return grown
+
+
 def _quotient_basis_reference(u, v):
     # one RREF of the growing span per row of V
     current, out = list(u.basis), []
@@ -408,10 +417,19 @@ def test_quotient_basis_matches_one_rref_per_row(field, entry, data):
     ext = quotient_basis(u, v)
     assert ext == _quotient_basis_reference(u, v)
     assert len(ext) == v.dim - u.dim
-    grown = Echelon(u)
-    assert all(grown.add(row) for row in ext)
-    assert grown.dim == v.dim
-    assert not any(grown.add(row) for row in v.basis)
+    grown = _grown(u)
+    assert all(grown.add(_sparse_row(row, field)) for row in ext)
+    assert len(grown.vecs) == v.dim
+    assert not any(grown.add(_sparse_row(row, field)) for row in v.basis)
+    # U drawn with rows from outside V too: NotContained exactly when U is
+    # not inside V, and the same rows as the reference otherwise
+    outside = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=2))
+    w = Subspace.from_vectors(field, ncols, [rows[i] for i in picks if rows] + outside)
+    if v.contains_space(w):
+        assert quotient_basis(w, v) == _quotient_basis_reference(w, v)
+    else:
+        with pytest.raises(NotContained):
+            quotient_basis(w, v)
 
 
 def _minimal_polynomial_reference(vectors, field):
@@ -494,7 +512,7 @@ def test_kernel_rows_without_rows_is_full():
 def test_dict_vectors_refused_like_lists():
     for field in (QQ, GF5):
         space = Subspace.from_vectors(field, 3, [[1, 2, 0]])
-        checks = [space.reduce, space.contains, Echelon(space).add,
+        checks = [space.reduce, space.contains,
                   lambda v: Subspace.from_vectors(field, 3, [{0: 1}, v])]
         for check in checks:
             for key in (-1, 3, 10):
@@ -570,14 +588,15 @@ def test_dict_and_list_vectors_match_dense_reference(field, seed):
         for b in v.basis)
     for small, big in ((meet, u), (u, total), (Subspace.zero(field, n), v)):
         assert quotient_basis(small, big) == _quotient_basis_reference(small, big)
-    # Echelon.add on list and dict inputs: the same rows, each kept iff the
-    # textbook rank grows
-    grown = [Echelon(u), Echelon(u)]
+    # the integer echelon grown from U on each vector as given (a list, or a
+    # dict with explicit zeros) and as its dense field entries, both read as
+    # the core reads rows: the same rows, each kept iff the textbook rank grows
+    grown = [_grown(u), _grown(u)]
     span = list(u.basis)
     for w in pool:
         dense = _dense_in(field, n, w)
-        sparse = {j: x for j, x in enumerate(dense) if x}
         cand = _textbook_rref(span + [dense], n, field)[0]
-        assert grown[0].add(dense) == grown[1].add(sparse) == (len(cand) > len(span))
+        assert grown[0].add(_sparse_row(dense, field)) == grown[1].add(_sparse_row(w, field)) \
+            == (len(cand) > len(span))
         span = cand
-    assert grown[0].pivots == grown[1].pivots and grown[0]._terms == grown[1]._terms
+    assert grown[0]._terms == grown[1]._terms

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from algcert.algebra import Coordinates, StructureAlgebra, jacobson_radical
+from algcert.algebra import StructureAlgebra, jacobson_radical
 from algcert.certify import certify
 from algcert.constructions import (componentwise_algebra,
                                    univariate_quotient_algebra)
@@ -14,7 +14,7 @@ from algcert.errors import (LoweyMismatch, NotAdmissible, NotLocal, NotSplit,
                             NotCommutative)
 from algcert.fields import GF, QQ
 from algcert.forms import im_phi_lie
-from algcert.linalg import Subspace, combine, invert
+from algcert.linalg import Coordinates, Subspace, combine, invert
 from algcert.poly import LinearChange, Poly, TruncatedRing, apply_linear_change
 from algcert.presentation import (_actual_lowey, _saturate,
                                   is_graded_presentation, is_monomial_ideal,

@@ -58,6 +58,9 @@ def test_elimination_stays_in_linalg():
     # words that Words grows; no module keeps a second word-basis builder or
     # Leibniz forms in the standard basis beside it
     pytest.param({"_word_basis", "leibniz"}, id="derivation_solver"),
+    # every basis grows one vector at a time on Coordinates' integer
+    # echelon; no module keeps a Fraction echelon beside it
+    pytest.param({"Echelon"}, id="basis_growth"),
 ])
 def test_one_construction(names):
     found = [f"{path.name}:{node.lineno}"
@@ -107,13 +110,26 @@ def test_jj2_lifts_taken_once():
 def test_algebra_grows_bases_in_integers():
     # algebra.py grows a basis (the words, and J's rows B' in _radical_data)
     # on the fraction-free echelon that Coordinates keeps; it neither
-    # imports nor names linalg's Fraction Echelon
+    # imports nor names a Fraction Echelon
     tree = ast.parse((Path(algcert.__file__).parent / "algebra.py").read_text(encoding="utf-8"))
     found = [node.lineno for node in ast.walk(tree)
              if (isinstance(node, ast.ImportFrom)
                  and any(alias.name == "Echelon" for alias in node.names))
              or (isinstance(node, ast.Name) and node.id == "Echelon")
              or (isinstance(node, ast.Attribute) and node.attr == "Echelon")]
+    assert found == []
+
+
+def test_minimal_polynomial_takes_one_elimination():
+    # roots.minimal_polynomial reads the polynomial off the coordinates of
+    # the first dependent power on the echelon that the powers grow; it
+    # solves no second system for it
+    tree = ast.parse((Path(algcert.__file__).parent / "roots.py").read_text(encoding="utf-8"))
+    func = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "minimal_polynomial")
+    found = [call.lineno for call in ast.walk(func)
+             if isinstance(call, ast.Call)
+             and getattr(call.func, "id", getattr(call.func, "attr", None)) == "solve"]
     assert found == []
 
 
